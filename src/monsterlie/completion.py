@@ -4,10 +4,15 @@ A TruncAut represents an automorphism of the positive formal completion
 restricted to degrees <= N.  Two storage forms:
 
   * word-backed: a tuple of atomic factors, each ("exp", x) for a
-    pro-summable exponential, ("torus", s, t) for the semisimple scaling
+    pro-summable exponential (stored as ("exp", x, cache key), the key
+    built once with the word), ("torus", s, t) for the semisimple scaling
     by s^a t^b on the root (a, b), or ("perm", j, moved) for an index
     permutation at level j.  Application walks the factors right to
-    left.  Composition is concatenation, inversion reverses the tuple
+    left, so it is a composition of linear maps on basis keys: each
+    atom sends y to the sum of c * image(key) over the terms of y, and
+    the image of each basis key is computed once per atom and clamp
+    bound, then memoized (exp images by the exp series on that single
+    key).  Composition is concatenation, inversion reverses the tuple
     and inverts each atom, so inverses stay cheap and exact.
   * image-backed: a map from algebra generators to their images mod
     degree > N.  Used for Neumann-series inverses and mixed
@@ -16,10 +21,15 @@ restricted to degrees <= N.  Two storage forms:
     brackets.
 
 Soundness: every application tracks the exact_to bound of monster
-elements.  Word-backed application retries with a widened internal
-bound when lowering factors (f(-1) exponentials) eat into the requested
-window, so a returned element is always complete through the requested
-degree unless the input itself was the limit.
+elements.  An atom's result is exact through the least of its images'
+bounds and a bound from the input: the input's own exact_to E, or
+descent_floor(E) - 1 for a lowering exponential (a multiple of f(-1)),
+since content hidden above E can slide down that far.  This is never
+above what the exp series gives on the whole element.  Word-backed
+application retries with a widened internal bound when lowering
+factors eat into the requested window, so a returned element is always
+complete through the requested degree unless the input itself was the
+limit.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -40,21 +50,12 @@ The emitted word agrees with g modulo the (i+1)-st filtration subgroup.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 from typing import NamedTuple
 
 from . import freelie, monster
-from .indices import SupportConfig, display, make_letter
+from .indices import SupportConfig
 from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt,
-                      key_degree, key_root, key_sort)
-
-
-def _min_none(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+                      _min_none, key_degree, key_root, key_sort)
 
 
 def generator_keys(cfg: SupportConfig) -> list:
@@ -155,11 +156,12 @@ def _descent_floor(E: int, cfg: SupportConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# atomic applications
+# the exponential series
 
 def _apply_exp(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
     """exp(ad x)(y) with terms above bound discarded (and recorded).
 
+    Exp atoms run it on one exact basis key at a time (see _image).
     When x lowers degrees, content hidden above the exactness bound
     (clamped here or inherited from y) can slide back down; the result
     is then marked exact only below the support-derived descent floor."""
@@ -185,74 +187,125 @@ def _apply_exp(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
     return acc
 
 
-def _apply_torus(s: Fraction, t: Fraction, y: MonsterElt) -> MonsterElt:
-    out = {}
-    for k, c in y.terms.items():
-        a, b = key_root(k)
-        out[k] = c * s ** a * t ** b
-    return MonsterElt(out, exact_to=y.exact_to)
+# ---------------------------------------------------------------------------
+# atoms as memoized linear maps on basis keys
+#
+# Every atom is linear, so it acts through the images of single basis
+# keys.  _ATOM_CACHE maps an atom's cache key to {bound: {basis key:
+# image}}; an image is the flat tuple (exact_to, k1, c1, k2, c2, ...)
+# with keys and coefficients interned in _INTERN.  Exp images depend on
+# the clamp bound; torus and perm images do not and sit under the bound
+# None.  monster.clear_caches() empties both tables.
+
+_ATOM_CACHE: dict = {}
+_INTERN: dict = {}
+monster.CACHES.extend((_ATOM_CACHE, _INTERN))
 
 
-_PERM_WORD_CACHE: dict = {}
+def _keyed_word(word, cfg: SupportConfig) -> tuple:
+    """word with each exp atom as ("exp", x, key), the key built here once:
+    (terms, exact_to, support levels, lowers).  Letters are checked
+    against the window before an atom gets a key, so the cache only ever
+    holds supported atoms.  Torus and perm atoms are their own keys."""
+    levels = _word_levels(cfg)
+    out = []
+    for a in word:
+        if a[0] == "exp" and (len(a) == 2 or a[2][2] != levels):
+            x = a[1]
+            x.validate_support(cfg)
+            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels,
+                            (x.min_degree() or 0) < 0))
+        out.append(a)
+    return tuple(out)
 
 
-def _perm_letter(level: int, moved: dict, L):
-    j, k, l = L
-    if j != level:
-        return L
-    return (j, moved.get(k, k), l)
+def _flat_image(terms: dict, exact_to) -> tuple:
+    flat = [exact_to]
+    for k, c in terms.items():
+        flat.append(_INTERN.setdefault(k, k))
+        flat.append(_INTERN.setdefault(c, c))
+    return tuple(flat)
 
 
-def _perm_word(level: int, moved_key: tuple, word) -> dict:
-    """Image of a basis word under an index relabeling, as a word dict."""
-    key = (level, moved_key, word)
-    hit = _PERM_WORD_CACHE.get(key)
+def _image(atom, images: dict, key, bound, cfg) -> tuple:
+    """Image of one basis key under atom, from (or into) images."""
+    hit = images.get(key)
     if hit is not None:
         return hit
-    moved = dict(moved_key)
-    if len(word) == 1:
-        res = {(_perm_letter(level, moved, word[0]),): 1}
+    tag = atom[0]
+    if tag == "exp":
+        img = _apply_exp(atom[1], MonsterElt({key: 1}), bound, cfg)
+        res = _flat_image(img.terms, img.exact_to)
+    elif tag == "torus":
+        a, b = key_root(key)
+        res = _flat_image({key: atom[1] ** a * atom[2] ** b}, None)
+    elif tag == "perm":
+        res = _flat_image(_perm_key(atom, images, key), None)
     else:
-        u, v = freelie.std_factorize(word)
-        res = {}
-        for wu, cu in _perm_word(level, moved_key, u).items():
-            for wv, cv in _perm_word(level, moved_key, v).items():
-                for w, c in freelie.bracket_words(wu, wv).items():
-                    n = res.get(w, 0) + cu * cv * c
-                    if n:
-                        res[w] = n
-                    else:
-                        res.pop(w, None)
-    _PERM_WORD_CACHE[key] = res
+        raise ValueError(f"unknown atomic factor {tag!r}")
+    images[key] = res
     return res
 
 
-def _apply_perm(level: int, moved_key: tuple, y: MonsterElt) -> MonsterElt:
-    out: dict = {}
-    for k, c in y.terms.items():
-        if isinstance(k, tuple):
-            tag, w = k
-            for w2, m in _perm_word(level, moved_key, w).items():
+def _perm_key(atom, images: dict, key) -> dict:
+    """Index relabeling of one basis key: letters directly, longer words
+    through the images of their standard factors."""
+    if not isinstance(key, tuple):
+        return {key: Fraction(1)}
+    tag, w = key
+    if len(w) == 1:
+        j, k, l = w[0]
+        if j == atom[1]:
+            k = dict(atom[2]).get(k, k)
+        return {(tag, ((j, k, l),)): Fraction(1)}
+    u, v = freelie.std_factorize(w)
+    iu = _image(atom, images, (tag, u), None, None)
+    iv = _image(atom, images, (tag, v), None, None)
+    res: dict = {}
+    for ku, cu in zip(iu[1::2], iu[2::2]):
+        for kv, cv in zip(iv[1::2], iv[2::2]):
+            for w2, c in freelie.bracket_words(ku[1], kv[1]).items():
                 kk = (tag, w2)
-                n = out.get(kk, 0) + c * m
+                n = res.get(kk, 0) + cu * cv * c
                 if n:
-                    out[kk] = n
+                    res[kk] = n
                 else:
-                    out.pop(kk, None)
-        else:
-            out[k] = out.get(k, 0) + c
-    return MonsterElt(out, exact_to=y.exact_to)
+                    res.pop(kk, None)
+    return res
 
 
 def _apply_atom(atom, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
+    """atom applied to y as sum of c * image(key) over y's terms.
+
+    exact_to is the least of the images' bounds and the input's: y's own
+    bound, or for a lowering exponential the descent floor below it,
+    since content hidden above y's bound can slide down that far."""
     tag = atom[0]
+    lo = y.exact_to
     if tag == "exp":
-        return _apply_exp(atom[1], y, bound, cfg)
-    if tag == "torus":
-        return _apply_torus(atom[1], atom[2], y)
-    if tag == "perm":
-        return _apply_perm(atom[1], atom[2], y)
-    raise ValueError(f"unknown atomic factor {tag!r}")
+        akey = atom[2]
+        if lo is not None and akey[3]:
+            lo = _descent_floor(lo, cfg) - 1
+    else:
+        akey = atom
+        bound = None
+    images = _ATOM_CACHE.setdefault(akey, {}).setdefault(bound, {})
+    out: dict = {}
+    for k, c in y.terms.items():
+        img = images.get(k)
+        if img is None:
+            img = _image(atom, images, k, bound, cfg)
+        pairs = iter(img)
+        e = next(pairs)
+        if e is not None and (lo is None or e < lo):
+            lo = e
+        for kk, v in zip(pairs, pairs):
+            n = out.get(kk, 0) + c * v
+            if n:
+                out[kk] = n
+            else:
+                out.pop(kk, None)
+    return MonsterElt(out, exact_to=lo)
 
 
 def _invert_atom(atom):
@@ -281,7 +334,7 @@ class TruncAut:
             raise ValueError("need a defining word or generator images")
         self.N = N
         self.cfg = cfg
-        self.word = tuple(word) if word is not None else None
+        self.word = _keyed_word(word, cfg) if word is not None else None
         self._images = dict(images) if images is not None else None
         self._img_cache: dict = {}
 
@@ -306,8 +359,7 @@ class TruncAut:
     def _apply_word(self, y: MonsterElt, need: int) -> MonsterElt:
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
-        lowers = any(a[0] == "exp" and (a[1].min_degree() or 0) < 0
-                     for a in self.word)
+        lowers = any(a[0] == "exp" and a[2][3] for a in self.word)
         R = need + 2 + (_descent_pad(need, self.cfg) if lowers else 0)
         prev = None
         while True:

@@ -446,21 +446,26 @@ _CROSS_CACHE: dict = {}
 _CROSS_BUDGET = 500_000
 _budget_left = None
 
+# Every memo table built from brackets, here and in modules above this
+# one (completion adds its atom images); clear_caches empties them all.
+CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE]
+
 
 def clear_caches() -> None:
-    _CROSS_CACHE.clear()
-    _AD_WORD_CACHE.clear()
+    for cache in CACHES:
+        cache.clear()
     freelie.clear_caches()
 
 
 def cross_bracket_words(wp, wn) -> dict:
-    """[positive basis word, negative basis word] by Jacobi recursion."""
+    """[positive basis word, negative basis word] by Jacobi recursion,
+    as a fresh dict: callers may mutate it without touching the cache."""
     global _budget_left
     top = _budget_left is None
     if top:
         _budget_left = _CROSS_BUDGET
     try:
-        return _cross(wp, wn)
+        return dict(_cross(wp, wn))
     finally:
         if top:
             _budget_left = None

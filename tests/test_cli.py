@@ -91,6 +91,14 @@ def test_unsupported_index_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_unsupported_word_index_exit_2(capsys):
+    # level 9 has no index at the default caps; the word must be refused
+    # like the element parser refuses e(0,9,1)
+    code, out, err = run(capsys, "aut", "apply", "--word", "X(0,9,1;1)",
+                         "--elem", "h1")
+    assert code == 2 and "error:" in err and out == ""
+
+
 def test_unrealizable_word_exit_2(capsys):
     code, out, err = run(capsys, "aut", "apply", "--word", "Y(0,1,1;1)",
                          "--elem", "h1")

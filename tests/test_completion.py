@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie import completion, monster
+from monsterlie import completion, freelie, monster
 from monsterlie.completion import (Ad, TruncAut, approximate_by_generators, aut_check,
                                    compose, equal_mod_level, exp_ad, filtration_level,
                                    format_tokens, generator_keys, invert, log_unipotent,
@@ -252,3 +252,102 @@ def test_weyl_conjugation_reverses_long_string():
     cross = bracket(MonsterElt.e_letter(0, 2, 1), MonsterElt.e_letter(0, 3, 1))
     assert img == MonsterElt.e_letter(0, 2, 1) - cross
     assert img.exact_to == 9
+
+
+# ---------------------------------------------------------------------------
+# memoized atom maps against the whole-element computation
+
+CFG3 = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+
+
+def _at_most(a, b):
+    """a <= b for exactness bounds, where None means exact."""
+    return b is None or (a is not None and a <= b)
+
+
+def _relabeled(key, level, moved):
+    """Index relabeling of one basis key, rebuilt with the bracket."""
+    if not isinstance(key, tuple):
+        return MonsterElt({key: 1})
+    tag, w = key
+    if len(w) == 1:
+        j, k, l = w[0]
+        if j == level:
+            k = moved.get(k, k)
+        return MonsterElt({(tag, ((j, k, l),)): 1})
+    u, v = freelie.std_factorize(w)
+    return bracket(_relabeled((tag, u), level, moved), _relabeled((tag, v), level, moved))
+
+
+def _direct(atom, y, bound):
+    tag = atom[0]
+    if tag == "exp":
+        return completion._apply_exp(atom[1], y, bound, CFG3)
+    out = MonsterElt.zero()
+    for k, c in y.terms.items():
+        if tag == "torus":
+            a, b = monster.key_root(k)
+            img = MonsterElt({k: atom[1] ** a * atom[2] ** b})
+        else:
+            img = _relabeled(k, atom[1], dict(atom[2]))
+        out = out + img.scaled(c)
+    return MonsterElt(out.terms, exact_to=y.exact_to)
+
+
+def _diff_inputs():
+    gens = generator_keys(CFG3)
+    mixed = {g: Fraction(i + 1, 3) * (-1) ** i for i, g in enumerate(gens)}
+    ins = []
+    for terms in [{g: Fraction(3, 2)} for g in gens] + [mixed]:
+        ins.append(MonsterElt(terms))
+        ins.append(MonsterElt(terms, exact_to=7))
+    return ins
+
+
+def test_memoized_atoms_match_whole_element():
+    raw = [("exp", MonsterElt.e_minus(2)),
+           ("exp", MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(0, 2, 1, Fraction(1, 2))),
+           ("exp", MonsterElt.f_minus(Fraction(-1, 2))),
+           ("torus", Fraction(2), Fraction(3, 5)),
+           ("perm", 1, ((1, 2), (2, 1)))]
+    atoms = TruncAut(9, CFG3, word=raw).word
+    assert [a[2][3] for a in atoms[:3]] == [False, False, True]
+    inputs = _diff_inputs()
+    for atom in atoms:
+        for bound in (9, 12):
+            for y in inputs:
+                memo = completion._apply_atom(atom, y, bound, CFG3)
+                direct = _direct(atom, y, bound)
+                e = memo.exact_to
+                assert _at_most(e, direct.exact_to), (atom[0], y, bound)
+                if e is None:
+                    assert memo.terms == direct.terms
+                else:
+                    assert memo.truncated_above(e) == direct.truncated_above(e)
+                warm = completion._apply_atom(atom, y, bound, CFG3)
+                assert warm.terms == memo.terms and warm.exact_to == e
+    assert completion._ATOM_CACHE
+    for by_bound in completion._ATOM_CACHE.values():
+        for images in by_bound.values():
+            assert all(type(img) is tuple for img in images.values())
+    monster.clear_caches()
+    assert not completion._ATOM_CACHE and not completion._INTERN
+
+
+def test_atom_cache_key_built_with_word():
+    x = MonsterElt.e_letter(0, 1, 1, 2)
+    g = exp_ad(x, N, CFG)
+    atom = g.word[0]
+    assert atom[:2] == ("exp", x)
+    # composing reuses the stored key object instead of rebuilding it
+    assert compose(g, g).word[1][2] is atom[2]
+    # the same element under another support window gets its own key
+    other = TruncAut(N, CFG3, word=g.word).word[0][2]
+    assert other != atom[2] and other[0] == atom[2][0]
+
+
+def test_exp_atom_rejects_unsupported_letter():
+    with pytest.raises(monster.SupportError):
+        exp_ad(MonsterElt.e_letter(0, 3, 1), N, CFG)
+    with pytest.raises(monster.SupportError):
+        realize_tokens([("X", (0, 1, 3), Fraction(1))], N, CFG)

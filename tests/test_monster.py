@@ -262,3 +262,16 @@ def test_term_ordering_in_output():
     x = MonsterElt.f_minus() + MonsterElt.h2() + MonsterElt.e_minus() + MonsterElt.h1()
     keys = sorted(x.terms, key=key_sort)
     assert keys == [H1, H2, EMINUS, FMINUS]
+
+
+def test_term_bracket_results_are_fresh():
+    # a (u+, u-) pair is served from the cross-bracket memo; mutating the
+    # returned dict must not reach the memo or any later bracket
+    kp = (WPOS, ((1, 1, 0),))
+    kn = (WNEG, ((1, 1, 0),))
+    first = monster.term_bracket(kp, kn)
+    want = dict(first)
+    first[H1] = Fraction(99)
+    first.clear()
+    assert monster.term_bracket(kp, kn) == want
+    assert bracket(MonsterElt({kp: 1}), MonsterElt({kn: 1})).terms == want
