@@ -57,7 +57,7 @@ ENV_CONFIG = "MONSTERLIE_CONFIG"
 
 
 class Config:
-    __slots__ = ("N", "caps", "samples", "suite", "output", "jobs")
+    __slots__ = ("N", "caps", "samples", "suite", "output", "jobs", "_support")
 
     def __init__(self, N=DEFAULT_N, caps=None, samples=DEFAULT_SAMPLES,
                  suite="all", output=None, jobs=1):
@@ -71,9 +71,10 @@ class Config:
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise CliError("jobs must be >= 1")
+        self._support = SupportConfig(self.N, self.caps)
 
     def support(self) -> SupportConfig:
-        return SupportConfig(self.N, self.caps)
+        return self._support
 
 
 def _parse_rational_str(text: str) -> Fraction:
@@ -90,6 +91,13 @@ def _parse_samples(text: str) -> tuple:
     return tuple(vals)
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{what} must be an integer, got {text!r}")
+
+
 def load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
@@ -103,9 +111,10 @@ def load_config_file(path: str) -> dict:
                 raise CliError(f"{path}:{ln}: expected key = value")
             key, val = (x.strip() for x in line.split("=", 1))
             if key == "n":
-                out["N"] = int(val)
+                out["N"] = _parse_int(val, f"{path}:{ln}: n")
             elif key.startswith("cap."):
-                out["caps"][int(key[4:])] = int(val)
+                level = _parse_int(key[4:], f"{path}:{ln}: cap level")
+                out["caps"][level] = _parse_int(val, f"{path}:{ln}: {key}")
             elif key == "samples":
                 out["samples"] = _parse_samples(val)
             elif key == "suite":
@@ -115,7 +124,7 @@ def load_config_file(path: str) -> dict:
             elif key == "output":
                 out["output"] = val
             elif key == "jobs":
-                out["jobs"] = int(val)
+                out["jobs"] = _parse_int(val, f"{path}:{ln}: jobs")
             else:
                 raise CliError(f"{path}:{ln}: unknown key {key!r}")
     return out
@@ -388,8 +397,11 @@ def elem_json(x: MonsterElt) -> dict:
 def emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {output}: {e.strerror}")
         print(f"wrote {output}")
     else:
         sys.stdout.write(text)
@@ -451,8 +463,12 @@ def cmd_aut(args, cfg: Config):
     if op == "apply":
         g = realize(args.word, N, sup)
         x = parse_elem(args.elem, sup)
+        img = g.apply(x)
+        if img.exact_to is not None:
+            # terms above exact_to are not certified: drop them
+            img = img.truncated_above(img.exact_to)
         return 0, {"word": args.word, "element": args.elem,
-                   "image": elem_json(g.apply(x))}
+                   "image": elem_json(img)}
     if op == "compose":
         auts = [realize(w, N, sup) for w in args.word]
         g = completion.compose(*auts) if auts else completion.TruncAut.identity(N, sup)
@@ -590,10 +606,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         code, report = args.fn(args, cfg)
+        emit(report, getattr(args, "output", None) or cfg.output)
     except (CliError, SupportError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    emit(report, getattr(args, "output", None) or cfg.output)
     return code
 
 

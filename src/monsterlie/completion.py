@@ -12,8 +12,13 @@ restricted to degrees <= N.  Two storage forms:
     atom sends y to the sum of c * image(key) over the terms of y, and
     the image of each basis key is computed once per atom and clamp
     bound, then memoized (exp images by the exp series on that single
-    key).  Composition is concatenation, inversion reverses the tuple
-    and inverts each atom, so inverses stay cheap and exact.
+    key).  The word resolves each atom's memo slot once, when it is
+    built.  Images are stored as integer numerators over a common
+    denominator, and a word carries y through its atoms in that integer
+    form (IntVec), so Fractions are built only for the returned element;
+    equal compares generator images in that form.  Composition is
+    concatenation, inversion reverses the tuple and inverts each atom,
+    so inverses stay cheap and exact.
   * image-backed: a map from algebra generators to their images mod
     degree > N.  Used for Neumann-series inverses and mixed
     compositions; letters and words are rebuilt from generator images
@@ -50,6 +55,7 @@ The emitted word agrees with g modulo the (i+1)-st filtration subgroup.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import freelie, monster
@@ -188,25 +194,45 @@ def _apply_exp(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
 
 
 # ---------------------------------------------------------------------------
-# atoms as memoized linear maps on basis keys
+# atoms as memoized linear maps on basis keys, in integer arithmetic
 #
 # Every atom is linear, so it acts through the images of single basis
-# keys.  _ATOM_CACHE maps an atom's cache key to {bound: {basis key:
-# image}}; an image is the flat tuple (exact_to, k1, c1, k2, c2, ...)
-# with keys and coefficients interned in _INTERN.  Exp images depend on
-# the clamp bound; torus and perm images do not and sit under the bound
-# None.  monster.clear_caches() empties both tables.
+# keys.  _ATOM_CACHE maps an atom's cache key to its slot, {bound: {basis
+# key: image}}; an image is the flat tuple (exact_to, den, k1, n1, k2, n2,
+# ...): integer numerators n_i over one positive common denominator den,
+# with the keys interned in _INTERN.  Exp images depend on the clamp
+# bound; torus and perm images do not and sit under the bound None.  A
+# word resolves each atom's slot once, when it is keyed (_keyed_word), so
+# applying an atom never hashes its key.  Word application carries an
+# element as (den, {key: numerator}) through every atom and builds
+# Fractions only at the end.  monster.clear_caches() empties both tables,
+# slots held by live words included.
 
-_ATOM_CACHE: dict = {}
+
+class _SlotTable(dict):
+    """atom key -> slot; clear() also empties the slots words still hold."""
+
+    def clear(self):
+        for slot in self.values():
+            slot.clear()
+        super().clear()
+
+
+_ATOM_CACHE: dict = _SlotTable()
 _INTERN: dict = {}
 monster.CACHES.extend((_ATOM_CACHE, _INTERN))
 
 
+def _atom_slot(atom) -> dict:
+    return _ATOM_CACHE.setdefault(atom[2] if atom[0] == "exp" else atom, {})
+
+
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
-    """word with each exp atom as ("exp", x, key), the key built here once:
-    (terms, exact_to, support levels, lowers).  Letters are checked
-    against the window before an atom gets a key, so the cache only ever
-    holds supported atoms.  Torus and perm atoms are their own keys."""
+    """(word, slots): word with each exp atom as ("exp", x, key), the key
+    built here once: (terms, exact_to, support levels, lowers); slots
+    holds each atom's _ATOM_CACHE slot.  Letters are checked against the
+    window before an atom gets a key, so the cache only ever holds
+    supported atoms.  Torus and perm atoms are their own keys."""
     levels = _word_levels(cfg)
     out = []
     for a in word:
@@ -216,14 +242,50 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
             a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels,
                             (x.min_degree() or 0) < 0))
         out.append(a)
-    return tuple(out)
+    return tuple(out), tuple(_atom_slot(a) for a in out)
 
 
-def _flat_image(terms: dict, exact_to) -> tuple:
-    flat = [exact_to]
-    for k, c in terms.items():
+class IntVec(NamedTuple):
+    """An element as integer numerators over one positive denominator:
+    the coefficient of key k is terms[k] / den, exact through exact_to."""
+    den: int
+    terms: dict
+    exact_to: int | None = None
+
+
+def _int_form(terms: dict) -> tuple:
+    """(den, {key: numerator}) for a Fraction term dict: numerators over
+    the least common denominator, so gcd(den, *numerators) == 1."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _to_vec(y: MonsterElt) -> IntVec:
+    return IntVec(*_int_form(y.terms), y.exact_to)
+
+
+def _reduced(den: int, nums: dict) -> tuple:
+    """(den, nums) divided by gcd(den, *nums)."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: v // g for k, v in nums.items()}
+
+
+def _to_elt(v: IntVec) -> MonsterElt:
+    den = v.den
+    return MonsterElt._of({k: Fraction(n, den) for k, n in v.terms.items()}, v.exact_to)
+
+
+def _flat_image(den: int, nums: dict, exact_to) -> tuple:
+    flat = [exact_to, den]
+    for k, n in nums.items():
         flat.append(_INTERN.setdefault(k, k))
-        flat.append(_INTERN.setdefault(c, c))
+        flat.append(n)
     return tuple(flat)
 
 
@@ -235,12 +297,12 @@ def _image(atom, images: dict, key, bound, cfg) -> tuple:
     tag = atom[0]
     if tag == "exp":
         img = _apply_exp(atom[1], MonsterElt({key: 1}), bound, cfg)
-        res = _flat_image(img.terms, img.exact_to)
+        res = _flat_image(*_int_form(img.terms), img.exact_to)
     elif tag == "torus":
         a, b = key_root(key)
-        res = _flat_image({key: atom[1] ** a * atom[2] ** b}, None)
+        res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)
     elif tag == "perm":
-        res = _flat_image(_perm_key(atom, images, key), None)
+        res = _flat_image(1, _perm_key(atom, images, key), None)
     else:
         raise ValueError(f"unknown atomic factor {tag!r}")
     images[key] = res
@@ -248,22 +310,23 @@ def _image(atom, images: dict, key, bound, cfg) -> tuple:
 
 
 def _perm_key(atom, images: dict, key) -> dict:
-    """Index relabeling of one basis key: letters directly, longer words
-    through the images of their standard factors."""
+    """Index relabeling of one basis key, as integer coefficients (its
+    image sits over den 1): letters directly, longer words through the
+    images of their standard factors."""
     if not isinstance(key, tuple):
-        return {key: Fraction(1)}
+        return {key: 1}
     tag, w = key
     if len(w) == 1:
         j, k, l = w[0]
         if j == atom[1]:
             k = dict(atom[2]).get(k, k)
-        return {(tag, ((j, k, l),)): Fraction(1)}
+        return {(tag, ((j, k, l),)): 1}
     u, v = freelie.std_factorize(w)
     iu = _image(atom, images, (tag, u), None, None)
     iv = _image(atom, images, (tag, v), None, None)
     res: dict = {}
-    for ku, cu in zip(iu[1::2], iu[2::2]):
-        for kv, cv in zip(iv[1::2], iv[2::2]):
+    for ku, cu in zip(iu[2::2], iu[3::2]):
+        for kv, cv in zip(iv[2::2], iv[3::2]):
             for w2, c in freelie.bracket_words(ku[1], kv[1]).items():
                 kk = (tag, w2)
                 n = res.get(kk, 0) + cu * cv * c
@@ -274,38 +337,57 @@ def _perm_key(atom, images: dict, key) -> dict:
     return res
 
 
-def _apply_atom(atom, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
-    """atom applied to y as sum of c * image(key) over y's terms.
+def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
+    """atom applied to the element nums/den, exact through lo: returns
+    (den, nums, exact_to) of sum c * image(key) over its terms.
 
-    exact_to is the least of the images' bounds and the input's: y's own
-    bound, or for a lowering exponential the descent floor below it,
-    since content hidden above y's bound can slide down that far."""
-    tag = atom[0]
-    lo = y.exact_to
-    if tag == "exp":
-        akey = atom[2]
-        if lo is not None and akey[3]:
+    The numerators are scaled by the lcm L of the touched images'
+    denominators, so the sum runs on integers over den * L; one gcd
+    reduces the result.  exact_to is the least of the images' bounds and
+    the input's: lo itself, or for a lowering exponential the descent
+    floor below it, since content hidden above lo can slide down that
+    far."""
+    if atom[0] == "exp":
+        if lo is not None and atom[2][3]:
             lo = _descent_floor(lo, cfg) - 1
     else:
-        akey = atom
         bound = None
-    images = _ATOM_CACHE.setdefault(akey, {}).setdefault(bound, {})
-    out: dict = {}
-    for k, c in y.terms.items():
+    images = slot.get(bound)
+    if images is None:
+        images = slot[bound] = {}
+    hits = []
+    lcm = 1
+    for k, c in nums.items():
         img = images.get(k)
         if img is None:
             img = _image(atom, images, k, bound, cfg)
-        pairs = iter(img)
-        e = next(pairs)
+        e = img[0]
         if e is not None and (lo is None or e < lo):
             lo = e
+        d = img[1]
+        if lcm % d:
+            lcm = lcm // gcd(lcm, d) * d
+        hits.append((c, img))
+    out: dict = {}
+    for c, img in hits:
+        m = c * (lcm // img[1])
+        pairs = iter(img)
+        next(pairs)
+        next(pairs)
         for kk, v in zip(pairs, pairs):
-            n = out.get(kk, 0) + c * v
+            n = out.get(kk, 0) + m * v
             if n:
                 out[kk] = n
             else:
-                out.pop(kk, None)
-    return MonsterElt(out, exact_to=lo)
+                del out[kk]
+    return (*_reduced(den * lcm, out), lo)
+
+
+def _apply_atom(atom, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
+    """atom applied to y: one _atom_step on y's integer form."""
+    den, nums = _int_form(y.terms)
+    return _to_elt(IntVec(*_atom_step(atom, _atom_slot(atom), den, nums,
+                                      y.exact_to, bound, cfg)))
 
 
 def _invert_atom(atom):
@@ -325,7 +407,7 @@ def _invert_atom(atom):
 class TruncAut:
     """Automorphism of the completion, stored mod degree > N."""
 
-    __slots__ = ("N", "cfg", "word", "_images", "_img_cache")
+    __slots__ = ("N", "cfg", "word", "_steps", "_images", "_img_cache")
 
     def __init__(self, N: int, cfg: SupportConfig, word=None, images=None):
         if N < 1:
@@ -334,7 +416,11 @@ class TruncAut:
             raise ValueError("need a defining word or generator images")
         self.N = N
         self.cfg = cfg
-        self.word = _keyed_word(word, cfg) if word is not None else None
+        self.word = self._steps = None
+        if word is not None:
+            self.word, slots = _keyed_word(word, cfg)
+            # (atom, slot) in application order: rightmost factor first
+            self._steps = tuple(zip(reversed(self.word), reversed(slots)))
         self._images = dict(images) if images is not None else None
         self._img_cache: dict = {}
 
@@ -348,30 +434,36 @@ class TruncAut:
         return self.word is not None
 
     # application ----------------------------------------------------------
-    def apply(self, y: MonsterElt, need: int | None = None) -> MonsterElt:
+    def apply(self, y, need: int | None = None):
         """Image of y, complete at least through degree `need` (default N)
-        unless y's own exactness bound makes that impossible."""
+        unless y's own exactness bound makes that impossible.  y is a
+        MonsterElt or an IntVec, and the image comes back in y's form."""
         need = self.N if need is None else need
+        if type(y) is IntVec:
+            if self.word is not None:
+                return self._apply_word(y, need)
+            return _to_vec(self._apply_images(_to_elt(y), need))
         if self.word is not None:
-            return self._apply_word(y, need)
+            return _to_elt(self._apply_word(_to_vec(y), need))
         return self._apply_images(y, need)
 
-    def _apply_word(self, y: MonsterElt, need: int) -> MonsterElt:
+    def _apply_word(self, y: IntVec, need: int) -> IntVec:
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         lowers = any(a[0] == "exp" and a[2][3] for a in self.word)
         R = need + 2 + (_descent_pad(need, self.cfg) if lowers else 0)
+        cfg = self.cfg
         prev = None
         while True:
-            out = y
-            for atom in reversed(self.word):
-                out = _apply_atom(atom, out, R, self.cfg)
-            if out.exact_to is None or out.exact_to >= need:
-                return out
-            if prev is not None and out.exact_to <= prev:
-                return out  # limited by the input's own exactness
-            prev = out.exact_to
-            R += (need - out.exact_to) + 2
+            den, nums, lo = y
+            for atom, slot in self._steps:
+                den, nums, lo = _atom_step(atom, slot, den, nums, lo, R, cfg)
+            if lo is None or lo >= need:
+                return IntVec(den, nums, lo)
+            if prev is not None and lo <= prev:
+                return IntVec(den, nums, lo)  # limited by the input's own exactness
+            prev = lo
+            R += (need - lo) + 2
 
     def _image_of_key(self, key) -> MonsterElt:
         hit = self._img_cache.get(key)
@@ -416,14 +508,18 @@ class TruncAut:
 
     # comparison -----------------------------------------------------------
     def equal(self, other: "TruncAut") -> bool:
+        """Same image of every generator mod degree > N, compared as
+        gcd-reduced integer forms."""
         _check_match(self, other)
-        for g in generator_keys(self.cfg):
-            y = MonsterElt({g: 1})
-            a = self.apply(y).truncated_above(self.N)
-            b = other.apply(y).truncated_above(self.N)
-            if a != b:
-                return False
-        return True
+        return all(self._generator_form(g) == other._generator_form(g)
+                   for g in generator_keys(self.cfg))
+
+    def _generator_form(self, g) -> tuple:
+        """(den, {key: numerator}) of g's image truncated at N, reduced by
+        the gcd so that equal images give equal pairs."""
+        v = self.apply(IntVec(1, {g: 1}))
+        N = self.N
+        return _reduced(v.den, {k: n for k, n in v.terms.items() if key_degree(k) <= N})
 
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""

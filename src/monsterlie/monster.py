@@ -48,8 +48,7 @@ from fractions import Fraction
 from math import inf
 
 from . import freelie
-from .indices import (Letter, SupportConfig, display, letter_degree,
-                      letter_root, make_letter)
+from .indices import Letter, SupportConfig, display, letter_root, make_letter
 
 H1 = "h1"
 H2 = "h2"
@@ -138,6 +137,17 @@ class MonsterElt:
         self.terms = t
         self.exact_to = exact_to
 
+    @classmethod
+    def _of(cls, terms: dict, exact_to=None) -> "MonsterElt":
+        """Trusted constructor: terms already maps keys to nonzero
+        Fractions and becomes the element's own dict, unchecked."""
+        if exact_to is not None and exact_to < 0:
+            raise ValueError("exactness bound must be nonnegative")
+        x = object.__new__(cls)
+        x.terms = terms
+        x.exact_to = exact_to
+        return x
+
     # constructors ---------------------------------------------------------
     @classmethod
     def zero(cls):
@@ -200,20 +210,20 @@ class MonsterElt:
 
     def component(self, d: int) -> "MonsterElt":
         """Homogeneous degree-d part; inherits the exactness bound."""
-        return MonsterElt({k: c for k, c in self.terms.items() if key_degree(k) == d},
-                          exact_to=self.exact_to)
+        return MonsterElt._of({k: c for k, c in self.terms.items() if key_degree(k) == d},
+                              self.exact_to)
 
     def window(self, bound: int) -> "MonsterElt":
         """Display restriction to |degree| <= bound (drops both tails)."""
-        return MonsterElt(
+        return MonsterElt._of(
             {k: c for k, c in self.terms.items() if abs(key_degree(k)) <= bound},
-            exact_to=_min_none(self.exact_to, bound))
+            _min_none(self.exact_to, bound))
 
     def truncated_above(self, bound: int) -> "MonsterElt":
         """Model-sound truncation: positive terms above bound dropped."""
-        return MonsterElt(
+        return MonsterElt._of(
             {k: c for k, c in self.terms.items() if key_degree(k) <= bound},
-            exact_to=_min_none(self.exact_to, bound))
+            _min_none(self.exact_to, bound))
 
     def validate_support(self, cfg: SupportConfig) -> None:
         for k in self.terms:
@@ -233,10 +243,10 @@ class MonsterElt:
                 t[k] = n
             else:
                 t.pop(k, None)
-        return MonsterElt(t, exact_to=_min_none(self.exact_to, other.exact_to))
+        return MonsterElt._of(t, _min_none(self.exact_to, other.exact_to))
 
     def __neg__(self):
-        return MonsterElt({k: -c for k, c in self.terms.items()}, exact_to=self.exact_to)
+        return MonsterElt._of({k: -c for k, c in self.terms.items()}, self.exact_to)
 
     def __sub__(self, other):
         return self + (-other)
@@ -244,8 +254,8 @@ class MonsterElt:
     def scaled(self, c):
         c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
-            return MonsterElt({}, exact_to=self.exact_to)
-        return MonsterElt({k: c * v for k, v in self.terms.items()}, exact_to=self.exact_to)
+            return MonsterElt._of({}, self.exact_to)
+        return MonsterElt._of({k: c * v for k, v in self.terms.items()}, self.exact_to)
 
     def __rmul__(self, c):
         return self.scaled(c)
@@ -568,8 +578,8 @@ def bracket(a: MonsterElt, b: MonsterElt, cfg: SupportConfig | None = None) -> M
         bound = min(bound, cfg.degree_bound)
     if bound is not inf:
         raw = {k: c for k, c in raw.items() if key_degree(k) <= bound}
-        return MonsterElt(raw, exact_to=int(bound))
-    return MonsterElt(raw)
+        return MonsterElt._of(raw, int(bound))
+    return MonsterElt._of(raw)
 
 
 def omega(a: MonsterElt) -> MonsterElt:

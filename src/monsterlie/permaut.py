@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import re
-from typing import NamedTuple
 
 from . import completion, monster
 from .completion import TruncAut, compose, torus

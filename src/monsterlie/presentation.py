@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from . import completion, monster
+from . import monster
 from .completion import TruncAut, compose, exp_ad, invert, torus
 from .indices import SupportConfig
 from .monster import MonsterElt

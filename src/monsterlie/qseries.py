@@ -136,7 +136,6 @@ class QSeries:
     def pow_int(self, k: int) -> "QSeries":
         if k < 0:
             return self.recip().pow_int(-k)
-        result = QSeries.one(self.order - self.low * (k - 1) if k > 1 else self.order)
         base = self
         # plain square-and-multiply; truncation orders shake out in __mul__
         result = QSeries.one(self.order)

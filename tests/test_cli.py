@@ -233,3 +233,40 @@ def test_module_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"] == [["-1", "1"], ["0", "0"]]
+
+
+def test_aut_apply_prints_only_certified_terms(capsys):
+    # lowering and raising factors leave the image exact only through 9,
+    # while the series reached higher degrees
+    rep = run_json(capsys, "aut", "apply",
+                   "--word", "X(1,3,1;2)Y(-1;1)Y(-1;1)X(0,1,2;-1)",
+                   "--elem", "[e(0,1,1),e(0,2,1)]")
+    img = rep["image"]
+    assert img["exact_to"] == 9
+    for name, _coef in img["terms"]:
+        (key,) = parse_elem(name).terms
+        assert monster.key_degree(key) <= 9, name
+
+
+def test_bad_config_value_exit_2(capsys, tmp_path):
+    for text, what in (("n = abc\n", "n must be an integer"),
+                       ("cap.x = 1\n", "cap level must be an integer"),
+                       ("cap.1 = two\n", "cap.1 must be an integer")):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code, out, err = run(capsys, "bracket", "--config", str(bad), "--expr", "e(-1)")
+        assert code == 2 and err.startswith("error:") and what in err
+        assert "Traceback" not in err
+
+
+def test_bad_cap_level_exit_2(capsys):
+    code, out, err = run(capsys, "bracket", "--cap", "0=1", "--expr", "e(-1)")
+    assert code == 2 and err.startswith("error:") and "level 0" in err
+    assert out == ""
+
+
+def test_unwritable_output_exit_2(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "jcoef", "--nmax", "1", "--output", str(dest))
+    assert code == 2 and err.startswith("error:") and str(dest) in err
+    assert not dest.exists()

@@ -351,3 +351,85 @@ def test_exp_atom_rejects_unsupported_letter():
         exp_ad(MonsterElt.e_letter(0, 3, 1), N, CFG)
     with pytest.raises(monster.SupportError):
         realize_tokens([("X", (0, 1, 3), Fraction(1))], N, CFG)
+
+
+# ---------------------------------------------------------------------------
+# integer word application and comparison against Fraction references
+
+_FRACTIONAL_WORDS = [
+    [("exp", MonsterElt.e_letter(0, 1, 1, Fraction(1, 2))),
+     ("torus", Fraction(3, 5), Fraction(-7, 2)),
+     ("exp", MonsterElt.e_minus(Fraction(-2, 3))),
+     ("perm", 1, ((1, 2), (2, 1))),
+     ("exp", MonsterElt.e_letter(0, 2, 1, Fraction(-2, 3))
+      + MonsterElt.e_letter(0, 1, 2, Fraction(1, 2)))],
+    [("exp", MonsterElt.f_minus(Fraction(1, 2))),
+     ("exp", MonsterElt.e_letter(1, 2, 2, Fraction(-2, 3))),
+     ("torus", Fraction(3, 5), Fraction(-7, 2)),
+     ("exp", MonsterElt.e_minus(Fraction(1, 2)))],
+]
+
+
+def test_integer_words_match_atomwise_fraction_reference():
+    bound = 9 + 12
+    for raw in _FRACTIONAL_WORDS:
+        g = TruncAut(9, CFG3, word=raw)
+        for y in _diff_inputs():
+            got = g.apply(y)
+            want = y
+            for atom in reversed(raw):
+                want = _direct(atom, want, bound)
+            if y.exact_to is None:
+                assert got.exact_to is None or got.exact_to >= 9
+            cut = min(e for e in (got.exact_to, want.exact_to, 9) if e is not None)
+            assert got.truncated_above(cut) == want.truncated_above(cut), (raw, y)
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _fraction_equal(g, h):
+    """The comparison on whole Fraction elements that equal replaces."""
+    for k in generator_keys(g.cfg):
+        y = MonsterElt({k: 1})
+        if g.apply(y).truncated_above(g.N) != h.apply(y).truncated_above(g.N):
+            return False
+    return True
+
+
+def test_integer_equal_agrees_with_fraction_comparison():
+    x = MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)) + MonsterElt.e_minus(Fraction(-2, 3))
+    # [e(0,1,1),e(0,2,1)] sits at degree 7 and the lowest generator at -4,
+    # so exp of it moves nothing at or below degree 2
+    high = bracket(MonsterElt.e_letter(0, 1, 1), MonsterElt.e_letter(0, 2, 1))
+
+    def exp(z, n):
+        return exp_ad(z, n, CFG)
+
+    def tor(s, t, n):
+        return torus(s, t, n, CFG)
+
+    def scaled_images(g, c):
+        return TruncAut(g.N, CFG, images={k: v.scaled(c) for k, v in g.images().items()})
+
+    cases = [
+        # equal words
+        (compose(exp(x.scaled(Fraction(1, 3)), N), exp(x.scaled(Fraction(2, 3)), N)),
+         exp(x, N), True),
+        (exp(x, N), exp(x.scaled(Fraction(1, 2)), N), False),
+        # words that differ only above N
+        (exp(x, 2), compose(exp(x, 2), exp(high.scaled(Fraction(1, 2)), 2)), True),
+        (exp(x, 3), compose(exp(x, 3), exp(high.scaled(Fraction(1, 2)), 3)), False),
+        # images that are scalar multiples of each other
+        (tor(2, 1, N), TruncAut.identity(N, CFG), False),
+        (tor(Fraction(1, 2), 1, N), TruncAut.identity(N, CFG), False),
+        (compose(tor(2, 1, N), tor(Fraction(1, 2), 1, N)), TruncAut.identity(N, CFG), True),
+        (compose(tor(Fraction(1, 3), 1, N), exp(x, N)),
+         compose(exp(x.scaled(Fraction(1, 3)), N), tor(Fraction(1, 3), 1, N)), True),
+        (exp(x, N), scaled_images(exp(x, N), Fraction(1, 2)), False),
+        (exp(x, N), scaled_images(exp(x, N), 3), False),
+    ]
+    for g, h, same in cases:
+        assert _fraction_equal(g, h) is same
+        assert g.equal(h) is same and h.equal(g) is same
+        # the image-backed side goes through the same comparison
+        hi = TruncAut(h.N, CFG, images=h.images())
+        assert g.equal(hi) is same and hi.equal(g) is same
