@@ -8,7 +8,7 @@ a fixed configuration.
 Configuration is resolved in three layers: built-in defaults, then a
 flat key=value file (--config, or the MONSTERLIE_CONFIG environment
 variable), then command-line flags.  File keys: n, cap.<j>, samples,
-suite, output, jobs.  Example:
+suite, output.  Example:
 
     n = 9
     cap.1 = 2
@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import completion, freelie, monster, permaut, presentation
 from .indices import SupportConfig
 from .monster import MonsterElt, SupportError
-from .presentation import GroupWord, UnrealizableError, sym
+from .presentation import DEFAULT_SAMPLES, GroupWord, UnrealizableError, sym
 from .qseries import j_coefficients
 
 
@@ -51,16 +51,14 @@ class ParseError(CliError):
 
 DEFAULT_N = 9
 DEFAULT_CAPS = {1: 2, 2: 2, 3: 1}
-DEFAULT_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2),
-                   Fraction(-2), Fraction(1, 2))
 ENV_CONFIG = "MONSTERLIE_CONFIG"
 
 
 class Config:
-    __slots__ = ("N", "caps", "samples", "suite", "output", "jobs", "_support")
+    __slots__ = ("N", "caps", "samples", "suite", "output", "_support")
 
     def __init__(self, N=DEFAULT_N, caps=None, samples=DEFAULT_SAMPLES,
-                 suite="all", output=None, jobs=1):
+                 suite="all", output=None):
         if N < 1:
             raise CliError("truncation n must be >= 1")
         self.N = int(N)
@@ -68,9 +66,6 @@ class Config:
         self.samples = tuple(Fraction(s) for s in samples)
         self.suite = suite
         self.output = output
-        self.jobs = int(jobs)
-        if self.jobs < 1:
-            raise CliError("jobs must be >= 1")
         self._support = SupportConfig(self.N, self.caps)
 
     def support(self) -> SupportConfig:
@@ -123,8 +118,6 @@ def load_config_file(path: str) -> dict:
                 out["suite"] = val
             elif key == "output":
                 out["output"] = val
-            elif key == "jobs":
-                out["jobs"] = _parse_int(val, f"{path}:{ln}: jobs")
             else:
                 raise CliError(f"{path}:{ln}: unknown key {key!r}")
     return out
@@ -155,8 +148,6 @@ def resolve_config(args) -> Config:
         layers["suite"] = args.suite
     if getattr(args, "output", None):
         layers["output"] = args.output
-    if getattr(args, "jobs", None) is not None:
-        layers["jobs"] = args.jobs
     try:
         return Config(**layers)
     except (TypeError, ValueError) as e:
@@ -537,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="index cap at one level (repeatable)")
     common.add_argument("--samples", help="comma-separated rational samples")
     common.add_argument("--output", help="write the JSON report to this path")
-    common.add_argument("--jobs", type=int,
-                        help="worker count (accepted for compatibility; runs serially)")
 
     ap = argparse.ArgumentParser(
         prog="monsterlie",

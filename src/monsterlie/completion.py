@@ -1,40 +1,31 @@
 """Automorphisms of the completed algebra, truncated to a degree window.
 
 A TruncAut represents an automorphism of the positive formal completion
-restricted to degrees <= N.  Two storage forms:
-
-  * word-backed: a tuple of atomic factors, each ("exp", x) for a
-    pro-summable exponential (stored as ("exp", x, cache key), the key
-    built once with the word), ("torus", s, t) for the semisimple scaling
-    by s^a t^b on the root (a, b), or ("perm", j, moved) for an index
-    permutation at level j.  Application walks the factors right to
-    left, so it is a composition of linear maps on basis keys: each
-    atom sends y to the sum of c * image(key) over the terms of y, and
-    the image of each basis key is computed once per atom and clamp
-    bound, then memoized (exp images by the exp series on that single
-    key).  The word resolves each atom's memo slot once, when it is
-    built.  Images are stored as integer numerators over a common
-    denominator, and a word carries y through its atoms in that integer
-    form (IntVec), so Fractions are built only for the returned element;
-    equal compares generator images in that form.  Composition is
-    concatenation, inversion reverses the tuple and inverts each atom,
-    so inverses stay cheap and exact.
-  * image-backed: a map from algebra generators to their images mod
-    degree > N.  Used for Neumann-series inverses and mixed
-    compositions; letters and words are rebuilt from generator images
-    through the divided-power strings and standard-factorization
-    brackets.
+restricted to degrees <= N, as a word: a tuple of atomic factors, each
+("exp", x) for a pro-summable exponential (stored as ("exp", x, cache
+key), the key built once with the word), ("torus", s, t) for the
+semisimple scaling by s^a t^b on the root (a, b), or ("perm", j, moved)
+for an index permutation at level j.  Application walks the factors
+right to left, so it is a composition of linear maps on basis keys:
+each atom sends y to the sum of c * image(key) over the terms of y, and
+the image of each basis key is computed once per atom and clamp bound,
+then memoized (exp images by the exp series on that single key).  The
+word resolves each atom's memo slot once, when it is built.  Images are
+stored as integer numerators over a common denominator, and a word
+carries y through its atoms in that integer form (IntVec), so Fractions
+are built only for the returned element; equal compares generator
+images in that form.  Composition is concatenation, inversion reverses
+the tuple and inverts each atom, so inverses stay cheap and exact.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
 bounds and a bound from the input: the input's own exact_to E, or
 descent_floor(E) - 1 for a lowering exponential (a multiple of f(-1)),
 since content hidden above E can slide down that far.  This is never
-above what the exp series gives on the whole element.  Word-backed
-application retries with a widened internal bound when lowering
-factors eat into the requested window, so a returned element is always
-complete through the requested degree unless the input itself was the
-limit.
+above what the exp series gives on the whole element.  Application
+retries with a widened internal bound when lowering factors eat into
+the requested window, so a returned element is always complete through
+the requested degree unless the input itself was the limit.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -407,31 +398,21 @@ def _invert_atom(atom):
 class TruncAut:
     """Automorphism of the completion, stored mod degree > N."""
 
-    __slots__ = ("N", "cfg", "word", "_steps", "_images", "_img_cache")
+    __slots__ = ("N", "cfg", "word", "_steps")
 
-    def __init__(self, N: int, cfg: SupportConfig, word=None, images=None):
+    def __init__(self, N: int, cfg: SupportConfig, word):
         if N < 1:
             raise ValueError("truncation must be >= 1")
-        if word is None and images is None:
-            raise ValueError("need a defining word or generator images")
         self.N = N
         self.cfg = cfg
-        self.word = self._steps = None
-        if word is not None:
-            self.word, slots = _keyed_word(word, cfg)
-            # (atom, slot) in application order: rightmost factor first
-            self._steps = tuple(zip(reversed(self.word), reversed(slots)))
-        self._images = dict(images) if images is not None else None
-        self._img_cache: dict = {}
+        self.word, slots = _keyed_word(word, cfg)
+        # (atom, slot) in application order: rightmost factor first
+        self._steps = tuple(zip(reversed(self.word), reversed(slots)))
 
     # construction ---------------------------------------------------------
     @classmethod
     def identity(cls, N: int, cfg: SupportConfig):
         return cls(N, cfg, word=())
-
-    @property
-    def word_backed(self) -> bool:
-        return self.word is not None
 
     # application ----------------------------------------------------------
     def apply(self, y, need: int | None = None):
@@ -440,12 +421,8 @@ class TruncAut:
         MonsterElt or an IntVec, and the image comes back in y's form."""
         need = self.N if need is None else need
         if type(y) is IntVec:
-            if self.word is not None:
-                return self._apply_word(y, need)
-            return _to_vec(self._apply_images(_to_elt(y), need))
-        if self.word is not None:
-            return _to_elt(self._apply_word(_to_vec(y), need))
-        return self._apply_images(y, need)
+            return self._apply_word(y, need)
+        return _to_elt(self._apply_word(_to_vec(y), need))
 
     def _apply_word(self, y: IntVec, need: int) -> IntVec:
         # lowering factors can pull clamped content back into the window,
@@ -464,47 +441,6 @@ class TruncAut:
                 return IntVec(den, nums, lo)  # limited by the input's own exactness
             prev = lo
             R += (need - lo) + 2
-
-    def _image_of_key(self, key) -> MonsterElt:
-        hit = self._img_cache.get(key)
-        if hit is not None:
-            return hit
-        imgs = self._images
-        if key in imgs:
-            res = imgs[key]
-        elif not isinstance(key, tuple):
-            raise ValueError(f"no stored image for generator {key!r}")
-        else:
-            tag, w = key
-            if len(w) == 1:
-                j, k, l = w[0]
-                base = self._image_of_key((tag, ((j, k, 0),)))
-                real = self._image_of_key(EMINUS if tag == WPOS else FMINUS)
-                res = base
-                for step in range(1, l + 1):
-                    res = monster.bracket(real, res).scaled(Fraction(1, step))
-            else:
-                u, v = freelie.std_factorize(w)
-                res = monster.bracket(self._image_of_key((tag, u)),
-                                      self._image_of_key((tag, v)))
-        res = res.truncated_above(self.N)
-        self._img_cache[key] = res
-        return res
-
-    def _apply_images(self, y: MonsterElt, need: int) -> MonsterElt:
-        out = MonsterElt.zero()
-        for k, c in y.terms.items():
-            out = out + self._image_of_key(k).scaled(c)
-        if y.exact_to is not None:
-            out = MonsterElt(out.terms, exact_to=_min_none(out.exact_to, y.exact_to))
-        return out
-
-    # stored generator images ---------------------------------------------
-    def images(self) -> dict:
-        if self._images is None:
-            self._images = {g: self.apply(MonsterElt({g: 1})).truncated_above(self.N)
-                            for g in generator_keys(self.cfg)}
-        return self._images
 
     # comparison -----------------------------------------------------------
     def equal(self, other: "TruncAut") -> bool:
@@ -529,16 +465,13 @@ class TruncAut:
             terms = [[monster.format_term(k), str(img.terms[k])]
                      for k in sorted(img.terms, key=key_sort)]
             gens.append({"generator": monster.format_term(g), "image": terms})
-        d = {"truncation": self.N,
-             "caps": {str(j): self.cfg.cap(j) for j in sorted(self.cfg.caps)},
-             "images": gens}
-        if self.word is not None:
-            d["word"] = [_atom_str(a) for a in self.word]
-        return d
+        return {"truncation": self.N,
+                "caps": {str(j): self.cfg.cap(j) for j in sorted(self.cfg.caps)},
+                "images": gens,
+                "word": [_atom_str(a) for a in self.word]}
 
     def __repr__(self):
-        kind = f"word[{len(self.word)}]" if self.word is not None else "images"
-        return f"<TruncAut N={self.N} {kind}>"
+        return f"<TruncAut N={self.N} word[{len(self.word)}]>"
 
 
 def _atom_str(atom) -> str:
@@ -594,38 +527,12 @@ def compose(*auts: TruncAut) -> TruncAut:
     first = auts[0]
     for g in auts[1:]:
         _check_match(first, g)
-    if all(g.word is not None for g in auts):
-        word = tuple(a for g in auts for a in g.word)
-        return TruncAut(first.N, first.cfg, word=word)
-    imgs = {}
-    for gen in generator_keys(first.cfg):
-        y = MonsterElt({gen: 1})
-        for g in reversed(auts):
-            y = g.apply(y)
-        imgs[gen] = y.truncated_above(first.N)
-    return TruncAut(first.N, first.cfg, images=imgs)
+    return TruncAut(first.N, first.cfg, word=tuple(a for g in auts for a in g.word))
 
 
 def invert(g: TruncAut) -> TruncAut:
-    """Inverse automorphism: word reversal when the defining word is known,
-    otherwise a unipotent Neumann series on (g - id)."""
-    if g.word is not None:
-        return TruncAut(g.N, g.cfg, word=tuple(_invert_atom(a) for a in reversed(g.word)))
-    lvl = filtration_level(g)
-    if lvl.level < 1:
-        raise ValueError("cannot invert a non-unipotent automorphism without its defining word")
-    imgs = {}
-    for gen in generator_keys(g.cfg):
-        y = MonsterElt({gen: 1})
-        total = y
-        term = y
-        while True:
-            term = (term - g.apply(term)).truncated_above(g.N)
-            if term.is_zero():
-                break
-            total = total + term
-        imgs[gen] = total.truncated_above(g.N)
-    return TruncAut(g.N, g.cfg, images=imgs)
+    """Inverse automorphism: the reversed word of inverted atoms."""
+    return TruncAut(g.N, g.cfg, word=tuple(_invert_atom(a) for a in reversed(g.word)))
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,9 @@ def _raise_bad_grading():
     raise ValueError("letter degrees must be positive")
 
 
-def word_degree(word: Word, degree_of) -> int:
-    return sum(degree_of(a) for a in word)
-
-
 # ---------------------------------------------------------------------------
-# element helpers: dict word -> coefficient
+# element helpers: dict word -> coefficient; monster uses them on its
+# term dicts (basis key -> coefficient) too
 
 def elt_add(a: dict, b: dict) -> dict:
     out = dict(a)
@@ -127,10 +124,6 @@ def elt_scale(a: dict, c) -> dict:
 _PAIR_CACHE: dict[tuple[Word, Word], dict] = {}
 _CACHE_LIMIT = 400_000
 _BUDGET = 100_000
-
-
-def clear_caches() -> None:
-    _PAIR_CACHE.clear()
 
 
 def _is_standard_pair(u: Word, v: Word) -> bool:

@@ -41,27 +41,6 @@ def letter_degree(letter: Letter) -> int:
     return j + l + 2
 
 
-def degree(root: Root) -> int:
-    a, b = root
-    return 2 * a + b
-
-
-def weights(root: Root) -> tuple[int, int]:
-    """(h1, h2) eigenvalues of a root vector; the identity map by design."""
-    return root
-
-
-def add_roots(r1: Root, r2: Root) -> Root:
-    return (r1[0] + r2[0], r1[1] + r2[1])
-
-
-def neg_root(r: Root) -> Root:
-    return (-r[0], -r[1])
-
-
-ROOT_REAL: Root = (1, -1)   # root of e_{-1}
-
-
 @dataclass(frozen=True)
 class SupportConfig:
     """Finite window: degree bound and per-level multiplicity caps.
@@ -104,11 +83,6 @@ class SupportConfig:
         """Levels j with at least one supported base letter (l = 0)."""
         return [j for j in sorted(self.caps)
                 if self.caps[j] >= 1 and j + 2 <= self.degree_bound]
-
-
-def letters_up_to(bound: int, caps: dict[int, int]) -> list[Letter]:
-    """Supported letters of degree <= bound under the given caps."""
-    return SupportConfig(bound, dict(caps)).letters()
 
 
 def display(letter: Letter) -> str:

@@ -48,6 +48,7 @@ from fractions import Fraction
 from math import inf
 
 from . import freelie
+from .freelie import elt_add, elt_scale
 from .indices import Letter, SupportConfig, display, letter_root, make_letter
 
 H1 = "h1"
@@ -361,24 +362,8 @@ def _ad_string_word(word, up: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries (plain dict key -> Fraction, exact, no truncation)
-
-def dict_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        n = out.get(k, 0) + c
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
-def dict_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
+# term dictionaries (plain dict key -> Fraction, exact, no truncation);
+# sums and scalings use elt_add and elt_scale
 
 def dict_bracket(a: dict, b: dict) -> dict:
     out: dict = {}
@@ -437,7 +422,7 @@ def term_bracket(k1, k2) -> dict:
         table = _ad_string_word(word, up=(tag == WNEG))
         return {(tag, w): Fraction(c) for w, c in table.items()}
     if s2 in ("em", "fm"):
-        return dict_scale(term_bracket(k2, k1), Fraction(-1))
+        return elt_scale(term_bracket(k2, k1), Fraction(-1))
     # both are words now
     tag1, w1 = k1
     tag2, w2 = k2
@@ -446,7 +431,7 @@ def term_bracket(k1, k2) -> dict:
                 for w, c in freelie.bracket_words(w1, w2).items()}
     if tag1 == WPOS:
         return cross_bracket_words(w1, w2)
-    return dict_scale(cross_bracket_words(w2, w1), Fraction(-1))
+    return elt_scale(cross_bracket_words(w2, w1), Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +441,15 @@ _CROSS_CACHE: dict = {}
 _CROSS_BUDGET = 500_000
 _budget_left = None
 
-# Every memo table built from brackets, here and in modules above this
-# one (completion adds its atom images); clear_caches empties them all.
-CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE]
+# Every memo table built from brackets, here, in freelie below and in
+# modules above this one (completion adds its atom images);
+# clear_caches empties them all.
+CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE, freelie._PAIR_CACHE]
 
 
 def clear_caches() -> None:
     for cache in CACHES:
         cache.clear()
-    freelie.clear_caches()
 
 
 def cross_bracket_words(wp, wn) -> dict:
@@ -499,13 +484,13 @@ def _cross(wp, wn) -> dict:
         # [[b_u, b_v], Y] = [b_u, [b_v, Y]] - [b_v, [b_u, Y]]
         t1 = dict_bracket({(WPOS, u): Fraction(1)}, _cross(v, wn))
         t2 = dict_bracket({(WPOS, v): Fraction(1)}, _cross(u, wn))
-        res = dict_add(t1, dict_scale(t2, Fraction(-1)))
+        res = elt_add(t1, elt_scale(t2, Fraction(-1)))
     else:
         u, v = freelie.std_factorize(wn)
         # [X, [Fu, Fv]] = [[X, Fu], Fv] + [Fu, [X, Fv]]
         t1 = dict_bracket(_cross(wp, u), {(WNEG, v): Fraction(1)})
         t2 = dict_bracket({(WNEG, u): Fraction(1)}, _cross(wp, v))
-        res = dict_add(t1, t2)
+        res = elt_add(t1, t2)
     _CROSS_CACHE[key] = res
     return res
 
@@ -525,12 +510,12 @@ def _cross_letters(Lp: Letter, Ln: Letter) -> dict:
         out = dict_bracket({EMINUS: Fraction(1)}, inner)
         if ln > 0:
             # [e(-1), f(m)] = (j-m) f(m-1)
-            out = dict_add(out, dict_scale(_cross((below,), ((j, kn, ln - 1),)),
-                                           Fraction(-(j - ln))))
-        return dict_scale(out, Fraction(1, lp))
+            out = elt_add(out, elt_scale(_cross((below,), ((j, kn, ln - 1),)),
+                                         Fraction(-(j - ln))))
+        return elt_scale(out, Fraction(1, lp))
     # lp == 0, ln > 0: m*f(m) = [f(-1), f(m-1)] and [e(0), f(-1)] = 0
     inner = _cross((Lp,), ((j, kn, ln - 1),))
-    return dict_scale(dict_bracket({FMINUS: Fraction(1)}, inner), Fraction(1, ln))
+    return elt_scale(dict_bracket({FMINUS: Fraction(1)}, inner), Fraction(1, ln))
 
 
 # ---------------------------------------------------------------------------
@@ -603,26 +588,6 @@ def omega(a: MonsterElt) -> MonsterElt:
             tag, w = k
             out[(WNEG if tag == WPOS else WPOS, w)] = c
     return MonsterElt(out)
-
-
-def ad_real(which: str, sector: str, l: int, j: int, k: int) -> MonsterElt:
-    """[which, letter] for which in {"e-1","f-1"} on an e- or f-letter."""
-    if which not in (EMINUS, FMINUS):
-        raise ValueError("which must be 'e-1' or 'f-1'")
-    if sector not in ("e", "f"):
-        raise ValueError("sector must be 'e' or 'f'")
-    L = make_letter(l, j, k)
-    up = (which == EMINUS) == (sector == "e")
-    r = _string_up(L) if up else _string_down(L)
-    if r is None:
-        return MonsterElt.zero()
-    tag = WPOS if sector == "e" else WNEG
-    return MonsterElt({(tag, (r[1],)): Fraction(r[0])})
-
-
-def h_pair(l: int, j: int, k: int, cfg: SupportConfig | None = None) -> MonsterElt:
-    """[e(l,j,k), f(l,j,k)], a Cartan element."""
-    return bracket(MonsterElt.e_letter(l, j, k), MonsterElt.f_letter(l, j, k), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def _basis_terms(cfg: SupportConfig) -> list:
     letters = list(cfg.letters())
     for a in letters:
         for b in letters:
-            if a < b and monster.key_degree((monster.WPOS, (a, b))) is not None:
+            if a < b:
                 w = monster.bracket(MonsterElt.e_word((a,)), MonsterElt.e_word((b,)))
                 if not w.is_zero() and (w.max_degree() or 0) <= cfg.degree_bound:
                     out.append(w)

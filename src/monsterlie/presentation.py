@@ -414,13 +414,6 @@ def relations_catalog() -> list:
     return list(_CATALOG)
 
 
-def catalog_json() -> str:
-    rows = [{"id": t.rid, "class": t.klass, "template": t.description,
-             "params": list(t.param_names), "indexed": t.indexed, "note": t.note}
-            for t in _CATALOG]
-    return json.dumps(rows, indent=2, sort_keys=True)
-
-
 # instance builders ---------------------------------------------------------
 
 def _mk(rid, klass, desc, lhs, rhs, index, params, note=""):

@@ -1,14 +1,10 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
-
-import pytest
 
 from monsterlie import cli, completion, monster, presentation
 from monsterlie.cli import main, parse_elem, parse_word
 from monsterlie.indices import SupportConfig
-from monsterlie.monster import MonsterElt
 from monsterlie.presentation import GroupWord, format_word, sym
 
 
@@ -251,12 +247,17 @@ def test_aut_apply_prints_only_certified_terms(capsys):
 def test_bad_config_value_exit_2(capsys, tmp_path):
     for text, what in (("n = abc\n", "n must be an integer"),
                        ("cap.x = 1\n", "cap level must be an integer"),
-                       ("cap.1 = two\n", "cap.1 must be an integer")):
+                       ("cap.1 = two\n", "cap.1 must be an integer"),
+                       ("jobs = 1\n", "unknown key 'jobs'")):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         code, out, err = run(capsys, "bracket", "--config", str(bad), "--expr", "e(-1)")
         assert code == 2 and err.startswith("error:") and what in err
         assert "Traceback" not in err
+    # an unknown flag is a usage error
+    code, out, err = run(capsys, "relcheck", "--jobs", "2")
+    assert code == 2 and err.startswith("usage:") and "unrecognized arguments: --jobs 2" in err
+    assert out == ""
 
 
 def test_bad_cap_level_exit_2(capsys):

@@ -1,8 +1,7 @@
 import pytest
 
-from monsterlie.indices import (ROOT_REAL, SupportConfig, add_roots, degree, display,
-                                letter_degree, letter_root, letters_up_to, make_letter,
-                                neg_root, weights)
+from monsterlie.indices import (SupportConfig, display, letter_degree, letter_root,
+                                make_letter)
 
 
 def test_make_letter_validates():
@@ -22,18 +21,11 @@ def test_letter_root_and_degree():
     assert letter_root(make_letter(0, 2, 1)) == (1, 2)
     assert letter_root(make_letter(1, 2, 1)) == (2, 1)
     assert letter_root(make_letter(2, 3, 1)) == (3, 1)
-    assert ROOT_REAL == (1, -1)
-    assert degree(ROOT_REAL) == 1
     for args in ((0, 1, 1), (0, 3, 2), (2, 3, 1), (1, 4, 1)):
         L = make_letter(*args)
-        assert letter_degree(L) == degree(letter_root(L))
+        a, b = letter_root(L)
+        assert letter_degree(L) == 2 * a + b
         assert letter_degree(L) == args[1] + args[0] + 2
-
-
-def test_root_helpers():
-    assert add_roots((1, 1), (2, -1)) == (3, 0)
-    assert neg_root((2, 1)) == (-2, -1)
-    assert weights((3, 2)) == (3, 2)
 
 
 def test_support_config_letters_small():
@@ -60,11 +52,6 @@ def test_letter_degree_bound_respected():
     # level 4 string bottom has degree 6, top would be degree 9
     assert (4, 1, 0) in cfg.letters()
     assert (4, 1, 3) not in cfg.letters()
-
-
-def test_letters_up_to_matches_config():
-    caps = {1: 2, 2: 1}
-    assert letters_up_to(7, caps) == SupportConfig(7, caps).letters()
 
 
 def test_display():

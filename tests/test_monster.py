@@ -6,7 +6,7 @@ import pytest
 from monsterlie import monster
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import (EMINUS, FMINUS, H1, H2, MonsterElt, SupportError, WNEG,
-                                WPOS, bracket, format_elt, h_pair, key_degree, key_sort,
+                                WPOS, bracket, format_elt, key_degree, key_sort,
                                 omega)
 
 from oracles import diag_pairing, down_pairing, lowering_coefficients, up_pairing
@@ -95,13 +95,6 @@ def test_diagonal_pairing_closed_form():
             got = bracket(MonsterElt.e_letter(l, j, 1), MonsterElt.f_letter(l, j, 1))
             want = diag_pairing(l, j)
             assert got == MonsterElt.cartan(want["h1"], want["h2"]), (l, j)
-
-
-def test_h_pair_matches_bracket():
-    for j in (1, 2, 3):
-        for l in range(j):
-            assert h_pair(l, j, 1) == bracket(MonsterElt.e_letter(l, j, 1),
-                                              MonsterElt.f_letter(l, j, 1))
 
 
 def test_offdiagonal_pairing_closed_form():
@@ -206,15 +199,6 @@ def test_omega_rejects_truncated_input():
     assert x.truncated
     with pytest.raises(ValueError):
         omega(x)
-
-
-def test_ad_real_matches_bracket():
-    for (which, base) in ((EMINUS, MonsterElt.e_minus()), (FMINUS, MonsterElt.f_minus())):
-        for sector, mk in (("e", MonsterElt.e_letter), ("f", MonsterElt.f_letter)):
-            for l in range(2):
-                got = monster.ad_real(which, sector, l, 2, 1)
-                want = bracket(base, mk(l, 2, 1))
-                assert got == want, (which, sector, l)
 
 
 def test_truncation_marking():
