@@ -9,13 +9,14 @@ for an index permutation at level j.  Application walks the factors
 right to left, so it is a composition of linear maps on basis keys:
 each atom sends y to the sum of c * image(key) over the terms of y, and
 the image of each basis key is computed once per atom and clamp bound,
-then memoized (exp images by the exp series on that single key).  The
-word resolves each atom's memo slot once, when it is built.  Images are
-stored as integer numerators over a common denominator, and a word
-carries y through its atoms in that integer form (IntVec), so Fractions
-are built only for the returned element; equal compares generator
-images in that form.  Composition is concatenation, inversion reverses
-the tuple and inverts each atom, so inverses stay cheap and exact.
+then memoized (exp images by the exp series on that single key, run on
+integer numerators over one denominator).  The word resolves each
+atom's memo slot once, when it is built.  Images are stored as integer
+numerators over a common denominator, and a word carries y through its
+atoms in that integer form (IntVec), so Fractions are built only for
+the returned element; equal compares generator images in that form.
+Composition is concatenation, inversion reverses the tuple and inverts
+each atom, so inverses stay cheap and exact.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -46,7 +47,7 @@ The emitted word agrees with g modulo the (i+1)-st filtration subgroup.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import NamedTuple
 
 from . import freelie, monster
@@ -153,38 +154,6 @@ def _descent_floor(E: int, cfg: SupportConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the exponential series
-
-def _apply_exp(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
-    """exp(ad x)(y) with terms above bound discarded (and recorded).
-
-    Exp atoms run it on one exact basis key at a time (see _image).
-    When x lowers degrees, content hidden above the exactness bound
-    (clamped here or inherited from y) can slide back down; the result
-    is then marked exact only below the support-derived descent floor."""
-    acc = y
-    term = y
-    n = 0
-    clamped = False
-    limit = 4 * (bound + 8) + 4 * abs(min(0, y.min_degree() or 0))
-    while not term.is_zero():
-        n += 1
-        if n > limit:
-            raise RuntimeError("exponential series did not terminate; "
-                               "input violates the nilpotence/degree-growth precondition")
-        term = monster.bracket(x, term).scaled(Fraction(1, n))
-        kept = {k: c for k, c in term.terms.items() if key_degree(k) <= bound}
-        if len(kept) != len(term.terms):
-            clamped = True
-            term = MonsterElt(kept, exact_to=_min_none(term.exact_to, bound))
-        acc = acc + term
-    tail = _min_none(y.exact_to, bound if clamped else None)
-    if tail is not None and (x.min_degree() or 0) < 0:
-        acc = MonsterElt(acc.terms, exact_to=_descent_floor(tail, cfg) - 1)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # atoms as memoized linear maps on basis keys, in integer arithmetic
 #
 # Every atom is linear, so it acts through the images of single basis
@@ -280,15 +249,93 @@ def _flat_image(den: int, nums: dict, exact_to) -> tuple:
     return tuple(flat)
 
 
+def _exp_image(x: MonsterElt, key, bound: int, cfg: SupportConfig) -> tuple:
+    """Flat image of one basis key under exp(ad x), terms above bound
+    discarded (and recorded).
+
+    The series term_n = [x, term_{n-1}] / n runs on integer numerators:
+    each step brackets them with monster.term_bracket and multiplies the
+    step's denominator by x's denominator, by n and by the lcm of the
+    brackets' denominators.  A term takes bracket's exactness bound
+    (monster._result_bound) and is cut at bound, and a cut caps its
+    exact_to at bound.  The terms are summed over the last denominator
+    and reduced by one gcd.  When x lowers degrees, content hidden above
+    a cut can slide back down; the image is then marked exact only below
+    the support-derived descent floor."""
+    xden, xnums = _int_form(x.terms)
+    xside = (x.min_degree(), x.exact_to)
+    term_bracket = monster.term_bracket
+    den = 1
+    term: dict = {key: 1}
+    term_exact = None
+    terms = [(den, term)]
+    exact_to = None
+    clamped = False
+    limit = 4 * (bound + 8) + 4 * abs(min(0, key_degree(key)))
+    n = 0
+    while term:
+        n += 1
+        if n > limit:
+            raise RuntimeError("exponential series did not terminate; "
+                               "input violates the nilpotence/degree-growth precondition")
+        raw: dict = {}
+        lcm = 1
+        for kx, cx in xnums.items():
+            for kt, ct in term.items():
+                c = cx * ct
+                for k, v in term_bracket(kx, kt).items():
+                    d = v.denominator
+                    if lcm % d:
+                        new = lcm // gcd(lcm, d) * d
+                        f = new // lcm
+                        raw = {kk: m * f for kk, m in raw.items()}
+                        lcm = new
+                    m = raw.get(k, 0) + c * v.numerator * (lcm // d)
+                    if m:
+                        raw[k] = m
+                    else:
+                        raw.pop(k, None)
+        rb = inf
+        if xside[1] is not None or term_exact is not None:
+            rb = monster._result_bound(
+                xside, (min(key_degree(k) for k in term), term_exact))
+        term_exact = None
+        if rb is not inf:
+            if rb < 0:  # a bound MonsterElt refuses, as bracket would
+                raise ValueError("exactness bound must be nonnegative")
+            raw = {k: m for k, m in raw.items() if key_degree(k) <= rb}
+            term_exact = rb
+        term = {k: m for k, m in raw.items() if key_degree(k) <= bound}
+        if len(term) != len(raw):
+            clamped = True
+            term_exact = _min_none(term_exact, bound)
+        exact_to = _min_none(exact_to, term_exact)
+        den *= xden * n * lcm
+        terms.append((den, term))
+    if clamped and (xside[0] or 0) < 0:
+        exact_to = _descent_floor(bound, cfg) - 1
+    acc: dict = {}
+    for d, t in terms:
+        f = den // d
+        for k, m in t.items():
+            m = acc.get(k, 0) + m * f
+            if m:
+                acc[k] = m
+            else:
+                acc.pop(k, None)
+    return _flat_image(*_reduced(den, acc), exact_to)
+
+
 def _image(atom, images: dict, key, bound, cfg) -> tuple:
-    """Image of one basis key under atom, from (or into) images."""
+    """Image of one basis key under atom, from (or into) images: exp
+    atoms by the integer series _exp_image, torus atoms by s^a t^b,
+    perm atoms by relabeling."""
     hit = images.get(key)
     if hit is not None:
         return hit
     tag = atom[0]
     if tag == "exp":
-        img = _apply_exp(atom[1], MonsterElt({key: 1}), bound, cfg)
-        res = _flat_image(*_int_form(img.terms), img.exact_to)
+        res = _exp_image(atom[1], key, bound, cfg)
     elif tag == "torus":
         a, b = key_root(key)
         res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)

@@ -82,9 +82,15 @@ def key_root(key) -> tuple:
     return (a, b) if tag == WPOS else (-a, -b)
 
 
+_DEGREE_CACHE: dict = {}
+
+
 def key_degree(key) -> int:
-    a, b = key_root(key)
-    return 2 * a + b
+    d = _DEGREE_CACHE.get(key)
+    if d is None:
+        a, b = key_root(key)
+        d = _DEGREE_CACHE[key] = 2 * a + b
+    return d
 
 
 def key_sort(key) -> tuple:
@@ -441,10 +447,10 @@ _CROSS_CACHE: dict = {}
 _CROSS_BUDGET = 500_000
 _budget_left = None
 
-# Every memo table built from brackets, here, in freelie below and in
+# Every memo table of the algebra, here, in freelie below and in
 # modules above this one (completion adds its atom images);
 # clear_caches empties them all.
-CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE, freelie._PAIR_CACHE]
+CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE, _DEGREE_CACHE, freelie._PAIR_CACHE]
 
 
 def clear_caches() -> None:
@@ -521,23 +527,26 @@ def _cross_letters(Lp: Letter, Ln: Letter) -> dict:
 # ---------------------------------------------------------------------------
 # public bracket with truncation propagation
 
-def _effective_min_degree(x: MonsterElt):
-    m = x.min_degree()
-    if x.exact_to is not None:
-        m = x.exact_to + 1 if m is None else min(m, x.exact_to + 1)
+def _effective_min_degree(m, exact_to):
+    if exact_to is not None:
+        m = exact_to + 1 if m is None else min(m, exact_to + 1)
     return m  # None means certainly zero
 
 
-def _result_bound(a: MonsterElt, b: MonsterElt):
+def _result_bound(a: tuple, b: tuple):
+    """Exactness bound of a bracket whose factors are described by
+    (min_degree, exact_to) pairs: content missing above one factor's
+    bound reaches the product only above that bound plus the other
+    factor's effective minimum degree.  inf means exact."""
     bound = inf
-    if a.exact_to is not None:
-        mb = _effective_min_degree(b)
+    if a[1] is not None:
+        mb = _effective_min_degree(*b)
         if mb is not None:
-            bound = min(bound, a.exact_to + mb)
-    if b.exact_to is not None:
-        ma = _effective_min_degree(a)
+            bound = min(bound, a[1] + mb)
+    if b[1] is not None:
+        ma = _effective_min_degree(*a)
         if ma is not None:
-            bound = min(bound, b.exact_to + ma)
+            bound = min(bound, b[1] + ma)
     return bound
 
 
@@ -558,7 +567,9 @@ def bracket(a: MonsterElt, b: MonsterElt, cfg: SupportConfig | None = None) -> M
                     raw[k] = n
                 else:
                     raw.pop(k, None)
-    bound = _result_bound(a, b)
+    bound = inf
+    if a.exact_to is not None or b.exact_to is not None:
+        bound = _result_bound((a.min_degree(), a.exact_to), (b.min_degree(), b.exact_to))
     if cfg is not None and any(key_degree(k) > cfg.degree_bound for k in raw):
         bound = min(bound, cfg.degree_bound)
     if bound is not inf:

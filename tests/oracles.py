@@ -4,11 +4,18 @@ Everything here recomputes results by a different route than the
 package code: associative-algebra expansion instead of Lyndon
 straightening, an explicit linear recurrence instead of the Jacobi
 recursion, the pentagonal-number series instead of the Euler product,
-and Moebius counting instead of the log-series dimension solver.
+Moebius counting instead of the log-series dimension solver, and the
+exp series on whole Fraction elements through monster.bracket instead
+of the integer series on basis keys.
 """
 
 from fractions import Fraction
 from math import comb
+
+from monsterlie import monster
+from monsterlie.completion import _descent_floor
+from monsterlie.indices import SupportConfig
+from monsterlie.monster import MonsterElt, _min_none, key_degree
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +204,35 @@ def delta_pentagonal(nmax: int) -> dict:
         if power:
             acc = _poly_mul(acc, acc, nmax)
     return {n + 1: result[n] for n in range(nmax + 1)}
+
+
+# ---------------------------------------------------------------------------
+# the exponential series in Fraction arithmetic
+
+def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
+    """exp(ad x)(y) with terms above bound discarded (and recorded).
+
+    completion._exp_image runs the same series on one basis key in
+    integer arithmetic; this is its reference.  When x lowers degrees, content hidden above the exactness bound
+    (clamped here or inherited from y) can slide back down; the result
+    is then marked exact only below the support-derived descent floor."""
+    acc = y
+    term = y
+    n = 0
+    clamped = False
+    limit = 4 * (bound + 8) + 4 * abs(min(0, y.min_degree() or 0))
+    while not term.is_zero():
+        n += 1
+        if n > limit:
+            raise RuntimeError("exponential series did not terminate; "
+                               "input violates the nilpotence/degree-growth precondition")
+        term = monster.bracket(x, term).scaled(Fraction(1, n))
+        kept = {k: c for k, c in term.terms.items() if key_degree(k) <= bound}
+        if len(kept) != len(term.terms):
+            clamped = True
+            term = MonsterElt(kept, exact_to=_min_none(term.exact_to, bound))
+        acc = acc + term
+    tail = _min_none(y.exact_to, bound if clamped else None)
+    if tail is not None and (x.min_degree() or 0) < 0:
+        acc = MonsterElt(acc.terms, exact_to=_descent_floor(tail, cfg) - 1)
+    return acc

@@ -8,8 +8,10 @@ from monsterlie.completion import (Ad, TruncAut, approximate_by_generators, aut_
                                    compose, equal_mod_level, exp_ad, filtration_level,
                                    format_tokens, generator_keys, invert, log_unipotent,
                                    realize_tokens, torus)
-from monsterlie.indices import SupportConfig
+from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
+
+from oracles import exp_series
 
 CFG = SupportConfig(9, {1: 2, 2: 1})
 N = 9
@@ -286,7 +288,7 @@ def _relabeled(key, level, moved):
 def _direct(atom, y, bound):
     tag = atom[0]
     if tag == "exp":
-        return completion._apply_exp(atom[1], y, bound, CFG3)
+        return exp_series(atom[1], y, bound, CFG3)
     out = MonsterElt.zero()
     for k, c in y.terms.items():
         if tag == "torus":
@@ -334,10 +336,47 @@ def test_memoized_atoms_match_whole_element():
     for by_bound in completion._ATOM_CACHE.values():
         for images in by_bound.values():
             assert all(type(img) is tuple for img in images.values())
-    assert freelie._PAIR_CACHE
+    assert freelie._PAIR_CACHE and monster._DEGREE_CACHE
     monster.clear_caches()
     assert not completion._ATOM_CACHE and not completion._INTERN
-    assert not freelie._PAIR_CACHE
+    assert not freelie._PAIR_CACHE and not monster._DEGREE_CACHE
+
+
+def _basis_keys(cfg, dmax):
+    """Generator keys and every basis key with |degree| <= dmax."""
+    keys = generator_keys(cfg)
+    for d in range(1, dmax + 1):
+        for w in freelie.lyndon_basis(cfg.letters(), letter_degree, d):
+            for tag in (monster.WPOS, monster.WNEG):
+                if (tag, w) not in keys:
+                    keys.append((tag, w))
+    return keys
+
+
+def test_integer_exp_images_match_fraction_series():
+    xs = [MonsterElt.e_minus(),
+          MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)) + MonsterElt.e_letter(1, 2, 2, Fraction(-2, 3)),
+          MonsterElt.f_minus(Fraction(-1, 2)),
+          MonsterElt({monster.EMINUS: Fraction(3, 4), (monster.WPOS, ((1, 2, 0),)): -5},
+                     exact_to=7)]
+    keys = _basis_keys(CFG3, 9)
+    assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
+    for x in xs:
+        # at bound 6 the keys above it clamp, which reaches the descent
+        # floor of the lowering f(-1) atom
+        for bound in (6, 9, 12, 21):
+            for key in keys:
+                try:
+                    want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
+                except ValueError:
+                    # the exactness bound would fall below 0 (x cut at 7,
+                    # key below -7): the integer series refuses it too
+                    with pytest.raises(ValueError):
+                        completion._exp_image(x, key, bound, CFG3)
+                    continue
+                img = completion._exp_image(x, key, bound, CFG3)
+                got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
+                assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
 
 
 def test_atom_cache_key_built_with_word():
