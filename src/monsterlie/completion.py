@@ -3,14 +3,16 @@
 A TruncAut represents an automorphism of the positive formal completion
 restricted to degrees <= N, as a word: a tuple of atomic factors, each
 ("exp", x) for a pro-summable exponential (stored as ("exp", x, cache
-key), the key built once with the word), ("torus", s, t) for the
-semisimple scaling by s^a t^b on the root (a, b), or ("perm", j, moved)
-for an index permutation at level j.  Application walks the factors
-right to left, so it is a composition of linear maps on basis keys:
-each atom sends y to the sum of c * image(key) over the terms of y, and
-the image of each basis key is computed once per atom and clamp bound,
-then memoized (exp images by the exp series on that single key, run on
-integer numerators over one denominator).  The word resolves each
+key, integer form of x), both built once with the word), ("torus", s,
+t) for the semisimple scaling by s^a t^b on the root (a, b), or
+("perm", j, moved) for an index permutation at level j.  Application
+walks the factors right to left, so it is a composition of linear maps
+on basis keys: each atom sends y to the sum of c * image(key) over the
+terms of y, and the image of each basis key is computed once per atom
+and clamp bound, then memoized (exp images by the exp series on that
+single key, run on integer numerators over one denominator: the basis
+brackets have integer structure constants, so each step's denominator
+is the last one times x's denominator and n).  The word resolves each
 atom's memo slot once, when it is built.  Images are stored as integer
 numerators over a common denominator, and a word carries y through its
 atoms in that integer form (IntVec), so Fractions are built only for
@@ -166,7 +168,7 @@ def _descent_floor(E: int, cfg: SupportConfig) -> int:
 # applying an atom never hashes its key.  Word application carries an
 # element as (den, {key: numerator}) through every atom and builds
 # Fractions only at the end.  monster.clear_caches() empties both tables,
-# slots held by live words included.
+# slots held by live words included, and the two descent tables above.
 
 
 class _SlotTable(dict):
@@ -180,7 +182,7 @@ class _SlotTable(dict):
 
 _ATOM_CACHE: dict = _SlotTable()
 _INTERN: dict = {}
-monster.CACHES.extend((_ATOM_CACHE, _INTERN))
+monster.CACHES.extend((_ATOM_CACHE, _INTERN, _PAD_CACHE, _FLOOR_CACHE))
 
 
 def _atom_slot(atom) -> dict:
@@ -188,19 +190,22 @@ def _atom_slot(atom) -> dict:
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
-    """(word, slots): word with each exp atom as ("exp", x, key), the key
-    built here once: (terms, exact_to, support levels, lowers); slots
-    holds each atom's _ATOM_CACHE slot.  Letters are checked against the
-    window before an atom gets a key, so the cache only ever holds
-    supported atoms.  Torus and perm atoms are their own keys."""
+    """(word, slots): word with each exp atom as ("exp", x, key, form),
+    both built here once: the key (terms, exact_to, support levels,
+    lowers), and the form (den, {key: numerator}, (min_degree, exact_to))
+    of x that _exp_image brackets with; slots holds each atom's
+    _ATOM_CACHE slot.  Letters are checked against the window before an
+    atom gets a key, so the cache only ever holds supported atoms.  Torus
+    and perm atoms are their own keys."""
     levels = _word_levels(cfg)
     out = []
     for a in word:
         if a[0] == "exp" and (len(a) == 2 or a[2][2] != levels):
             x = a[1]
             x.validate_support(cfg)
-            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels,
-                            (x.min_degree() or 0) < 0))
+            m = x.min_degree()
+            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, (m or 0) < 0),
+                 (*_int_form(x.terms), (m, x.exact_to)))
         out.append(a)
     return tuple(out), tuple(_atom_slot(a) for a in out)
 
@@ -249,22 +254,22 @@ def _flat_image(den: int, nums: dict, exact_to) -> tuple:
     return tuple(flat)
 
 
-def _exp_image(x: MonsterElt, key, bound: int, cfg: SupportConfig) -> tuple:
+def _exp_image(form: tuple, key, bound: int, cfg: SupportConfig) -> tuple:
     """Flat image of one basis key under exp(ad x), terms above bound
-    discarded (and recorded).
+    discarded (and recorded); form is x's (den, {key: numerator},
+    (min_degree, exact_to)), as _keyed_word stores it in the atom.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
-    each step brackets them with monster.term_bracket and multiplies the
-    step's denominator by x's denominator, by n and by the lcm of the
-    brackets' denominators.  A term takes bracket's exactness bound
-    (monster._result_bound) and is cut at bound, and a cut caps its
-    exact_to at bound.  The terms are summed over the last denominator
-    and reduced by one gcd.  When x lowers degrees, content hidden above
-    a cut can slide back down; the image is then marked exact only below
-    the support-derived descent floor."""
-    xden, xnums = _int_form(x.terms)
-    xside = (x.min_degree(), x.exact_to)
-    term_bracket = monster.term_bracket
+    each step brackets them with freelie.elt_bracket over
+    monster.term_bracket, whose structure constants are integers, and
+    multiplies the step's denominator by x's denominator and by n.  A
+    term takes bracket's exactness bound (monster._result_bound) and is
+    cut at bound, and a cut caps its exact_to at bound.  The terms are
+    summed over the last denominator and reduced by one gcd.  When x
+    lowers degrees, content hidden above a cut can slide back down; the
+    image is then marked exact only below the support-derived descent
+    floor."""
+    xden, xnums, xside = form
     den = 1
     term: dict = {key: 1}
     term_exact = None
@@ -278,23 +283,7 @@ def _exp_image(x: MonsterElt, key, bound: int, cfg: SupportConfig) -> tuple:
         if n > limit:
             raise RuntimeError("exponential series did not terminate; "
                                "input violates the nilpotence/degree-growth precondition")
-        raw: dict = {}
-        lcm = 1
-        for kx, cx in xnums.items():
-            for kt, ct in term.items():
-                c = cx * ct
-                for k, v in term_bracket(kx, kt).items():
-                    d = v.denominator
-                    if lcm % d:
-                        new = lcm // gcd(lcm, d) * d
-                        f = new // lcm
-                        raw = {kk: m * f for kk, m in raw.items()}
-                        lcm = new
-                    m = raw.get(k, 0) + c * v.numerator * (lcm // d)
-                    if m:
-                        raw[k] = m
-                    else:
-                        raw.pop(k, None)
+        raw = freelie.elt_bracket(xnums, term, monster.term_bracket)
         rb = inf
         if xside[1] is not None or term_exact is not None:
             rb = monster._result_bound(
@@ -310,7 +299,7 @@ def _exp_image(x: MonsterElt, key, bound: int, cfg: SupportConfig) -> tuple:
             clamped = True
             term_exact = _min_none(term_exact, bound)
         exact_to = _min_none(exact_to, term_exact)
-        den *= xden * n * lcm
+        den *= xden * n
         terms.append((den, term))
     if clamped and (xside[0] or 0) < 0:
         exact_to = _descent_floor(bound, cfg) - 1
@@ -335,7 +324,7 @@ def _image(atom, images: dict, key, bound, cfg) -> tuple:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom[1], key, bound, cfg)
+        res = _exp_image(atom[3], key, bound, cfg)
     elif tag == "torus":
         a, b = key_root(key)
         res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)

@@ -118,6 +118,24 @@ def elt_scale(a: dict, c) -> dict:
     return {w: c * x for w, x in a.items()}
 
 
+def elt_bracket(a: dict, b: dict, br) -> dict:
+    """Bilinear extension to a and b of br, a bracket of two keys that
+    returns a term dict; the one loop every bracket of sums runs."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            c = c1 * c2
+            if not c:
+                continue
+            for k, v in br(k1, k2).items():
+                n = out.get(k, 0) + c * v
+                if n:
+                    out[k] = n
+                else:
+                    out.pop(k, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # straightening
 
@@ -157,12 +175,12 @@ def _bracket_words(u: Word, v: Word, budget: list) -> dict:
         u1, u2 = std_factorize(u)
         inner_right = _bracket_words(u2, v, budget)   # shorter total content
         inner_left = _bracket_words(u1, v, budget)    # shorter total content
-        term1: dict = {}
-        for w, c in inner_right.items():
-            term1 = elt_add(term1, elt_scale(_bracket_words(u1, w, budget), c))
-        term2: dict = {}
-        for w, c in inner_left.items():
-            term2 = elt_add(term2, elt_scale(_bracket_words(u2, w, budget), c))
+
+        def br(x, y):
+            return _bracket_words(x, y, budget)
+
+        term1 = elt_bracket({u1: 1}, inner_right, br)
+        term2 = elt_bracket({u2: 1}, inner_left, br)
         result = elt_add(term1, elt_scale(term2, -1))
     if len(_PAIR_CACHE) < _CACHE_LIMIT:
         _PAIR_CACHE[key] = result
@@ -171,14 +189,7 @@ def _bracket_words(u: Word, v: Word, budget: list) -> dict:
 
 def bracket_free(a: dict, b: dict) -> dict:
     """Bilinear extension of the basis bracket; exact, no truncation."""
-    out: dict = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            c = cu * cv
-            if c == 0:
-                continue
-            out = elt_add(out, elt_scale(bracket_words(u, v), c))
-    return out
+    return elt_bracket(a, b, bracket_words)
 
 
 # ---------------------------------------------------------------------------

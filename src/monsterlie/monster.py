@@ -22,17 +22,21 @@ canonical alphabet order used by the Lyndon machinery.  The root of
 e(l,j,k) is (l+1, j-l), of e(-1) is (1,-1); deg(a,b) = 2a + b, so every
 letter has degree j + l + 2 >= 3 and e(-1) has degree 1.
 
-Bracket strategy: bilinear dispatch over sector pairs.  Cartan acts by
-weights; the gl2 block has a closed table; ad e(-1) and ad f(-1) act on
-basis words as derivations through the string maps (raising/lowering
-with integer coefficients); same-sign word pairs use the free-Lie
-straightening; mixed-sign pairs go through cross_bracket, a memoized
-Jacobi recursion that peels divided powers via l*e(l,..) = [e(-1),
-e(l-1,..)] until the defining relation [e(0,j,k), f(0,p,q)] =
--delta*delta*(j*h1 + h2) applies.  The recursion strictly decreases the
-metric (letters on the positive side) + (letters on the negative side),
-with ties broken by total string level; the budget guard below only
-trips on implementation bugs.
+Bracket strategy: term_bracket brackets two basis keys by dispatch over
+sector pairs, and freelie.elt_bracket extends it bilinearly to sums.
+Cartan acts by weights; the gl2 block has a closed table; ad e(-1) and
+ad f(-1) act on basis words as derivations through the string maps
+(raising/lowering with integer coefficients); same-sign word pairs use
+the free-Lie straightening; mixed-sign pairs go through
+cross_bracket_words, a memoized Jacobi recursion that peels divided
+powers via l*e(l,..) = [e(-1), e(l-1,..)] until the defining relation
+[e(0,j,k), f(0,p,q)] = -delta*delta*(j*h1 + h2) applies.  Every
+structure constant in this divided-power basis is an integer, so
+term_bracket returns int coefficients; the only divisions, by l in that
+peeling, are exact and checked (a remainder raises).  The recursion
+strictly decreases the metric (letters on the positive side) + (letters
+on the negative side), with ties broken by total string level; the
+budget each call passes down only runs out on implementation bugs.
 
 Truncation model: an element is either exact (exact_to is None) or
 complete at all degrees <= exact_to, with unknown content possible only
@@ -48,7 +52,7 @@ from fractions import Fraction
 from math import inf
 
 from . import freelie
-from .freelie import elt_add, elt_scale
+from .freelie import elt_add, elt_bracket, elt_scale
 from .indices import Letter, SupportConfig, display, letter_root, make_letter
 
 H1 = "h1"
@@ -348,44 +352,18 @@ def _ad_string_word(word, up: bool) -> dict:
         res = {} if r is None else {(r[1],): r[0]}
     else:
         u, v = freelie.std_factorize(word)
-        res = {}
-        for w, c in _ad_string_word(u, up).items():
-            for w2, c2 in freelie.bracket_words(w, v).items():
-                n = res.get(w2, 0) + c * c2
-                if n:
-                    res[w2] = n
-                else:
-                    res.pop(w2, None)
-        for w, c in _ad_string_word(v, up).items():
-            for w2, c2 in freelie.bracket_words(u, w).items():
-                n = res.get(w2, 0) + c * c2
-                if n:
-                    res[w2] = n
-                else:
-                    res.pop(w2, None)
+        bw = freelie.bracket_words
+        res = elt_add(elt_bracket(_ad_string_word(u, up), {v: 1}, bw),
+                      elt_bracket({u: 1}, _ad_string_word(v, up), bw))
     _AD_WORD_CACHE[key] = res
     return res
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries (plain dict key -> Fraction, exact, no truncation);
-# sums and scalings use elt_add and elt_scale
-
-def dict_bracket(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            c = c1 * c2
-            if not c:
-                continue
-            for k, v in term_bracket(k1, k2).items():
-                n = out.get(k, 0) + c * v
-                if n:
-                    out[k] = n
-                else:
-                    out.pop(k, None)
-    return out
-
+# term dictionaries (plain dict key -> coefficient, exact, no truncation):
+# the structure constants below are ints, a MonsterElt's coefficients
+# Fractions; sums, scalings and brackets of sums use freelie's elt_add,
+# elt_scale and elt_bracket
 
 def _sector(key) -> str:
     if key == H1 or key == H2:
@@ -406,38 +384,37 @@ def term_bracket(k1, k2) -> dict:
             return {}
         r = key_root(k2)
         c = r[0] if k1 == H1 else r[1]
-        return {k2: Fraction(c)} if c else {}
+        return {k2: c} if c else {}
     if s2 == "h":
         r = key_root(k1)
         c = r[0] if k2 == H1 else r[1]
-        return {k1: Fraction(-c)} if c else {}
+        return {k1: -c} if c else {}
     if s1 == "em":
         if s2 == "em":
             return {}
         if s2 == "fm":
-            return {H1: Fraction(1), H2: Fraction(-1)}
+            return {H1: 1, H2: -1}
         tag, word = k2
         table = _ad_string_word(word, up=(tag == WPOS))
-        return {(tag, w): Fraction(c) for w, c in table.items()}
+        return {(tag, w): c for w, c in table.items()}
     if s1 == "fm":
         if s2 == "em":
-            return {H1: Fraction(-1), H2: Fraction(1)}
+            return {H1: -1, H2: 1}
         if s2 == "fm":
             return {}
         tag, word = k2
         table = _ad_string_word(word, up=(tag == WNEG))
-        return {(tag, w): Fraction(c) for w, c in table.items()}
+        return {(tag, w): c for w, c in table.items()}
     if s2 in ("em", "fm"):
-        return elt_scale(term_bracket(k2, k1), Fraction(-1))
+        return elt_scale(term_bracket(k2, k1), -1)
     # both are words now
     tag1, w1 = k1
     tag2, w2 = k2
     if tag1 == tag2:
-        return {(tag1, w): Fraction(c)
-                for w, c in freelie.bracket_words(w1, w2).items()}
+        return {(tag1, w): c for w, c in freelie.bracket_words(w1, w2).items()}
     if tag1 == WPOS:
         return cross_bracket_words(w1, w2)
-    return elt_scale(cross_bracket_words(w2, w1), Fraction(-1))
+    return elt_scale(cross_bracket_words(w2, w1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +422,10 @@ def term_bracket(k1, k2) -> dict:
 
 _CROSS_CACHE: dict = {}
 _CROSS_BUDGET = 500_000
-_budget_left = None
 
 # Every memo table of the algebra, here, in freelie below and in
-# modules above this one (completion adds its atom images);
-# clear_caches empties them all.
+# modules above this one (completion adds its atom images, the interned
+# keys and its descent tables); clear_caches empties them all.
 CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE, _DEGREE_CACHE, freelie._PAIR_CACHE]
 
 
@@ -461,67 +437,71 @@ def clear_caches() -> None:
 def cross_bracket_words(wp, wn) -> dict:
     """[positive basis word, negative basis word] by Jacobi recursion,
     as a fresh dict: callers may mutate it without touching the cache."""
-    global _budget_left
-    top = _budget_left is None
-    if top:
-        _budget_left = _CROSS_BUDGET
-    try:
-        return dict(_cross(wp, wn))
-    finally:
-        if top:
-            _budget_left = None
+    return dict(_cross(wp, wn, [_CROSS_BUDGET]))
 
 
-def _cross(wp, wn) -> dict:
-    global _budget_left
+def _cross(wp, wn, budget: list) -> dict:
     key = (wp, wn)
     hit = _CROSS_CACHE.get(key)
     if hit is not None:
         return hit
-    _budget_left -= 1
-    if _budget_left < 0:
+    budget[0] -= 1
+    if budget[0] < 0:
         raise RuntimeError("cross-bracket recursion budget exceeded; "
                            "the (letter count, string level) metric should "
                            "make this unreachable")
     if len(wp) == 1 and len(wn) == 1:
-        res = _cross_letters(wp[0], wn[0])
+        res = _cross_letters(wp[0], wn[0], budget)
     elif len(wp) > 1:
         u, v = freelie.std_factorize(wp)
         # [[b_u, b_v], Y] = [b_u, [b_v, Y]] - [b_v, [b_u, Y]]
-        t1 = dict_bracket({(WPOS, u): Fraction(1)}, _cross(v, wn))
-        t2 = dict_bracket({(WPOS, v): Fraction(1)}, _cross(u, wn))
-        res = elt_add(t1, elt_scale(t2, Fraction(-1)))
+        t1 = elt_bracket({(WPOS, u): 1}, _cross(v, wn, budget), term_bracket)
+        t2 = elt_bracket({(WPOS, v): 1}, _cross(u, wn, budget), term_bracket)
+        res = elt_add(t1, elt_scale(t2, -1))
     else:
         u, v = freelie.std_factorize(wn)
         # [X, [Fu, Fv]] = [[X, Fu], Fv] + [Fu, [X, Fv]]
-        t1 = dict_bracket(_cross(wp, u), {(WNEG, v): Fraction(1)})
-        t2 = dict_bracket({(WNEG, u): Fraction(1)}, _cross(wp, v))
+        t1 = elt_bracket(_cross(wp, u, budget), {(WNEG, v): 1}, term_bracket)
+        t2 = elt_bracket({(WNEG, u): 1}, _cross(wp, v, budget), term_bracket)
         res = elt_add(t1, t2)
     _CROSS_CACHE[key] = res
     return res
 
 
-def _cross_letters(Lp: Letter, Ln: Letter) -> dict:
+def _cross_letters(Lp: Letter, Ln: Letter, budget: list) -> dict:
     jp, kp, lp = Lp
     jn, kn, ln = Ln
     if (jp, kp) != (jn, kn):
         return {}
     j = jp
     if lp == 0 and ln == 0:
-        return {H1: Fraction(-j), H2: Fraction(-1)}
+        return {H1: -j, H2: -1}
     if lp > 0:
         # l*e(l) = [e(-1), e(l-1)], then Jacobi against f(m)
         below = (j, kp, lp - 1)
-        inner = _cross((below,), (Ln,))
-        out = dict_bracket({EMINUS: Fraction(1)}, inner)
+        inner = _cross((below,), (Ln,), budget)
+        out = elt_bracket({EMINUS: 1}, inner, term_bracket)
         if ln > 0:
             # [e(-1), f(m)] = (j-m) f(m-1)
-            out = elt_add(out, elt_scale(_cross((below,), ((j, kn, ln - 1),)),
-                                         Fraction(-(j - ln))))
-        return elt_scale(out, Fraction(1, lp))
+            out = elt_add(out, elt_scale(_cross((below,), ((j, kn, ln - 1),), budget),
+                                         -(j - ln)))
+        return _exact_quotient(out, lp)
     # lp == 0, ln > 0: m*f(m) = [f(-1), f(m-1)] and [e(0), f(-1)] = 0
-    inner = _cross((Lp,), ((j, kn, ln - 1),))
-    return elt_scale(dict_bracket({FMINUS: Fraction(1)}, inner), Fraction(1, ln))
+    inner = _cross((Lp,), ((j, kn, ln - 1),), budget)
+    return _exact_quotient(elt_bracket({FMINUS: 1}, inner, term_bracket), ln)
+
+
+def _exact_quotient(terms: dict, n: int) -> dict:
+    """terms / n over the integers.  The divided-power basis has integral
+    structure constants, so a remainder means a wrong one: raise."""
+    out = {}
+    for k, c in terms.items():
+        q, r = divmod(c, n)
+        if r:
+            raise ArithmeticError(f"structure constant {c}/{n} at {k!r} is not "
+                                  "integral; the divided-power basis makes this unreachable")
+        out[k] = q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +535,7 @@ def bracket(a: MonsterElt, b: MonsterElt, cfg: SupportConfig | None = None) -> M
     if cfg is not None:
         a.validate_support(cfg)
         b.validate_support(cfg)
-    raw: dict = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            c = c1 * c2
-            if not c:
-                continue
-            for k, v in term_bracket(k1, k2).items():
-                n = raw.get(k, 0) + c * v
-                if n:
-                    raw[k] = n
-                else:
-                    raw.pop(k, None)
+    raw = elt_bracket(a.terms, b.terms, term_bracket)
     bound = inf
     if a.exact_to is not None or b.exact_to is not None:
         bound = _result_bound((a.min_degree(), a.exact_to), (b.min_degree(), b.exact_to))

@@ -336,10 +336,13 @@ def test_memoized_atoms_match_whole_element():
     for by_bound in completion._ATOM_CACHE.values():
         for images in by_bound.values():
             assert all(type(img) is tuple for img in images.values())
+    completion._descent_pad(9, CFG3)
     assert freelie._PAIR_CACHE and monster._DEGREE_CACHE
+    assert completion._PAD_CACHE and completion._FLOOR_CACHE
     monster.clear_caches()
     assert not completion._ATOM_CACHE and not completion._INTERN
     assert not freelie._PAIR_CACHE and not monster._DEGREE_CACHE
+    assert not completion._PAD_CACHE and not completion._FLOOR_CACHE
 
 
 def _basis_keys(cfg, dmax):
@@ -353,6 +356,21 @@ def _basis_keys(cfg, dmax):
     return keys
 
 
+def test_basis_brackets_are_integral():
+    # the divided-power string basis has integer structure constants
+    # (Borcherds 1992, Jurisich 1998): every basis-key bracket of the
+    # default window and of the aut approx window is an int combination
+    windows = [(CFG3, 9),
+               (SupportConfig(15, {1: 2, 2: 2, 3: 1, 4: 1}), 12)]
+    for cfg, dmax in windows:
+        keys = _basis_keys(cfg, dmax)
+        for k1 in keys:
+            for k2 in keys:
+                for v in monster.term_bracket(k1, k2).values():
+                    assert type(v) is int, (k1, k2, v)
+    assert len(keys) == 276
+
+
 def test_integer_exp_images_match_fraction_series():
     xs = [MonsterElt.e_minus(),
           MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)) + MonsterElt.e_letter(1, 2, 2, Fraction(-2, 3)),
@@ -362,6 +380,7 @@ def test_integer_exp_images_match_fraction_series():
     keys = _basis_keys(CFG3, 9)
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
+        form = TruncAut(9, CFG3, word=[("exp", x)]).word[0][3]
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -372,9 +391,9 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(x, key, bound, CFG3)
+                        completion._exp_image(form, key, bound, CFG3)
                     continue
-                img = completion._exp_image(x, key, bound, CFG3)
+                img = completion._exp_image(form, key, bound, CFG3)
                 got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
 

@@ -259,3 +259,22 @@ def test_term_bracket_results_are_fresh():
     first.clear()
     assert monster.term_bracket(kp, kn) == want
     assert bracket(MonsterElt({kp: 1}), MonsterElt({kn: 1})).terms == want
+
+
+def test_exact_quotient_raises_on_remainder():
+    k = (WPOS, ((2, 1, 1),))
+    assert monster._exact_quotient({k: -6, H1: 3}, 3) == {k: -2, H1: 1}
+    with pytest.raises(ArithmeticError):
+        monster._exact_quotient({k: 6, H1: 7}, 2)
+
+
+def test_cross_bracket_budget_is_per_call():
+    wp = ((2, 1, 1),)
+    wn = ((2, 1, 1),)
+    monster.clear_caches()
+    want = monster.cross_bracket_words(wp, wn)
+    monster.clear_caches()
+    with pytest.raises(RuntimeError):
+        monster._cross(wp, wn, [0])
+    # the spent budget belonged to that call alone
+    assert monster.cross_bracket_words(wp, wn) == want
