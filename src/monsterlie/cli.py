@@ -265,11 +265,10 @@ def _elem_atom(cur: _Cursor, cfg) -> MonsterElt:
 def _elem_term(cur: _Cursor, cfg) -> MonsterElt:
     cur.skip_ws()
     save = cur.pos
-    m = _RAT_RE.match(cur.text, cur.pos)
-    if m:
-        cur.pos = m.end()
+    if _RAT_RE.match(cur.text, cur.pos):
+        c = _rational(cur)
         if cur.eat("*"):
-            return _elem_atom(cur, cfg).scaled(Fraction(m.group(0)))
+            return _elem_atom(cur, cfg).scaled(c)
         cur.pos = save
     return _elem_atom(cur, cfg)
 
@@ -481,6 +480,8 @@ def cmd_aut(args, cfg: Config):
                    "window_limited": lv.window_limited}
     if op == "approx":
         depth = args.depth if args.depth is not None else N
+        if depth < 0:
+            raise CliError("--depth must be >= 0")
         g = realize(args.word, N, sup)
         try:
             toks = completion.approximate_by_generators(g, depth)

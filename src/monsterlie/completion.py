@@ -16,7 +16,10 @@ is the last one times x's denominator and n).  The word resolves each
 atom's memo slot once, when it is built.  Images are stored as integer
 numerators over a common denominator, and a word carries y through its
 atoms in that integer form (IntVec), so Fractions are built only for
-the returned element; equal compares generator images in that form.
+the returned element.  One pass of a word carries a whole block of
+vectors: equal pushes the generator block through each side once and
+compares the images in that form (presentation.realize_word builds a
+word's atoms directly, so each realized word is keyed once).
 Composition is concatenation, inversion reverses the tuple and inverts
 each atom, so inverses stay cheap and exact.
 
@@ -28,7 +31,8 @@ since content hidden above E can slide down that far.  This is never
 above what the exp series gives on the whole element.  Application
 retries with a widened internal bound when lowering factors eat into
 the requested window, so a returned element is always complete through
-the requested degree unless the input itself was the limit.
+the requested degree unless the input itself was the limit; in a block,
+each vector still short after the shared pass retries alone.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -370,10 +374,12 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
-    reduces the result.  exact_to is the least of the images' bounds and
-    the input's: lo itself, or for a lowering exponential the descent
-    floor below it, since content hidden above lo can slide down that
-    far."""
+    reduces the result.  A one-term input c * key skips the sum: it is c
+    times the image over den times the image's den, already reduced
+    when c and den are 1, since images are stored reduced.  exact_to is
+    the least of the images' bounds and the input's: lo itself, or for a
+    lowering exponential the descent floor below it, since content
+    hidden above lo can slide down that far."""
     if atom[0] == "exp":
         if lo is not None and atom[2][3]:
             lo = _descent_floor(lo, cfg) - 1
@@ -382,6 +388,24 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
     images = slot.get(bound)
     if images is None:
         images = slot[bound] = {}
+    if len(nums) == 1:
+        [(k, c)] = nums.items()
+        img = images.get(k)
+        if img is None:
+            img = _image(atom, images, k, bound, cfg)
+        e = img[0]
+        if e is not None and (lo is None or e < lo):
+            lo = e
+        pairs = iter(img)
+        next(pairs)
+        next(pairs)
+        if c == 1:
+            out = dict(zip(pairs, pairs))
+            if den == 1:
+                return img[1], out, lo
+        else:
+            out = {kk: c * v for kk, v in zip(pairs, pairs)}
+        return (*_reduced(den * img[1], out), lo)
     hits = []
     lcm = 1
     for k, c in nums.items():
@@ -457,41 +481,52 @@ class TruncAut:
         MonsterElt or an IntVec, and the image comes back in y's form."""
         need = self.N if need is None else need
         if type(y) is IntVec:
-            return self._apply_word(y, need)
-        return _to_elt(self._apply_word(_to_vec(y), need))
+            return self._apply_block([y], need)[0]
+        return _to_elt(self._apply_block([_to_vec(y)], need)[0])
 
-    def _apply_word(self, y: IntVec, need: int) -> IntVec:
+    def _apply_block(self, ys: list, need: int) -> list:
+        """Images of the IntVecs ys: one pass of the word carries the whole
+        block, then each vector still short of `need` retries alone with
+        a widened bound."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         lowers = any(a[0] == "exp" and a[2][3] for a in self.word)
         R = need + 2 + (_descent_pad(need, self.cfg) if lowers else 0)
         cfg = self.cfg
-        prev = None
-        while True:
-            den, nums, lo = y
-            for atom, slot in self._steps:
-                den, nums, lo = _atom_step(atom, slot, den, nums, lo, R, cfg)
-            if lo is None or lo >= need:
-                return IntVec(den, nums, lo)
-            if prev is not None and lo <= prev:
-                return IntVec(den, nums, lo)  # limited by the input's own exactness
-            prev = lo
-            R += (need - lo) + 2
+        steps = self._steps
+        block = ys
+        for atom, slot in steps:
+            block = [_atom_step(atom, slot, den, nums, lo, R, cfg) for den, nums, lo in block]
+        out = []
+        for y, (den, nums, lo) in zip(ys, block):
+            r = R
+            prev = None
+            # stop once complete, or once a retry gains nothing: then the
+            # input's own exactness is the limit
+            while not (lo is None or lo >= need or (prev is not None and lo <= prev)):
+                prev = lo
+                r += (need - lo) + 2
+                den, nums, lo = y
+                for atom, slot in steps:
+                    den, nums, lo = _atom_step(atom, slot, den, nums, lo, r, cfg)
+            out.append(IntVec(den, nums, lo))
+        return out
 
     # comparison -----------------------------------------------------------
     def equal(self, other: "TruncAut") -> bool:
         """Same image of every generator mod degree > N, compared as
         gcd-reduced integer forms."""
         _check_match(self, other)
-        return all(self._generator_form(g) == other._generator_form(g)
-                   for g in generator_keys(self.cfg))
+        return self._generator_forms() == other._generator_forms()
 
-    def _generator_form(self, g) -> tuple:
-        """(den, {key: numerator}) of g's image truncated at N, reduced by
-        the gcd so that equal images give equal pairs."""
-        v = self.apply(IntVec(1, {g: 1}))
+    def _generator_forms(self) -> list:
+        """(den, {key: numerator}) of each generator's image truncated at
+        N, reduced by the gcd so that equal images give equal pairs; the
+        generator block goes through the word in one pass."""
         N = self.N
-        return _reduced(v.den, {k: n for k, n in v.terms.items() if key_degree(k) <= N})
+        block = self._apply_block([IntVec(1, {g: 1}) for g in generator_keys(self.cfg)], N)
+        return [_reduced(v.den, {k: n for k, n in v.terms.items() if key_degree(k) <= N})
+                for v in block]
 
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""

@@ -55,7 +55,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import monster
-from .completion import TruncAut, compose, exp_ad, invert, torus
+from .completion import TruncAut, _invert_atom
 from .indices import SupportConfig
 from .monster import MonsterElt
 
@@ -169,33 +169,35 @@ def expand_weyl(w: GroupWord) -> GroupWord:
 # ---------------------------------------------------------------------------
 # adjoint realization
 
-def realize_symbol(s: GenSymbol, N: int, cfg: SupportConfig) -> TruncAut:
+def _symbol_atom(s: GenSymbol) -> tuple:
+    """The word atom of one symbol: exp(ad x) for X(-1;u), X(l,j,k;u) and
+    Y(-1;u), the torus scaling for H1(s) and H2(s)."""
     if s.kind == "X":
         if s.index == -1:
-            return exp_ad(MonsterElt.e_minus(s.param), N, cfg)
+            return ("exp", MonsterElt.e_minus(s.param))
         l, j, k = s.index
-        return exp_ad(MonsterElt.e_letter(l, j, k, c=s.param), N, cfg)
+        return ("exp", MonsterElt.e_letter(l, j, k, c=s.param))
     if s.kind == "Y":
         if s.index == -1:
-            return exp_ad(MonsterElt.f_minus(s.param), N, cfg)
+            return ("exp", MonsterElt.f_minus(s.param))
         raise UnrealizableError(
             f"{format_symbol(s)} has no action on the positive completion")
-    if s.kind == "H1":
-        return torus(s.param, 1, N, cfg)
-    if s.kind == "H2":
-        return torus(1, s.param, N, cfg)
+    if s.kind in ("H1", "H2"):
+        p, one = Fraction(s.param), Fraction(1)
+        if p == 0:
+            raise ValueError("torus parameters must be nonzero")
+        return ("torus", p, one) if s.kind == "H1" else ("torus", one, p)
     raise ValueError(f"cannot realize symbol kind {s.kind!r} directly")
 
 
 def realize_word(w: GroupWord, N: int, cfg: SupportConfig) -> TruncAut:
-    w = expand_weyl(w)
-    if not w.factors:
-        return TruncAut.identity(N, cfg)
-    auts = []
-    for s, e in w.factors:
-        a = realize_symbol(s, N, cfg)
-        auts.append(invert(a) if e == -1 else a)
-    return compose(*auts)
+    """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
+    an inverted atom per inverse symbol, keyed once."""
+    word = []
+    for s, e in expand_weyl(w).factors:
+        a = _symbol_atom(s)
+        word.append(_invert_atom(a) if e == -1 else a)
+    return TruncAut(N, cfg, word=tuple(word))
 
 
 # ---------------------------------------------------------------------------

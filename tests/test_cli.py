@@ -271,3 +271,17 @@ def test_unwritable_output_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "jcoef", "--nmax", "1", "--output", str(dest))
     assert code == 2 and err.startswith("error:") and str(dest) in err
     assert not dest.exists()
+
+
+def test_zero_denominator_in_element_exit_2(capsys):
+    for argv in (("bracket", "--expr", "1/0*h1"),
+                 ("aut", "apply", "--word", "X(-1;1)", "--elem", "1/0*h1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: zero denominator") and out == ""
+
+
+def test_aut_approx_rejects_negative_depth(capsys):
+    code, out, err = run(capsys, "aut", "approx", "--word", "X(0,1,1;1)", "--depth", "-1")
+    assert code == 2 and err.startswith("error: --depth must be >= 0") and out == ""
+    rep = run_json(capsys, "aut", "approx", "--word", "X(0,1,1;1)", "--depth", "0")
+    assert rep["depth"] == 0 and rep["verified"] is True

@@ -489,3 +489,38 @@ def test_integer_equal_agrees_with_fraction_comparison():
     for g, h, same in cases:
         assert _fraction_equal(g, h) is same
         assert g.equal(h) is same and h.equal(g) is same
+
+
+def test_generator_block_matches_single_applies(monkeypatch):
+    # the generator block through one pass of each word, against one
+    # apply per generator; the first word sends some generators through
+    # a second, widened pass
+    cfg = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+    s = Fraction(-2, 3)
+    weyl = [("exp", MonsterElt.e_minus(s)), ("exp", MonsterElt.f_minus(-1 / s)),
+            ("exp", MonsterElt.e_minus(s))]
+    swap = ("perm", 1, ((1, 2), (2, 1)))
+    words = [
+        [("exp", MonsterElt.f_minus(Fraction(1, 2))), ("exp", MonsterElt.e_letter(0, 1, 1, 2)),
+         *weyl, ("torus", Fraction(3), Fraction(1)),
+         ("exp", MonsterElt.e_letter(1, 2, 1, Fraction(-1, 2))), swap],
+        [swap, ("torus", Fraction(1), Fraction(-1, 2)), ("exp", MonsterElt.e_letter(0, 3, 1))],
+        [],
+    ]
+    steps = []
+    real_step = completion._atom_step
+    monkeypatch.setattr(completion, "_atom_step",
+                        lambda *a: steps.append(a[5]) or real_step(*a))
+    gens = generator_keys(cfg)
+    for word in words:
+        g = TruncAut(9, cfg, word)
+        del steps[:]
+        forms = g._generator_forms()
+        if word is words[0]:
+            assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
+        want = []
+        for k in gens:
+            v = g.apply(completion.IntVec(1, {k: 1}))
+            want.append(completion._reduced(
+                v.den, {kk: n for kk, n in v.terms.items() if monster.key_degree(kk) <= 9}))
+        assert forms == want

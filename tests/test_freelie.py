@@ -5,6 +5,7 @@ import pytest
 from monsterlie.freelie import (bracket_free, bracket_words, is_lyndon, lyndon_basis,
                                 lyndon_words_maxlen, std_factorize, witt_dimensions,
                                 witt_root_dimensions)
+from monsterlie.indices import SupportConfig, letter_degree, letter_root
 
 from oracles import bracket_oracle, is_lyndon_naive, lyndon_count, std_split_naive
 
@@ -174,3 +175,22 @@ def test_basis_count_equals_witt_prediction():
     for d in range(1, 6):
         basis = lyndon_basis(alphabet, lambda L: 1, d)
         assert len(basis) == witt_dimensions({1: 2}, d)[d]
+
+
+def test_capped_witt_dimensions_match_lyndon_count():
+    # the capped engine's alphabet: the dimension solver on the letters'
+    # roots against the Lyndon words it enumerates, at every root of the
+    # default window and of the approx window
+    for cfg in (SupportConfig(9, {1: 2, 2: 2, 3: 1}),
+                SupportConfig(15, {1: 2, 2: 2, 3: 1, 4: 1})):
+        letters = cfg.letters()
+        mult: dict = {}
+        for L in letters:
+            mult[letter_root(L)] = mult.get(letter_root(L), 0) + 1
+        dims = witt_root_dimensions(mult, cfg.degree_bound)
+        counts: dict = {}
+        for d in range(1, cfg.degree_bound + 1):
+            for w in lyndon_basis(letters, letter_degree, d):
+                r = tuple(map(sum, zip(*(letter_root(L) for L in w))))
+                counts[r] = counts.get(r, 0) + 1
+        assert dims == counts and len(counts) > 10

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from monsterlie import presentation as P
+from monsterlie.completion import TruncAut, compose, exp_ad, invert, torus
 from monsterlie.indices import SupportConfig
+from monsterlie.monster import MonsterElt
 from monsterlie.presentation import (GroupWord, build_instance, c_const, commutator,
                                      eval_word_matrix, expand_weyl, format_word,
                                      free_separation_test, mirror_relation, mirror_word,
@@ -209,3 +211,47 @@ def test_free_separation_detects_collision():
     rep = free_separation_test([a, same], 8, CFG)
     assert not rep["pass"]
     assert rep["distinct"] == 1
+
+
+def _composed_realization(w, N, cfg):
+    """realize_word as a product of one TruncAut per symbol, inverted
+    where the exponent is -1: the construction realize_word replaces."""
+    auts = []
+    for s, e in expand_weyl(w).factors:
+        if s.kind == "X":
+            x = (MonsterElt.e_minus(s.param) if s.index == -1
+                 else MonsterElt.e_letter(*s.index, c=s.param))
+            a = exp_ad(x, N, cfg)
+        elif s.kind == "Y":
+            a = exp_ad(MonsterElt.f_minus(s.param), N, cfg)
+        elif s.kind == "H1":
+            a = torus(s.param, 1, N, cfg)
+        else:
+            a = torus(1, s.param, N, cfg)
+        auts.append(invert(a) if e == -1 else a)
+    return compose(*auts) if auts else TruncAut.identity(N, cfg)
+
+
+def test_realize_word_builds_parent_word():
+    W = GroupWord.of
+    X = sym("X", (1, 2, 1), Fraction(-2, 3))
+    words = [
+        GroupWord(),
+        W(sym("X", -1, 2), X, sym("Y", -1, Fraction(1, 2))),
+        W(sym("H1", None, Fraction(3, 2)), sym("H2", None, -2)),
+        W(sym("W", -1, Fraction(-1, 2)), sym("W", -1, 1)).inverse(),
+        W(sym("H1", None, 2), X, sym("W", -1, 1)).inverse() * W(sym("Y", -1, 3)),
+        W(sym("X", (0, 1, 1), 0)),
+    ]
+    for w in words:
+        got = realize_word(w, 8, CFG)
+        want = _composed_realization(w, 8, CFG)
+        assert (got.N, got.cfg) == (want.N, want.cfg)
+        assert len(got.word) == len(want.word) == len(expand_weyl(w))
+        for a, b in zip(got.word, want.word):
+            assert a[0] == b[0]
+            if a[0] == "exp":
+                assert (a[1].terms, a[1].exact_to) == (b[1].terms, b[1].exact_to)
+                assert a[2:] == b[2:]
+            else:
+                assert a == b and all(type(p) is Fraction for p in a[1:])
