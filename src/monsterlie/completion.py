@@ -475,13 +475,10 @@ class TruncAut:
         return cls(N, cfg, word=())
 
     # application ----------------------------------------------------------
-    def apply(self, y, need: int | None = None):
+    def apply(self, y: MonsterElt, need: int | None = None) -> MonsterElt:
         """Image of y, complete at least through degree `need` (default N)
-        unless y's own exactness bound makes that impossible.  y is a
-        MonsterElt or an IntVec, and the image comes back in y's form."""
+        unless y's own exactness bound makes that impossible."""
         need = self.N if need is None else need
-        if type(y) is IntVec:
-            return self._apply_block([y], need)[0]
         return _to_elt(self._apply_block([_to_vec(y)], need)[0])
 
     def _apply_block(self, ys: list, need: int) -> list:
@@ -521,8 +518,10 @@ class TruncAut:
 
     def _generator_forms(self) -> list:
         """(den, {key: numerator}) of each generator's image truncated at
-        N, reduced by the gcd so that equal images give equal pairs; the
-        generator block goes through the word in one pass."""
+        N, in generator_keys order, reduced by the gcd so that equal
+        images give equal pairs; the generator block goes through the
+        word in one pass.  equal, report_dict and filtration_level all
+        read the generator images from here."""
         N = self.N
         block = self._apply_block([IntVec(1, {g: 1}) for g in generator_keys(self.cfg)], N)
         return [_reduced(v.den, {k: n for k, n in v.terms.items() if key_degree(k) <= N})
@@ -531,10 +530,9 @@ class TruncAut:
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""
         gens = []
-        for g in generator_keys(self.cfg):
-            img = self.apply(MonsterElt({g: 1})).truncated_above(self.N)
-            terms = [[monster.format_term(k), str(img.terms[k])]
-                     for k in sorted(img.terms, key=key_sort)]
+        for g, (den, nums) in zip(generator_keys(self.cfg), self._generator_forms()):
+            terms = [[monster.format_term(k), str(Fraction(nums[k], den))]
+                     for k in sorted(nums, key=key_sort)]
             gens.append({"generator": monster.format_term(g), "image": terms})
         return {"truncation": self.N,
                 "caps": {str(j): self.cfg.cap(j) for j in sorted(self.cfg.caps)},
@@ -618,14 +616,18 @@ def filtration_level(g: TruncAut) -> FiltrationLevel:
     """Largest i visible in the window with g(y) - y in degrees >= deg(y) + i
     for every generator y.  Requires g to fix the Cartan mod higher degree."""
     cands = []
-    for gen in generator_keys(g.cfg):
-        y = MonsterElt({gen: 1})
-        diff = (g.apply(y) - y).truncated_above(g.N)
-        if gen in (H1, H2) and not diff.is_zero():
-            if (diff.min_degree() or 0) <= 0:
+    for gen, (den, nums) in zip(generator_keys(g.cfg), g._generator_forms()):
+        # g(y) - y over den, truncated at N like the image
+        diff = dict(nums)
+        if key_degree(gen) <= g.N:
+            n = diff.pop(gen, 0) - den
+            if n:
+                diff[gen] = n
+        if diff:
+            m = min(key_degree(k) for k in diff)
+            if gen in (H1, H2) and m <= 0:
                 raise ValueError("not unipotent-type: Cartan is not fixed mod higher degree")
-        if not diff.is_zero():
-            cands.append(diff.min_degree() - key_degree(gen))
+            cands.append(m - key_degree(gen))
     if not cands:
         return FiltrationLevel(g.N, True)
     m = min(cands)

@@ -23,11 +23,16 @@ Each rewriting step either shortens the total content handed to a
 recursive call or shortens the left argument at fixed content, and
 results are memoized per word pair.  A recursion budget guards the walk;
 exceeding it signals a bug, not a big input.
+
+Graded dimensions come from one integer solver of the Witt formula
+prod_r (1 - x^r)^(-L_r) = 1/(1 - F) over a root-graded alphabet
+(witt_root_dimensions); dimensions by degree are the same solver on the
+one-dimensional grading d -> (0, d) (witt_dimensions).  An
+exact-division check at each root replaces rational arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Word = tuple
@@ -196,85 +201,65 @@ def bracket_free(a: dict, b: dict) -> dict:
 # dimension solvers
 
 def witt_dimensions(gen_counts: dict[int, int], dmax: int) -> dict[int, int]:
-    """Graded dimensions L_d of the free Lie algebra with a_d generators in degree d.
+    """Graded dimensions L_d of the free Lie algebra with a_d generators in
+    degree d, for every d in 1..dmax (zeros included).
 
-    Solves prod_d (1 - q^d)^(-L_d) = (1 - sum_d a_d q^d)^(-1) degree by
-    degree in exact arithmetic, via log of both sides.
+    The root solver on the one-dimensional grading: degree d goes to the
+    root (0, d), whose degree 2*0 + d is d.
     """
-    for d, a in gen_counts.items():
-        if d < 1:
-            raise ValueError("generator degrees must be positive")
-        if a < 0:
-            raise ValueError("generator counts must be nonnegative")
-    # G = log (1/(1 - A)) = sum_{m>=1} A^m / m, coefficients up to dmax
-    g = [Fraction(0)] * (dmax + 1)
-    a_vec = [Fraction(0)] * (dmax + 1)
-    for d, a in gen_counts.items():
-        if d <= dmax:
-            a_vec[d] = Fraction(a)
-    power = a_vec[:]  # A^m
-    m = 1
-    while any(power[1:]):
-        for n in range(1, dmax + 1):
-            g[n] += power[n] / m
-        m += 1
-        nxt = [Fraction(0)] * (dmax + 1)
-        for i in range(1, dmax + 1):
-            if a_vec[i] == 0:
-                continue
-            for jj in range(1, dmax + 1 - i):
-                if power[jj]:
-                    nxt[i + jj] += a_vec[i] * power[jj]
-        power = nxt
-    # g_n = sum_{d | n} L_{n/d} / d  =>  peel
-    dims: dict[int, int] = {}
-    for n in range(1, dmax + 1):
-        s = g[n]
-        for d in range(2, n + 1):
-            if n % d == 0:
-                s -= Fraction(dims.get(n // d, 0), d)
-        if s.denominator != 1:
-            raise AssertionError(f"non-integral Witt dimension at degree {n}: {s}")
-        dims[n] = int(s)
-    return dims
+    dims = witt_root_dimensions({(0, d): a for d, a in gen_counts.items()}, dmax)
+    return {d: dims.get((0, d), 0) for d in range(1, dmax + 1)}
 
 
-def witt_root_dimensions(mult: dict, degree_bound: int, degree_of=None) -> dict:
+def witt_root_dimensions(mult: dict, degree_bound: int) -> dict:
     """Root-graded dimensions of the free Lie algebra on a root-graded alphabet.
 
-    mult maps a lattice point (root) to a generator count.  Points are
-    pairs of integers; the truncation uses degree_of (default 2a + b),
-    which must be positive on every supplied point.
+    mult maps a root (a, b), a pair of integers, to its generator count
+    f_r, a nonnegative integer (anything else raises ValueError).  Roots
+    are truncated by the degree 2a + b, which must be positive on every
+    root with f_r != 0.  The result maps each root of degree <=
+    degree_bound to its dimension L_r, where that is nonzero.
+
+    Solves prod_r (1 - x^r)^(-L_r) = P = 1/(1 - F) in integers, degree by
+    degree: P_0 = 1 and P_r = sum_s f_s P_{r-s}.  The same pass builds
+    M = (deg F) P, the degree derivation of log P, so M_r = deg(r) (log
+    P)_r = sum over d | gcd(r) of N_{r/d}, with N_r = deg(r) L_r.
+    Peeling the d > 1 terms leaves N_r, and L_r = N_r / deg(r) is an
+    exact division: a remainder is a fault and raises.
     """
-    if degree_of is None:
-        degree_of = lambda r: 2 * r[0] + r[1]
-    pts = {r: int(c) for r, c in mult.items() if c}
-    for r in pts:
-        if degree_of(r) < 1:
-            raise ValueError("root degrees must be positive for truncation")
-    f = {r: Fraction(c) for r, c in pts.items() if degree_of(r) <= degree_bound}
-    g: dict = {}
-    power = dict(f)
-    m = 1
-    while power:
-        for r, c in power.items():
-            g[r] = g.get(r, Fraction(0)) + c / m
-        m += 1
-        nxt: dict = {}
-        for r1, c1 in f.items():
-            for r2, c2 in power.items():
-                r = (r1[0] + r2[0], r1[1] + r2[1])
-                if degree_of(r) <= degree_bound:
-                    nxt[r] = nxt.get(r, Fraction(0)) + c1 * c2
-        power = nxt
+    f = []
+    for r, c in mult.items():
+        if not c >= 0 or c % 1:
+            raise ValueError(f"generator count at {r} must be a nonnegative integer, got {c!r}")
+        if c:
+            deg = 2 * r[0] + r[1]
+            if deg < 1:
+                raise ValueError("root degrees must be positive for truncation")
+            if deg <= degree_bound:
+                f.append((r, deg, int(c)))
+    P = [{(0, 0): 1}]  # P[n]: root -> coefficient of 1/(1 - F), degree n
+    N: dict = {}
     dims: dict = {}
-    for r in sorted(g, key=lambda r: (degree_of(r), r)):
-        s = g[r]
-        for d in range(2, gcd(abs(r[0]), abs(r[1])) + 1):
-            if r[0] % d == 0 and r[1] % d == 0:
-                s -= Fraction(dims.get((r[0] // d, r[1] // d), 0), d)
-        if s.denominator != 1:
-            raise AssertionError(f"non-integral Witt dimension at root {r}: {s}")
-        if s:
-            dims[r] = int(s)
+    for n in range(1, degree_bound + 1):
+        Pn: dict = {}
+        M: dict = {}
+        for (a, b), ds, fs in f:
+            if ds <= n:
+                for (qa, qb), pq in P[n - ds].items():
+                    r = (qa + a, qb + b)
+                    t = fs * pq
+                    Pn[r] = Pn.get(r, 0) + t
+                    M[r] = M.get(r, 0) + ds * t
+        P.append(Pn)
+        for r, v in M.items():
+            g = gcd(r[0], r[1])
+            for d in range(2, g + 1):
+                if g % d == 0:
+                    v -= N.get((r[0] // d, r[1] // d), 0)
+            L, rem = divmod(v, n)
+            if rem:
+                raise AssertionError(f"non-integral Witt dimension at root {r}: {v}/{n}")
+            N[r] = v
+            if L:
+                dims[r] = L
     return dims

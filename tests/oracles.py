@@ -4,9 +4,10 @@ Everything here recomputes results by a different route than the
 package code: associative-algebra expansion instead of Lyndon
 straightening, an explicit linear recurrence instead of the Jacobi
 recursion, the pentagonal-number series instead of the Euler product,
-Moebius counting instead of the log-series dimension solver, and the
-exp series on whole Fraction elements through monster.bracket instead
-of the integer series on basis keys.
+the log-derivative recurrence for 1/Delta instead of q-series
+reciprocals, Moebius counting instead of the Witt solver's peeling, and
+the exp series on whole Fraction elements through monster.bracket
+instead of the integer series on basis keys.
 """
 
 from fractions import Fraction
@@ -204,6 +205,30 @@ def delta_pentagonal(nmax: int) -> dict:
         if power:
             acc = _poly_mul(acc, acc, nmax)
     return {n + 1: result[n] for n in range(nmax + 1)}
+
+
+def _sigma(k: int, n: int) -> int:
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def j_coefficients_recurrence(nmax: int) -> dict:
+    """c(n) of J = E4^3/Delta - 744 for -1 <= n <= nmax, in integers.
+
+    1/Delta = q^-1 sum b(n) q^n, where prod (1-q^n)^-24 = sum b(n) q^n
+    satisfies the log-derivative recurrence n b(n) = 24 sum_{k=1..n}
+    sigma_1(k) b(n-k); E4 = 1 + 240 sum sigma_3(n) q^n, and E4^3 takes
+    two convolutions.
+    """
+    top = max(nmax + 1, 1)  # J's q^n is q^(n+1) of E4^3 * sum b(n) q^n
+    b = [1]
+    for n in range(1, top + 1):
+        t = 24 * sum(_sigma(1, k) * b[n - k] for k in range(1, n + 1))
+        assert t % n == 0
+        b.append(t // n)
+    e4 = [1] + [240 * _sigma(3, n) for n in range(1, top + 1)]
+    qj = _poly_mul(_poly_mul(_poly_mul(e4, e4, top), e4, top), b, top)
+    qj[1] -= 744
+    return {n: qj[n + 1] for n in range(-1, nmax + 1)}
 
 
 # ---------------------------------------------------------------------------

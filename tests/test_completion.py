@@ -520,7 +520,7 @@ def test_generator_block_matches_single_applies(monkeypatch):
             assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
         want = []
         for k in gens:
-            v = g.apply(completion.IntVec(1, {k: 1}))
+            [v] = g._apply_block([completion.IntVec(1, {k: 1})], 9)
             want.append(completion._reduced(
                 v.den, {kk: n for kk, n in v.terms.items() if monster.key_degree(kk) <= 9}))
         assert forms == want

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,10 @@ from monsterlie.freelie import (bracket_free, bracket_words, is_lyndon, lyndon_b
                                 lyndon_words_maxlen, std_factorize, witt_dimensions,
                                 witt_root_dimensions)
 from monsterlie.indices import SupportConfig, letter_degree, letter_root
+from monsterlie.qseries import j_coefficients
 
-from oracles import bracket_oracle, is_lyndon_naive, lyndon_count, std_split_naive
+from oracles import (bracket_oracle, is_lyndon_naive, j_coefficients_recurrence, lyndon_count,
+                     std_split_naive)
 
 
 def test_is_lyndon_known_cases():
@@ -167,6 +170,34 @@ def test_witt_root_dimensions_mixed_roots():
 def test_witt_root_dimensions_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         witt_root_dimensions({(0, 0): 1}, 5)
+
+
+def test_witt_solvers_reject_bad_counts():
+    # a count must be a nonnegative integer: no truncation, no sign slip
+    for c in (-1, Fraction(3, 2), 2.7, float("nan")):
+        with pytest.raises(ValueError):
+            witt_root_dimensions({(1, 1): c}, 6)
+        with pytest.raises(ValueError):
+            witt_dimensions({1: c}, 6)
+    # integral values of other types are counts
+    assert witt_root_dimensions({(1, 1): Fraction(4, 2), (1, 2): 1.0}, 6) == \
+        {(1, 1): 2, (1, 2): 1, (2, 2): 1}
+
+
+def test_denominator_identity_over_window():
+    # u+ free on generators at (a, b) with multiplicity c(a+b-1) has
+    # dimension c(ab) at every root (a, b) (Borcherds 1992; Jurisich
+    # 1998): all 380 roots with a, b >= 1 and 2a + b <= 40, which needs
+    # c(n) through n = 200 from the integer reference
+    coef = j_coefficients_recurrence(200)
+    assert {n: coef[n] for n in range(-1, 61)} == j_coefficients(60)
+    D = 40
+    roots = [(a, b) for a in range(1, D // 2 + 1) for b in range(1, D - 2 * a + 1)]
+    assert len(roots) == 380
+    gen = j_coefficients(D - 1)
+    mult = {(a, b): gen[a + b - 1] for a, b in roots}
+    dims = witt_root_dimensions(mult, D)
+    assert dims == {(a, b): coef[a * b] for a, b in roots}
 
 
 def test_basis_count_equals_witt_prediction():
