@@ -42,9 +42,12 @@ component of x at the root (a, b) is -1/a times the corresponding
 component of log(g)(h1), since [x, h1] = -sum a(root) x_root and a >= 1
 on the whole positive side.
 
-approximate_by_generators peels g level by level: at degree d it takes
-the degree-d component of log of the residual, writes it in Lyndon
-coordinates, and emits one-parameter letter symbols for letters and
+approximate_by_generators peels g level by level: at degree d the
+residual g lies in the d-th filtration subgroup G_d, so the degree-d
+component of its log is read off the degree-d part of g(h1) - h1 (for
+g in G_d, (g - 1)^k raises degree by at least kd, so no higher term of
+the log series reaches degree d).  It writes that component in Lyndon
+coordinates and emits one-parameter letter symbols for letters and
 group commutators for bracket words (the lowest term of the
 Baker-Campbell-Hausdorff log of a commutator word is the Lie bracket).
 The emitted word agrees with g modulo the (i+1)-st filtration subgroup.
@@ -750,12 +753,41 @@ def _emit_word(word, coeff) -> list:
     return A + B + _inv_tokens(A) + _inv_tokens(B)
 
 
+def _first_order_log(g: TruncAut, d: int, need: int) -> MonsterElt:
+    """Degree-d component x_d of log g, for g in the d-th filtration
+    subgroup G_d, from one application of g to h1 through degree need.
+
+    In G_d the degree-d part of log(g)(h1) is that of g(h1) - h1, and
+    [x, h1] = -a x on the root (a, b), as in log_unipotent.  A g outside
+    G_d, or an image not exact through d, is a fault of the caller and
+    raises RuntimeError."""
+    img = g.apply(MonsterElt({H1: 1}), need)
+    if img.terms.get(H1) != 1:
+        raise RuntimeError("residual does not fix h1 to first order")
+    if img.exact_to is not None and img.exact_to < d:
+        raise RuntimeError("image of h1 is not exact through the peeled degree")
+    out = {}
+    for key, c in img.terms.items():
+        e = key_degree(key)
+        if key == H1 or e > d:
+            continue
+        if e < d:
+            raise RuntimeError("residual is not in the filtration subgroup of the peeled degree")
+        a = key_root(key)[0]
+        if a < 1:
+            raise RuntimeError("log produced content outside the positive sector")
+        out[key] = -c / a
+    return MonsterElt._of(out, img.exact_to)
+
+
 def approximate_by_generators(g: TruncAut, i: int) -> list:
     """Word over {X(-1;u), X(l,j,k;u)} agreeing with g mod filtration i+1.
 
-    Peels one degree at a time: the degree-d component of log of the
-    residual is written in the Lyndon basis and realized by letter
-    exponentials and group commutators, then divided out.
+    Peels one degree at a time: the residual lies in G_d at degree d, so
+    the degree-d component of its log is the first-order one
+    (_first_order_log, one application to h1); it is written in the
+    Lyndon basis, realized by letter exponentials and group commutators,
+    then divided out.
     """
     if i > g.N:
         raise ValueError("cannot certify beyond the truncation window")
@@ -765,8 +797,8 @@ def approximate_by_generators(g: TruncAut, i: int) -> list:
     tokens: list = []
     residual = g
     for d in range(1, i + 1):
-        x = log_unipotent(residual)
-        xd = x.component(d)
+        # one depth for every degree, so the atoms' image slots are shared
+        xd = _first_order_log(residual, d, i)
         if xd.is_zero():
             continue
         step: list = []

@@ -7,16 +7,18 @@ recursion, the pentagonal-number series instead of the Euler product,
 the log-derivative recurrence for 1/Delta instead of q-series
 reciprocals, Moebius counting instead of the Witt solver's peeling, and
 the exp series on whole Fraction elements through monster.bracket
-instead of the integer series on basis keys.
+instead of the integer series on basis keys, and the generator peel
+through the full log series instead of its first-order term.
 """
 
 from fractions import Fraction
 from math import comb
 
 from monsterlie import monster
-from monsterlie.completion import _descent_floor
+from monsterlie.completion import (_descent_floor, _emit_word, compose, filtration_level,
+                                   invert, log_unipotent, realize_tokens)
 from monsterlie.indices import SupportConfig
-from monsterlie.monster import MonsterElt, _min_none, key_degree
+from monsterlie.monster import EMINUS, WPOS, MonsterElt, _min_none, key_degree, key_sort
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,6 @@ def _poly_mul(a: list, b: list, nmax: int) -> list:
 def delta_pentagonal(nmax: int) -> dict:
     """Coefficients of the weight-12 cusp form, q * euler^24, exact integers."""
     e = euler_function_pentagonal(nmax)
-    p = [1] + [0] * nmax
     acc = e
     power = 24
     result = [1] + [0] * nmax
@@ -261,3 +262,37 @@ def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
     if tail is not None and (x.min_degree() or 0) < 0:
         acc = MonsterElt(acc.terms, exact_to=_descent_floor(tail, cfg) - 1)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the generator peel through the full log series
+
+def approximate_by_log(g, i: int) -> list:
+    """Tokens peeling g into generator exponentials through degree i.
+
+    completion.approximate_by_generators reads each degree's log
+    component off the first-order term g(h1) - h1; this is its
+    reference, taking the degree-d component of the whole log series
+    (log_unipotent) of the residual at every degree."""
+    if i > g.N:
+        raise ValueError("cannot certify beyond the truncation window")
+    if filtration_level(g).level < 1:
+        raise ValueError("approximation requires a unipotent automorphism")
+    tokens: list = []
+    residual = g
+    for d in range(1, i + 1):
+        xd = log_unipotent(residual).component(d)
+        if xd.is_zero():
+            continue
+        step: list = []
+        for key in sorted(xd.terms, key=key_sort):
+            c = xd.terms[key]
+            if key == EMINUS:
+                step.append(("X", -1, c))
+            elif isinstance(key, tuple) and key[0] == WPOS:
+                step.extend(_emit_word(key[1], c))
+            else:
+                raise RuntimeError("log of a unipotent residual left the positive sector")
+        tokens.extend(step)
+        residual = compose(invert(realize_tokens(step, g.N, g.cfg)), residual)
+    return tokens

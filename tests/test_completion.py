@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie import completion, freelie, monster
-from monsterlie.completion import (Ad, TruncAut, approximate_by_generators, aut_check,
-                                   compose, equal_mod_level, exp_ad, filtration_level,
-                                   format_tokens, generator_keys, invert, log_unipotent,
-                                   realize_tokens, torus)
+from monsterlie import completion, freelie, monster, presentation
+from monsterlie.cli import parse_word
+from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_by_generators,
+                                   aut_check, compose, equal_mod_level, exp_ad,
+                                   filtration_level, format_tokens, generator_keys, invert,
+                                   log_unipotent, realize_tokens, torus)
 from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
 
-from oracles import exp_series
+from oracles import approximate_by_log, exp_series
+from test_acceptance import _rand_unipotent
 
 CFG = SupportConfig(9, {1: 2, 2: 1})
 N = 9
@@ -208,6 +210,41 @@ def test_approximate_identity_is_empty():
     toks = approximate_by_generators(TruncAut.identity(N, CFG), 5)
     assert toks == []
     assert format_tokens(toks) == "1"
+
+
+# the benchmark's aut approx words at seeds 0, 3, 5 and 7, in its window
+APPROX_CFG = SupportConfig(15, {1: 2, 2: 2, 3: 1, 4: 1})
+APPROX_WORDS = ("X(0,1,1;1)X(0,2,1;-1/2)X(-1;2)X(0,3,1;1)",
+                "X(0,1,1;1)X(0,2,1;1/2)X(-1;2)X(0,3,1;1)",
+                "X(0,1,2;-1)X(0,2,2;-1/2)X(-1;-2)X(0,3,1;-1)",
+                "X(0,1,2;-1)X(0,2,1;1/2)X(-1;-2)X(0,3,1;-1)")
+
+
+def test_first_order_peel_matches_log_series_peel():
+    cases = [(presentation.realize_word(parse_word(w), 15, APPROX_CFG), 15)
+             for w in APPROX_WORDS]
+    cfg = SupportConfig(10, {1: 2, 2: 1})
+    rng = random.Random(99)
+    t = torus(2, 1, 10, cfg)
+    for n in range(25):
+        g = _rand_unipotent(rng, 10, cfg, min_factors=1, max_factors=4)
+        cases.append((g, 10))
+        if n % 4 == 0:
+            cases.append((compose(t, g, invert(t)), 10))
+    for g, depth in cases:
+        assert approximate_by_generators(g, depth) == approximate_by_log(g, depth)
+
+
+def test_first_order_log_checks_the_peel_invariant():
+    cfg = SupportConfig(10, {1: 2, 2: 1})
+    e = exp_ad(MonsterElt.e_minus(1), 10, cfg)             # level 1
+    with pytest.raises(RuntimeError, match="filtration subgroup"):
+        _first_order_log(e, 2, 10)
+    x = MonsterElt.e_letter(0, 1, 1)
+    g = exp_ad(x, 10, cfg)                                  # level 3
+    with pytest.raises(RuntimeError, match="filtration subgroup"):
+        _first_order_log(g, 4, 10)
+    assert _first_order_log(g, 3, 10) == x
 
 
 def test_equal_mod_level():
