@@ -484,13 +484,13 @@ def cmd_aut(args, cfg: Config):
             raise CliError("--depth must be >= 0")
         g = realize(args.word, N, sup)
         try:
-            toks = completion.approximate_by_generators(g, depth)
+            word = completion.approximate_by_generators(g, depth)
         except ValueError as e:
             raise CliError(str(e))
-        h = completion.realize_tokens(toks, N, sup)
+        h = presentation.realize_word(word, N, sup)
         ok = completion.equal_mod_level(g, h, depth)
         rep = {"word": args.word, "depth": depth,
-               "approximation": completion.format_tokens(toks),
+               "approximation": presentation.format_word(word),
                "verified": ok}
         return (0 if ok else 1), rep
     raise CliError(f"unknown aut operation {op!r}")

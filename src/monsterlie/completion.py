@@ -50,7 +50,9 @@ the log series reaches degree d).  It writes that component in Lyndon
 coordinates and emits one-parameter letter symbols for letters and
 group commutators for bracket words (the lowest term of the
 Baker-Campbell-Hausdorff log of a commutator word is the Lie bracket).
-The emitted word agrees with g modulo the (i+1)-st filtration subgroup.
+It returns a presentation.GroupWord, realized by realize_word and
+printed by format_word like any other word; the emitted word agrees
+with g modulo the (i+1)-st filtration subgroup.
 """
 
 from __future__ import annotations
@@ -666,13 +668,17 @@ def log_unipotent(g: TruncAut) -> MonsterElt:
             raise RuntimeError("log series did not terminate within the window")
         term = (g.apply(term, B) - term).truncated_above(B)
         k += 1
-    out = {}
-    for key, c in dh1.terms.items():
-        a = key_root(key)[0]
-        if a < 1:
-            raise RuntimeError("log produced content outside the positive sector")
-        out[key] = -c / a
+    out = {key: _h1_log_coeff(key, c) for key, c in dh1.terms.items()}
     return MonsterElt(out, exact_to=dh1.exact_to if dh1.exact_to is not None else B)
+
+
+def _h1_log_coeff(key, c):
+    """Coefficient of x at key from the term c * key of log(g)(h1) = [x, h1]:
+    [x, h1] = -a x on the root (a, b), and a >= 1 on the positive side."""
+    a = key_root(key)[0]
+    if a < 1:
+        raise RuntimeError("log produced content outside the positive sector")
+    return -c / a
 
 
 def Ad(g: TruncAut, x: MonsterElt) -> MonsterElt:
@@ -711,56 +717,30 @@ def aut_check(g: TruncAut, pairs) -> dict:
 # ---------------------------------------------------------------------------
 # constructive density: peeling a unipotent automorphism into generator words
 
-def realize_tokens(tokens, N: int, cfg: SupportConfig) -> TruncAut:
-    """Word of one-parameter symbols ("X", -1 | (l,j,k), u) as a TruncAut;
-    leftmost token is the leftmost factor."""
-    word = []
-    for kind, idx, u in tokens:
-        if kind != "X":
-            raise ValueError(f"unrealizable token kind {kind!r}")
-        if idx == -1:
-            x = MonsterElt.e_minus(u)
-        else:
-            l, j, k = idx
-            x = MonsterElt.e_letter(l, j, k, c=u)
-        word.append(("exp", x))
-    return TruncAut(N, cfg, word=tuple(word))
-
-
-def format_tokens(tokens) -> str:
-    parts = []
-    for kind, idx, u in tokens:
-        if idx == -1:
-            parts.append(f"{kind}(-1;{u})")
-        else:
-            l, j, k = idx
-            parts.append(f"{kind}({l},{j},{k};{u})")
-    return "".join(parts) if parts else "1"
-
-
-def _inv_tokens(tokens):
-    return [(kind, idx, -u) for kind, idx, u in reversed(tokens)]
-
-
 def _emit_word(word, coeff) -> list:
-    """Token word whose log has lowest term coeff * (basis word)."""
+    """Symbols of a word whose log has lowest term coeff * (basis word).
+
+    A bracket word becomes the group commutator A B A^-1 B^-1 of its
+    factors' words, each inverse written as the symbols reversed with
+    negated parameters (X(u)^-1 = X(-u)), so every exponent is +1."""
+    from .presentation import sym
     if len(word) == 1:
         j, k, l = word[0]
-        return [("X", (l, j, k), coeff)]
+        return [sym("X", (l, j, k), coeff)]
     u, v = freelie.std_factorize(word)
     A = _emit_word(u, Fraction(1))
     B = _emit_word(v, coeff)
-    return A + B + _inv_tokens(A) + _inv_tokens(B)
+    return A + B + [s._replace(param=-s.param) for w in (A, B) for s in reversed(w)]
 
 
 def _first_order_log(g: TruncAut, d: int, need: int) -> MonsterElt:
     """Degree-d component x_d of log g, for g in the d-th filtration
     subgroup G_d, from one application of g to h1 through degree need.
 
-    In G_d the degree-d part of log(g)(h1) is that of g(h1) - h1, and
-    [x, h1] = -a x on the root (a, b), as in log_unipotent.  A g outside
-    G_d, or an image not exact through d, is a fault of the caller and
-    raises RuntimeError."""
+    In G_d the degree-d part of log(g)(h1) is that of g(h1) - h1, read
+    out by _h1_log_coeff as in log_unipotent.  A g outside G_d, or an
+    image not exact through d, is a fault of the caller and raises
+    RuntimeError."""
     img = g.apply(MonsterElt({H1: 1}), need)
     if img.terms.get(H1) != 1:
         raise RuntimeError("residual does not fix h1 to first order")
@@ -773,15 +753,13 @@ def _first_order_log(g: TruncAut, d: int, need: int) -> MonsterElt:
             continue
         if e < d:
             raise RuntimeError("residual is not in the filtration subgroup of the peeled degree")
-        a = key_root(key)[0]
-        if a < 1:
-            raise RuntimeError("log produced content outside the positive sector")
-        out[key] = -c / a
+        out[key] = _h1_log_coeff(key, c)
     return MonsterElt._of(out, img.exact_to)
 
 
-def approximate_by_generators(g: TruncAut, i: int) -> list:
-    """Word over {X(-1;u), X(l,j,k;u)} agreeing with g mod filtration i+1.
+def approximate_by_generators(g: TruncAut, i: int):
+    """presentation.GroupWord over {X(-1;u), X(l,j,k;u)} agreeing with g
+    mod filtration i+1.
 
     Peels one degree at a time: the residual lies in G_d at degree d, so
     the degree-d component of its log is the first-order one
@@ -789,12 +767,13 @@ def approximate_by_generators(g: TruncAut, i: int) -> list:
     Lyndon basis, realized by letter exponentials and group commutators,
     then divided out.
     """
+    from . import presentation      # presentation imports this module
     if i > g.N:
         raise ValueError("cannot certify beyond the truncation window")
     lvl = filtration_level(g)
     if lvl.level < 1:
         raise ValueError("approximation requires a unipotent automorphism")
-    tokens: list = []
+    symbols: list = []
     residual = g
     for d in range(1, i + 1):
         # one depth for every degree, so the atoms' image slots are shared
@@ -805,15 +784,15 @@ def approximate_by_generators(g: TruncAut, i: int) -> list:
         for key in sorted(xd.terms, key=key_sort):
             c = xd.terms[key]
             if key == EMINUS:
-                step.append(("X", -1, c))
+                step.append(presentation.sym("X", -1, c))
             elif isinstance(key, tuple) and key[0] == WPOS:
                 step.extend(_emit_word(key[1], c))
             else:
                 raise RuntimeError("log of a unipotent residual left the positive sector")
-        tokens.extend(step)
-        piece = realize_tokens(step, g.N, g.cfg)
+        symbols.extend(step)
+        piece = presentation.realize_word(presentation.GroupWord.of(*step), g.N, g.cfg)
         residual = compose(invert(piece), residual)
-    return tokens
+    return presentation.GroupWord.of(*symbols)
 
 
 def equal_mod_level(g: TruncAut, h: TruncAut, i: int) -> bool:

@@ -16,9 +16,10 @@ from math import comb
 
 from monsterlie import monster
 from monsterlie.completion import (_descent_floor, _emit_word, compose, filtration_level,
-                                   invert, log_unipotent, realize_tokens)
+                                   invert, log_unipotent)
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import EMINUS, WPOS, MonsterElt, _min_none, key_degree, key_sort
+from monsterlie.presentation import GroupWord, realize_word, sym
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,8 @@ def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
 # ---------------------------------------------------------------------------
 # the generator peel through the full log series
 
-def approximate_by_log(g, i: int) -> list:
-    """Tokens peeling g into generator exponentials through degree i.
+def approximate_by_log(g, i: int) -> GroupWord:
+    """GroupWord peeling g into generator exponentials through degree i.
 
     completion.approximate_by_generators reads each degree's log
     component off the first-order term g(h1) - h1; this is its
@@ -278,7 +279,7 @@ def approximate_by_log(g, i: int) -> list:
         raise ValueError("cannot certify beyond the truncation window")
     if filtration_level(g).level < 1:
         raise ValueError("approximation requires a unipotent automorphism")
-    tokens: list = []
+    symbols: list = []
     residual = g
     for d in range(1, i + 1):
         xd = log_unipotent(residual).component(d)
@@ -288,11 +289,11 @@ def approximate_by_log(g, i: int) -> list:
         for key in sorted(xd.terms, key=key_sort):
             c = xd.terms[key]
             if key == EMINUS:
-                step.append(("X", -1, c))
+                step.append(sym("X", -1, c))
             elif isinstance(key, tuple) and key[0] == WPOS:
                 step.extend(_emit_word(key[1], c))
             else:
                 raise RuntimeError("log of a unipotent residual left the positive sector")
-        tokens.extend(step)
-        residual = compose(invert(realize_tokens(step, g.N, g.cfg)), residual)
-    return tokens
+        symbols.extend(step)
+        residual = compose(invert(realize_word(GroupWord.of(*step), g.N, g.cfg)), residual)
+    return GroupWord.of(*symbols)

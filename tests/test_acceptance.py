@@ -17,7 +17,7 @@ from oracles import lowering_coefficients
 from monsterlie import cli, freelie, monster, permaut, presentation
 from monsterlie.completion import (Ad, approximate_by_generators, aut_check,
                                    compose, equal_mod_level, exp_ad, invert,
-                                   log_unipotent, realize_tokens, torus)
+                                   log_unipotent, torus)
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
 from monsterlie.presentation import GroupWord, sym
@@ -199,8 +199,8 @@ def test_criterion_09_generator_word_approximation():
     rng = random.Random(99)
     for _ in range(25):
         g = _rand_unipotent(rng, 10, cfg, min_factors=1, max_factors=4)
-        toks = approximate_by_generators(g, 10)
-        h = realize_tokens(toks, 10, cfg)
+        word = approximate_by_generators(g, 10)
+        h = presentation.realize_word(word, 10, cfg)
         assert equal_mod_level(g, h, 10)
 
 

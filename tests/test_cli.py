@@ -285,3 +285,12 @@ def test_aut_approx_rejects_negative_depth(capsys):
     assert code == 2 and err.startswith("error: --depth must be >= 0") and out == ""
     rep = run_json(capsys, "aut", "approx", "--word", "X(0,1,1;1)", "--depth", "0")
     assert rep["depth"] == 0 and rep["verified"] is True
+
+
+def test_aut_approx_error_paths_exit_2(capsys):
+    code, out, err = run(capsys, "aut", "approx", "--word", "H1(2)")
+    assert code == 2 and out == ""
+    assert err == "error: approximation requires a unipotent automorphism\n"
+    code, out, err = run(capsys, "aut", "approx", "--word", "X(0,1,1;1)", "--depth", "10")
+    assert code == 2 and out == ""
+    assert err == "error: cannot certify beyond the truncation window\n"

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie import completion, freelie, monster, presentation
+from monsterlie import completion, freelie, monster
 from monsterlie.cli import parse_word
 from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_by_generators,
                                    aut_check, compose, equal_mod_level, exp_ad,
-                                   filtration_level, format_tokens, generator_keys, invert,
-                                   log_unipotent, realize_tokens, torus)
+                                   filtration_level, generator_keys, invert,
+                                   log_unipotent, torus)
 from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
+from monsterlie.presentation import GroupWord, format_word, realize_word, sym
 
 from oracles import approximate_by_log, exp_series
 from test_acceptance import _rand_unipotent
@@ -199,17 +200,24 @@ def test_approximate_by_generators_roundtrip():
     g = compose(exp_ad(MonsterElt.e_letter(0, 1, 1), 10, cfg),
                 exp_ad(MonsterElt.e_minus(2), 10, cfg),
                 exp_ad(MonsterElt.e_letter(0, 2, 1, Fraction(-1, 2)), 10, cfg))
-    toks = approximate_by_generators(g, 9)
-    h = realize_tokens(toks, 10, cfg)
+    word = approximate_by_generators(g, 9)
+    h = realize_word(word, 10, cfg)
     assert equal_mod_level(g, h, 9)
-    text = format_tokens(toks)
+    text = format_word(word)
     assert text.startswith("X(")
 
 
 def test_approximate_identity_is_empty():
-    toks = approximate_by_generators(TruncAut.identity(N, CFG), 5)
-    assert toks == []
-    assert format_tokens(toks) == "1"
+    word = approximate_by_generators(TruncAut.identity(N, CFG), 5)
+    assert word == GroupWord()
+    assert format_word(word) == "1"
+
+
+def test_approximate_rejects_non_unipotent_and_too_deep():
+    with pytest.raises(ValueError, match="approximation requires a unipotent automorphism"):
+        approximate_by_generators(realize_word(parse_word("H1(2)"), N, CFG), 5)
+    with pytest.raises(ValueError, match="cannot certify beyond the truncation window"):
+        approximate_by_generators(realize_word(parse_word("X(0,1,1;1)"), N, CFG), N + 1)
 
 
 # the benchmark's aut approx words at seeds 0, 3, 5 and 7, in its window
@@ -221,7 +229,7 @@ APPROX_WORDS = ("X(0,1,1;1)X(0,2,1;-1/2)X(-1;2)X(0,3,1;1)",
 
 
 def test_first_order_peel_matches_log_series_peel():
-    cases = [(presentation.realize_word(parse_word(w), 15, APPROX_CFG), 15)
+    cases = [(realize_word(parse_word(w), 15, APPROX_CFG), 15)
              for w in APPROX_WORDS]
     cfg = SupportConfig(10, {1: 2, 2: 1})
     rng = random.Random(99)
@@ -233,6 +241,18 @@ def test_first_order_peel_matches_log_series_peel():
             cases.append((compose(t, g, invert(t)), 10))
     for g, depth in cases:
         assert approximate_by_generators(g, depth) == approximate_by_log(g, depth)
+
+
+def test_printed_approximation_parses_back():
+    # every exponent is +1, so no free reduction fires and the printed
+    # word is valid --word input that parses to the same GroupWord
+    words = [approximate_by_generators(realize_word(parse_word(w), 15, APPROX_CFG), 15)
+             for w in APPROX_WORDS]
+    words.append(approximate_by_generators(TruncAut.identity(N, CFG), N))
+    for w in words:
+        assert all(e == 1 for _, e in w.factors)
+        assert parse_word(format_word(w)) == w
+    assert len(words[0]) == 49
 
 
 def test_first_order_log_checks_the_peel_invariant():
@@ -451,7 +471,7 @@ def test_exp_atom_rejects_unsupported_letter():
     with pytest.raises(monster.SupportError):
         exp_ad(MonsterElt.e_letter(0, 3, 1), N, CFG)
     with pytest.raises(monster.SupportError):
-        realize_tokens([("X", (0, 1, 3), Fraction(1))], N, CFG)
+        realize_word(GroupWord.of(sym("X", (0, 1, 3), 1)), N, CFG)
 
 
 # ---------------------------------------------------------------------------
