@@ -360,17 +360,8 @@ def _perm_key(atom, images: dict, key) -> dict:
     u, v = freelie.std_factorize(w)
     iu = _image(atom, images, (tag, u), None, None)
     iv = _image(atom, images, (tag, v), None, None)
-    res: dict = {}
-    for ku, cu in zip(iu[2::2], iu[3::2]):
-        for kv, cv in zip(iv[2::2], iv[3::2]):
-            for w2, c in freelie.bracket_words(ku[1], kv[1]).items():
-                kk = (tag, w2)
-                n = res.get(kk, 0) + cu * cv * c
-                if n:
-                    res[kk] = n
-                else:
-                    res.pop(kk, None)
-    return res
+    return freelie.elt_bracket(dict(zip(iu[2::2], iu[3::2])), dict(zip(iv[2::2], iv[3::2])),
+                               monster.term_bracket)
 
 
 def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:

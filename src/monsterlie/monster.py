@@ -210,9 +210,6 @@ class MonsterElt:
     def truncated(self) -> bool:
         return self.exact_to is not None
 
-    def degrees(self):
-        return sorted({key_degree(k) for k in self.terms})
-
     def min_degree(self):
         return min((key_degree(k) for k in self.terms), default=None)
 
@@ -247,14 +244,8 @@ class MonsterElt:
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            n = t.get(k, 0) + c
-            if n:
-                t[k] = n
-            else:
-                t.pop(k, None)
-        return MonsterElt._of(t, _min_none(self.exact_to, other.exact_to))
+        return MonsterElt._of(elt_add(self.terms, other.terms),
+                              _min_none(self.exact_to, other.exact_to))
 
     def __neg__(self):
         return MonsterElt._of({k: -c for k, c in self.terms.items()}, self.exact_to)
@@ -263,10 +254,7 @@ class MonsterElt:
         return self + (-other)
 
     def scaled(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return MonsterElt._of({}, self.exact_to)
-        return MonsterElt._of({k: c * v for k, v in self.terms.items()}, self.exact_to)
+        return MonsterElt._of(elt_scale(self.terms, Fraction(c)), self.exact_to)
 
     def __rmul__(self, c):
         return self.scaled(c)

@@ -1,8 +1,8 @@
 import time
 
-from monsterlie.qseries import QSeries, delta_product, eisenstein_e4, j_coefficients, sigma3
+from monsterlie.qseries import delta_product, eisenstein_e4, j_coefficients, sigma3
 
-from oracles import delta_pentagonal
+from oracles import delta_pentagonal, j_coefficients_recurrence
 
 
 def test_sigma3_small():
@@ -13,40 +13,13 @@ def test_sigma3_small():
     assert sigma3(6) == 252
 
 
-def test_qseries_arithmetic():
-    a = QSeries(0, [1, 2, 3], 5)
-    b = QSeries(1, [4, 5], 5)
-    assert (a + b).coeff(1) == 6
-    assert (a * b).coeff(1) == 4
-    assert (a * b).coeff(2) == 13
-    assert (a - a).is_zero()
-    assert a.pow_int(2).coeff(2) == 10   # (1+2q+3q^2)^2 = 1+4q+10q^2+...
-
-
-def test_qseries_recip():
-    a = QSeries(0, [1, -1], 8)          # 1 - q
-    r = a.recip()                       # geometric series
-    for n in range(8):
-        assert r.coeff(n) == 1
-    assert (a * r).coeff(0) == 1
-    assert all((a * r).coeff(n) == 0 for n in range(1, 8))
-
-
-def test_recip_with_leading_pole():
-    d = delta_product(10)
-    inv = d.recip()
-    prod = d * inv
-    assert prod.coeff(0) == 1
-    assert all(prod.coeff(n) == 0 for n in range(1, 9))
-
-
 def test_eisenstein_e4_coefficients():
     e4 = eisenstein_e4(5)
-    assert e4.coeff(0) == 1
-    assert e4.coeff(1) == 240
-    assert e4.coeff(2) == 2160
-    assert e4.coeff(3) == 6720
-    assert e4.coeff(4) == 17520
+    assert e4[0] == 1
+    assert e4[1] == 240
+    assert e4[2] == 2160
+    assert e4[3] == 6720
+    assert e4[4] == 17520
 
 
 def test_delta_against_pentagonal_oracle():
@@ -54,16 +27,16 @@ def test_delta_against_pentagonal_oracle():
     want = delta_pentagonal(12)
     d = delta_product(14)
     for n in range(1, 13):
-        assert d.coeff(n) == want[n]
+        assert d[n] == want[n]
 
 
 def test_delta_first_coefficients():
     d = delta_product(6)
-    assert d.coeff(1) == 1
-    assert d.coeff(2) == -24
-    assert d.coeff(3) == 252
-    assert d.coeff(4) == -1472
-    assert d.coeff(5) == 4830
+    assert d[1] == 1
+    assert d[2] == -24
+    assert d[3] == 252
+    assert d[4] == -1472
+    assert d[5] == 4830
 
 
 def test_j_coefficients_known_values():
@@ -90,3 +63,16 @@ def test_j_runtime_modest():
 def test_j_coefficients_all_nonnegative_after_constant():
     c = j_coefficients(10)
     assert all(c[n] > 0 for n in range(1, 11))
+
+
+def test_j_coefficients_short_truncations():
+    # the list bookkeeping at the smallest orders
+    assert j_coefficients(-1) == {-1: 1}
+    assert j_coefficients(0) == {-1: 1, 0: 0}
+    for n in (1, 2, 3, 24):
+        assert j_coefficients(n) == j_coefficients_recurrence(n)
+
+
+def test_delta_short_truncations():
+    for n in (1, 2, 3):
+        assert delta_product(n) == delta_pentagonal(n - 1)
