@@ -55,21 +55,19 @@ ENV_CONFIG = "MONSTERLIE_CONFIG"
 
 
 class Config:
-    __slots__ = ("N", "caps", "samples", "suite", "output", "_support")
+    """A resolved configuration: window is the one SupportConfig (truncation
+    degree n and per-level caps) every command computes in."""
+
+    __slots__ = ("window", "samples", "suite", "output")
 
     def __init__(self, N=DEFAULT_N, caps=None, samples=DEFAULT_SAMPLES,
                  suite="all", output=None):
         if N < 1:
             raise CliError("truncation n must be >= 1")
-        self.N = int(N)
-        self.caps = dict(caps if caps is not None else DEFAULT_CAPS)
+        self.window = SupportConfig(int(N), dict(caps if caps is not None else DEFAULT_CAPS))
         self.samples = tuple(Fraction(s) for s in samples)
         self.suite = suite
         self.output = output
-        self._support = SupportConfig(self.N, self.caps)
-
-    def support(self) -> SupportConfig:
-        return self._support
 
 
 def _parse_rational_str(text: str) -> Fraction:
@@ -97,29 +95,36 @@ def load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
     out: dict = {"caps": {}}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{ln}: expected key = value")
-            key, val = (x.strip() for x in line.split("=", 1))
-            if key == "n":
-                out["N"] = _parse_int(val, f"{path}:{ln}: n")
-            elif key.startswith("cap."):
-                level = _parse_int(key[4:], f"{path}:{ln}: cap level")
-                out["caps"][level] = _parse_int(val, f"{path}:{ln}: {key}")
-            elif key == "samples":
-                out["samples"] = _parse_samples(val)
-            elif key == "suite":
-                if val not in ("adjoint", "sl2", "all"):
-                    raise CliError(f"{path}:{ln}: unknown suite {val!r}")
-                out["suite"] = val
-            elif key == "output":
-                out["output"] = val
-            else:
-                raise CliError(f"{path}:{ln}: unknown key {key!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as e:
+        raise CliError(f"cannot read config file {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read config file {path}: not valid UTF-8 "
+                       f"(byte {e.start})")
+    for ln, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{ln}: expected key = value")
+        key, val = (x.strip() for x in line.split("=", 1))
+        if key == "n":
+            out["N"] = _parse_int(val, f"{path}:{ln}: n")
+        elif key.startswith("cap."):
+            level = _parse_int(key[4:], f"{path}:{ln}: cap level")
+            out["caps"][level] = _parse_int(val, f"{path}:{ln}: {key}")
+        elif key == "samples":
+            out["samples"] = _parse_samples(val)
+        elif key == "suite":
+            if val not in ("adjoint", "sl2", "all"):
+                raise CliError(f"{path}:{ln}: unknown suite {val!r}")
+            out["suite"] = val
+        elif key == "output":
+            out["output"] = val
+        else:
+            raise CliError(f"{path}:{ln}: unknown key {key!r}")
     return out
 
 
@@ -366,10 +371,10 @@ def parse_word(text: str) -> GroupWord:
     return out
 
 
-def realize(text: str, N: int, cfg: SupportConfig):
+def realize(text: str, cfg: SupportConfig):
     word = parse_word(text)
     try:
-        return presentation.realize_word(word, N, cfg)
+        return presentation.realize_word(word, cfg)
     except (UnrealizableError, SupportError) as e:
         raise CliError(str(e))
 
@@ -422,7 +427,7 @@ def cmd_dims(args, cfg: Config):
                     mult[(a, b)] = c
         mode = "symbolic"
     else:
-        sup = cfg.support()
+        sup = cfg.window
         mult = {}
         for (j, k, l) in sup.letters():
             r = (l + 1, j - l)
@@ -442,16 +447,15 @@ def cmd_dims(args, cfg: Config):
 
 
 def cmd_bracket(args, cfg: Config):
-    x = parse_elem(args.expr, cfg.support())
+    x = parse_elem(args.expr, cfg.window)
     return 0, {"expr": args.expr, "result": elem_json(x)}
 
 
 def cmd_aut(args, cfg: Config):
-    sup = cfg.support()
-    N = cfg.N
+    sup = cfg.window
     op = args.aut_op
     if op == "apply":
-        g = realize(args.word, N, sup)
+        g = realize(args.word, sup)
         x = parse_elem(args.elem, sup)
         img = g.apply(x)
         if img.exact_to is not None:
@@ -460,18 +464,18 @@ def cmd_aut(args, cfg: Config):
         return 0, {"word": args.word, "element": args.elem,
                    "image": elem_json(img)}
     if op == "compose":
-        auts = [realize(w, N, sup) for w in args.word]
-        g = completion.compose(*auts) if auts else completion.TruncAut.identity(N, sup)
+        auts = [realize(w, sup) for w in args.word]
+        g = completion.compose(*auts) if auts else completion.TruncAut.identity(sup)
         return 0, {"words": list(args.word), "composite": g.report_dict()}
     if op == "log":
-        g = realize(args.word, N, sup)
+        g = realize(args.word, sup)
         try:
             x = completion.log_unipotent(g)
         except ValueError as e:
             raise CliError(str(e))
         return 0, {"word": args.word, "log": elem_json(x)}
     if op == "level":
-        g = realize(args.word, N, sup)
+        g = realize(args.word, sup)
         try:
             lv = completion.filtration_level(g)
         except ValueError as e:
@@ -479,15 +483,15 @@ def cmd_aut(args, cfg: Config):
         return 0, {"word": args.word, "level": lv.level,
                    "window_limited": lv.window_limited}
     if op == "approx":
-        depth = args.depth if args.depth is not None else N
+        depth = args.depth if args.depth is not None else sup.degree_bound
         if depth < 0:
             raise CliError("--depth must be >= 0")
-        g = realize(args.word, N, sup)
+        g = realize(args.word, sup)
         try:
             word = completion.approximate_by_generators(g, depth)
         except ValueError as e:
             raise CliError(str(e))
-        h = presentation.realize_word(word, N, sup)
+        h = presentation.realize_word(word, sup)
         ok = completion.equal_mod_level(g, h, depth)
         rep = {"word": args.word, "depth": depth,
                "approximation": presentation.format_word(word),
@@ -500,14 +504,14 @@ def cmd_relcheck(args, cfg: Config):
     suite = args.suite or cfg.suite
     suites = {"adjoint": ("adjoint",), "sl2": ("sl2",),
               "all": ("adjoint", "sl2")}[suite]
-    rep = presentation.validate_catalog(cfg.N, cfg.support(), cfg.samples, suites)
+    rep = presentation.validate_catalog(cfg.window, cfg.samples, suites)
     return (0 if rep["all_pass"] else 1), rep
 
 
 def cmd_permaut(args, cfg: Config):
     try:
         sigma = permaut.SparsePerm.from_cycles(args.level, args.cycles)
-        rep = permaut.perm_report(sigma, cfg.support(), verify=args.verify)
+        rep = permaut.perm_report(sigma, cfg.window, verify=args.verify)
     except ValueError as e:
         raise CliError(str(e))
     return (0 if rep["pass"] else 1), rep

@@ -1,27 +1,29 @@
 """Automorphisms of the completed algebra, truncated to a degree window.
 
 A TruncAut represents an automorphism of the positive formal completion
-restricted to degrees <= N, as a word: a tuple of atomic factors, each
-("exp", x) for a pro-summable exponential (stored as ("exp", x, cache
-key, integer form of x), both built once with the word), ("torus", s,
-t) for the semisimple scaling by s^a t^b on the root (a, b), or
-("perm", j, moved) for an index permutation at level j.  Application
-walks the factors right to left, so it is a composition of linear maps
-on basis keys: each atom sends y to the sum of c * image(key) over the
-terms of y, and the image of each basis key is computed once per atom
-and clamp bound, then memoized (exp images by the exp series on that
-single key, run on integer numerators over one denominator: the basis
-brackets have integer structure constants, so each step's denominator
-is the last one times x's denominator and n).  The word resolves each
-atom's memo slot once, when it is built.  Images are stored as integer
-numerators over a common denominator, and a word carries y through its
-atoms in that integer form (IntVec), so Fractions are built only for
-the returned element.  One pass of a word carries a whole block of
-vectors: equal pushes the generator block through each side once and
-compares the images in that form (presentation.realize_word builds a
-word's atoms directly, so each realized word is keyed once).
-Composition is concatenation, inversion reverses the tuple and inverts
-each atom, so inverses stay cheap and exact.
+restricted to degrees <= N, as a word; N is the degree bound of its
+support window (a SupportConfig), which nothing else sets.  The word is
+a tuple of atomic factors, each ("exp", x) for a pro-summable
+exponential (stored as ("exp", x, cache key, integer form of x), both
+built once with the word), ("torus", s, t) for the semisimple scaling
+by s^a t^b on the root (a, b), or ("perm", j, moved) for an index
+permutation at level j.  Application walks the factors right to left, so
+it is a composition of linear maps on basis keys: each atom sends y to
+the sum of c * image(key) over the terms of y, and the image of each
+basis key is computed once per atom and clamp bound, then memoized (exp
+images by the exp series on that single key, run on integer numerators
+over one denominator: the basis brackets have integer structure
+constants, so each step's denominator is the last one times x's
+denominator and n).  The word resolves each atom's memo slot once, when
+it is built.  Images are stored as integer numerators over a common
+denominator, and a word carries y through its atoms in that integer
+form (IntVec), so Fractions are built only for the returned
+element.  One pass of a word carries a whole block of vectors: equal
+pushes the generator block through each side once and compares the
+images in that form (presentation.realize_word builds a word's atoms
+directly, so each realized word is keyed once).  Composition is
+concatenation, inversion reverses the tuple and inverts each atom, so
+inverses stay cheap and exact.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -94,14 +96,10 @@ _PAD_CACHE: dict = {}
 _FLOOR_CACHE: dict = {}
 
 
-def _word_levels(cfg: SupportConfig) -> tuple:
-    return tuple(sorted(j for j in cfg.base_levels() if cfg.cap(j) >= 1))
-
-
 def _descent_pad(N: int, cfg: SupportConfig) -> int:
     """Max total string descent of any supported word whose all-bottom
     degree fits inside the window: max sum(j-1) with sum(j+2) <= N."""
-    levels = _word_levels(cfg)
+    levels = tuple(cfg.base_levels())
     key = (levels, N)
     hit = _PAD_CACHE.get(key)
     if hit is None:
@@ -120,7 +118,7 @@ def _descent_pad(N: int, cfg: SupportConfig) -> int:
 def _descent_floor(E: int, cfg: SupportConfig) -> int:
     """Least degree reachable by any supported term of degree > E under
     repeated lowering by f(-1).  E+1 means nothing up there can move."""
-    levels = _word_levels(cfg)
+    levels = tuple(cfg.base_levels())
     key = (levels, E)
     hit = _FLOOR_CACHE.get(key)
     if hit is not None:
@@ -206,7 +204,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     _ATOM_CACHE slot.  Letters are checked against the window before an
     atom gets a key, so the cache only ever holds supported atoms.  Torus
     and perm atoms are their own keys."""
-    levels = _word_levels(cfg)
+    levels = tuple(cfg.base_levels())
     out = []
     for a in word:
         if a[0] == "exp" and (len(a) == 2 or a[2][2] != levels):
@@ -452,23 +450,26 @@ def _invert_atom(atom):
 # ---------------------------------------------------------------------------
 
 class TruncAut:
-    """Automorphism of the completion, stored mod degree > N."""
+    """Automorphism of the completion, stored mod degree > N, where N is
+    cfg.degree_bound."""
 
-    __slots__ = ("N", "cfg", "word", "_steps")
+    __slots__ = ("cfg", "word", "_steps")
 
-    def __init__(self, N: int, cfg: SupportConfig, word):
-        if N < 1:
-            raise ValueError("truncation must be >= 1")
-        self.N = N
+    def __init__(self, cfg: SupportConfig, word):
         self.cfg = cfg
         self.word, slots = _keyed_word(word, cfg)
         # (atom, slot) in application order: rightmost factor first
         self._steps = tuple(zip(reversed(self.word), reversed(slots)))
 
+    @property
+    def N(self) -> int:
+        """Truncation degree: the window's degree bound."""
+        return self.cfg.degree_bound
+
     # construction ---------------------------------------------------------
     @classmethod
-    def identity(cls, N: int, cfg: SupportConfig):
-        return cls(N, cfg, word=())
+    def identity(cls, cfg: SupportConfig):
+        return cls(cfg, word=())
 
     # application ----------------------------------------------------------
     def apply(self, y: MonsterElt, need: int | None = None) -> MonsterElt:
@@ -548,14 +549,14 @@ def _atom_str(atom) -> str:
 
 
 def _check_match(g: TruncAut, h: TruncAut) -> None:
-    if g.N != h.N or g.cfg != h.cfg:
+    if g.cfg != h.cfg:
         raise ValueError("window mismatch: automorphisms use different truncation or support")
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
-def exp_ad(x: MonsterElt, N: int, cfg: SupportConfig) -> TruncAut:
+def exp_ad(x: MonsterElt, cfg: SupportConfig) -> TruncAut:
     """exp(ad x) as a truncated automorphism.
 
     Accepts x in the positive nilpotent sector (any mix of e(-1) and
@@ -567,22 +568,20 @@ def exp_ad(x: MonsterElt, N: int, cfg: SupportConfig) -> TruncAut:
     """
     keys = set(x.terms)
     pos_ok = all(k == EMINUS or (isinstance(k, tuple) and k[0] == WPOS) for k in keys)
-    if pos_ok:
-        return TruncAut(N, cfg, word=(("exp", x),))
-    if keys <= {FMINUS}:
-        return TruncAut(N, cfg, word=(("exp", x),))
+    if pos_ok or keys <= {FMINUS}:
+        return TruncAut(cfg, word=(("exp", x),))
     if keys <= {H1, H2}:
         raise ValueError("Cartan element acts semisimply; use torus(), not exp_ad()")
     raise ValueError("exp_ad needs a positive-sector element or a multiple of f(-1); "
                      "negative imaginary content has no action on the positive completion")
 
 
-def torus(s, t, N: int, cfg: SupportConfig) -> TruncAut:
+def torus(s, t, cfg: SupportConfig) -> TruncAut:
     s = Fraction(s)
     t = Fraction(t)
     if s == 0 or t == 0:
         raise ValueError("torus parameters must be nonzero")
-    return TruncAut(N, cfg, word=(("torus", s, t),))
+    return TruncAut(cfg, word=(("torus", s, t),))
 
 
 def compose(*auts: TruncAut) -> TruncAut:
@@ -592,12 +591,12 @@ def compose(*auts: TruncAut) -> TruncAut:
     first = auts[0]
     for g in auts[1:]:
         _check_match(first, g)
-    return TruncAut(first.N, first.cfg, word=tuple(a for g in auts for a in g.word))
+    return TruncAut(first.cfg, word=tuple(a for g in auts for a in g.word))
 
 
 def invert(g: TruncAut) -> TruncAut:
     """Inverse automorphism: the reversed word of inverted atoms."""
-    return TruncAut(g.N, g.cfg, word=tuple(_invert_atom(a) for a in reversed(g.word)))
+    return TruncAut(g.cfg, word=tuple(_invert_atom(a) for a in reversed(g.word)))
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +780,7 @@ def approximate_by_generators(g: TruncAut, i: int):
             else:
                 raise RuntimeError("log of a unipotent residual left the positive sector")
         symbols.extend(step)
-        piece = presentation.realize_word(presentation.GroupWord.of(*step), g.N, g.cfg)
+        piece = presentation.realize_word(presentation.GroupWord.of(*step), g.cfg)
         residual = compose(invert(piece), residual)
     return presentation.GroupWord.of(*symbols)
 

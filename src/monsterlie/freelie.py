@@ -89,18 +89,16 @@ def lyndon_basis(alphabet: list, degree_of, degree: int) -> list[Word]:
     if degree < 1:
         return []
     mindeg = min((degree_of(a) for a in alphabet), default=None)
-    if mindeg is None or mindeg < 1:
-        return [] if mindeg is None else _raise_bad_grading()
+    if mindeg is None:
+        return []
+    if mindeg < 1:
+        raise ValueError("letter degrees must be positive")
     maxlen = degree // mindeg
     words = []
     for w in lyndon_words_maxlen(alphabet, maxlen):
         if sum(degree_of(a) for a in w) == degree:
             words.append(w)
     return sorted(words)
-
-
-def _raise_bad_grading():
-    raise ValueError("letter degrees must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +188,6 @@ def _bracket_words(u: Word, v: Word, budget: list) -> dict:
     if len(_PAIR_CACHE) < _CACHE_LIMIT:
         _PAIR_CACHE[key] = result
     return result
-
-
-def bracket_free(a: dict, b: dict) -> dict:
-    """Bilinear extension of the basis bracket; exact, no truncation."""
-    return elt_bracket(a, b, bracket_words)
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,6 @@ class MonsterElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def truncated(self) -> bool:
-        return self.exact_to is not None
-
     def min_degree(self):
         return min((key_degree(k) for k in self.terms), default=None)
 

@@ -141,11 +141,10 @@ def apply_to_element(sigma: SparsePerm, x: MonsterElt) -> MonsterElt:
 
 def perm_aut(sigma: SparsePerm, cfg: SupportConfig) -> TruncAut:
     _check_support(sigma, cfg)
-    N = cfg.degree_bound
     if sigma.is_identity():
-        return TruncAut.identity(N, cfg)
+        return TruncAut.identity(cfg)
     moved_key = tuple(sorted(sigma.moved.items()))
-    return TruncAut(N, cfg, word=(("perm", sigma.level, moved_key),))
+    return TruncAut(cfg, word=(("perm", sigma.level, moved_key),))
 
 
 def verify_preservation(sigma: SparsePerm, cfg: SupportConfig,
@@ -217,7 +216,7 @@ def commutation_report(sigma: SparsePerm, cfg: SupportConfig,
                 apply_to_element(sigma, x)):
             omega_fail.append(monster.format_elt(x))
     g = perm_aut(sigma, cfg)
-    t = torus(2, 3, cfg.degree_bound, cfg)
+    t = torus(2, 3, cfg)
     torus_ok = compose(g, t).equal(compose(t, g))
     return {"omega_samples": samples, "omega_failures": omega_fail,
             "torus_commutes": torus_ok,

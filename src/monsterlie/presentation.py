@@ -190,14 +190,14 @@ def _symbol_atom(s: GenSymbol) -> tuple:
     raise ValueError(f"cannot realize symbol kind {s.kind!r} directly")
 
 
-def realize_word(w: GroupWord, N: int, cfg: SupportConfig) -> TruncAut:
+def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
     an inverted atom per inverse symbol, keyed once."""
     word = []
     for s, e in expand_weyl(w).factors:
         a = _symbol_atom(s)
         word.append(_invert_atom(a) if e == -1 else a)
-    return TruncAut(N, cfg, word=tuple(word))
+    return TruncAut(cfg, word=tuple(word))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +247,11 @@ def mirror_relation(inst: RelationInstance) -> RelationInstance:
     )
 
 
-def validate_adjoint(inst: RelationInstance, N: int, cfg: SupportConfig) -> dict:
+def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> dict:
     if inst.klass != "ADJOINT":
         raise ValueError(f"validate_adjoint needs an ADJOINT instance, got {inst.klass}")
-    lhs = realize_word(inst.lhs, N, cfg)
-    rhs = realize_word(inst.rhs, N, cfg)
+    lhs = realize_word(inst.lhs, cfg)
+    rhs = realize_word(inst.rhs, cfg)
     ok = lhs.equal(rhs)
     return {"id": inst.rid, "description": inst.description,
             "params": {k: str(v) for k, v in sorted(inst.params.items())},
@@ -639,7 +639,7 @@ def _shadow_check_r16(cfg: SupportConfig) -> dict:
             "adjacent_unconstrained": adjacent_info, "pass": not failures}
 
 
-def validate_catalog(N: int, cfg: SupportConfig, samples=DEFAULT_SAMPLES,
+def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES,
                      suites=("adjoint", "sl2")) -> dict:
     """Run every catalog family over the sampled parameters and indices."""
     rows = []
@@ -658,9 +658,9 @@ def validate_catalog(N: int, cfg: SupportConfig, samples=DEFAULT_SAMPLES,
             for params in _param_choices(template, samples):
                 inst = build_instance(template.rid, params, index)
                 if template.klass == "MIRROR":
-                    res = validate_adjoint(mirror_relation(inst), N, cfg)
+                    res = validate_adjoint(mirror_relation(inst), cfg)
                 elif template.klass == "ADJOINT":
-                    res = validate_adjoint(inst, N, cfg)
+                    res = validate_adjoint(inst, cfg)
                 else:
                     res = validate_sl2(inst, index)
                 count += 1
@@ -671,7 +671,7 @@ def validate_catalog(N: int, cfg: SupportConfig, samples=DEFAULT_SAMPLES,
                      "template": template.description, "instances": count,
                      "failures": failures, "note": template.note,
                      "pass": not failures})
-    return {"truncation": N,
+    return {"truncation": cfg.degree_bound,
             "caps": {str(j): cfg.cap(j) for j in sorted(cfg.caps)},
             "samples": [str(Fraction(s)) for s in samples],
             "results": rows,
@@ -681,7 +681,7 @@ def validate_catalog(N: int, cfg: SupportConfig, samples=DEFAULT_SAMPLES,
 # ---------------------------------------------------------------------------
 # freeness evidence
 
-def free_separation_test(words, N: int, cfg: SupportConfig) -> dict:
+def free_separation_test(words, cfg: SupportConfig) -> dict:
     """Realize each word and look for coincidences of the truncated action.
 
     Pairwise distinctness supports (but cannot prove) freeness; any
@@ -690,7 +690,7 @@ def free_separation_test(words, N: int, cfg: SupportConfig) -> dict:
     sigs = {}
     order = []
     for w in words:
-        g = realize_word(w, N, cfg)
+        g = realize_word(w, cfg)
         sig = json.dumps(g.report_dict().get("images"), sort_keys=True)
         sigs.setdefault(sig, []).append(format_word(w))
         order.append(format_word(w))

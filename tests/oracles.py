@@ -295,5 +295,5 @@ def approximate_by_log(g, i: int) -> GroupWord:
             else:
                 raise RuntimeError("log of a unipotent residual left the positive sector")
         symbols.extend(step)
-        residual = compose(invert(realize_word(GroupWord.of(*step), g.N, g.cfg)), residual)
+        residual = compose(invert(realize_word(GroupWord.of(*step), g.cfg)), residual)
     return GroupWord.of(*symbols)

@@ -44,14 +44,14 @@ def _elt_pool(cfg, include_f=True, words=True):
     return pool
 
 
-def _rand_unipotent(rng, N, cfg, min_factors=1, max_factors=3):
+def _rand_unipotent(rng, cfg, min_factors=1, max_factors=3):
     gens = [MonsterElt.e_minus()]
     for (j, k, l) in cfg.letters():
         gens.append(MonsterElt.e_letter(l, j, k))
     auts = []
     for _ in range(rng.randint(min_factors, max_factors)):
         c = Fraction(rng.choice((1, -1, 2, -3, 1, 2)), rng.choice((1, 2, 3)))
-        auts.append(exp_ad(rng.choice(gens).scaled(c), N, cfg))
+        auts.append(exp_ad(rng.choice(gens).scaled(c), cfg))
     return compose(*auts)
 
 
@@ -143,10 +143,10 @@ def test_criterion_06_automorphism_multiplicativity_sample():
     # 200 bracket-preservation pairs for each automorphism style, N=8
     rng = random.Random(68)
     pool = _elt_pool(CFG8)
-    g1 = exp_ad(MonsterElt.e_minus(Fraction(3, 2)), 8, CFG8)
-    g2 = exp_ad(MonsterElt.e_letter(0, 2, 1, c=Fraction(-1, 3)), 8, CFG8)
-    g3 = torus(2, Fraction(1, 3), 8, CFG8)
-    g4 = presentation.realize_word(GroupWord.of(sym("W", -1, 1)), 8, CFG8)
+    g1 = exp_ad(MonsterElt.e_minus(Fraction(3, 2)), CFG8)
+    g2 = exp_ad(MonsterElt.e_letter(0, 2, 1, c=Fraction(-1, 3)), CFG8)
+    g3 = torus(2, Fraction(1, 3), CFG8)
+    g4 = presentation.realize_word(GroupWord.of(sym("W", -1, 1)), CFG8)
     g5 = compose(g1, g2, invert(g1))
     for g in (g1, g2, g3, g4, g5):
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
@@ -160,7 +160,7 @@ def test_criterion_07_relation_catalog_validates():
     # caps {1:2, 2:2, 3:1}, five parameter samples; the level-3 strings
     # exercise conjugations whose intermediates leave the window
     rep = presentation.validate_catalog(
-        9, CFG9, samples=(1, -1, 2, -2, Fraction(1, 2)))
+        CFG9, samples=(1, -1, 2, -2, Fraction(1, 2)))
     assert rep["all_pass"]
     assert len(rep["results"]) == 35
     total = sum(r["instances"] for r in rep["results"])
@@ -181,15 +181,15 @@ def test_criterion_08_log_exp_and_adjoint_diagrams():
     # 50 exp(log(g)) = g roundtrips and 50 conjugation diagrams, N=8
     rng = random.Random(88)
     for _ in range(50):
-        g = _rand_unipotent(rng, 8, CFG8)
+        g = _rand_unipotent(rng, CFG8)
         x = log_unipotent(g)
-        assert exp_ad(x, 8, CFG8).equal(g)
+        assert exp_ad(x, CFG8).equal(g)
     pos_pool = _elt_pool(CFG8, include_f=False)
     for _ in range(50):
-        g = _rand_unipotent(rng, 8, CFG8)
+        g = _rand_unipotent(rng, CFG8)
         x = rng.choice(pos_pool).scaled(Fraction(rng.choice((1, -1, 2)), 2))
-        lhs = exp_ad(Ad(g, x), 8, CFG8)
-        rhs = compose(g, exp_ad(x, 8, CFG8), invert(g))
+        lhs = exp_ad(Ad(g, x), CFG8)
+        rhs = compose(g, exp_ad(x, CFG8), invert(g))
         assert lhs.equal(rhs)
 
 
@@ -198,9 +198,9 @@ def test_criterion_09_generator_word_approximation():
     cfg = SupportConfig(10, {1: 2, 2: 1})
     rng = random.Random(99)
     for _ in range(25):
-        g = _rand_unipotent(rng, 10, cfg, min_factors=1, max_factors=4)
+        g = _rand_unipotent(rng, cfg, min_factors=1, max_factors=4)
         word = approximate_by_generators(g, 10)
-        h = presentation.realize_word(word, 10, cfg)
+        h = presentation.realize_word(word, cfg)
         assert equal_mod_level(g, h, 10)
 
 
@@ -225,11 +225,11 @@ def test_criterion_10_free_group_separation():
         words.extend(nxt)
         frontier = nxt
     assert len(words) == 4 + 12 + 36 + 108 == 160
-    rep = presentation.free_separation_test(words, 14, cfg)
+    rep = presentation.free_separation_test(words, cfg)
     assert rep["pass"] and rep["distinct"] == 160
     # one-parameter subgroup stays faithful in the scalar too
     fam = [GroupWord.of(sym("X", (0, 1, 1), u)) for u in range(1, 6)]
-    rep2 = presentation.free_separation_test(fam, 14, cfg)
+    rep2 = presentation.free_separation_test(fam, cfg)
     assert rep2["pass"] and rep2["distinct"] == 5
 
 

@@ -145,6 +145,21 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_unreadable_config_exit_2(capsys, tmp_path, monkeypatch):
+    # a directory and a file that is not UTF-8, named by the flag and by
+    # the environment variable: exit 2 with a message, no traceback
+    binary = tmp_path / "latin1.cfg"
+    binary.write_bytes(b"n = 9  # caf\xe9\n")
+    for path, why in ((tmp_path, "Is a directory"), (binary, "not valid UTF-8")):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        code, out, err = run(capsys, "jcoef", "--nmax", "1", "--config", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: cannot read config file")
+        assert why in err
+        monkeypatch.setenv(cli.ENV_CONFIG, str(path))
+        code, out, err = run(capsys, "jcoef", "--nmax", "1")
+        assert (code, out) == (2, "") and why in err
+
+
 def test_dims_symbolic(capsys):
     rep = run_json(capsys, "dims", "--degree", "4", "--symbolic")
     assert rep["mode"] == "symbolic"
@@ -169,7 +184,7 @@ def test_aut_compose_inverse_pair(capsys):
     rep = run_json(capsys, "aut", "compose", "--word", "X(0,1,1;2)",
                    "--word", "X(0,1,1;-2)")
     sup = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
-    ident = completion.TruncAut.identity(cli.DEFAULT_N, sup).report_dict()
+    ident = completion.TruncAut.identity(sup).report_dict()
     assert rep["composite"]["images"] == json.loads(json.dumps(ident["images"]))
 
 

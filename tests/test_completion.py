@@ -32,7 +32,7 @@ def test_generator_keys_order():
 
 def test_exp_ad_real_on_f():
     # exp(u ad e(-1)) f(-1) = f(-1) + u(h1-h2) - u^2 e(-1)
-    g = exp_ad(MonsterElt.e_minus(Fraction(3, 2)), N, CFG)
+    g = exp_ad(MonsterElt.e_minus(Fraction(3, 2)), CFG)
     img = g.apply(MonsterElt.f_minus())
     want = (MonsterElt.f_minus() + MonsterElt.cartan(Fraction(3, 2), Fraction(-3, 2))
             + MonsterElt.e_minus(Fraction(-9, 4)))
@@ -40,23 +40,23 @@ def test_exp_ad_real_on_f():
 
 
 def test_exp_ad_one_parameter_group():
-    a = exp_ad(MonsterElt.e_letter(0, 1, 1, 2), N, CFG)
-    b = exp_ad(MonsterElt.e_letter(0, 1, 1, 3), N, CFG)
-    c = exp_ad(MonsterElt.e_letter(0, 1, 1, 5), N, CFG)
+    a = exp_ad(MonsterElt.e_letter(0, 1, 1, 2), CFG)
+    b = exp_ad(MonsterElt.e_letter(0, 1, 1, 3), CFG)
+    c = exp_ad(MonsterElt.e_letter(0, 1, 1, 5), CFG)
     assert compose(a, b).equal(c)
 
 
 def test_exp_ad_rejects_cartan_and_mixed():
     with pytest.raises(ValueError):
-        exp_ad(MonsterElt.h1(), N, CFG)
+        exp_ad(MonsterElt.h1(), CFG)
     with pytest.raises(ValueError):
-        exp_ad(MonsterElt.f_letter(0, 1, 1), N, CFG)
+        exp_ad(MonsterElt.f_letter(0, 1, 1), CFG)
     with pytest.raises(ValueError):
-        exp_ad(MonsterElt.e_minus() + MonsterElt.f_minus(), N, CFG)
+        exp_ad(MonsterElt.e_minus() + MonsterElt.f_minus(), CFG)
 
 
 def test_exp_ad_accepts_pure_lowering_real():
-    g = exp_ad(MonsterElt.f_minus(2), N, CFG)
+    g = exp_ad(MonsterElt.f_minus(2), CFG)
     img = g.apply(MonsterElt.e_minus())
     want = (MonsterElt.e_minus() + MonsterElt.cartan(-2, 2)
             + MonsterElt.f_minus(-4))
@@ -64,97 +64,117 @@ def test_exp_ad_accepts_pure_lowering_real():
 
 
 def test_torus_scales_by_root():
-    t = torus(2, 3, N, CFG)
+    t = torus(2, 3, CFG)
     assert t.apply(MonsterElt.e_letter(0, 2, 1)) == MonsterElt.e_letter(0, 2, 1, c=2 * 9)
     assert t.apply(MonsterElt.e_minus()) == MonsterElt.e_minus(Fraction(2, 3))
     assert t.apply(MonsterElt.h1()) == MonsterElt.h1()
     with pytest.raises(ValueError):
-        torus(0, 1, N, CFG)
+        torus(0, 1, CFG)
 
 
 def test_compose_and_invert_word_backed():
-    g = compose(exp_ad(MonsterElt.e_minus(), N, CFG),
-                torus(2, 1, N, CFG),
-                exp_ad(MonsterElt.e_letter(0, 1, 1), N, CFG))
+    g = compose(exp_ad(MonsterElt.e_minus(), CFG),
+                torus(2, 1, CFG),
+                exp_ad(MonsterElt.e_letter(0, 1, 1), CFG))
     gi = invert(g)
-    assert compose(g, gi).equal(TruncAut.identity(N, CFG))
-    assert compose(gi, g).equal(TruncAut.identity(N, CFG))
+    assert compose(g, gi).equal(TruncAut.identity(CFG))
+    assert compose(gi, g).equal(TruncAut.identity(CFG))
+
+
+def test_truncation_degree_is_the_window_bound():
+    g = exp_ad(MonsterElt.e_minus(), CFG)
+    assert g.N == CFG.degree_bound == N
+    with pytest.raises(AttributeError):
+        g.N = 3
+
+
+def test_window_mismatch_raises():
+    g = exp_ad(MonsterElt.e_minus(), CFG)
+    # another degree bound, then other caps at the same bound
+    for other in (SupportConfig(8, {1: 2, 2: 1}), SupportConfig(9, {1: 2, 2: 2})):
+        h = exp_ad(MonsterElt.e_minus(), other)
+        with pytest.raises(ValueError, match="window mismatch"):
+            compose(g, h)
+        with pytest.raises(ValueError, match="window mismatch"):
+            g.equal(h)
+        with pytest.raises(ValueError, match="window mismatch"):
+            h.equal(g)
 
 
 def test_compose_order_rightmost_first():
-    t = torus(2, 1, N, CFG)           # scales e(-1) by 2
-    x = exp_ad(MonsterElt.e_minus(), N, CFG)
+    t = torus(2, 1, CFG)           # scales e(-1) by 2
+    x = exp_ad(MonsterElt.e_minus(), CFG)
     lhs = compose(t, x).apply(MonsterElt.f_minus())
     rhs = t.apply(x.apply(MonsterElt.f_minus()))
     assert lhs == rhs
 
 
 def test_filtration_level_values():
-    assert filtration_level(TruncAut.identity(N, CFG)) == (N, True)
-    g = exp_ad(MonsterElt.e_letter(0, 1, 1), N, CFG)
+    assert filtration_level(TruncAut.identity(CFG)) == (N, True)
+    g = exp_ad(MonsterElt.e_letter(0, 1, 1), CFG)
     lv = filtration_level(g)
     assert lv.level == 3 and not lv.window_limited
-    g2 = exp_ad(MonsterElt.e_minus(), N, CFG)
+    g2 = exp_ad(MonsterElt.e_minus(), CFG)
     assert filtration_level(g2).level == 1
-    g3 = exp_ad(MonsterElt.e_letter(0, 2, 1, c=Fraction(1, 7)), N, CFG)
+    g3 = exp_ad(MonsterElt.e_letter(0, 2, 1, c=Fraction(1, 7)), CFG)
     assert filtration_level(g3).level == 4
 
 
 def test_filtration_level_of_torus_is_zero():
     # a torus fixes the Cartan but moves generators at their own degree
-    t = torus(2, 3, N, CFG)
+    t = torus(2, 3, CFG)
     lv = filtration_level(t)
     assert lv.level == 0 and not lv.window_limited
 
 
 def test_log_exp_roundtrip_element_side():
     x = MonsterElt.e_letter(0, 1, 1, 2) + MonsterElt.e_minus(Fraction(1, 2))
-    g = exp_ad(x, N, CFG)
+    g = exp_ad(x, CFG)
     y = log_unipotent(g)
     assert y.window(N) == x.window(N)
 
 
 def test_exp_log_roundtrip_group_side():
-    g = compose(exp_ad(MonsterElt.e_letter(0, 1, 1), N, CFG),
-                exp_ad(MonsterElt.e_letter(0, 2, 1, -2), N, CFG),
-                exp_ad(MonsterElt.e_minus(Fraction(1, 3)), N, CFG))
+    g = compose(exp_ad(MonsterElt.e_letter(0, 1, 1), CFG),
+                exp_ad(MonsterElt.e_letter(0, 2, 1, -2), CFG),
+                exp_ad(MonsterElt.e_minus(Fraction(1, 3)), CFG))
     x = log_unipotent(g)
-    assert exp_ad(x, N, CFG).equal(g)
+    assert exp_ad(x, CFG).equal(g)
 
 
 def test_log_rejects_nonunipotent():
     with pytest.raises(ValueError):
-        log_unipotent(torus(2, 1, N, CFG))
+        log_unipotent(torus(2, 1, CFG))
 
 
 def test_bch_lowest_terms():
     # log(exp(x) exp(y)) = x + y + [x,y]/2 + ... ; check through degree 7
     x = MonsterElt.e_letter(0, 1, 1)
     y = MonsterElt.e_letter(0, 2, 1)
-    g = compose(exp_ad(x, N, CFG), exp_ad(y, N, CFG))
+    g = compose(exp_ad(x, CFG), exp_ad(y, CFG))
     z = log_unipotent(g)
     want = x + y + bracket(x, y).scaled(Fraction(1, 2))
     assert z.window(7) == want.window(7)
 
 
 def test_ad_diagram():
-    g = compose(exp_ad(MonsterElt.e_minus(), N, CFG),
-                exp_ad(MonsterElt.e_letter(0, 1, 2), N, CFG))
+    g = compose(exp_ad(MonsterElt.e_minus(), CFG),
+                exp_ad(MonsterElt.e_letter(0, 1, 2), CFG))
     x = MonsterElt.e_letter(0, 2, 1, c=Fraction(2, 3))
-    lhs = exp_ad(Ad(g, x), N, CFG)
-    rhs = compose(g, exp_ad(x, N, CFG), invert(g))
+    lhs = exp_ad(Ad(g, x), CFG)
+    rhs = compose(g, exp_ad(x, CFG), invert(g))
     assert lhs.equal(rhs)
 
 
 def test_ad_rejects_negative_sector():
-    g = exp_ad(MonsterElt.e_minus(), N, CFG)
+    g = exp_ad(MonsterElt.e_minus(), CFG)
     with pytest.raises(ValueError):
         Ad(g, MonsterElt.f_letter(0, 1, 1))
 
 
 def test_aut_check_passes_on_honest_auts():
-    auts = [exp_ad(MonsterElt.e_minus(), 8, SupportConfig(8, {1: 2, 2: 1})),
-            torus(3, Fraction(1, 2), 8, SupportConfig(8, {1: 2, 2: 1}))]
+    auts = [exp_ad(MonsterElt.e_minus(), SupportConfig(8, {1: 2, 2: 1})),
+            torus(3, Fraction(1, 2), SupportConfig(8, {1: 2, 2: 1}))]
     cfg8 = SupportConfig(8, {1: 2, 2: 1})
     pool = [MonsterElt.h1(), MonsterElt.e_minus(), MonsterElt.f_minus(),
             MonsterElt.e_letter(0, 1, 1), MonsterElt.f_letter(0, 2, 1)]
@@ -181,7 +201,7 @@ class _Sabotaged:
 
 def test_aut_check_catches_corruption():
     cfg8 = SupportConfig(8, {1: 2, 2: 1})
-    g = exp_ad(MonsterElt.e_minus(), 8, cfg8)
+    g = exp_ad(MonsterElt.e_minus(), cfg8)
     pairs = [(MonsterElt.e_minus(), MonsterElt.f_minus())]
     assert aut_check(g, pairs)["pass"]
     assert not aut_check(_Sabotaged(g), pairs)["pass"]
@@ -189,35 +209,35 @@ def test_aut_check_catches_corruption():
 
 def test_perm_atomic_roundtrip():
     swap = (("perm", 1, ((1, 2), (2, 1))),)
-    g = TruncAut(N, CFG, word=swap)
+    g = TruncAut(CFG, word=swap)
     x = MonsterElt.e_letter(0, 1, 1)
     assert g.apply(x) == MonsterElt.e_letter(0, 1, 2)
-    assert compose(g, g).equal(TruncAut.identity(N, CFG))
+    assert compose(g, g).equal(TruncAut.identity(CFG))
 
 
 def test_approximate_by_generators_roundtrip():
     cfg = SupportConfig(10, {1: 2, 2: 1})
-    g = compose(exp_ad(MonsterElt.e_letter(0, 1, 1), 10, cfg),
-                exp_ad(MonsterElt.e_minus(2), 10, cfg),
-                exp_ad(MonsterElt.e_letter(0, 2, 1, Fraction(-1, 2)), 10, cfg))
+    g = compose(exp_ad(MonsterElt.e_letter(0, 1, 1), cfg),
+                exp_ad(MonsterElt.e_minus(2), cfg),
+                exp_ad(MonsterElt.e_letter(0, 2, 1, Fraction(-1, 2)), cfg))
     word = approximate_by_generators(g, 9)
-    h = realize_word(word, 10, cfg)
+    h = realize_word(word, cfg)
     assert equal_mod_level(g, h, 9)
     text = format_word(word)
     assert text.startswith("X(")
 
 
 def test_approximate_identity_is_empty():
-    word = approximate_by_generators(TruncAut.identity(N, CFG), 5)
+    word = approximate_by_generators(TruncAut.identity(CFG), 5)
     assert word == GroupWord()
     assert format_word(word) == "1"
 
 
 def test_approximate_rejects_non_unipotent_and_too_deep():
     with pytest.raises(ValueError, match="approximation requires a unipotent automorphism"):
-        approximate_by_generators(realize_word(parse_word("H1(2)"), N, CFG), 5)
+        approximate_by_generators(realize_word(parse_word("H1(2)"), CFG), 5)
     with pytest.raises(ValueError, match="cannot certify beyond the truncation window"):
-        approximate_by_generators(realize_word(parse_word("X(0,1,1;1)"), N, CFG), N + 1)
+        approximate_by_generators(realize_word(parse_word("X(0,1,1;1)"), CFG), N + 1)
 
 
 # the benchmark's aut approx words at seeds 0, 3, 5 and 7, in its window
@@ -229,13 +249,13 @@ APPROX_WORDS = ("X(0,1,1;1)X(0,2,1;-1/2)X(-1;2)X(0,3,1;1)",
 
 
 def test_first_order_peel_matches_log_series_peel():
-    cases = [(realize_word(parse_word(w), 15, APPROX_CFG), 15)
+    cases = [(realize_word(parse_word(w), APPROX_CFG), 15)
              for w in APPROX_WORDS]
     cfg = SupportConfig(10, {1: 2, 2: 1})
     rng = random.Random(99)
-    t = torus(2, 1, 10, cfg)
+    t = torus(2, 1, cfg)
     for n in range(25):
-        g = _rand_unipotent(rng, 10, cfg, min_factors=1, max_factors=4)
+        g = _rand_unipotent(rng, cfg, min_factors=1, max_factors=4)
         cases.append((g, 10))
         if n % 4 == 0:
             cases.append((compose(t, g, invert(t)), 10))
@@ -246,9 +266,9 @@ def test_first_order_peel_matches_log_series_peel():
 def test_printed_approximation_parses_back():
     # every exponent is +1, so no free reduction fires and the printed
     # word is valid --word input that parses to the same GroupWord
-    words = [approximate_by_generators(realize_word(parse_word(w), 15, APPROX_CFG), 15)
+    words = [approximate_by_generators(realize_word(parse_word(w), APPROX_CFG), 15)
              for w in APPROX_WORDS]
-    words.append(approximate_by_generators(TruncAut.identity(N, CFG), N))
+    words.append(approximate_by_generators(TruncAut.identity(CFG), N))
     for w in words:
         assert all(e == 1 for _, e in w.factors)
         assert parse_word(format_word(w)) == w
@@ -257,30 +277,30 @@ def test_printed_approximation_parses_back():
 
 def test_first_order_log_checks_the_peel_invariant():
     cfg = SupportConfig(10, {1: 2, 2: 1})
-    e = exp_ad(MonsterElt.e_minus(1), 10, cfg)             # level 1
+    e = exp_ad(MonsterElt.e_minus(1), cfg)             # level 1
     with pytest.raises(RuntimeError, match="filtration subgroup"):
         _first_order_log(e, 2, 10)
     x = MonsterElt.e_letter(0, 1, 1)
-    g = exp_ad(x, 10, cfg)                                  # level 3
+    g = exp_ad(x, cfg)                                  # level 3
     with pytest.raises(RuntimeError, match="filtration subgroup"):
         _first_order_log(g, 4, 10)
     assert _first_order_log(g, 3, 10) == x
 
 
 def test_equal_mod_level():
-    g = exp_ad(MonsterElt.e_letter(0, 2, 1), N, CFG)   # level 4
-    assert equal_mod_level(g, TruncAut.identity(N, CFG), 4)
-    assert not equal_mod_level(g, TruncAut.identity(N, CFG), 5)
+    g = exp_ad(MonsterElt.e_letter(0, 2, 1), CFG)   # level 4
+    assert equal_mod_level(g, TruncAut.identity(CFG), 4)
+    assert not equal_mod_level(g, TruncAut.identity(CFG), 5)
 
 
 def test_apply_respects_requested_need():
-    g = exp_ad(MonsterElt.e_minus(), N, CFG)
+    g = exp_ad(MonsterElt.e_minus(), CFG)
     img = g.apply(MonsterElt.f_letter(0, 1, 1), need=4)
     assert img.exact_to is None or img.exact_to >= 4
 
 
 def test_report_dict_deterministic():
-    g = compose(exp_ad(MonsterElt.e_minus(), N, CFG), torus(2, 3, N, CFG))
+    g = compose(exp_ad(MonsterElt.e_minus(), CFG), torus(2, 3, CFG))
     assert g.report_dict() == g.report_dict()
     assert g.report_dict()["truncation"] == N
 
@@ -305,11 +325,11 @@ def test_weyl_conjugation_reverses_long_string():
     # at degree 7, so intermediates leave the window and the lowering
     # factors must pull the degree-9 cross terms back in
     cfg = SupportConfig(9, {1: 2, 2: 2, 3: 1})
-    w = compose(exp_ad(MonsterElt.e_minus(), 9, cfg),
-                exp_ad(MonsterElt.f_minus(-1), 9, cfg),
-                exp_ad(MonsterElt.e_minus(), 9, cfg))
-    g = compose(w, exp_ad(MonsterElt.e_letter(2, 3, 1), 9, cfg), invert(w))
-    h = exp_ad(MonsterElt.e_letter(0, 3, 1), 9, cfg)
+    w = compose(exp_ad(MonsterElt.e_minus(), cfg),
+                exp_ad(MonsterElt.f_minus(-1), cfg),
+                exp_ad(MonsterElt.e_minus(), cfg))
+    g = compose(w, exp_ad(MonsterElt.e_letter(2, 3, 1), cfg), invert(w))
+    h = exp_ad(MonsterElt.e_letter(0, 3, 1), cfg)
     assert g.equal(h)
     img = g.apply(MonsterElt.e_letter(0, 2, 1)).truncated_above(9)
     cross = bracket(MonsterElt.e_letter(0, 2, 1), MonsterElt.e_letter(0, 3, 1))
@@ -373,7 +393,7 @@ def test_memoized_atoms_match_whole_element():
            ("exp", MonsterElt.f_minus(Fraction(-1, 2))),
            ("torus", Fraction(2), Fraction(3, 5)),
            ("perm", 1, ((1, 2), (2, 1)))]
-    atoms = TruncAut(9, CFG3, word=raw).word
+    atoms = TruncAut(CFG3, word=raw).word
     assert [a[2][3] for a in atoms[:3]] == [False, False, True]
     inputs = _diff_inputs()
     for atom in atoms:
@@ -437,7 +457,7 @@ def test_integer_exp_images_match_fraction_series():
     keys = _basis_keys(CFG3, 9)
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
-        form = TruncAut(9, CFG3, word=[("exp", x)]).word[0][3]
+        form = TruncAut(CFG3, word=[("exp", x)]).word[0][3]
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -457,21 +477,21 @@ def test_integer_exp_images_match_fraction_series():
 
 def test_atom_cache_key_built_with_word():
     x = MonsterElt.e_letter(0, 1, 1, 2)
-    g = exp_ad(x, N, CFG)
+    g = exp_ad(x, CFG)
     atom = g.word[0]
     assert atom[:2] == ("exp", x)
     # composing reuses the stored key object instead of rebuilding it
     assert compose(g, g).word[1][2] is atom[2]
     # the same element under another support window gets its own key
-    other = TruncAut(N, CFG3, word=g.word).word[0][2]
+    other = TruncAut(CFG3, word=g.word).word[0][2]
     assert other != atom[2] and other[0] == atom[2][0]
 
 
 def test_exp_atom_rejects_unsupported_letter():
     with pytest.raises(monster.SupportError):
-        exp_ad(MonsterElt.e_letter(0, 3, 1), N, CFG)
+        exp_ad(MonsterElt.e_letter(0, 3, 1), CFG)
     with pytest.raises(monster.SupportError):
-        realize_word(GroupWord.of(sym("X", (0, 1, 3), 1)), N, CFG)
+        realize_word(GroupWord.of(sym("X", (0, 1, 3), 1)), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +514,7 @@ _FRACTIONAL_WORDS = [
 def test_integer_words_match_atomwise_fraction_reference():
     bound = 9 + 12
     for raw in _FRACTIONAL_WORDS:
-        g = TruncAut(9, CFG3, word=raw)
+        g = TruncAut(CFG3, word=raw)
         for y in _diff_inputs():
             got = g.apply(y)
             want = y
@@ -518,30 +538,30 @@ def _fraction_equal(g, h):
 
 def test_integer_equal_agrees_with_fraction_comparison():
     x = MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)) + MonsterElt.e_minus(Fraction(-2, 3))
-    # [e(0,1,1),e(0,2,1)] sits at degree 7 and the lowest generator at -4,
-    # so exp of it moves nothing at or below degree 2
-    high = bracket(MonsterElt.e_letter(0, 1, 1), MonsterElt.e_letter(0, 2, 1))
+    # the lowest generator sits at degree -4, so exp of a degree-14 word
+    # moves nothing at or below N = 9, while a degree-13 word reaches 9
+    above = MonsterElt.e_word(((1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 1, 0)), Fraction(1, 2))
+    at = MonsterElt.e_word(((1, 1, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0)), Fraction(1, 2))
 
-    def exp(z, n):
-        return exp_ad(z, n, CFG)
+    def exp(z):
+        return exp_ad(z, CFG)
 
-    def tor(s, t, n):
-        return torus(s, t, n, CFG)
+    def tor(s, t):
+        return torus(s, t, CFG)
 
     cases = [
         # equal words
-        (compose(exp(x.scaled(Fraction(1, 3)), N), exp(x.scaled(Fraction(2, 3)), N)),
-         exp(x, N), True),
-        (exp(x, N), exp(x.scaled(Fraction(1, 2)), N), False),
-        # words that differ only above N
-        (exp(x, 2), compose(exp(x, 2), exp(high.scaled(Fraction(1, 2)), 2)), True),
-        (exp(x, 3), compose(exp(x, 3), exp(high.scaled(Fraction(1, 2)), 3)), False),
+        (compose(exp(x.scaled(Fraction(1, 3))), exp(x.scaled(Fraction(2, 3)))), exp(x), True),
+        (exp(x), exp(x.scaled(Fraction(1, 2))), False),
+        # words that differ only above N, and one that differs at N
+        (exp(x), compose(exp(x), exp(above)), True),
+        (exp(x), compose(exp(x), exp(at)), False),
         # images that are scalar multiples of each other
-        (tor(2, 1, N), TruncAut.identity(N, CFG), False),
-        (tor(Fraction(1, 2), 1, N), TruncAut.identity(N, CFG), False),
-        (compose(tor(2, 1, N), tor(Fraction(1, 2), 1, N)), TruncAut.identity(N, CFG), True),
-        (compose(tor(Fraction(1, 3), 1, N), exp(x, N)),
-         compose(exp(x.scaled(Fraction(1, 3)), N), tor(Fraction(1, 3), 1, N)), True),
+        (tor(2, 1), TruncAut.identity(CFG), False),
+        (tor(Fraction(1, 2), 1), TruncAut.identity(CFG), False),
+        (compose(tor(2, 1), tor(Fraction(1, 2), 1)), TruncAut.identity(CFG), True),
+        (compose(tor(Fraction(1, 3), 1), exp(x)),
+         compose(exp(x.scaled(Fraction(1, 3))), tor(Fraction(1, 3), 1)), True),
     ]
     for g, h, same in cases:
         assert _fraction_equal(g, h) is same
@@ -570,7 +590,7 @@ def test_generator_block_matches_single_applies(monkeypatch):
                         lambda *a: steps.append(a[5]) or real_step(*a))
     gens = generator_keys(cfg)
     for word in words:
-        g = TruncAut(9, cfg, word)
+        g = TruncAut(cfg, word)
         del steps[:]
         forms = g._generator_forms()
         if word is words[0]:

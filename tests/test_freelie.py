@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie.freelie import (bracket_free, bracket_words, is_lyndon, lyndon_basis,
+from monsterlie.freelie import (bracket_words, elt_bracket, is_lyndon, lyndon_basis,
                                 lyndon_words_maxlen, std_factorize, witt_dimensions,
                                 witt_root_dimensions)
 from monsterlie.indices import SupportConfig, letter_degree, letter_root
@@ -92,9 +92,9 @@ def test_bracket_words_three_letters_oracle():
 def test_bracket_free_bilinear_and_antisymmetric():
     x = {("a",): 2, ("a", "b"): 1}
     y = {("b",): 3}
-    z = bracket_free(x, y)
+    z = elt_bracket(x, y, bracket_words)
     assert z == {("a", "b"): 6, ("a", "b", "b"): 3}
-    back = bracket_free(y, x)
+    back = elt_bracket(y, x, bracket_words)
     assert back == {k: -c for k, c in z.items()}
 
 
@@ -106,9 +106,9 @@ def test_jacobi_random_sweep():
         y = {rng.choice(words): rng.randint(-3, 3)}
         z = {rng.choice(words): rng.randint(-3, 3)}
         total = {}
-        for p in (bracket_free(bracket_free(x, y), z),
-                  bracket_free(bracket_free(y, z), x),
-                  bracket_free(bracket_free(z, x), y)):
+        for p in (elt_bracket(elt_bracket(x, y, bracket_words), z, bracket_words),
+                  elt_bracket(elt_bracket(y, z, bracket_words), x, bracket_words),
+                  elt_bracket(elt_bracket(z, x, bracket_words), y, bracket_words)):
             for k, c in p.items():
                 total[k] = total.get(k, 0) + c
         assert all(c == 0 for c in total.values())

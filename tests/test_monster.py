@@ -196,7 +196,7 @@ def test_omega_is_a_homomorphism():
 
 def test_omega_rejects_truncated_input():
     x = MonsterElt.e_letter(0, 1, 1).truncated_above(3)
-    assert x.truncated
+    assert x.exact_to is not None
     with pytest.raises(ValueError):
         omega(x)
 

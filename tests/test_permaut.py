@@ -66,7 +66,7 @@ def test_apply_fixes_other_levels():
 
 def test_perm_aut_identity():
     g = perm_aut(SparsePerm(1, {}), CFG)
-    assert g.equal(TruncAut.identity(CFG.degree_bound, CFG))
+    assert g.equal(TruncAut.identity(CFG))
 
 
 def test_perm_aut_support_check():

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from monsterlie import cli
 from monsterlie import presentation as P
 from monsterlie.completion import TruncAut, compose, exp_ad, invert, torus
 from monsterlie.indices import SupportConfig
@@ -82,7 +84,7 @@ def test_catalog_structure():
 
 def test_real_additivity_adjoint():
     inst = build_instance("R1", {"u": 2, "v": Fraction(1, 2)})
-    assert validate_adjoint(inst, 8, CFG)["pass"]
+    assert validate_adjoint(inst, CFG)["pass"]
 
 
 def test_real_weyl_matrix_example():
@@ -97,7 +99,7 @@ def test_real_weyl_matrix_example():
 def test_weyl_square_is_torus():
     # w(-1;s) w(-1;1) realizes H1(-s)H2(-1/s)
     inst = build_instance("R9", {"s": 3})
-    assert validate_adjoint(inst, 8, CFG)["pass"]
+    assert validate_adjoint(inst, CFG)["pass"]
     M = eval_word_matrix(inst.lhs, -1)
     assert M == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-1, 3)))
 
@@ -106,7 +108,7 @@ def test_imaginary_weyl_conjugation_corrected_sign():
     # string reversal with scalar (-1)^l
     for (l, j, k) in ((0, 2, 1), (1, 2, 1), (0, 1, 1), (0, 1, 2)):
         inst = build_instance("R23", {"u": 1}, (l, j, k))
-        assert validate_adjoint(inst, 8, CFG)["pass"], (l, j, k)
+        assert validate_adjoint(inst, CFG)["pass"], (l, j, k)
 
 
 def test_imaginary_weyl_printed_sign_fails_even_levels():
@@ -118,7 +120,7 @@ def test_imaginary_weyl_printed_sign_fails_even_levels():
     rhs = GroupWord.of(sym("X", (j - 1 - l, j, k), Fraction((-1) ** (j - l - 1)) * u))
     bad = P.RelationInstance("R23x", "ADJOINT", "wrong-sign probe", lhs, rhs,
                              (l, j, k), {"u": u}, "")
-    assert not validate_adjoint(bad, 8, CFG)["pass"]
+    assert not validate_adjoint(bad, CFG)["pass"]
 
 
 def test_mirror_word_involution():
@@ -130,7 +132,7 @@ def test_mirror_relation_validates():
     inst = build_instance("R18", {"u": 1, "v": 2}, (0, 2, 1))
     m = mirror_relation(inst)
     assert m.klass == "ADJOINT"
-    assert validate_adjoint(m, 8, CFG)["pass"]
+    assert validate_adjoint(m, CFG)["pass"]
     with pytest.raises(ValueError):
         mirror_relation(m)
 
@@ -139,13 +141,13 @@ def test_mirror_of_imaginary_weyl_keeps_printed_sign():
     # the Y-line scalar (-1)^(j-1-l) is right as printed; its mirror passes
     for idx in ((0, 2, 1), (1, 2, 1), (0, 1, 1)):
         inst = build_instance("R24", {"u": 1}, idx)
-        assert validate_adjoint(mirror_relation(inst), 8, CFG)["pass"], idx
+        assert validate_adjoint(mirror_relation(inst), CFG)["pass"], idx
 
 
 def test_torus_conjugation_families():
     for rid, idx in (("R25", (0, 2, 1)), ("R27", (1, 2, 1))):
         inst = build_instance(rid, {"s": 2, "u": Fraction(1, 2)}, idx)
-        assert validate_adjoint(inst, 8, CFG)["pass"], rid
+        assert validate_adjoint(inst, CFG)["pass"], rid
 
 
 def test_single_string_matrix_families():
@@ -175,7 +177,7 @@ def test_sl2_matrix_model_rejects_cross_index():
 def test_unrealizable_symbol_raises():
     w = GroupWord.of(sym("Y", (0, 1, 1), 1))
     with pytest.raises(P.UnrealizableError):
-        realize_word(w, 8, CFG)
+        realize_word(w, CFG)
 
 
 def test_cross_string_shadow_report():
@@ -187,9 +189,36 @@ def test_cross_string_shadow_report():
     assert len(rep["adjacent_unconstrained"]) > 0  # (0,2,1) vs (1,2,1)
 
 
+# SHA-256 of every instance relcheck builds at the default window and
+# samples, MIRROR ones after mirror transport: the relcheck report holds
+# pass flags and counts, not the words, so a builder that trivializes a
+# relation would leave the report unchanged
+RELCHECK_WORDS_DIGEST = "c0de10832ba44bb4ecae99e5c769b8cc905c9ac4506c61f77009bed17ae8f74f"
+
+
+def test_relcheck_words_are_unchanged():
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    h = hashlib.sha256()
+    n = 0
+    for template in P._CATALOG:
+        if template.klass == "UNVALIDATED":
+            continue
+        for index in P._indices_for(template, cfg):
+            for params in P._param_choices(template, P.DEFAULT_SAMPLES):
+                inst = build_instance(template.rid, params, index)
+                if inst.klass == "MIRROR":
+                    inst = mirror_relation(inst)
+                row = (inst.rid, inst.klass, inst.index,
+                       sorted((k, str(v)) for k, v in inst.params.items()),
+                       format_word(inst.lhs), format_word(inst.rhs))
+                h.update((repr(row) + "\n").encode())
+                n += 1
+    assert (n, h.hexdigest()) == (2710, RELCHECK_WORDS_DIGEST)
+
+
 def test_validate_catalog_small_sweep():
     cfg = SupportConfig(7, {1: 1, 2: 1})
-    rep = validate_catalog(7, cfg, samples=(1, -1), suites=("adjoint", "sl2"))
+    rep = validate_catalog(cfg, samples=(1, -1), suites=("adjoint", "sl2"))
     assert rep["all_pass"]
     ids = [r["id"] for r in rep["results"]]
     assert ids == [f"R{i}" for i in range(1, 36)]
@@ -201,19 +230,19 @@ def test_free_separation_distinguishes():
     a = GroupWord.of(sym("X", (0, 1, 1), 1))
     b = GroupWord.of(sym("X", (0, 2, 1), 1))
     words = [a, b, a * b, b * a, commutator(a, b)]
-    rep = free_separation_test(words, 10, SupportConfig(10, {1: 1, 2: 1}))
+    rep = free_separation_test(words, SupportConfig(10, {1: 1, 2: 1}))
     assert rep["pass"] and rep["distinct"] == 5
 
 
 def test_free_separation_detects_collision():
     a = GroupWord.of(sym("X", (0, 1, 1), 1))
     same = GroupWord.of(sym("X", (0, 1, 1), Fraction(2, 2)))
-    rep = free_separation_test([a, same], 8, CFG)
+    rep = free_separation_test([a, same], CFG)
     assert not rep["pass"]
     assert rep["distinct"] == 1
 
 
-def _composed_realization(w, N, cfg):
+def _composed_realization(w, cfg):
     """realize_word as a product of one TruncAut per symbol, inverted
     where the exponent is -1: the construction realize_word replaces."""
     auts = []
@@ -221,15 +250,15 @@ def _composed_realization(w, N, cfg):
         if s.kind == "X":
             x = (MonsterElt.e_minus(s.param) if s.index == -1
                  else MonsterElt.e_letter(*s.index, c=s.param))
-            a = exp_ad(x, N, cfg)
+            a = exp_ad(x, cfg)
         elif s.kind == "Y":
-            a = exp_ad(MonsterElt.f_minus(s.param), N, cfg)
+            a = exp_ad(MonsterElt.f_minus(s.param), cfg)
         elif s.kind == "H1":
-            a = torus(s.param, 1, N, cfg)
+            a = torus(s.param, 1, cfg)
         else:
-            a = torus(1, s.param, N, cfg)
+            a = torus(1, s.param, cfg)
         auts.append(invert(a) if e == -1 else a)
-    return compose(*auts) if auts else TruncAut.identity(N, cfg)
+    return compose(*auts) if auts else TruncAut.identity(cfg)
 
 
 def test_realize_word_builds_parent_word():
@@ -244,8 +273,8 @@ def test_realize_word_builds_parent_word():
         W(sym("X", (0, 1, 1), 0)),
     ]
     for w in words:
-        got = realize_word(w, 8, CFG)
-        want = _composed_realization(w, 8, CFG)
+        got = realize_word(w, CFG)
+        want = _composed_realization(w, CFG)
         assert (got.N, got.cfg) == (want.N, want.cfg)
         assert len(got.word) == len(want.word) == len(expand_weyl(w))
         for a, b in zip(got.word, want.word):
