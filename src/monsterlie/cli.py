@@ -501,9 +501,8 @@ def cmd_aut(args, cfg: Config):
 
 
 def cmd_relcheck(args, cfg: Config):
-    suite = args.suite or cfg.suite
     suites = {"adjoint": ("adjoint",), "sl2": ("sl2",),
-              "all": ("adjoint", "sl2")}[suite]
+              "all": ("adjoint", "sl2")}[cfg.suite]
     rep = presentation.validate_catalog(cfg.window, cfg.samples, suites)
     return (0 if rep["all_pass"] else 1), rep
 
@@ -600,7 +599,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         code, report = args.fn(args, cfg)
-        emit(report, getattr(args, "output", None) or cfg.output)
+        emit(report, cfg.output)
     except (CliError, SupportError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

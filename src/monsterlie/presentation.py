@@ -204,14 +204,17 @@ def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
 # relation instances
 
 class RelationInstance(NamedTuple):
+    """One relation with its parameters substituted: lhs = rhs is claimed
+    in the group.  klass is the family's validation class, index the
+    letter (l, j, k) or pair of letters it is taken at (None for the
+    real-root families), params the parameter values, as Fractions."""
+
     rid: str
     klass: str
-    description: str
     lhs: GroupWord
     rhs: GroupWord
     index: object      # None, (l,j,k), or a pair of indices
     params: dict
-    note: str
 
 
 def mirror_symbol(s: GenSymbol) -> GenSymbol:
@@ -234,28 +237,22 @@ def mirror_relation(inst: RelationInstance) -> RelationInstance:
     Conjugation by the e/f involution turns the action of each mirrored
     symbol into the action of the original, so the mirrored relation
     holds on the completion iff the original holds on the negative
-    completion, which is the content of the MIRROR classification.
+    completion, which is the content of the MIRROR classification.  The
+    result has klass "ADJOINT" and both sides mirrored; rid, index and
+    params are kept.
     """
     if inst.klass != "MIRROR":
         raise ValueError(f"{inst.rid} is {inst.klass}, not MIRROR")
-    return inst._replace(
-        klass="ADJOINT",
-        description="mirror transport of " + inst.description,
-        lhs=mirror_word(inst.lhs),
-        rhs=mirror_word(inst.rhs),
-        note=(inst.note + "; " if inst.note else "") + "validated via e/f mirror transport",
-    )
+    return inst._replace(klass="ADJOINT", lhs=mirror_word(inst.lhs),
+                         rhs=mirror_word(inst.rhs))
 
 
-def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> dict:
+def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> bool:
+    """Whether both sides of an ADJOINT instance realize equal TruncAut on
+    the window cfg.  Raises ValueError for any other class."""
     if inst.klass != "ADJOINT":
         raise ValueError(f"validate_adjoint needs an ADJOINT instance, got {inst.klass}")
-    lhs = realize_word(inst.lhs, cfg)
-    rhs = realize_word(inst.rhs, cfg)
-    ok = lhs.equal(rhs)
-    return {"id": inst.rid, "description": inst.description,
-            "params": {k: str(v) for k, v in sorted(inst.params.items())},
-            "index": inst.index, "pass": ok, "note": inst.note}
+    return realize_word(inst.lhs, cfg).equal(realize_word(inst.rhs, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +307,13 @@ def eval_word_matrix(w: GroupWord, index) -> tuple:
     return M
 
 
-def validate_sl2(inst: RelationInstance, index) -> dict:
-    if inst.klass not in ("SL2", "ADJOINT"):
-        raise ValueError(f"validate_sl2 needs a single-string instance, got {inst.klass}")
-    lhs = eval_word_matrix(inst.lhs, index)
-    rhs = eval_word_matrix(inst.rhs, index)
-    return {"id": inst.rid, "description": inst.description,
-            "params": {k: str(v) for k, v in sorted(inst.params.items())},
-            "index": index, "pass": lhs == rhs, "note": inst.note}
+def validate_sl2(inst: RelationInstance) -> bool:
+    """Whether both sides of an SL2 instance give equal 2x2 matrices in
+    the model at the instance's own string inst.index.  Raises ValueError
+    for any other class."""
+    if inst.klass != "SL2":
+        raise ValueError(f"validate_sl2 needs an SL2 instance, got {inst.klass}")
+    return eval_word_matrix(inst.lhs, inst.index) == eval_word_matrix(inst.rhs, inst.index)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ class RelationTemplate(NamedTuple):
     klass: str
     description: str
     param_names: tuple
-    indexed: str       # "", "letter", "letter-l0", "letter-top", "pair"
+    indexed: str       # "", "letter", "letter-l0", "letter-top", "letter-reversible", "pair"
     note: str
 
 
@@ -369,11 +365,11 @@ _CATALOG = [
                      ("s", "t"), "letter-top", ""),
     RelationTemplate("R23", "ADJOINT",
                      "w(-1;1)X(l,j,k;u)w(-1;1)^-1 = X(j-1-l,j,k;(-1)^l * u)",
-                     ("u",), "letter",
+                     ("u",), "letter-reversible",
                      "right-hand scalar (-1)^l taken from the defining adjoint series"),
     RelationTemplate("R24", "MIRROR",
                      "w(-1;1)Y(l,j,k;u)w(-1;1)^-1 = Y(j-1-l,j,k;(-1)^(j-1-l) * u)",
-                     ("u",), "letter", ""),
+                     ("u",), "letter-reversible", ""),
     RelationTemplate("R25", "ADJOINT", "H1(s)X(l,j,k;u)H1(s)^-1 = X(l,j,k;s^(l+1)*u)",
                      ("s", "u"), "letter", ""),
     RelationTemplate("R26", "MIRROR", "H1(s)Y(l,j,k;u)H1(s)^-1 = Y(l,j,k;s^-(l+1)*u)",
@@ -418,89 +414,75 @@ def relations_catalog() -> list:
 
 # instance builders ---------------------------------------------------------
 
-def _mk(rid, klass, desc, lhs, rhs, index, params, note=""):
-    return RelationInstance(rid, klass, desc, lhs, rhs, index,
-                            {k: Fraction(v) for k, v in params.items()}, note)
-
-
 def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
-    """Concrete relation instance with all parameters substituted."""
+    """Concrete relation instance with all parameters substituted.
+
+    The fractional-power families R29, R31, R32 and R35 record the derived
+    parameter s next to the sampled one."""
     t = {x.rid: x for x in _CATALOG}[rid]
     p = {k: Fraction(v) for k, v in params.items()}
     W = GroupWord.of
     w_1 = sym("W", -1, 1)
 
-    if rid == "R1" or rid == "R2":
+    if rid in ("R1", "R2"):
         kind = "X" if rid == "R1" else "Y"
         u, v = p["u"], p["v"]
-        return _mk(rid, t.klass, t.description,
-                   W(sym(kind, -1, u), sym(kind, -1, v)), W(sym(kind, -1, u + v)),
-                   None, p, t.note)
-    if rid in ("R3", "R4"):
+        lhs, rhs = W(sym(kind, -1, u), sym(kind, -1, v)), W(sym(kind, -1, u + v))
+    elif rid in ("R3", "R4"):
         kind = "H1" if rid == "R3" else "H2"
         s, tt = p["s"], p["t"]
-        return _mk(rid, t.klass, t.description,
-                   W(sym(kind, None, s), sym(kind, None, tt)), W(sym(kind, None, s * tt)),
-                   None, p, t.note)
-    if rid == "R5":
+        lhs, rhs = W(sym(kind, None, s), sym(kind, None, tt)), W(sym(kind, None, s * tt))
+    elif rid == "R5":
         s, tt = p["s"], p["t"]
-        return _mk(rid, t.klass, t.description,
-                   W(sym("H1", None, s), sym("H2", None, tt)),
-                   W(sym("H2", None, tt), sym("H1", None, s)), None, p, t.note)
-    if rid in ("R6", "R7"):
+        lhs = W(sym("H1", None, s), sym("H2", None, tt))
+        rhs = W(sym("H2", None, tt), sym("H1", None, s))
+    elif rid in ("R6", "R7"):
         u = p["u"]
         inner, outk = ("X", "Y") if rid == "R6" else ("Y", "X")
         lhs = W(w_1) * W(sym(inner, -1, u)) * W(w_1).inverse()
-        return _mk(rid, t.klass, t.description, lhs, W(sym(outk, -1, -u)), None, p, t.note)
-    if rid == "R8":
+        rhs = W(sym(outk, -1, -u))
+    elif rid == "R8":
         s, tt = p["s"], p["t"]
         lhs = W(sym("Y", -1, -tt), sym("X", -1, s), sym("Y", -1, tt))
         rhs = W(sym("X", -1, -1 / tt), sym("Y", -1, -tt * tt * s), sym("X", -1, 1 / tt))
-        return _mk(rid, t.klass, t.description, lhs, rhs, None, p, t.note)
-    if rid == "R9":
+    elif rid == "R9":
         s = p["s"]
         lhs = W(sym("W", -1, s), w_1)
         rhs = W(sym("H1", None, -s), sym("H2", None, -1 / s))
-        return _mk(rid, t.klass, t.description, lhs, rhs, None, p, t.note)
-    if rid in ("R10", "R11"):
+    elif rid in ("R10", "R11"):
         s = p["s"]
         inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
         lhs = W(w_1) * W(sym(inner, None, s)) * W(w_1).inverse()
-        return _mk(rid, t.klass, t.description, lhs, W(sym(outk, None, s)), None, p, t.note)
-    if rid in ("R12", "R13", "R14", "R15"):
+        rhs = W(sym(outk, None, s))
+    elif rid in ("R12", "R13", "R14", "R15"):
         s, u = p["s"], p["u"]
         hk = "H1" if rid in ("R12", "R14") else "H2"
         xk = "X" if rid in ("R12", "R13") else "Y"
         scal = {"R12": s, "R13": 1 / s, "R14": 1 / s, "R15": s}[rid]
         h = sym(hk, None, s)
         lhs = GroupWord([(h, 1), (sym(xk, -1, u), 1), (h, -1)])
-        return _mk(rid, t.klass, t.description, lhs, W(sym(xk, -1, scal * u)), None, p, t.note)
-    if rid == "R16":
+        rhs = W(sym(xk, -1, scal * u))
+    elif rid == "R16":
         idx1, idx2 = index
         u, v = p["u"], p["v"]
-        lhs = commutator(W(sym("X", idx1, u)), W(sym("Y", idx2, v)))
-        return _mk(rid, t.klass, t.description, lhs, GroupWord(), index, p, t.note)
-    if rid in ("R17", "R18"):
+        lhs, rhs = commutator(W(sym("X", idx1, u)), W(sym("Y", idx2, v))), GroupWord()
+    elif rid in ("R17", "R18"):
         kind = "X" if rid == "R17" else "Y"
         u, v = p["u"], p["v"]
-        return _mk(rid, t.klass, t.description,
-                   W(sym(kind, index, u + v)), W(sym(kind, index, u), sym(kind, index, v)),
-                   index, p, t.note)
-    if rid in ("R19", "R20", "R21", "R22"):
+        lhs, rhs = W(sym(kind, index, u + v)), W(sym(kind, index, u), sym(kind, index, v))
+    elif rid in ("R19", "R20", "R21", "R22"):
         s, tt = p["s"], p["t"]
         realk = "X" if rid in ("R19", "R21") else "Y"
         imagk = "X" if rid in ("R19", "R20") else "Y"
-        lhs = commutator(W(sym(realk, -1, s)), W(sym(imagk, index, tt)))
-        return _mk(rid, t.klass, t.description, lhs, GroupWord(), index, p, t.note)
-    if rid in ("R23", "R24"):
+        lhs, rhs = commutator(W(sym(realk, -1, s)), W(sym(imagk, index, tt))), GroupWord()
+    elif rid in ("R23", "R24"):
         u = p["u"]
         l, j, k = index
         kind = "X" if rid == "R23" else "Y"
         scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
         lhs = W(w_1) * W(sym(kind, index, u)) * W(w_1).inverse()
         rhs = W(sym(kind, (j - 1 - l, j, k), scal * u))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, p, t.note)
-    if rid in ("R25", "R26", "R27", "R28"):
+    elif rid in ("R25", "R26", "R27", "R28"):
         s, u = p["s"], p["u"]
         l, j, _k = index
         hk = "H1" if rid in ("R25", "R26") else "H2"
@@ -511,23 +493,21 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         h = sym(hk, None, s)
         lhs = GroupWord([(h, 1), (sym(xk, index, u), 1), (h, -1)])
         rhs = W(sym(xk, index, s ** expo * u))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, p, t.note)
-    if rid == "R29":
+    elif rid == "R29":
         sigma = p["sigma"]
         l, j, _k = index
         s = -((-sigma) ** ((l + 1) * (j - l)))
         lhs = W(sym("W", index, s), sym("W", index, 1))
         rhs = W(sym("H1", None, (-sigma) ** (j - l)), sym("H2", None, (-sigma) ** (l + 1)))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, {"sigma": sigma, "s": s}, t.note)
-    if rid == "R30":
+        p = {"sigma": sigma, "s": s}
+    elif rid == "R30":
         s, tt = p["s"], p["t"]
         l, j, _k = index
         c = c_const(l, j)
         lhs = W(sym("Y", index, -tt), sym("X", index, s), sym("Y", index, tt))
         rhs = W(sym("X", index, -1 / (tt * c)), sym("Y", index, -c * tt * tt * s),
                 sym("X", index, 1 / (tt * c)))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, p, t.note)
-    if rid in ("R31", "R32"):
+    elif rid in ("R31", "R32"):
         tau = p["tau"]
         l, j, _k = index
         w1 = sym("W", index, 1)
@@ -540,8 +520,8 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
             rhs = W(sym("H1", None, tau ** (-(j - l))))
             lhs_mid = sym("H2", None, s)
         lhs = W(w1) * W(lhs_mid) * W(w1).inverse()
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, {"tau": tau, "s": s}, t.note)
-    if rid in ("R33", "R34"):
+        p = {"tau": tau, "s": s}
+    elif rid in ("R33", "R34"):
         u = p["u"]
         l, j, _k = index
         c = c_const(l, j)
@@ -550,8 +530,7 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         scal = -u / c if rid == "R33" else -c * u
         lhs = W(w1) * W(sym(kind_in, index, u)) * W(w1).inverse()
         rhs = W(sym(kind_out, index, scal))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, p, t.note)
-    if rid == "R35":
+    else:  # R35
         sigma = p["sigma"]
         l, j, _k = index
         c = c_const(l, j)
@@ -562,8 +541,8 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
                 sym("H2", None, sigma ** (-(l + 1))),
                 sym("W", index, 1),
                 sym("X", index, 1 / (s * c)))
-        return _mk(rid, t.klass, t.description, lhs, rhs, index, {"sigma": sigma, "s": s}, t.note)
-    raise KeyError(rid)
+        p = {"sigma": sigma, "s": s}
+    return RelationInstance(rid, t.klass, lhs, rhs, index, p)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +561,9 @@ def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
         return [x for x in letters if x[0] == 0]
     if template.indexed == "letter-top":
         return [x for x in letters if x[0] == x[1] - 1]
+    if template.indexed == "letter-reversible":
+        # letters whose reversed string position j-1-l is in the window too
+        return [x for x in letters if cfg.supports_letter((x[1], x[2], x[1] - 1 - x[0]))]
     if template.indexed == "pair":
         return [(a, b) for a in letters for b in letters]
     raise ValueError(template.indexed)
@@ -657,14 +639,11 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES,
         for index in _indices_for(template, cfg):
             for params in _param_choices(template, samples):
                 inst = build_instance(template.rid, params, index)
-                if template.klass == "MIRROR":
-                    res = validate_adjoint(mirror_relation(inst), cfg)
-                elif template.klass == "ADJOINT":
-                    res = validate_adjoint(inst, cfg)
-                else:
-                    res = validate_sl2(inst, index)
+                if inst.klass == "MIRROR":
+                    inst = mirror_relation(inst)
+                ok = validate_sl2(inst) if inst.klass == "SL2" else validate_adjoint(inst, cfg)
                 count += 1
-                if not res["pass"]:
+                if not ok:
                     failures.append({"index": index,
                                      "params": {k: str(v) for k, v in params.items()}})
         rows.append({"id": template.rid, "class": template.klass,

@@ -136,6 +136,30 @@ def test_config_file_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
     assert rep["samples"] == ["2"]
 
 
+def test_config_file_suite_and_output_precedence(capsys, tmp_path):
+    file_out, flag_out = tmp_path / "file.json", tmp_path / "flag.json"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"n = 4\nsamples = 1,-1\nsuite = sl2\noutput = {file_out}\n")
+    code, out, err = run(capsys, "relcheck", "--config", str(cfgfile))
+    assert (code, out, err) == (0, f"wrote {file_out}\n", "")
+    assert json.loads(file_out.read_text())["results"][0]["id"] == "R29"
+    # flags outrank both keys
+    file_out.unlink()
+    code, out, err = run(capsys, "relcheck", "--config", str(cfgfile),
+                         "--suite", "adjoint", "--output", str(flag_out))
+    assert (code, out, err) == (0, f"wrote {flag_out}\n", "")
+    assert not file_out.exists()
+    assert json.loads(flag_out.read_text())["results"][0]["id"] == "R1"
+
+
+def test_relcheck_small_windows_pass(capsys):
+    # R23/R24 are indexed only where the reversed letter (j-1-l, j, k) is
+    # in the window too; at n = 4..6 some letters' reversals are not
+    for n in ("4", "5", "6"):
+        rep = run_json(capsys, "relcheck", "--n", n, "--samples", "1,-1")
+        assert rep["all_pass"], n
+
+
 def test_config_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate = 3\n")

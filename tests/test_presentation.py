@@ -84,7 +84,7 @@ def test_catalog_structure():
 
 def test_real_additivity_adjoint():
     inst = build_instance("R1", {"u": 2, "v": Fraction(1, 2)})
-    assert validate_adjoint(inst, CFG)["pass"]
+    assert validate_adjoint(inst, CFG) is True
 
 
 def test_real_weyl_matrix_example():
@@ -99,7 +99,7 @@ def test_real_weyl_matrix_example():
 def test_weyl_square_is_torus():
     # w(-1;s) w(-1;1) realizes H1(-s)H2(-1/s)
     inst = build_instance("R9", {"s": 3})
-    assert validate_adjoint(inst, CFG)["pass"]
+    assert validate_adjoint(inst, CFG)
     M = eval_word_matrix(inst.lhs, -1)
     assert M == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-1, 3)))
 
@@ -108,7 +108,7 @@ def test_imaginary_weyl_conjugation_corrected_sign():
     # string reversal with scalar (-1)^l
     for (l, j, k) in ((0, 2, 1), (1, 2, 1), (0, 1, 1), (0, 1, 2)):
         inst = build_instance("R23", {"u": 1}, (l, j, k))
-        assert validate_adjoint(inst, CFG)["pass"], (l, j, k)
+        assert validate_adjoint(inst, CFG), (l, j, k)
 
 
 def test_imaginary_weyl_printed_sign_fails_even_levels():
@@ -118,9 +118,8 @@ def test_imaginary_weyl_printed_sign_fails_even_levels():
     l, j, k = 0, 2, 1
     lhs = GroupWord.of(w_1) * GroupWord.of(sym("X", (l, j, k), u)) * GroupWord.of(w_1).inverse()
     rhs = GroupWord.of(sym("X", (j - 1 - l, j, k), Fraction((-1) ** (j - l - 1)) * u))
-    bad = P.RelationInstance("R23x", "ADJOINT", "wrong-sign probe", lhs, rhs,
-                             (l, j, k), {"u": u}, "")
-    assert not validate_adjoint(bad, CFG)["pass"]
+    bad = P.RelationInstance("R23x", "ADJOINT", lhs, rhs, (l, j, k), {"u": u})
+    assert not validate_adjoint(bad, CFG)
 
 
 def test_mirror_word_involution():
@@ -132,7 +131,7 @@ def test_mirror_relation_validates():
     inst = build_instance("R18", {"u": 1, "v": 2}, (0, 2, 1))
     m = mirror_relation(inst)
     assert m.klass == "ADJOINT"
-    assert validate_adjoint(m, CFG)["pass"]
+    assert validate_adjoint(m, CFG)
     with pytest.raises(ValueError):
         mirror_relation(m)
 
@@ -141,13 +140,13 @@ def test_mirror_of_imaginary_weyl_keeps_printed_sign():
     # the Y-line scalar (-1)^(j-1-l) is right as printed; its mirror passes
     for idx in ((0, 2, 1), (1, 2, 1), (0, 1, 1)):
         inst = build_instance("R24", {"u": 1}, idx)
-        assert validate_adjoint(mirror_relation(inst), CFG)["pass"], idx
+        assert validate_adjoint(mirror_relation(inst), CFG), idx
 
 
 def test_torus_conjugation_families():
     for rid, idx in (("R25", (0, 2, 1)), ("R27", (1, 2, 1))):
         inst = build_instance(rid, {"s": 2, "u": Fraction(1, 2)}, idx)
-        assert validate_adjoint(inst, CFG)["pass"], rid
+        assert validate_adjoint(inst, CFG), rid
 
 
 def test_single_string_matrix_families():
@@ -156,7 +155,7 @@ def test_single_string_matrix_families():
         for idx in ((0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1)):
             for params in P._param_choices(t, (1, -1, 2)):
                 inst = build_instance(rid, params, idx)
-                assert validate_sl2(inst, idx)["pass"], (rid, idx, params)
+                assert validate_sl2(inst), (rid, idx, params)
 
 
 def test_fractional_power_families_integral_substitution():
@@ -165,13 +164,25 @@ def test_fractional_power_families_integral_substitution():
         for idx in ((0, 2, 1), (1, 3, 1), (2, 3, 1)):
             for params in P._param_choices(t, (1, -1, 2, Fraction(1, 2))):
                 inst = build_instance(rid, params, idx)
-                assert validate_sl2(inst, idx)["pass"], (rid, idx, params)
+                assert validate_sl2(inst), (rid, idx, params)
 
 
 def test_sl2_matrix_model_rejects_cross_index():
     inst = build_instance("R30", {"s": 1, "t": 1}, (0, 1, 1))
     with pytest.raises(ValueError):
-        validate_sl2(inst, (0, 2, 1))
+        eval_word_matrix(inst.lhs, (0, 2, 1))
+
+
+def test_validators_reject_other_classes():
+    sl2 = build_instance("R30", {"s": 1, "t": 1}, (0, 1, 1))
+    adjoint = build_instance("R17", {"u": 1, "v": 2}, (0, 1, 1))
+    mirror = build_instance("R18", {"u": 1, "v": 2}, (0, 1, 1))
+    with pytest.raises(ValueError, match="needs an ADJOINT instance, got SL2"):
+        validate_adjoint(sl2, CFG)
+    with pytest.raises(ValueError, match="needs an SL2 instance, got ADJOINT"):
+        validate_sl2(adjoint)
+    with pytest.raises(ValueError, match="needs an SL2 instance, got MIRROR"):
+        validate_sl2(mirror)
 
 
 def test_unrealizable_symbol_raises():
