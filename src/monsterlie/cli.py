@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import completion, freelie, monster, permaut, presentation
@@ -294,7 +295,10 @@ def _elem_body(cur: _Cursor, cfg) -> MonsterElt:
 
 def parse_elem(text: str, cfg: SupportConfig | None = None) -> MonsterElt:
     cur = _Cursor(text)
-    out = _elem_body(cur, cfg)
+    try:
+        out = _elem_body(cur, cfg)
+    except RecursionError:
+        raise CliError("expression nested too deeply") from None
     if not cur.at_end():
         cur.fail("trailing input")
     return out
@@ -365,7 +369,10 @@ def parse_word(text: str) -> GroupWord:
     cur = _Cursor(text)
     if cur.at_end() or text.strip() == "1":
         return GroupWord()
-    out = _word_body(cur)
+    try:
+        out = _word_body(cur)
+    except RecursionError:
+        raise CliError("group word nested too deeply") from None
     if not cur.at_end():
         cur.fail("trailing input")
     return out
@@ -427,12 +434,7 @@ def cmd_dims(args, cfg: Config):
                     mult[(a, b)] = c
         mode = "symbolic"
     else:
-        sup = cfg.window
-        mult = {}
-        for (j, k, l) in sup.letters():
-            r = (l + 1, j - l)
-            if 2 * r[0] + r[1] <= D:
-                mult[r] = mult.get(r, 0) + 1
+        mult = Counter((l + 1, j - l) for j, _k, l in SupportConfig(D, cfg.window.caps).letters())
         mode = "capped"
     dims = freelie.witt_root_dimensions(mult, D)
     rows = [[r[0], r[1], str(dims[r])]

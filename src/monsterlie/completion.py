@@ -59,6 +59,7 @@ with g modulo the (i+1)-st filtration subgroup.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf
 from typing import NamedTuple
@@ -85,80 +86,56 @@ def generator_keys(cfg: SupportConfig) -> list:
 #
 # The only degree-lowering exponential atom is a multiple of f(-1): one
 # application moves every term down by exactly one degree, and a basis
-# word can descend only as far as its all-bottom string configuration.
-# So a term hidden above some degree E can resurface no lower than the
-# cheapest bottom configuration whose fully raised form still clears E.
-# These two knapsacks over the supported base levels turn that into (a)
-# how much extra headroom a window needs and (b) an honest exactness
-# floor after a lowering exponential has acted on a clamped series.
+# word descends at most to its all-bottom string configuration, a
+# multiset of base levels j at degree sum(j+2) whose fully raised top is
+# sum(2j+1).  One knapsack over the levels every exp atom's key carries
+# (atom[2][2]) gives both the headroom a window needs (value j-1) and the
+# exactness floor after a lowering exponential (value 2j+1).  Every bound
+# E that reaches them is >= -2 (TruncAut.apply refuses need < 0, and a
+# lowering step maps E >= -2 to floor(E) - 1 >= -2): no negative word
+# sits above such an E.
 
 _PAD_CACHE: dict = {}
 _FLOOR_CACHE: dict = {}
 
 
-def _descent_pad(N: int, cfg: SupportConfig) -> int:
+def _knapsack(levels: tuple, value, cap: int) -> list:
+    """best[c] for 0 <= c <= cap: the largest sum of value(j) over
+    multisets of levels with bottom degree sum(j+2) <= c."""
+    items = [(j + 2, value(j)) for j in levels]
+    best = [0] * (cap + 1)
+    for c in range(1, cap + 1):
+        b = best[c - 1]
+        for w, v in items:
+            if w <= c and best[c - w] + v > b:
+                b = best[c - w] + v
+        best[c] = b
+    return best
+
+
+def _descent_pad(N: int, levels: tuple) -> int:
     """Max total string descent of any supported word whose all-bottom
     degree fits inside the window: max sum(j-1) with sum(j+2) <= N."""
-    levels = tuple(cfg.base_levels())
-    key = (levels, N)
-    hit = _PAD_CACHE.get(key)
+    hit = _PAD_CACHE.get((levels, N))
     if hit is None:
-        best = [0] * (max(N, 0) + 1)
-        for c in range(1, max(N, 0) + 1):
-            b = best[c - 1]
-            for j in levels:
-                if j + 2 <= c:
-                    b = max(b, best[c - (j + 2)] + (j - 1))
-            best[c] = b
-        hit = best[max(N, 0)]
-        _PAD_CACHE[key] = hit
+        hit = _PAD_CACHE[levels, N] = _knapsack(levels, lambda j: j - 1, max(N, 0))[-1]
     return hit
 
 
-def _descent_floor(E: int, cfg: SupportConfig) -> int:
-    """Least degree reachable by any supported term of degree > E under
-    repeated lowering by f(-1).  E+1 means nothing up there can move."""
-    levels = tuple(cfg.base_levels())
-    key = (levels, E)
-    hit = _FLOOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cands = []
-    if levels:
-        # positive words: min bottom degree sum(j+2) whose fully raised
-        # top sum(2j+1) clears E
-        target = E + 1
-        if target <= 0:
-            cands.append(min(j + 2 for j in levels))
-        else:
-            f = [0] + [None] * target
-            for t in range(1, target + 1):
-                best = None
-                for j in levels:
-                    prev = f[max(0, t - (2 * j + 1))]
-                    if prev is not None and (best is None or prev + j + 2 < best):
-                        best = prev + j + 2
-                f[t] = best
-            if f[target] is not None:
-                cands.append(f[target])
-    if E < 1:
+def _descent_floor(E: int, levels: tuple) -> int:
+    """Least degree reachable by any supported term of degree > E >= -2
+    under repeated lowering by f(-1): the least bottom degree >= min(j+2)
+    whose raised top clears E, or the gl2 ladder's -1.  E+1 means nothing
+    up there can move."""
+    hit = _FLOOR_CACHE.get((levels, E))
+    if hit is None:
         # the gl2 ladder: the degree 1 generator descends to f(-1)
-        cands.append(-1)
-    if E < -3 and levels:
-        # negative words sit above E once E is deep; they descend to
-        # minus their fully raised top, within the cost room -E-1
-        room = -E - 1
-        best = [0] * (room + 1)
-        for c in range(1, room + 1):
-            b = best[c - 1]
-            for j in levels:
-                if j + 2 <= c:
-                    b = max(b, best[c - (j + 2)] + 2 * j + 1)
-            best[c] = b
-        if best[room] > 0:
-            cands.append(-best[room])
-    hit = min(cands) if cands else E + 1
-    _FLOOR_CACHE[key] = hit
+        cands = [-1] if E < 1 else []
+        if levels:
+            # within this cap the lowest level alone clears E
+            best = _knapsack(levels, lambda j: 2 * j + 1, max(E + 1, 0) + max(levels) + 2)
+            cands.append(bisect_left(best, E + 1, min(levels) + 2))
+        hit = _FLOOR_CACHE[levels, E] = min(cands, default=E + 1)
     return hit
 
 
@@ -261,10 +238,10 @@ def _flat_image(den: int, nums: dict, exact_to) -> tuple:
     return tuple(flat)
 
 
-def _exp_image(form: tuple, key, bound: int, cfg: SupportConfig) -> tuple:
-    """Flat image of one basis key under exp(ad x), terms above bound
-    discarded (and recorded); form is x's (den, {key: numerator},
-    (min_degree, exact_to)), as _keyed_word stores it in the atom.
+def _exp_image(atom, key, bound: int) -> tuple:
+    """Flat image of one basis key under the exp atom ("exp", x, key,
+    form), terms above bound discarded (and recorded); form is x's
+    (den, {key: numerator}, (min_degree, exact_to)).
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
     each step brackets them with freelie.elt_bracket over
@@ -274,9 +251,9 @@ def _exp_image(form: tuple, key, bound: int, cfg: SupportConfig) -> tuple:
     cut at bound, and a cut caps its exact_to at bound.  The terms are
     summed over the last denominator and reduced by one gcd.  When x
     lowers degrees, content hidden above a cut can slide back down; the
-    image is then marked exact only below the support-derived descent
-    floor."""
-    xden, xnums, xside = form
+    image is then marked exact only below the descent floor of the
+    levels in the atom's key."""
+    xden, xnums, xside = atom[3]
     den = 1
     term: dict = {key: 1}
     term_exact = None
@@ -309,7 +286,7 @@ def _exp_image(form: tuple, key, bound: int, cfg: SupportConfig) -> tuple:
         den *= xden * n
         terms.append((den, term))
     if clamped and (xside[0] or 0) < 0:
-        exact_to = _descent_floor(bound, cfg) - 1
+        exact_to = _descent_floor(bound, atom[2][2]) - 1
     acc: dict = {}
     for d, t in terms:
         f = den // d
@@ -322,7 +299,7 @@ def _exp_image(form: tuple, key, bound: int, cfg: SupportConfig) -> tuple:
     return _flat_image(*_reduced(den, acc), exact_to)
 
 
-def _image(atom, images: dict, key, bound, cfg) -> tuple:
+def _image(atom, images: dict, key, bound) -> tuple:
     """Image of one basis key under atom, from (or into) images: exp
     atoms by the integer series _exp_image, torus atoms by s^a t^b,
     perm atoms by relabeling."""
@@ -331,7 +308,7 @@ def _image(atom, images: dict, key, bound, cfg) -> tuple:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom[3], key, bound, cfg)
+        res = _exp_image(atom, key, bound)
     elif tag == "torus":
         a, b = key_root(key)
         res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)
@@ -356,13 +333,13 @@ def _perm_key(atom, images: dict, key) -> dict:
             k = dict(atom[2]).get(k, k)
         return {(tag, ((j, k, l),)): 1}
     u, v = freelie.std_factorize(w)
-    iu = _image(atom, images, (tag, u), None, None)
-    iv = _image(atom, images, (tag, v), None, None)
+    iu = _image(atom, images, (tag, u), None)
+    iv = _image(atom, images, (tag, v), None)
     return freelie.elt_bracket(dict(zip(iu[2::2], iu[3::2])), dict(zip(iv[2::2], iv[3::2])),
                                monster.term_bracket)
 
 
-def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
+def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound) -> tuple:
     """atom applied to the element nums/den, exact through lo: returns
     (den, nums, exact_to) of sum c * image(key) over its terms.
 
@@ -372,11 +349,11 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
     times the image over den times the image's den, already reduced
     when c and den are 1, since images are stored reduced.  exact_to is
     the least of the images' bounds and the input's: lo itself, or for a
-    lowering exponential the descent floor below it, since content
-    hidden above lo can slide down that far."""
+    lowering exponential the descent floor below it (of the levels in
+    its key), since content hidden above lo can slide down that far."""
     if atom[0] == "exp":
         if lo is not None and atom[2][3]:
-            lo = _descent_floor(lo, cfg) - 1
+            lo = _descent_floor(lo, atom[2][2]) - 1
     else:
         bound = None
     images = slot.get(bound)
@@ -384,9 +361,7 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
         images = slot[bound] = {}
     if len(nums) == 1:
         [(k, c)] = nums.items()
-        img = images.get(k)
-        if img is None:
-            img = _image(atom, images, k, bound, cfg)
+        img = images.get(k) or _image(atom, images, k, bound)
         e = img[0]
         if e is not None and (lo is None or e < lo):
             lo = e
@@ -403,9 +378,7 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
     hits = []
     lcm = 1
     for k, c in nums.items():
-        img = images.get(k)
-        if img is None:
-            img = _image(atom, images, k, bound, cfg)
+        img = images.get(k) or _image(atom, images, k, bound)
         e = img[0]
         if e is not None and (lo is None or e < lo):
             lo = e
@@ -428,11 +401,9 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound, cfg) -> tuple:
     return (*_reduced(den * lcm, out), lo)
 
 
-def _apply_atom(atom, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
+def _apply_atom(atom, y: MonsterElt, bound) -> MonsterElt:
     """atom applied to y: one _atom_step on y's integer form."""
-    den, nums = _int_form(y.terms)
-    return _to_elt(IntVec(*_atom_step(atom, _atom_slot(atom), den, nums,
-                                      y.exact_to, bound, cfg)))
+    return _to_elt(IntVec(*_atom_step(atom, _atom_slot(atom), *_to_vec(y), bound)))
 
 
 def _invert_atom(atom):
@@ -453,13 +424,15 @@ class TruncAut:
     """Automorphism of the completion, stored mod degree > N, where N is
     cfg.degree_bound."""
 
-    __slots__ = ("cfg", "word", "_steps")
+    __slots__ = ("cfg", "word", "_steps", "_lowering")
 
     def __init__(self, cfg: SupportConfig, word):
         self.cfg = cfg
         self.word, slots = _keyed_word(word, cfg)
         # (atom, slot) in application order: rightmost factor first
         self._steps = tuple(zip(reversed(self.word), reversed(slots)))
+        # the levels lowering atoms descend through, () if none lowers
+        self._lowering = next((a[2][2] for a in self.word if a[0] == "exp" and a[2][3]), ())
 
     @property
     def N(self) -> int:
@@ -473,9 +446,11 @@ class TruncAut:
 
     # application ----------------------------------------------------------
     def apply(self, y: MonsterElt, need: int | None = None) -> MonsterElt:
-        """Image of y, complete at least through degree `need` (default N)
-        unless y's own exactness bound makes that impossible."""
+        """Image of y, complete at least through degree `need` >= 0 (default
+        N) unless y's own exactness bound makes that impossible."""
         need = self.N if need is None else need
+        if need < 0:
+            raise ValueError(f"need must be >= 0, got {need}")
         return _to_elt(self._apply_block([_to_vec(y)], need)[0])
 
     def _apply_block(self, ys: list, need: int) -> list:
@@ -484,13 +459,11 @@ class TruncAut:
         a widened bound."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
-        lowers = any(a[0] == "exp" and a[2][3] for a in self.word)
-        R = need + 2 + (_descent_pad(need, self.cfg) if lowers else 0)
-        cfg = self.cfg
+        R = need + 2 + _descent_pad(need, self._lowering)
         steps = self._steps
         block = ys
         for atom, slot in steps:
-            block = [_atom_step(atom, slot, den, nums, lo, R, cfg) for den, nums, lo in block]
+            block = [_atom_step(atom, slot, den, nums, lo, R) for den, nums, lo in block]
         out = []
         for y, (den, nums, lo) in zip(ys, block):
             r = R
@@ -502,7 +475,7 @@ class TruncAut:
                 r += (need - lo) + 2
                 den, nums, lo = y
                 for atom, slot in steps:
-                    den, nums, lo = _atom_step(atom, slot, den, nums, lo, r, cfg)
+                    den, nums, lo = _atom_step(atom, slot, den, nums, lo, r)
             out.append(IntVec(den, nums, lo))
         return out
 

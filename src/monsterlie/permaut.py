@@ -136,7 +136,7 @@ def _check_support(sigma: SparsePerm, cfg: SupportConfig):
 def apply_to_element(sigma: SparsePerm, x: MonsterElt) -> MonsterElt:
     """Relabel every basis word of x; gl2 part is fixed."""
     moved_key = tuple(sorted(sigma.moved.items()))
-    return completion._apply_atom(("perm", sigma.level, moved_key), x, None, None)
+    return completion._apply_atom(("perm", sigma.level, moved_key), x, None)
 
 
 def perm_aut(sigma: SparsePerm, cfg: SupportConfig) -> TruncAut:

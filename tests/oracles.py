@@ -7,16 +7,17 @@ recursion, the pentagonal-number series instead of the Euler product,
 the log-derivative recurrence for 1/Delta instead of q-series
 reciprocals, Moebius counting instead of the Witt solver's peeling, and
 the exp series on whole Fraction elements through monster.bracket
-instead of the integer series on basis keys, and the generator peel
-through the full log series instead of its first-order term.
+instead of the integer series on basis keys, per-bound knapsacks over a
+window's base levels instead of one shared descent table, and the
+generator peel through the full log series instead of its first-order
+term.
 """
 
 from fractions import Fraction
 from math import comb
 
 from monsterlie import monster
-from monsterlie.completion import (_descent_floor, _emit_word, compose, filtration_level,
-                                   invert, log_unipotent)
+from monsterlie.completion import _emit_word, compose, filtration_level, invert, log_unipotent
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import EMINUS, WPOS, MonsterElt, _min_none, key_degree, key_sort
 from monsterlie.presentation import GroupWord, realize_word, sym
@@ -234,6 +235,72 @@ def j_coefficients_recurrence(nmax: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# descent accounting, one knapsack per question and bound
+
+def descent_pad(N: int, cfg: SupportConfig) -> int:
+    """Max total string descent of any supported word whose all-bottom
+    degree fits inside the window: max sum(j-1) with sum(j+2) <= N.
+
+    completion._descent_pad reads the same value off a shared knapsack
+    table; this is its reference."""
+    levels = tuple(cfg.base_levels())
+    best = [0] * (max(N, 0) + 1)
+    for c in range(1, max(N, 0) + 1):
+        b = best[c - 1]
+        for j in levels:
+            if j + 2 <= c:
+                b = max(b, best[c - (j + 2)] + (j - 1))
+        best[c] = b
+    return best[max(N, 0)]
+
+
+def descent_floor(E: int, cfg: SupportConfig) -> int:
+    """Least degree reachable by any supported term of degree > E under
+    repeated lowering by f(-1).  E+1 means nothing up there can move.
+
+    completion._descent_floor's reference: a min-cost knapsack per
+    target for positive words, the gl2 ladder, and for E < -3 the
+    negative words, which the package never meets (its bounds are
+    >= -2)."""
+    levels = tuple(cfg.base_levels())
+    cands = []
+    if levels:
+        # positive words: min bottom degree sum(j+2) whose fully raised
+        # top sum(2j+1) clears E
+        target = E + 1
+        if target <= 0:
+            cands.append(min(j + 2 for j in levels))
+        else:
+            f = [0] + [None] * target
+            for t in range(1, target + 1):
+                best = None
+                for j in levels:
+                    prev = f[max(0, t - (2 * j + 1))]
+                    if prev is not None and (best is None or prev + j + 2 < best):
+                        best = prev + j + 2
+                f[t] = best
+            if f[target] is not None:
+                cands.append(f[target])
+    if E < 1:
+        # the gl2 ladder: the degree 1 generator descends to f(-1)
+        cands.append(-1)
+    if E < -3 and levels:
+        # negative words sit above E once E is deep; they descend to
+        # minus their fully raised top, within the cost room -E-1
+        room = -E - 1
+        best = [0] * (room + 1)
+        for c in range(1, room + 1):
+            b = best[c - 1]
+            for j in levels:
+                if j + 2 <= c:
+                    b = max(b, best[c - (j + 2)] + 2 * j + 1)
+            best[c] = b
+        if best[room] > 0:
+            cands.append(-best[room])
+    return min(cands) if cands else E + 1
+
+
+# ---------------------------------------------------------------------------
 # the exponential series in Fraction arithmetic
 
 def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> MonsterElt:
@@ -261,7 +328,7 @@ def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
         acc = acc + term
     tail = _min_none(y.exact_to, bound if clamped else None)
     if tail is not None and (x.min_degree() or 0) < 0:
-        acc = MonsterElt(acc.terms, exact_to=_descent_floor(tail, cfg) - 1)
+        acc = MonsterElt(acc.terms, exact_to=descent_floor(tail, cfg) - 1)
     return acc
 
 

@@ -82,6 +82,17 @@ def test_syntax_error_exit_2(capsys):
     assert code == 2 and "error:" in err and ">><<" in err
 
 
+def test_deeply_nested_input_exit_2(capsys):
+    expr = "h1"
+    for _ in range(400):
+        expr = f"[{expr},h1]"
+    word = "(" * 600 + "X(-1;1)" + ")" * 600
+    for argv in (("bracket", "--expr", expr), ("aut", "level", "--word", word)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err and out == ""
+
+
 def test_unsupported_index_exit_2(capsys):
     code, out, err = run(capsys, "bracket", "--expr", "e(0,9,1)")
     assert code == 2 and "error:" in err
@@ -196,6 +207,16 @@ def test_dims_capped(capsys):
     assert rep["mode"] == "capped"
     assert rep["roots"] == [[1, 1, "2"], [1, 2, "2"], [1, 3, "1"], [2, 1, "2"]]
     assert rep["by_degree"] == [["3", "2"], ["4", "2"], ["5", "3"]]
+
+
+def test_dims_capped_counts_letters_above_truncation(capsys):
+    # the level-5 letters sit at degrees 7 to 11, above the default n = 9:
+    # --degree, not n, decides which letters count
+    reps = [run_json(capsys, "dims", "--degree", "12", "--cap", "5=1", *n)
+            for n in ((), ("--n", "12"))]
+    assert reps[0] == reps[1]
+    by_degree = dict(reps[0]["by_degree"])
+    assert (by_degree["10"], by_degree["11"]) == ("18", "30")
 
 
 def test_aut_apply(capsys):

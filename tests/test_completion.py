@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
 from monsterlie.presentation import GroupWord, format_word, realize_word, sym
 
-from oracles import approximate_by_log, exp_series
+from oracles import approximate_by_log, descent_floor, descent_pad, exp_series
 from test_acceptance import _rand_unipotent
 
 CFG = SupportConfig(9, {1: 2, 2: 1})
@@ -305,18 +306,26 @@ def test_report_dict_deterministic():
     assert g.report_dict()["truncation"] == N
 
 
+def test_apply_refuses_negative_need():
+    # need >= 0 keeps every descent bound >= -2, where the floor is exact
+    g = exp_ad(MonsterElt.f_minus(), CFG)
+    assert g.apply(MonsterElt.h1(), need=0).exact_to is None
+    with pytest.raises(ValueError):
+        g.apply(MonsterElt.h1(), need=-1)
+
+
 def test_descent_pad_and_floor_values():
-    cfg3 = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+    levels3 = tuple(SupportConfig(9, {1: 2, 2: 2, 3: 1}).base_levels())
     # biggest descent budget of a word bottoming inside degree 9 is a
     # level-3 letter (2 steps) next to a level-2 letter (1 step)
-    assert completion._descent_pad(9, cfg3) == 3
+    assert completion._descent_pad(9, levels3) == 3
     # cheapest bottom whose raised top clears 11 is that same pair: 9
-    assert completion._descent_floor(11, cfg3) == 9
-    assert completion._descent_floor(14, cfg3) == 12
+    assert completion._descent_floor(11, levels3) == 9
+    assert completion._descent_floor(14, levels3) == 12
     # level-1 strings have length 1: nothing can descend at all
-    cfg1 = SupportConfig(9, {1: 2})
-    assert completion._descent_pad(9, cfg1) == 0
-    assert completion._descent_floor(11, cfg1) == 12
+    levels1 = tuple(SupportConfig(9, {1: 2}).base_levels())
+    assert completion._descent_pad(9, levels1) == 0
+    assert completion._descent_floor(11, levels1) == 12
 
 
 def test_weyl_conjugation_reverses_long_string():
@@ -399,7 +408,7 @@ def test_memoized_atoms_match_whole_element():
     for atom in atoms:
         for bound in (9, 12):
             for y in inputs:
-                memo = completion._apply_atom(atom, y, bound, CFG3)
+                memo = completion._apply_atom(atom, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert _at_most(e, direct.exact_to), (atom[0], y, bound)
@@ -407,13 +416,13 @@ def test_memoized_atoms_match_whole_element():
                     assert memo.terms == direct.terms
                 else:
                     assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = completion._apply_atom(atom, y, bound, CFG3)
+                warm = completion._apply_atom(atom, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     assert completion._ATOM_CACHE
     for by_bound in completion._ATOM_CACHE.values():
         for images in by_bound.values():
             assert all(type(img) is tuple for img in images.values())
-    completion._descent_pad(9, CFG3)
+    completion._descent_pad(9, tuple(CFG3.base_levels()))
     assert freelie._PAIR_CACHE and monster._DEGREE_CACHE
     assert completion._PAD_CACHE and completion._FLOOR_CACHE
     monster.clear_caches()
@@ -457,7 +466,7 @@ def test_integer_exp_images_match_fraction_series():
     keys = _basis_keys(CFG3, 9)
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
-        form = TruncAut(CFG3, word=[("exp", x)]).word[0][3]
+        atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -468,9 +477,9 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(form, key, bound, CFG3)
+                        completion._exp_image(atom, key, bound)
                     continue
-                img = completion._exp_image(form, key, bound, CFG3)
+                img = completion._exp_image(atom, key, bound)
                 got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
 
@@ -601,3 +610,16 @@ def test_generator_block_matches_single_applies(monkeypatch):
             want.append(completion._reduced(
                 v.den, {kk: n for kk, n in v.terms.items() if monster.key_degree(kk) <= 9}))
         assert forms == want
+
+
+def test_descent_accounting_matches_reference():
+    # every level set of size <= 4 from 1..7, at every bound the kernel
+    # can meet (E >= -2) and every window degree up to 40
+    for size in range(5):
+        for levels in combinations(range(1, 8), size):
+            cfg = SupportConfig(50, dict.fromkeys(levels, 1))
+            assert tuple(cfg.base_levels()) == levels
+            for E in range(-2, 41):
+                assert completion._descent_floor(E, levels) == descent_floor(E, cfg), (levels, E)
+            for N in range(41):
+                assert completion._descent_pad(N, levels) == descent_pad(N, cfg), (levels, N)
