@@ -467,7 +467,7 @@ def cmd_aut(args, cfg: Config):
                    "image": elem_json(img)}
     if op == "compose":
         auts = [realize(w, sup) for w in args.word]
-        g = completion.compose(*auts) if auts else completion.TruncAut.identity(sup)
+        g = completion.compose(*auts)
         return 0, {"words": list(args.word), "composite": g.report_dict()}
     if op == "log":
         g = realize(args.word, sup)

@@ -17,13 +17,15 @@ constants, so each step's denominator is the last one times x's
 denominator and n).  The word resolves each atom's memo slot once, when
 it is built.  Images are stored as integer numerators over a common
 denominator, and a word carries y through its atoms in that integer
-form (IntVec), so Fractions are built only for the returned
-element.  One pass of a word carries a whole block of vectors: equal
-pushes the generator block through each side once and compares the
-images in that form (presentation.realize_word builds a word's atoms
-directly, so each realized word is keyed once).  Composition is
-concatenation, inversion reverses the tuple and inverts each atom, so
-inverses stay cheap and exact.
+form, the triple (den, {key: numerator}, exact_to), so Fractions are
+built only for the returned element.  One pass of a word carries a
+whole block of such triples: equal pushes the generator block through
+each side once and compares the images in that form
+(presentation.realize_word builds a word's atoms directly, so each
+realized word is keyed once).  Every application, index permutations
+included, goes through that block pass.  Composition is concatenation,
+inversion reverses the tuple and inverts each atom, so inverses stay
+cheap and exact.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -150,9 +152,10 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # bound; torus and perm images do not and sit under the bound None.  A
 # word resolves each atom's slot once, when it is keyed (_keyed_word), so
 # applying an atom never hashes its key.  Word application carries an
-# element as (den, {key: numerator}) through every atom and builds
-# Fractions only at the end.  monster.clear_caches() empties both tables,
-# slots held by live words included, and the two descent tables above.
+# element as (den, {key: numerator}, exact_to) through every atom and
+# builds Fractions only at the end.  monster.clear_caches() empties both
+# tables, slots held by live words included, and the two descent tables
+# above.
 
 
 class _SlotTable(dict):
@@ -194,14 +197,6 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     return tuple(out), tuple(_atom_slot(a) for a in out)
 
 
-class IntVec(NamedTuple):
-    """An element as integer numerators over one positive denominator:
-    the coefficient of key k is terms[k] / den, exact through exact_to."""
-    den: int
-    terms: dict
-    exact_to: int | None = None
-
-
 def _int_form(terms: dict) -> tuple:
     """(den, {key: numerator}) for a Fraction term dict: numerators over
     the least common denominator, so gcd(den, *numerators) == 1."""
@@ -213,8 +208,10 @@ def _int_form(terms: dict) -> tuple:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _to_vec(y: MonsterElt) -> IntVec:
-    return IntVec(*_int_form(y.terms), y.exact_to)
+def _to_vec(y: MonsterElt) -> tuple:
+    """y as (den, {key: numerator}, exact_to): the coefficient of key k
+    is nums[k] / den, exact through exact_to."""
+    return (*_int_form(y.terms), y.exact_to)
 
 
 def _reduced(den: int, nums: dict) -> tuple:
@@ -225,9 +222,8 @@ def _reduced(den: int, nums: dict) -> tuple:
     return den // g, {k: v // g for k, v in nums.items()}
 
 
-def _to_elt(v: IntVec) -> MonsterElt:
-    den = v.den
-    return MonsterElt._of({k: Fraction(n, den) for k, n in v.terms.items()}, v.exact_to)
+def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
+    return MonsterElt._of({k: Fraction(n, den) for k, n in nums.items()}, exact_to)
 
 
 def _flat_image(den: int, nums: dict, exact_to) -> tuple:
@@ -401,11 +397,6 @@ def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound) -> tuple:
     return (*_reduced(den * lcm, out), lo)
 
 
-def _apply_atom(atom, y: MonsterElt, bound) -> MonsterElt:
-    """atom applied to y: one _atom_step on y's integer form."""
-    return _to_elt(IntVec(*_atom_step(atom, _atom_slot(atom), *_to_vec(y), bound)))
-
-
 def _invert_atom(atom):
     tag = atom[0]
     if tag == "exp":
@@ -451,12 +442,12 @@ class TruncAut:
         need = self.N if need is None else need
         if need < 0:
             raise ValueError(f"need must be >= 0, got {need}")
-        return _to_elt(self._apply_block([_to_vec(y)], need)[0])
+        return _to_elt(*self._apply_block([_to_vec(y)], need)[0])
 
     def _apply_block(self, ys: list, need: int) -> list:
-        """Images of the IntVecs ys: one pass of the word carries the whole
-        block, then each vector still short of `need` retries alone with
-        a widened bound."""
+        """Images of the (den, nums, exact_to) triples ys: one pass of the
+        word carries the whole block, then each triple still short of
+        `need` retries alone with a widened bound."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         R = need + 2 + _descent_pad(need, self._lowering)
@@ -476,7 +467,7 @@ class TruncAut:
                 den, nums, lo = y
                 for atom, slot in steps:
                     den, nums, lo = _atom_step(atom, slot, den, nums, lo, r)
-            out.append(IntVec(den, nums, lo))
+            out.append((den, nums, lo))
         return out
 
     # comparison -----------------------------------------------------------
@@ -493,9 +484,9 @@ class TruncAut:
         word in one pass.  equal, report_dict and filtration_level all
         read the generator images from here."""
         N = self.N
-        block = self._apply_block([IntVec(1, {g: 1}) for g in generator_keys(self.cfg)], N)
-        return [_reduced(v.den, {k: n for k, n in v.terms.items() if key_degree(k) <= N})
-                for v in block]
+        block = self._apply_block([(1, {g: 1}, None) for g in generator_keys(self.cfg)], N)
+        return [_reduced(den, {k: n for k, n in nums.items() if key_degree(k) <= N})
+                for den, nums, _ in block]
 
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""
@@ -587,18 +578,15 @@ def filtration_level(g: TruncAut) -> FiltrationLevel:
     for gen, (den, nums) in zip(generator_keys(g.cfg), g._generator_forms()):
         # g(y) - y over den, truncated at N like the image
         diff = dict(nums)
-        if key_degree(gen) <= g.N:
-            n = diff.pop(gen, 0) - den
-            if n:
-                diff[gen] = n
+        n = diff.pop(gen, 0) - den
+        if n:
+            diff[gen] = n
         if diff:
             m = min(key_degree(k) for k in diff)
             if gen in (H1, H2) and m <= 0:
                 raise ValueError("not unipotent-type: Cartan is not fixed mod higher degree")
             cands.append(m - key_degree(gen))
-    if not cands:
-        return FiltrationLevel(g.N, True)
-    m = min(cands)
+    m = min(cands, default=inf)
     if m > g.N:
         return FiltrationLevel(g.N, True)
     return FiltrationLevel(m, False)

@@ -156,8 +156,9 @@ def _is_standard_pair(u: Word, v: Word) -> bool:
 
 
 def bracket_words(u: Word, v: Word) -> dict:
-    """[b_u, b_v] as a basis combination with integer coefficients."""
-    return _bracket_words(u, v, [_BUDGET])
+    """[b_u, b_v] as a basis combination with integer coefficients, as a
+    fresh dict: callers may mutate it without touching the cache."""
+    return dict(_bracket_words(u, v, [_BUDGET]))
 
 
 def _bracket_words(u: Word, v: Word, budget: list) -> dict:

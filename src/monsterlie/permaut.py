@@ -26,8 +26,8 @@ from __future__ import annotations
 import random
 import re
 
-from . import completion, monster
-from .completion import TruncAut, compose, torus
+from . import monster
+from .completion import TruncAut, compose, invert, torus
 from .indices import SupportConfig
 from .monster import MonsterElt
 from .qseries import j_coefficients
@@ -133,13 +133,9 @@ def _check_support(sigma: SparsePerm, cfg: SupportConfig):
             f"permutation support {bad} exceeds cap {cap} at level {sigma.level}")
 
 
-def apply_to_element(sigma: SparsePerm, x: MonsterElt) -> MonsterElt:
-    """Relabel every basis word of x; gl2 part is fixed."""
-    moved_key = tuple(sorted(sigma.moved.items()))
-    return completion._apply_atom(("perm", sigma.level, moved_key), x, None)
-
-
 def perm_aut(sigma: SparsePerm, cfg: SupportConfig) -> TruncAut:
+    """sigma as an automorphism: every basis word relabeled, the gl2 part
+    fixed."""
     _check_support(sigma, cfg)
     if sigma.is_identity():
         return TruncAut.identity(cfg)
@@ -156,12 +152,11 @@ def verify_preservation(sigma: SparsePerm, cfg: SupportConfig,
     seeded sample of bracket-preservation identities on random supported
     basis terms.
     """
-    _check_support(sigma, cfg)
-    inv = sigma.inverse()
+    g = perm_aut(sigma, cfg)
+    inv = invert(g)
 
     def conj_bracket(x, y):
-        return apply_to_element(inv, monster.bracket(apply_to_element(sigma, x),
-                                                     apply_to_element(sigma, y)))
+        return inv.apply(monster.bracket(g.apply(x), g.apply(y)))
 
     rel = monster.verify_defining_relations(cfg, bracket_fn=conj_bracket)
 
@@ -171,9 +166,8 @@ def verify_preservation(sigma: SparsePerm, cfg: SupportConfig,
     for _ in range(pairs):
         x = rng.choice(basis)
         y = rng.choice(basis)
-        lhs = apply_to_element(sigma, monster.bracket(x, y, cfg))
-        rhs = monster.bracket(apply_to_element(sigma, x),
-                              apply_to_element(sigma, y), cfg)
+        lhs = g.apply(monster.bracket(x, y, cfg))
+        rhs = monster.bracket(g.apply(x), g.apply(y), cfg)
         if not _trunc_eq(lhs, rhs, cfg.degree_bound):
             failures.append([monster.format_elt(x), monster.format_elt(y)])
     return {"relations_pass": rel["all_pass"],
@@ -206,16 +200,14 @@ def _basis_terms(cfg: SupportConfig) -> list:
 def commutation_report(sigma: SparsePerm, cfg: SupportConfig,
                        samples: int = 40, seed: int = 7) -> dict:
     """sigma vs the e/f involution (element level) and vs torus maps."""
-    _check_support(sigma, cfg)
+    g = perm_aut(sigma, cfg)
     rng = random.Random(seed)
     basis = _basis_terms(cfg)
     omega_fail = []
     for _ in range(samples):
         x = rng.choice(basis)
-        if not apply_to_element(sigma, monster.omega(x)) == monster.omega(
-                apply_to_element(sigma, x)):
+        if not g.apply(monster.omega(x)) == monster.omega(g.apply(x)):
             omega_fail.append(monster.format_elt(x))
-    g = perm_aut(sigma, cfg)
     t = torus(2, 3, cfg)
     torus_ok = compose(g, t).equal(compose(t, g))
     return {"omega_samples": samples, "omega_failures": omega_fail,

@@ -324,7 +324,7 @@ class RelationTemplate(NamedTuple):
     klass: str
     description: str
     param_names: tuple
-    indexed: str       # "", "letter", "letter-l0", "letter-top", "letter-reversible", "pair"
+    indexed: str       # "", "letter", "letter-l0", "letter-top", "letter-reversible"
     note: str
 
 
@@ -348,7 +348,7 @@ _CATALOG = [
     RelationTemplate("R15", "ADJOINT", "H2(s)Y(-1;u)H2(s)^-1 = Y(-1;s*u)", ("s", "u"), "", ""),
     RelationTemplate("R16", "UNVALIDATED",
                      "(X(l,j,k;u), Y(m,p,q;v)) = 1 for distinct strings or |l-m|>1",
-                     ("u", "v"), "pair",
+                     (), "",
                      "no faithful model for cross-string imaginary X/Y; "
                      "checked at the Lie level only"),
     RelationTemplate("R17", "ADJOINT", "X(l,j,k;u+v) = X(l,j,k;u)X(l,j,k;v)",
@@ -418,7 +418,8 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     """Concrete relation instance with all parameters substituted.
 
     The fractional-power families R29, R31, R32 and R35 record the derived
-    parameter s next to the sampled one."""
+    parameter s next to the sampled one.  The UNVALIDATED family R16 has
+    no group-level instance and raises ValueError."""
     t = {x.rid: x for x in _CATALOG}[rid]
     p = {k: Fraction(v) for k, v in params.items()}
     W = GroupWord.of
@@ -462,10 +463,6 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         h = sym(hk, None, s)
         lhs = GroupWord([(h, 1), (sym(xk, -1, u), 1), (h, -1)])
         rhs = W(sym(xk, -1, scal * u))
-    elif rid == "R16":
-        idx1, idx2 = index
-        u, v = p["u"], p["v"]
-        lhs, rhs = commutator(W(sym("X", idx1, u)), W(sym("Y", idx2, v))), GroupWord()
     elif rid in ("R17", "R18"):
         kind = "X" if rid == "R17" else "Y"
         u, v = p["u"], p["v"]
@@ -530,7 +527,7 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         scal = -u / c if rid == "R33" else -c * u
         lhs = W(w1) * W(sym(kind_in, index, u)) * W(w1).inverse()
         rhs = W(sym(kind_out, index, scal))
-    else:  # R35
+    elif rid == "R35":
         sigma = p["sigma"]
         l, j, _k = index
         c = c_const(l, j)
@@ -542,6 +539,8 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
                 sym("W", index, 1),
                 sym("X", index, 1 / (s * c)))
         p = {"sigma": sigma, "s": s}
+    else:
+        raise ValueError(f"{rid} ({t.klass}) has no group-level instance")
     return RelationInstance(rid, t.klass, lhs, rhs, index, p)
 
 
@@ -564,8 +563,6 @@ def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
     if template.indexed == "letter-reversible":
         # letters whose reversed string position j-1-l is in the window too
         return [x for x in letters if cfg.supports_letter((x[1], x[2], x[1] - 1 - x[0]))]
-    if template.indexed == "pair":
-        return [(a, b) for a in letters for b in letters]
     raise ValueError(template.indexed)
 
 

@@ -396,6 +396,12 @@ def _diff_inputs():
     return ins
 
 
+def _one_atom_step(atom, y, bound):
+    """atom applied to y: one _atom_step on y's integer form."""
+    return completion._to_elt(*completion._atom_step(
+        atom, completion._atom_slot(atom), *completion._to_vec(y), bound))
+
+
 def test_memoized_atoms_match_whole_element():
     raw = [("exp", MonsterElt.e_minus(2)),
            ("exp", MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(0, 2, 1, Fraction(1, 2))),
@@ -408,7 +414,7 @@ def test_memoized_atoms_match_whole_element():
     for atom in atoms:
         for bound in (9, 12):
             for y in inputs:
-                memo = completion._apply_atom(atom, y, bound)
+                memo = _one_atom_step(atom, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert _at_most(e, direct.exact_to), (atom[0], y, bound)
@@ -416,7 +422,7 @@ def test_memoized_atoms_match_whole_element():
                     assert memo.terms == direct.terms
                 else:
                     assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = completion._apply_atom(atom, y, bound)
+                warm = _one_atom_step(atom, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     assert completion._ATOM_CACHE
     for by_bound in completion._ATOM_CACHE.values():
@@ -606,9 +612,9 @@ def test_generator_block_matches_single_applies(monkeypatch):
             assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
         want = []
         for k in gens:
-            [v] = g._apply_block([completion.IntVec(1, {k: 1})], 9)
+            [(den, nums, _)] = g._apply_block([(1, {k: 1}, None)], 9)
             want.append(completion._reduced(
-                v.den, {kk: n for kk, n in v.terms.items() if monster.key_degree(kk) <= 9}))
+                den, {kk: n for kk, n in nums.items() if monster.key_degree(kk) <= 9}))
         assert forms == want
 
 

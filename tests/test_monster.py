@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie import monster
+from monsterlie import freelie, monster
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import (EMINUS, FMINUS, H1, H2, MonsterElt, SupportError, WNEG,
                                 WPOS, bracket, format_elt, key_degree, key_sort,
@@ -259,6 +259,17 @@ def test_term_bracket_results_are_fresh():
     first.clear()
     assert monster.term_bracket(kp, kn) == want
     assert bracket(MonsterElt({kp: 1}), MonsterElt({kn: 1})).terms == want
+
+
+def test_bracket_words_results_are_fresh():
+    # a same-sign pair of words is served from the straightening memo;
+    # mutating the returned dict must not reach the memo or term_bracket
+    u, v = ((1, 1, 0),), ((1, 1, 0), (1, 2, 0))
+    first = freelie.bracket_words(u, v)
+    want = dict(first)
+    first[((2, 1, 0),)] = 5
+    assert freelie.bracket_words(u, v) == want
+    assert monster.term_bracket((WPOS, u), (WPOS, v)) == {(WPOS, w): c for w, c in want.items()}
 
 
 def test_exact_quotient_raises_on_remainder():

@@ -1,15 +1,26 @@
+import hashlib
+
 import pytest
 
-from monsterlie import monster
+from monsterlie import cli, monster
 from monsterlie.completion import TruncAut
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
 from monsterlie.permaut import (ASSUMPTION_FLAGS, C15_VALUE, D_VALUE, SparsePerm,
-                                apply_to_element, commutation_report,
-                                homomorphism_report, numerology_check, perm_aut,
-                                perm_report, verify_preservation)
+                                commutation_report, homomorphism_report,
+                                numerology_check, perm_aut, perm_report,
+                                verify_preservation)
 
 CFG = SupportConfig(8, {1: 3, 2: 2})
+
+# `permaut --verify` reports beyond the README's level-1 (1 2) example:
+# a 3-cycle under a wider cap and a swap at level 2
+VERIFY_DIGESTS = {
+    ("--level", "1", "--cycles", "(1 2 3)", "--verify", "--cap", "1=3"):
+        "f8d4f854b3470714a84df0a4eaa3ad8563e10bbca087f84eab3f243512fee47e",
+    ("--level", "2", "--cycles", "(1 2)", "--verify"):
+        "c214452364257b09462f345a0d95be73b9ef8db181b1bd8bf6337965517979c5",
+}
 
 
 def test_cycle_parse_and_print():
@@ -50,18 +61,18 @@ def test_inverse_and_compose():
 
 
 def test_apply_to_element_swap():
-    s = SparsePerm.from_cycles(1, "(1 2)")
+    g = perm_aut(SparsePerm.from_cycles(1, "(1 2)"), CFG)
     x = MonsterElt.e_letter(0, 1, 1) + 3 * MonsterElt.f_letter(0, 1, 2) + MonsterElt.h1()
-    y = apply_to_element(s, x)
+    y = g.apply(x)
     assert monster.format_elt(y) == "1*h1 + 1*e(0,1,2) + 3*f(0,1,1)"
     # involution
-    assert apply_to_element(s, y) == x
+    assert g.apply(y) == x
 
 
 def test_apply_fixes_other_levels():
-    s = SparsePerm.from_cycles(2, "(1 2)")
+    g = perm_aut(SparsePerm.from_cycles(2, "(1 2)"), CFG)
     x = MonsterElt.e_letter(0, 1, 1)
-    assert apply_to_element(s, x) == x
+    assert g.apply(x) == x
 
 
 def test_perm_aut_identity():
@@ -77,11 +88,10 @@ def test_perm_aut_support_check():
 
 
 def test_perm_aut_matches_element_action():
-    s = SparsePerm.from_cycles(1, "(1 2 3)")
-    g = perm_aut(s, CFG)
-    for x in (MonsterElt.e_letter(0, 1, 2), MonsterElt.f_letter(1, 2, 1),
-              MonsterElt.e_minus(), MonsterElt.h2()):
-        assert g.apply(x) == apply_to_element(s, x)
+    g = perm_aut(SparsePerm.from_cycles(1, "(1 2 3)"), CFG)
+    assert g.apply(MonsterElt.e_letter(0, 1, 2)) == MonsterElt.e_letter(0, 1, 3)
+    for x in (MonsterElt.f_letter(1, 2, 1), MonsterElt.e_minus(), MonsterElt.h2()):
+        assert g.apply(x) == x
 
 
 def test_verify_preservation_passes():
@@ -134,3 +144,11 @@ def test_numerology_frozen_values():
                      "c(15) from q-series", "d <= c(15)"]
     assert all(c["pass"] for c in rep["checks"])
     assert rep["d"] == "97239461142009186000"
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+def test_permaut_verify_report_is_unchanged(args, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    assert cli.main(["permaut", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args], out

@@ -82,6 +82,12 @@ def test_catalog_structure():
     assert set(by_class["SL2"]) == {f"R{i}" for i in range(29, 36)}
 
 
+def test_unvalidated_family_has_no_instance():
+    # R16 is swept only at the Lie level (_shadow_check_r16)
+    with pytest.raises(ValueError, match="R16"):
+        build_instance("R16", {"u": 1, "v": 1}, ((0, 1, 1), (0, 1, 2)))
+
+
 def test_real_additivity_adjoint():
     inst = build_instance("R1", {"u": 2, "v": Fraction(1, 2)})
     assert validate_adjoint(inst, CFG) is True
