@@ -82,6 +82,9 @@ def _parse_samples(text: str) -> tuple:
     vals = [_parse_rational_str(x) for x in text.split(",") if x.strip()]
     if not vals:
         raise CliError("empty sample list")
+    if not any(vals):
+        # multiplicative parameters drop 0, so those families would run nothing
+        raise CliError("sample list needs a nonzero value")
     return tuple(vals)
 
 
@@ -119,7 +122,7 @@ def load_config_file(path: str) -> dict:
         elif key == "samples":
             out["samples"] = _parse_samples(val)
         elif key == "suite":
-            if val not in ("adjoint", "sl2", "all"):
+            if val not in presentation.SUITES:
                 raise CliError(f"{path}:{ln}: unknown suite {val!r}")
             out["suite"] = val
         elif key == "output":
@@ -310,7 +313,8 @@ def parse_elem(text: str, cfg: SupportConfig | None = None) -> MonsterElt:
 _SYMBOL_HEADS = ("H1", "H2", "X", "Y", "w")
 
 
-def _word_symbol(cur: _Cursor) -> GroupWord:
+def _word_symbol(cur: _Cursor) -> GroupWord | None:
+    """The generator symbol at the cursor, or None if no symbol head is there."""
     for head in _SYMBOL_HEADS:
         if not cur.peek(head + "("):
             continue
@@ -330,12 +334,13 @@ def _word_symbol(cur: _Cursor) -> GroupWord:
             cur.fail("w parameter must be nonzero")
         kind = {"X": "X", "Y": "Y", "w": "W"}[head]
         return GroupWord.of(sym(kind, idx, u))
-    cur.fail("expected generator symbol or '('")
+    return None
 
 
 def _word_primary(cur: _Cursor) -> GroupWord:
-    if any(cur.peek(h + "(") for h in _SYMBOL_HEADS):
-        return _word_symbol(cur)
+    w = _word_symbol(cur)
+    if w is not None:
+        return w
     if cur.eat("("):
         a = _word_body(cur)
         if cur.eat(","):
@@ -484,28 +489,25 @@ def cmd_aut(args, cfg: Config):
             raise CliError(str(e))
         return 0, {"word": args.word, "level": lv.level,
                    "window_limited": lv.window_limited}
-    if op == "approx":
-        depth = args.depth if args.depth is not None else sup.degree_bound
-        if depth < 0:
-            raise CliError("--depth must be >= 0")
-        g = realize(args.word, sup)
-        try:
-            word = completion.approximate_by_generators(g, depth)
-        except ValueError as e:
-            raise CliError(str(e))
-        h = presentation.realize_word(word, sup)
-        ok = completion.equal_mod_level(g, h, depth)
-        rep = {"word": args.word, "depth": depth,
-               "approximation": presentation.format_word(word),
-               "verified": ok}
-        return (0 if ok else 1), rep
-    raise CliError(f"unknown aut operation {op!r}")
+    # op == "approx": argparse admits no other operation
+    depth = args.depth if args.depth is not None else sup.degree_bound
+    if depth < 0:
+        raise CliError("--depth must be >= 0")
+    g = realize(args.word, sup)
+    try:
+        word = completion.approximate_by_generators(g, depth)
+    except ValueError as e:
+        raise CliError(str(e))
+    h = presentation.realize_word(word, sup)
+    ok = completion.equal_mod_level(g, h, depth)
+    rep = {"word": args.word, "depth": depth,
+           "approximation": presentation.format_word(word),
+           "verified": ok}
+    return (0 if ok else 1), rep
 
 
 def cmd_relcheck(args, cfg: Config):
-    suites = {"adjoint": ("adjoint",), "sl2": ("sl2",),
-              "all": ("adjoint", "sl2")}[cfg.suite]
-    rep = presentation.validate_catalog(cfg.window, cfg.samples, suites)
+    rep = presentation.validate_catalog(cfg.window, cfg.samples, cfg.suite)
     return (0 if rep["all_pass"] else 1), rep
 
 
@@ -576,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relcheck", parents=[common],
                        help="validate the relation catalog")
-    p.add_argument("--suite", choices=["adjoint", "sl2", "all"])
+    p.add_argument("--suite", choices=presentation.SUITES)
     p.set_defaults(fn=cmd_relcheck)
 
     p = sub.add_parser("permaut", parents=[common],

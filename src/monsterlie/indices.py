@@ -76,7 +76,6 @@ class SupportConfig:
                 for l in range(0, j):
                     if j + l + 2 <= self.degree_bound:
                         out.append((j, k, l))
-        out.sort()
         return out
 
     def base_levels(self) -> list[int]:

@@ -142,6 +142,11 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     return a * b * a.inverse() * b.inverse()
 
 
+def _conj(a: GenSymbol, x: GenSymbol) -> GroupWord:
+    """The conjugate a x a^-1 of one symbol by another."""
+    return GroupWord([(a, 1), (x, 1), (a, -1)])
+
+
 def format_word(w: GroupWord) -> str:
     if not w.factors:
         return "1"
@@ -156,7 +161,7 @@ def expand_weyl(w: GroupWord) -> GroupWord:
         if s.kind != "W":
             out.append((s, e))
             continue
-        c = Fraction(1) if s.index == -1 else c_const(s.index[0], s.index[1])
+        c = _model_exponents(s.index)[2]
         trip = [(sym("X", s.index, s.param), 1),
                 (sym("Y", s.index, Fraction(-1) / (s.param * c)), 1),
                 (sym("X", s.index, s.param), 1)]
@@ -324,7 +329,8 @@ class RelationTemplate(NamedTuple):
     klass: str
     description: str
     param_names: tuple
-    indexed: str       # "", "letter", "letter-l0", "letter-top", "letter-reversible"
+    indexed: str       # "" (real root, built at index -1, takes no index), "letter",
+                       # "letter-l0", "letter-top", "letter-reversible"
     note: str
 
 
@@ -414,21 +420,35 @@ def relations_catalog() -> list:
 
 # instance builders ---------------------------------------------------------
 
+_TEMPLATES = {t.rid: t for t in _CATALOG}
+
+
 def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     """Concrete relation instance with all parameters substituted.
 
-    The fractional-power families R29, R31, R32 and R35 record the derived
+    A real-root family (indexed "") takes no index and is built as the
+    string at index -1 by the same branch as its imaginary counterpart;
+    the instance's index stays None.  A letter family needs its letter
+    (l, j, k).  A wrong index kind raises ValueError.  The
+    fractional-power families R29, R31, R32 and R35 record the derived
     parameter s next to the sampled one.  The UNVALIDATED family R16 has
     no group-level instance and raises ValueError."""
-    t = {x.rid: x for x in _CATALOG}[rid]
+    t = _TEMPLATES[rid]
+    if t.klass == "UNVALIDATED":
+        raise ValueError(f"{rid} ({t.klass}) has no group-level instance")
+    if (index is None) != (t.indexed == ""):
+        need = "no index" if t.indexed == "" else "a letter index (l, j, k)"
+        raise ValueError(f"{rid} takes {need}, got {index!r}")
+    i = -1 if index is None else index
     p = {k: Fraction(v) for k, v in params.items()}
     W = GroupWord.of
     w_1 = sym("W", -1, 1)
 
-    if rid in ("R1", "R2"):
-        kind = "X" if rid == "R1" else "Y"
+    if rid in ("R1", "R2", "R17", "R18"):
+        kind = "X" if rid in ("R1", "R17") else "Y"
         u, v = p["u"], p["v"]
-        lhs, rhs = W(sym(kind, -1, u), sym(kind, -1, v)), W(sym(kind, -1, u + v))
+        pair, whole = W(sym(kind, i, u), sym(kind, i, v)), W(sym(kind, i, u + v))
+        lhs, rhs = (pair, whole) if index is None else (whole, pair)
     elif rid in ("R3", "R4"):
         kind = "H1" if rid == "R3" else "H2"
         s, tt = p["s"], p["t"]
@@ -437,15 +457,19 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         s, tt = p["s"], p["t"]
         lhs = W(sym("H1", None, s), sym("H2", None, tt))
         rhs = W(sym("H2", None, tt), sym("H1", None, s))
-    elif rid in ("R6", "R7"):
+    elif rid in ("R6", "R7", "R33", "R34"):
         u = p["u"]
-        inner, outk = ("X", "Y") if rid == "R6" else ("Y", "X")
-        lhs = W(w_1) * W(sym(inner, -1, u)) * W(w_1).inverse()
-        rhs = W(sym(outk, -1, -u))
-    elif rid == "R8":
+        c = _model_exponents(i)[2]
+        if rid in ("R6", "R33"):
+            lhs, rhs = _conj(sym("W", i, 1), sym("X", i, u)), W(sym("Y", i, -u / c))
+        else:
+            lhs, rhs = _conj(sym("W", i, 1), sym("Y", i, u)), W(sym("X", i, -c * u))
+    elif rid in ("R8", "R30"):
         s, tt = p["s"], p["t"]
-        lhs = W(sym("Y", -1, -tt), sym("X", -1, s), sym("Y", -1, tt))
-        rhs = W(sym("X", -1, -1 / tt), sym("Y", -1, -tt * tt * s), sym("X", -1, 1 / tt))
+        c = _model_exponents(i)[2]
+        lhs = W(sym("Y", i, -tt), sym("X", i, s), sym("Y", i, tt))
+        rhs = W(sym("X", i, -1 / (tt * c)), sym("Y", i, -c * tt * tt * s),
+                sym("X", i, 1 / (tt * c)))
     elif rid == "R9":
         s = p["s"]
         lhs = W(sym("W", -1, s), w_1)
@@ -453,20 +477,16 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     elif rid in ("R10", "R11"):
         s = p["s"]
         inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
-        lhs = W(w_1) * W(sym(inner, None, s)) * W(w_1).inverse()
-        rhs = W(sym(outk, None, s))
-    elif rid in ("R12", "R13", "R14", "R15"):
+        lhs, rhs = _conj(w_1, sym(inner, None, s)), W(sym(outk, None, s))
+    elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
         s, u = p["s"], p["u"]
-        hk = "H1" if rid in ("R12", "R14") else "H2"
-        xk = "X" if rid in ("R12", "R13") else "Y"
-        scal = {"R12": s, "R13": 1 / s, "R14": 1 / s, "R15": s}[rid]
-        h = sym(hk, None, s)
-        lhs = GroupWord([(h, 1), (sym(xk, -1, u), 1), (h, -1)])
-        rhs = W(sym(xk, -1, scal * u))
-    elif rid in ("R17", "R18"):
-        kind = "X" if rid == "R17" else "Y"
-        u, v = p["u"], p["v"]
-        lhs, rhs = W(sym(kind, index, u + v)), W(sym(kind, index, u), sym(kind, index, v))
+        a, b, _c = _model_exponents(i)
+        hk = "H1" if rid in ("R12", "R14", "R25", "R26") else "H2"
+        xk = "X" if rid in ("R12", "R13", "R25", "R27") else "Y"
+        expo = a if hk == "H1" else b
+        if xk == "Y":
+            expo = -expo
+        lhs, rhs = _conj(sym(hk, None, s), sym(xk, i, u)), W(sym(xk, i, s ** expo * u))
     elif rid in ("R19", "R20", "R21", "R22"):
         s, tt = p["s"], p["t"]
         realk = "X" if rid in ("R19", "R21") else "Y"
@@ -477,70 +497,37 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         l, j, k = index
         kind = "X" if rid == "R23" else "Y"
         scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
-        lhs = W(w_1) * W(sym(kind, index, u)) * W(w_1).inverse()
+        lhs = _conj(w_1, sym(kind, index, u))
         rhs = W(sym(kind, (j - 1 - l, j, k), scal * u))
-    elif rid in ("R25", "R26", "R27", "R28"):
-        s, u = p["s"], p["u"]
-        l, j, _k = index
-        hk = "H1" if rid in ("R25", "R26") else "H2"
-        xk = "X" if rid in ("R25", "R27") else "Y"
-        expo = (l + 1) if hk == "H1" else (j - l)
-        if xk == "Y":
-            expo = -expo
-        h = sym(hk, None, s)
-        lhs = GroupWord([(h, 1), (sym(xk, index, u), 1), (h, -1)])
-        rhs = W(sym(xk, index, s ** expo * u))
     elif rid == "R29":
         sigma = p["sigma"]
-        l, j, _k = index
-        s = -((-sigma) ** ((l + 1) * (j - l)))
+        a, b, _c = _model_exponents(index)
+        s = -((-sigma) ** (a * b))
         lhs = W(sym("W", index, s), sym("W", index, 1))
-        rhs = W(sym("H1", None, (-sigma) ** (j - l)), sym("H2", None, (-sigma) ** (l + 1)))
+        rhs = W(sym("H1", None, (-sigma) ** b), sym("H2", None, (-sigma) ** a))
         p = {"sigma": sigma, "s": s}
-    elif rid == "R30":
-        s, tt = p["s"], p["t"]
-        l, j, _k = index
-        c = c_const(l, j)
-        lhs = W(sym("Y", index, -tt), sym("X", index, s), sym("Y", index, tt))
-        rhs = W(sym("X", index, -1 / (tt * c)), sym("Y", index, -c * tt * tt * s),
-                sym("X", index, 1 / (tt * c)))
     elif rid in ("R31", "R32"):
         tau = p["tau"]
-        l, j, _k = index
-        w1 = sym("W", index, 1)
+        a, b, _c = _model_exponents(index)
         if rid == "R31":
-            s = tau ** (j - l)
-            rhs = W(sym("H2", None, tau ** (-(l + 1))))
-            lhs_mid = sym("H1", None, s)
+            s = tau ** b
+            lhs_mid, rhs = sym("H1", None, s), W(sym("H2", None, tau ** (-a)))
         else:
-            s = tau ** (l + 1)
-            rhs = W(sym("H1", None, tau ** (-(j - l))))
-            lhs_mid = sym("H2", None, s)
-        lhs = W(w1) * W(lhs_mid) * W(w1).inverse()
+            s = tau ** a
+            lhs_mid, rhs = sym("H2", None, s), W(sym("H1", None, tau ** (-b)))
+        lhs = _conj(sym("W", index, 1), lhs_mid)
         p = {"tau": tau, "s": s}
-    elif rid in ("R33", "R34"):
-        u = p["u"]
-        l, j, _k = index
-        c = c_const(l, j)
-        w1 = sym("W", index, 1)
-        kind_in, kind_out = ("X", "Y") if rid == "R33" else ("Y", "X")
-        scal = -u / c if rid == "R33" else -c * u
-        lhs = W(w1) * W(sym(kind_in, index, u)) * W(w1).inverse()
-        rhs = W(sym(kind_out, index, scal))
-    elif rid == "R35":
+    else:  # R35
         sigma = p["sigma"]
-        l, j, _k = index
-        c = c_const(l, j)
-        s = -(sigma ** ((l + 1) * (j - l))) / c
+        a, b, c = _model_exponents(index)
+        s = -(sigma ** (a * b)) / c
         lhs = W(sym("Y", index, s))
         rhs = W(sym("X", index, 1 / (s * c)),
-                sym("H1", None, sigma ** (-(j - l))),
-                sym("H2", None, sigma ** (-(l + 1))),
+                sym("H1", None, sigma ** (-b)),
+                sym("H2", None, sigma ** (-a)),
                 sym("W", index, 1),
                 sym("X", index, 1 / (s * c)))
         p = {"sigma": sigma, "s": s}
-    else:
-        raise ValueError(f"{rid} ({t.klass}) has no group-level instance")
     return RelationInstance(rid, t.klass, lhs, rhs, index, p)
 
 
@@ -548,6 +535,7 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
 # sweep driver
 
 DEFAULT_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
+SUITES = ("adjoint", "sl2", "all")
 
 
 def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
@@ -618,18 +606,18 @@ def _shadow_check_r16(cfg: SupportConfig) -> dict:
             "adjacent_unconstrained": adjacent_info, "pass": not failures}
 
 
-def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES,
-                     suites=("adjoint", "sl2")) -> dict:
-    """Run every catalog family over the sampled parameters and indices."""
+def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -> dict:
+    """Run the suite's catalog families over the sampled parameters and
+    indices: "sl2" holds the SL2 families, "adjoint" every other family,
+    "all" both.  Raises ValueError for any other suite name."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
     rows = []
     for template in _CATALOG:
+        if suite not in ("all", "sl2" if template.klass == "SL2" else "adjoint"):
+            continue
         if template.klass == "UNVALIDATED":
-            if "adjoint" in suites:
-                rows.append(_shadow_check_r16(cfg))
-            continue
-        if template.klass in ("ADJOINT", "MIRROR") and "adjoint" not in suites:
-            continue
-        if template.klass == "SL2" and "sl2" not in suites:
+            rows.append(_shadow_check_r16(cfg))
             continue
         failures = []
         count = 0

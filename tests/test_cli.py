@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -178,6 +179,26 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 2 and "unknown key" in err
     code, out, err = run(capsys, "relcheck", "--config", str(tmp_path / "nope"))
     assert code == 2
+
+
+def test_all_zero_samples_exit_2(capsys, tmp_path):
+    # families with multiplicative parameters drop 0, so an all-zero list
+    # would run none of their instances and pass vacuously
+    code, out, err = run(capsys, "relcheck", "--samples", "0")
+    assert (code, out) == (2, "") and "nonzero" in err
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("samples = 0, 0\n")
+    code, out, err = run(capsys, "relcheck", "--config", str(zero))
+    assert (code, out) == (2, "") and "nonzero" in err
+    rep = run_json(capsys, "relcheck", "--suite", "sl2", "--n", "4", "--samples", "0,1")
+    assert rep["samples"] == ["0", "1"] and rep["all_pass"]
+
+
+def test_relcheck_sl2_report_is_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    code, out, _ = run(capsys, "relcheck", "--suite", "sl2")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "8456a2e503f39f2978c042665c874f0f8f479d0280a9aae1bdd0dc5850f6c135")
 
 
 def test_unreadable_config_exit_2(capsys, tmp_path, monkeypatch):

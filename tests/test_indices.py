@@ -35,6 +35,12 @@ def test_support_config_letters_small():
     assert cfg.letters() == [(1, 1, 0), (2, 1, 0), (2, 1, 1), (3, 1, 0)]
 
 
+def test_support_config_letters_are_sorted():
+    for n, caps in ((9, {3: 1, 1: 2, 2: 2}), (12, {4: 1, 2: 3, 1: 3, 3: 2}), (6, {2: 2})):
+        letters = SupportConfig(n, caps).letters()
+        assert letters == sorted(letters)
+
+
 def test_support_config_caps_and_membership():
     cfg = SupportConfig(9, {1: 2, 2: 2, 3: 1})
     assert cfg.cap(1) == 2 and cfg.cap(2) == 2 and cfg.cap(3) == 1

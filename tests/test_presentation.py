@@ -88,6 +88,14 @@ def test_unvalidated_family_has_no_instance():
         build_instance("R16", {"u": 1, "v": 1}, ((0, 1, 1), (0, 1, 2)))
 
 
+def test_wrong_index_kind_raises():
+    # a real-root family takes no index, a letter family needs its letter
+    with pytest.raises(ValueError, match="R1 takes no index"):
+        build_instance("R1", {"u": 1, "v": 1}, (0, 1, 1))
+    with pytest.raises(ValueError, match="R17 takes a letter index"):
+        build_instance("R17", {"u": 1, "v": 1})
+
+
 def test_real_additivity_adjoint():
     inst = build_instance("R1", {"u": 2, "v": Fraction(1, 2)})
     assert validate_adjoint(inst, CFG) is True
@@ -235,12 +243,17 @@ def test_relcheck_words_are_unchanged():
 
 def test_validate_catalog_small_sweep():
     cfg = SupportConfig(7, {1: 1, 2: 1})
-    rep = validate_catalog(cfg, samples=(1, -1), suites=("adjoint", "sl2"))
+    rep = validate_catalog(cfg, samples=(1, -1), suite="all")
     assert rep["all_pass"]
     ids = [r["id"] for r in rep["results"]]
     assert ids == [f"R{i}" for i in range(1, 36)]
     r16 = [r for r in rep["results"] if r["id"] == "R16"][0]
     assert r16["status"] == "supported, not validated"
+
+
+def test_validate_catalog_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'foo'"):
+        validate_catalog(SupportConfig(4, {1: 1}), suite="foo")
 
 
 def test_free_separation_distinguishes():
