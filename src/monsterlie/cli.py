@@ -109,27 +109,33 @@ def load_config_file(path: str) -> dict:
                        f"(byte {e.start})")
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{ln}: expected key = value")
-        key, val = (x.strip() for x in line.split("=", 1))
-        if key == "n":
-            out["N"] = _parse_int(val, f"{path}:{ln}: n")
-        elif key.startswith("cap."):
-            level = _parse_int(key[4:], f"{path}:{ln}: cap level")
-            out["caps"][level] = _parse_int(val, f"{path}:{ln}: {key}")
-        elif key == "samples":
-            out["samples"] = _parse_samples(val)
-        elif key == "suite":
-            if val not in presentation.SUITES:
-                raise CliError(f"{path}:{ln}: unknown suite {val!r}")
-            out["suite"] = val
-        elif key == "output":
-            out["output"] = val
-        else:
-            raise CliError(f"{path}:{ln}: unknown key {key!r}")
+        if line:
+            try:
+                _read_config_line(line, out)
+            except CliError as e:
+                raise CliError(f"{path}:{ln}: {e}")
     return out
+
+
+def _read_config_line(line: str, out: dict) -> None:
+    if "=" not in line:
+        raise CliError("expected key = value")
+    key, val = (x.strip() for x in line.split("=", 1))
+    if key == "n":
+        out["N"] = _parse_int(val, "n")
+    elif key.startswith("cap."):
+        level = _parse_int(key[4:], "cap level")
+        out["caps"][level] = _parse_int(val, key)
+    elif key == "samples":
+        out["samples"] = _parse_samples(val)
+    elif key == "suite":
+        if val not in presentation.SUITES:
+            raise CliError(f"unknown suite {val!r}")
+        out["suite"] = val
+    elif key == "output":
+        out["output"] = val
+    else:
+        raise CliError(f"unknown key {key!r}")
 
 
 def resolve_config(args) -> Config:

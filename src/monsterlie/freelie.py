@@ -21,8 +21,8 @@ and apply Jacobi:
 
 Each rewriting step either shortens the total content handed to a
 recursive call or shortens the left argument at fixed content, and
-results are memoized per word pair.  A recursion budget guards the walk;
-exceeding it signals a bug, not a big input.
+results are memoized per word pair.  A bug that breaks this metric
+recurses without end and raises RecursionError.
 
 Graded dimensions come from one integer solver of the Witt formula
 prod_r (1 - x^r)^(-L_r) = 1/(1 - F) over a root-graded alphabet
@@ -144,47 +144,33 @@ def elt_bracket(a: dict, b: dict, br) -> dict:
 
 _PAIR_CACHE: dict[tuple[Word, Word], dict] = {}
 _CACHE_LIMIT = 400_000
-_BUDGET = 100_000
-
-
-def _is_standard_pair(u: Word, v: Word) -> bool:
-    # valid when u is a letter, or the right standard factor of u dominates v
-    if len(u) == 1:
-        return True
-    _u1, u2 = std_factorize(u)
-    return u2 >= v
 
 
 def bracket_words(u: Word, v: Word) -> dict:
     """[b_u, b_v] as a basis combination with integer coefficients, as a
     fresh dict: callers may mutate it without touching the cache."""
-    return dict(_bracket_words(u, v, [_BUDGET]))
+    return dict(_bracket_words(u, v))
 
 
-def _bracket_words(u: Word, v: Word, budget: list) -> dict:
+def _bracket_words(u: Word, v: Word) -> dict:
     if u == v:
         return {}
     if u > v:
-        return elt_scale(_bracket_words(v, u, budget), -1)
+        return elt_scale(_bracket_words(v, u), -1)
     key = (u, v)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise RuntimeError("straightening recursion budget exceeded; indicates a cycle bug")
-    if _is_standard_pair(u, v):
+    if len(u) > 1:
+        u1, u2 = std_factorize(u)
+    # standard when u is a letter, or the right standard factor of u dominates v
+    if len(u) == 1 or u2 >= v:
         result = {u + v: 1}
     else:
-        u1, u2 = std_factorize(u)
-        inner_right = _bracket_words(u2, v, budget)   # shorter total content
-        inner_left = _bracket_words(u1, v, budget)    # shorter total content
-
-        def br(x, y):
-            return _bracket_words(x, y, budget)
-
-        term1 = elt_bracket({u1: 1}, inner_right, br)
-        term2 = elt_bracket({u2: 1}, inner_left, br)
+        inner_right = _bracket_words(u2, v)   # shorter total content
+        inner_left = _bracket_words(u1, v)    # shorter total content
+        term1 = elt_bracket({u1: 1}, inner_right, _bracket_words)
+        term2 = elt_bracket({u2: 1}, inner_left, _bracket_words)
         result = elt_add(term1, elt_scale(term2, -1))
     if len(_PAIR_CACHE) < _CACHE_LIMIT:
         _PAIR_CACHE[key] = result

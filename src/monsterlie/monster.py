@@ -35,8 +35,8 @@ structure constant in this divided-power basis is an integer, so
 term_bracket returns int coefficients; the only divisions, by l in that
 peeling, are exact and checked (a remainder raises).  The recursion
 strictly decreases the metric (letters on the positive side) + (letters
-on the negative side), with ties broken by total string level; the
-budget each call passes down only runs out on implementation bugs.
+on the negative side), with ties broken by total string level; a bug
+that breaks this metric recurses without end and raises RecursionError.
 
 Truncation model: an element is either exact (exact_to is None) or
 complete at all degrees <= exact_to, with unknown content possible only
@@ -405,7 +405,6 @@ def term_bracket(k1, k2) -> dict:
 # mixed-sign sector
 
 _CROSS_CACHE: dict = {}
-_CROSS_BUDGET = 500_000
 
 # Every memo table of the algebra, here, in freelie below and in
 # modules above this one (completion adds its atom images, the interned
@@ -421,38 +420,33 @@ def clear_caches() -> None:
 def cross_bracket_words(wp, wn) -> dict:
     """[positive basis word, negative basis word] by Jacobi recursion,
     as a fresh dict: callers may mutate it without touching the cache."""
-    return dict(_cross(wp, wn, [_CROSS_BUDGET]))
+    return dict(_cross(wp, wn))
 
 
-def _cross(wp, wn, budget: list) -> dict:
+def _cross(wp, wn) -> dict:
     key = (wp, wn)
     hit = _CROSS_CACHE.get(key)
     if hit is not None:
         return hit
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise RuntimeError("cross-bracket recursion budget exceeded; "
-                           "the (letter count, string level) metric should "
-                           "make this unreachable")
     if len(wp) == 1 and len(wn) == 1:
-        res = _cross_letters(wp[0], wn[0], budget)
+        res = _cross_letters(wp[0], wn[0])
     elif len(wp) > 1:
         u, v = freelie.std_factorize(wp)
         # [[b_u, b_v], Y] = [b_u, [b_v, Y]] - [b_v, [b_u, Y]]
-        t1 = elt_bracket({(WPOS, u): 1}, _cross(v, wn, budget), term_bracket)
-        t2 = elt_bracket({(WPOS, v): 1}, _cross(u, wn, budget), term_bracket)
+        t1 = elt_bracket({(WPOS, u): 1}, _cross(v, wn), term_bracket)
+        t2 = elt_bracket({(WPOS, v): 1}, _cross(u, wn), term_bracket)
         res = elt_add(t1, elt_scale(t2, -1))
     else:
         u, v = freelie.std_factorize(wn)
         # [X, [Fu, Fv]] = [[X, Fu], Fv] + [Fu, [X, Fv]]
-        t1 = elt_bracket(_cross(wp, u, budget), {(WNEG, v): 1}, term_bracket)
-        t2 = elt_bracket({(WNEG, u): 1}, _cross(wp, v, budget), term_bracket)
+        t1 = elt_bracket(_cross(wp, u), {(WNEG, v): 1}, term_bracket)
+        t2 = elt_bracket({(WNEG, u): 1}, _cross(wp, v), term_bracket)
         res = elt_add(t1, t2)
     _CROSS_CACHE[key] = res
     return res
 
 
-def _cross_letters(Lp: Letter, Ln: Letter, budget: list) -> dict:
+def _cross_letters(Lp: Letter, Ln: Letter) -> dict:
     jp, kp, lp = Lp
     jn, kn, ln = Ln
     if (jp, kp) != (jn, kn):
@@ -463,15 +457,14 @@ def _cross_letters(Lp: Letter, Ln: Letter, budget: list) -> dict:
     if lp > 0:
         # l*e(l) = [e(-1), e(l-1)], then Jacobi against f(m)
         below = (j, kp, lp - 1)
-        inner = _cross((below,), (Ln,), budget)
+        inner = _cross((below,), (Ln,))
         out = elt_bracket({EMINUS: 1}, inner, term_bracket)
         if ln > 0:
             # [e(-1), f(m)] = (j-m) f(m-1)
-            out = elt_add(out, elt_scale(_cross((below,), ((j, kn, ln - 1),), budget),
-                                         -(j - ln)))
+            out = elt_add(out, elt_scale(_cross((below,), ((j, kn, ln - 1),)), -(j - ln)))
         return _exact_quotient(out, lp)
     # lp == 0, ln > 0: m*f(m) = [f(-1), f(m-1)] and [e(0), f(-1)] = 0
-    inner = _cross((Lp,), ((j, kn, ln - 1),), budget)
+    inner = _cross((Lp,), ((j, kn, ln - 1),))
     return _exact_quotient(elt_bracket({FMINUS: 1}, inner, term_bracket), ln)
 
 

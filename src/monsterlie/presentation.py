@@ -329,8 +329,7 @@ class RelationTemplate(NamedTuple):
     klass: str
     description: str
     param_names: tuple
-    indexed: str       # "" (real root, built at index -1, takes no index), "letter",
-                       # "letter-l0", "letter-top", "letter-reversible"
+    indexed: str       # a key of _INDEX_KINDS; "" is the real root, built at index -1
     note: str
 
 
@@ -423,21 +422,36 @@ def relations_catalog() -> list:
 _TEMPLATES = {t.rid: t for t in _CATALOG}
 
 
+def _letter(x) -> bool:
+    return x is not None and 0 <= x[0] < x[1]
+
+
+# The index each kind of family accepts: the real root none, a letter
+# family a letter (l, j, k) with 0 <= l < j, or one of two subsets of those.
+_INDEX_KINDS = {
+    "": lambda x: x is None,
+    "letter": _letter,
+    "letter-reversible": _letter,
+    "letter-l0": lambda x: _letter(x) and x[0] == 0,
+    "letter-top": lambda x: _letter(x) and x[0] == x[1] - 1,
+}
+
+
 def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     """Concrete relation instance with all parameters substituted.
 
     A real-root family (indexed "") takes no index and is built as the
     string at index -1 by the same branch as its imaginary counterpart;
     the instance's index stays None.  A letter family needs its letter
-    (l, j, k).  A wrong index kind raises ValueError.  The
+    (l, j, k) of its index kind.  A wrong index raises ValueError.  The
     fractional-power families R29, R31, R32 and R35 record the derived
     parameter s next to the sampled one.  The UNVALIDATED family R16 has
     no group-level instance and raises ValueError."""
     t = _TEMPLATES[rid]
     if t.klass == "UNVALIDATED":
         raise ValueError(f"{rid} ({t.klass}) has no group-level instance")
-    if (index is None) != (t.indexed == ""):
-        need = "no index" if t.indexed == "" else "a letter index (l, j, k)"
+    if not _INDEX_KINDS[t.indexed](index):
+        need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
     i = -1 if index is None else index
     p = {k: Fraction(v) for k, v in params.items()}
@@ -539,19 +553,13 @@ SUITES = ("adjoint", "sl2", "all")
 
 
 def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
-    letters = [(L[2], L[0], L[1]) for L in cfg.letters()]  # display order (l, j, k)
-    if template.indexed == "":
-        return [None]
-    if template.indexed == "letter":
-        return letters
-    if template.indexed == "letter-l0":
-        return [x for x in letters if x[0] == 0]
-    if template.indexed == "letter-top":
-        return [x for x in letters if x[0] == x[1] - 1]
+    # None (the real root) and every letter in display order (l, j, k)
+    candidates = [None, *((L[2], L[0], L[1]) for L in cfg.letters())]
+    fits = [x for x in candidates if _INDEX_KINDS[template.indexed](x)]
     if template.indexed == "letter-reversible":
         # letters whose reversed string position j-1-l is in the window too
-        return [x for x in letters if cfg.supports_letter((x[1], x[2], x[1] - 1 - x[0]))]
-    raise ValueError(template.indexed)
+        return [x for x in fits if cfg.supports_letter((x[1], x[2], x[1] - 1 - x[0]))]
+    return fits
 
 
 def _param_choices(template: RelationTemplate, samples) -> list:

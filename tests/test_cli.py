@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from monsterlie import cli, completion, monster, presentation
 from monsterlie.cli import main, parse_elem, parse_word
 from monsterlie.indices import SupportConfig
@@ -326,19 +328,44 @@ def test_aut_apply_prints_only_certified_terms(capsys):
 
 
 def test_bad_config_value_exit_2(capsys, tmp_path):
-    for text, what in (("n = abc\n", "n must be an integer"),
+    # every file error names the file and the line
+    for text, what in (("n = abc\n", "n must be an integer, got 'abc'"),
                        ("cap.x = 1\n", "cap level must be an integer"),
                        ("cap.1 = two\n", "cap.1 must be an integer"),
-                       ("jobs = 1\n", "unknown key 'jobs'")):
+                       ("jobs = 1\n", "unknown key 'jobs'"),
+                       ("samples = ,\n", "empty sample list"),
+                       ("samples = 1/0\n", "bad rational '1/0'"),
+                       ("samples = 0\n", "sample list needs a nonzero value")):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         code, out, err = run(capsys, "bracket", "--config", str(bad), "--expr", "e(-1)")
-        assert code == 2 and err.startswith("error:") and what in err
+        assert code == 2 and err.startswith(f"error: {bad}:1: {what}")
         assert "Traceback" not in err
     # an unknown flag is a usage error
     code, out, err = run(capsys, "relcheck", "--jobs", "2")
     assert code == 2 and err.startswith("usage:") and "unrecognized arguments: --jobs 2" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("relcheck", "--n", "0"), "truncation n must be >= 1"),
+    (("jcoef", "--nmax", "-2"), "--nmax must be >= -1"),
+    (("dims", "--degree", "0"), "--degree must be >= 1"),
+    (("bracket", "--cap", "1:2", "--expr", "e(-1)"), "bad --cap '1:2'"),
+    (("bracket", "--expr", "h1h2"), "trailing input"),
+    (("bracket", "--expr", "e(3)"), "index must be -1 or l,j,k"),
+    (("bracket", "--expr", "e(2,2,1)"), "need 0 <= l < j"),
+    (("aut", "apply", "--word", "w(-1;0)", "--elem", "e(-1)"), "w parameter must be nonzero"),
+    (("aut", "apply", "--word", "H1(0)", "--elem", "e(-1)"), "H1 parameter must be nonzero"),
+    (("aut", "apply", "--word", "X(0,1,1;1))", "--elem", "e(-1)"), "trailing input"),
+    (("aut", "level", "--word", "Y(-1;1)"), "not unipotent-type"),
+    (("aut", "log", "--word", "Y(-1;1)"), "not unipotent-type"),
+])
+def test_bad_input_exit_2(capsys, monkeypatch, argv, what):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:") and what in err
+    assert "Traceback" not in err
 
 
 def test_bad_cap_level_exit_2(capsys):

@@ -89,11 +89,19 @@ def test_unvalidated_family_has_no_instance():
 
 
 def test_wrong_index_kind_raises():
-    # a real-root family takes no index, a letter family needs its letter
-    with pytest.raises(ValueError, match="R1 takes no index"):
-        build_instance("R1", {"u": 1, "v": 1}, (0, 1, 1))
-    with pytest.raises(ValueError, match="R17 takes a letter index"):
-        build_instance("R17", {"u": 1, "v": 1})
+    # a real-root family takes no index, a letter family needs a letter of
+    # its kind: R19 holds only at the top of a string, R20 only at its
+    # bottom, and no letter has l >= j
+    for rid, params, index, need in (
+            ("R1", {"u": 1, "v": 1}, (0, 1, 1), "no index"),
+            ("R17", {"u": 1, "v": 1}, None, "a letter index"),
+            ("R17", {"u": 1, "v": 1}, (2, 2, 1), "a letter index"),
+            ("R19", {"s": 1, "t": 1}, (0, 2, 1), "a letter-top index"),
+            ("R20", {"s": 1, "t": 1}, (1, 2, 1), "a letter-l0 index")):
+        with pytest.raises(ValueError, match=f"{rid} takes {need}"):
+            build_instance(rid, params, index)
+    assert validate_adjoint(build_instance("R19", {"s": 1, "t": 1}, (1, 2, 1)), CFG)
+    assert validate_adjoint(build_instance("R20", {"s": 1, "t": 1}, (0, 2, 1)), CFG)
 
 
 def test_real_additivity_adjoint():
