@@ -617,9 +617,16 @@ def _shadow_check_r16(cfg: SupportConfig) -> dict:
 def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -> dict:
     """Run the suite's catalog families over the sampled parameters and
     indices: "sl2" holds the SL2 families, "adjoint" every other family,
-    "all" both.  Raises ValueError for any other suite name."""
+    "all" both.  Raises ValueError for any other suite name.
+
+    Each distinct Weyl-expanded (lhs, rhs) pair of the ADJOINT instances
+    (MIRROR ones after mirror transport) is realized once per call; an
+    instance whose pair was already decided reuses that verdict.  Every
+    instance still counts in its row's "instances", and every failing one
+    lists its own index and params in "failures"."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    verdicts = {}
     rows = []
     for template in _CATALOG:
         if suite not in ("all", "sl2" if template.klass == "SL2" else "adjoint"):
@@ -634,7 +641,15 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
                 inst = build_instance(template.rid, params, index)
                 if inst.klass == "MIRROR":
                     inst = mirror_relation(inst)
-                ok = validate_sl2(inst) if inst.klass == "SL2" else validate_adjoint(inst, cfg)
+                if inst.klass == "SL2":
+                    ok = validate_sl2(inst)
+                else:
+                    # injective: each symbol prints its kind, index and reduced parameter
+                    key = (format_word(expand_weyl(inst.lhs)) + "="
+                           + format_word(expand_weyl(inst.rhs)))
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = validate_adjoint(inst, cfg)
                 count += 1
                 if not ok:
                     failures.append({"index": index,

@@ -229,24 +229,75 @@ def test_cross_string_shadow_report():
 RELCHECK_WORDS_DIGEST = "c0de10832ba44bb4ecae99e5c769b8cc905c9ac4506c61f77009bed17ae8f74f"
 
 
-def test_relcheck_words_are_unchanged():
-    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
-    h = hashlib.sha256()
-    n = 0
+def _sweep_instances(cfg, samples):
+    """Every instance validate_catalog builds, in sweep order, MIRROR ones
+    after mirror transport."""
     for template in P._CATALOG:
         if template.klass == "UNVALIDATED":
             continue
         for index in P._indices_for(template, cfg):
-            for params in P._param_choices(template, P.DEFAULT_SAMPLES):
+            for params in P._param_choices(template, samples):
                 inst = build_instance(template.rid, params, index)
-                if inst.klass == "MIRROR":
-                    inst = mirror_relation(inst)
-                row = (inst.rid, inst.klass, inst.index,
-                       sorted((k, str(v)) for k, v in inst.params.items()),
-                       format_word(inst.lhs), format_word(inst.rhs))
-                h.update((repr(row) + "\n").encode())
-                n += 1
+                yield mirror_relation(inst) if inst.klass == "MIRROR" else inst
+
+
+def test_relcheck_words_are_unchanged():
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    h = hashlib.sha256()
+    n = 0
+    for inst in _sweep_instances(cfg, P.DEFAULT_SAMPLES):
+        row = (inst.rid, inst.klass, inst.index,
+               sorted((k, str(v)) for k, v in inst.params.items()),
+               format_word(inst.lhs), format_word(inst.rhs))
+        h.update((repr(row) + "\n").encode())
+        n += 1
     assert (n, h.hexdigest()) == (2710, RELCHECK_WORDS_DIGEST)
+
+
+SWEEP_CFG = SupportConfig(6, {1: 2, 2: 1})
+SWEEP_SAMPLES = (1, -1)
+
+
+def _expanded_pair(inst):
+    return expand_weyl(inst.lhs), expand_weyl(inst.rhs)
+
+
+def test_validate_catalog_validates_each_pair_once(monkeypatch):
+    pairs = [_expanded_pair(inst) for inst in _sweep_instances(SWEEP_CFG, SWEEP_SAMPLES)
+             if inst.klass == "ADJOINT"]
+    seen = []
+
+    def counting(inst, cfg):
+        seen.append(_expanded_pair(inst))
+        return validate_adjoint(inst, cfg)
+
+    monkeypatch.setattr(P, "validate_adjoint", counting)
+    rep = validate_catalog(SWEEP_CFG, samples=SWEEP_SAMPLES, suite="adjoint")
+    assert rep["all_pass"]
+    counted = [r["instances"] for r in rep["results"] if r["class"] != "UNVALIDATED"]
+    assert sum(counted) == len(pairs)
+    assert len(seen) == len(set(seen)) == len(set(pairs)) < len(pairs)
+
+
+def test_validate_catalog_failure_fans_out_to_every_instance(monkeypatch):
+    # R17 at u = v = 1 and R18 at u = v = 1, mirrored, are the same pair
+    letter = (0, 1, 1)
+    X = sym("X", letter, 1)
+    bad = (GroupWord.of(sym("X", letter, 2)), GroupWord.of(X, X))
+    r17 = build_instance("R17", {"u": 1, "v": 1}, letter)
+    r18 = mirror_relation(build_instance("R18", {"u": 1, "v": 1}, letter))
+    assert _expanded_pair(r17) == _expanded_pair(r18) == bad
+
+    before = validate_catalog(SWEEP_CFG, samples=SWEEP_SAMPLES, suite="adjoint")
+    monkeypatch.setattr(P, "validate_adjoint", lambda inst, cfg: (
+        _expanded_pair(inst) != bad and validate_adjoint(inst, cfg)))
+    after = validate_catalog(SWEEP_CFG, samples=SWEEP_SAMPLES, suite="adjoint")
+    assert before["all_pass"] and not after["all_pass"]
+    failed = {"index": letter, "params": {"u": "1", "v": "1"}}
+    for row_before, row_after in zip(before["results"], after["results"]):
+        if row_before["id"] in ("R17", "R18"):
+            row_before = {**row_before, "failures": [failed], "pass": False}
+        assert row_after == row_before
 
 
 def test_validate_catalog_small_sweep():
