@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import gcd, inf
 from typing import NamedTuple
 
@@ -97,9 +98,6 @@ def generator_keys(cfg: SupportConfig) -> list:
 # lowering step maps E >= -2 to floor(E) - 1 >= -2): no negative word
 # sits above such an E.
 
-_PAD_CACHE: dict = {}
-_FLOOR_CACHE: dict = {}
-
 
 def _knapsack(levels: tuple, value, cap: int) -> list:
     """best[c] for 0 <= c <= cap: the largest sum of value(j) over
@@ -115,65 +113,62 @@ def _knapsack(levels: tuple, value, cap: int) -> list:
     return best
 
 
+@cache
 def _descent_pad(N: int, levels: tuple) -> int:
     """Max total string descent of any supported word whose all-bottom
     degree fits inside the window: max sum(j-1) with sum(j+2) <= N."""
-    hit = _PAD_CACHE.get((levels, N))
-    if hit is None:
-        hit = _PAD_CACHE[levels, N] = _knapsack(levels, lambda j: j - 1, max(N, 0))[-1]
-    return hit
+    return _knapsack(levels, lambda j: j - 1, max(N, 0))[-1]
 
 
+@cache
 def _descent_floor(E: int, levels: tuple) -> int:
     """Least degree reachable by any supported term of degree > E >= -2
     under repeated lowering by f(-1): the least bottom degree >= min(j+2)
     whose raised top clears E, or the gl2 ladder's -1.  E+1 means nothing
     up there can move."""
-    hit = _FLOOR_CACHE.get((levels, E))
-    if hit is None:
-        # the gl2 ladder: the degree 1 generator descends to f(-1)
-        cands = [-1] if E < 1 else []
-        if levels:
-            # within this cap the lowest level alone clears E
-            best = _knapsack(levels, lambda j: 2 * j + 1, max(E + 1, 0) + max(levels) + 2)
-            cands.append(bisect_left(best, E + 1, min(levels) + 2))
-        hit = _FLOOR_CACHE[levels, E] = min(cands, default=E + 1)
-    return hit
+    # the gl2 ladder: the degree 1 generator descends to f(-1)
+    cands = [-1] if E < 1 else []
+    if levels:
+        # within this cap the lowest level alone clears E
+        best = _knapsack(levels, lambda j: 2 * j + 1, max(E + 1, 0) + max(levels) + 2)
+        cands.append(bisect_left(best, E + 1, min(levels) + 2))
+    return min(cands, default=E + 1)
 
 
 # ---------------------------------------------------------------------------
 # atoms as memoized linear maps on basis keys, in integer arithmetic
 #
 # Every atom is linear, so it acts through the images of single basis
-# keys.  _ATOM_CACHE maps an atom's cache key to its slot, {bound: {basis
-# key: image}}; an image is the flat tuple (exact_to, den, k1, n1, k2, n2,
+# keys.  _slot maps an atom's cache key to its slot, {bound: {basis key:
+# image}}; an image is the flat tuple (exact_to, den, k1, n1, k2, n2,
 # ...): integer numerators n_i over one positive common denominator den,
-# with the keys interned in _INTERN.  Exp images depend on the clamp
+# with the keys interned by _intern.  Exp images depend on the clamp
 # bound; torus and perm images do not and sit under the bound None.  A
 # word resolves each atom's slot once, when it is keyed (_keyed_word), so
 # applying an atom never hashes its key.  Word application carries an
 # element as (den, {key: numerator}, exact_to) through every atom and
-# builds Fractions only at the end.  monster.clear_caches() empties both
-# tables, slots held by live words included, and the two descent tables
-# above.
+# builds Fractions only at the end.  _slot, _intern and the two descent
+# tables above are functools.cache functions listed in monster.CACHES, so
+# monster.clear_caches() drops them.  A slot a live word still holds
+# stays valid, since an image depends only on its atom key, clamp bound
+# and basis key; it is freed with the word.
 
 
-class _SlotTable(dict):
-    """atom key -> slot; clear() also empties the slots words still hold."""
-
-    def clear(self):
-        for slot in self.values():
-            slot.clear()
-        super().clear()
+@cache
+def _slot(key) -> dict:
+    return {}
 
 
-_ATOM_CACHE: dict = _SlotTable()
-_INTERN: dict = {}
-monster.CACHES.extend((_ATOM_CACHE, _INTERN, _PAD_CACHE, _FLOOR_CACHE))
+@cache
+def _intern(key):
+    return key
+
+
+monster.CACHES.extend((_slot, _intern, _descent_pad, _descent_floor))
 
 
 def _atom_slot(atom) -> dict:
-    return _ATOM_CACHE.setdefault(atom[2] if atom[0] == "exp" else atom, {})
+    return _slot(atom[2] if atom[0] == "exp" else atom)
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
@@ -181,7 +176,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     both built here once: the key (terms, exact_to, support levels,
     lowers), and the form (den, {key: numerator}, (min_degree, exact_to))
     of x that _exp_image brackets with; slots holds each atom's
-    _ATOM_CACHE slot.  Letters are checked against the window before an
+    memo slot.  Letters are checked against the window before an
     atom gets a key, so the cache only ever holds supported atoms.  Torus
     and perm atoms are their own keys."""
     levels = tuple(cfg.base_levels())
@@ -229,7 +224,7 @@ def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
 def _flat_image(den: int, nums: dict, exact_to) -> tuple:
     flat = [exact_to, den]
     for k, n in nums.items():
-        flat.append(_INTERN.setdefault(k, k))
+        flat.append(_intern(k))
         flat.append(n)
     return tuple(flat)
 

@@ -20,9 +20,10 @@ and apply Jacobi:
     [b_u, b_v] = [b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]].
 
 Each rewriting step either shortens the total content handed to a
-recursive call or shortens the left argument at fixed content, and
-results are memoized per word pair.  A bug that breaks this metric
-recurses without end and raises RecursionError.
+recursive call or shortens the left argument at fixed content; a bug
+that breaks this metric recurses without end and raises RecursionError.
+The recursion is a functools.cache function, so each ordered word pair
+is straightened once, until monster.clear_caches().
 
 Graded dimensions come from one integer solver of the Witt formula
 prod_r (1 - x^r)^(-L_r) = 1/(1 - F) over a root-graded alphabet
@@ -33,6 +34,7 @@ exact-division check at each root replaces rational arithmetic.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 Word = tuple
@@ -142,39 +144,28 @@ def elt_bracket(a: dict, b: dict, br) -> dict:
 # ---------------------------------------------------------------------------
 # straightening
 
-_PAIR_CACHE: dict[tuple[Word, Word], dict] = {}
-_CACHE_LIMIT = 400_000
-
-
 def bracket_words(u: Word, v: Word) -> dict:
     """[b_u, b_v] as a basis combination with integer coefficients, as a
     fresh dict: callers may mutate it without touching the cache."""
     return dict(_bracket_words(u, v))
 
 
+@cache
 def _bracket_words(u: Word, v: Word) -> dict:
     if u == v:
         return {}
     if u > v:
         return elt_scale(_bracket_words(v, u), -1)
-    key = (u, v)
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
     if len(u) > 1:
         u1, u2 = std_factorize(u)
     # standard when u is a letter, or the right standard factor of u dominates v
     if len(u) == 1 or u2 >= v:
-        result = {u + v: 1}
-    else:
-        inner_right = _bracket_words(u2, v)   # shorter total content
-        inner_left = _bracket_words(u1, v)    # shorter total content
-        term1 = elt_bracket({u1: 1}, inner_right, _bracket_words)
-        term2 = elt_bracket({u2: 1}, inner_left, _bracket_words)
-        result = elt_add(term1, elt_scale(term2, -1))
-    if len(_PAIR_CACHE) < _CACHE_LIMIT:
-        _PAIR_CACHE[key] = result
-    return result
+        return {u + v: 1}
+    inner_right = _bracket_words(u2, v)   # shorter total content
+    inner_left = _bracket_words(u1, v)    # shorter total content
+    term1 = elt_bracket({u1: 1}, inner_right, _bracket_words)
+    term2 = elt_bracket({u2: 1}, inner_left, _bracket_words)
+    return elt_add(term1, elt_scale(term2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .qseries import j_coefficients
+
 Letter = tuple[int, int, int]   # (j, k, l)
 Root = tuple[int, int]
 
@@ -45,8 +47,9 @@ def letter_degree(letter: Letter) -> int:
 class SupportConfig:
     """Finite window: degree bound and per-level multiplicity caps.
 
-    caps maps level j to the number of k-indices kept there (K_j <= c(j));
-    levels absent from caps contribute no letters.
+    caps maps level j to the number of k-indices kept there, K_j <= c(j)
+    (qseries.j_coefficients; a larger cap raises ValueError); levels
+    absent from caps contribute no letters.
     """
 
     degree_bound: int
@@ -60,6 +63,12 @@ class SupportConfig:
                 raise ValueError(f"level {j} must be positive")
             if c < 0:
                 raise ValueError(f"cap at level {j} must be nonnegative")
+        kept = {j: c for j, c in self.caps.items() if c}
+        if kept:
+            coef = j_coefficients(max(kept))
+            for j, c in kept.items():
+                if c > coef[j]:
+                    raise ValueError(f"cap {c} at level {j} exceeds c({j}) = {coef[j]}")
 
     def cap(self, j: int) -> int:
         return self.caps.get(j, 0)

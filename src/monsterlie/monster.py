@@ -49,6 +49,7 @@ B + mindeg(other factor).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from . import freelie
@@ -86,15 +87,10 @@ def key_root(key) -> tuple:
     return (a, b) if tag == WPOS else (-a, -b)
 
 
-_DEGREE_CACHE: dict = {}
-
-
+@cache
 def key_degree(key) -> int:
-    d = _DEGREE_CACHE.get(key)
-    if d is None:
-        a, b = key_root(key)
-        d = _DEGREE_CACHE[key] = 2 * a + b
-    return d
+    a, b = key_root(key)
+    return 2 * a + b
 
 
 def key_sort(key) -> tuple:
@@ -322,25 +318,16 @@ def _string_down(L: Letter):
     return (j - l, (j, k, l - 1))
 
 
-_AD_WORD_CACHE: dict = {}
-
-
+@cache
 def _ad_string_word(word, up: bool) -> dict:
     """Derivation extension of the string maps to a basis word (integer coeffs)."""
-    key = (word, up)
-    hit = _AD_WORD_CACHE.get(key)
-    if hit is not None:
-        return hit
     if len(word) == 1:
         r = _string_up(word[0]) if up else _string_down(word[0])
-        res = {} if r is None else {(r[1],): r[0]}
-    else:
-        u, v = freelie.std_factorize(word)
-        bw = freelie.bracket_words
-        res = elt_add(elt_bracket(_ad_string_word(u, up), {v: 1}, bw),
-                      elt_bracket({u: 1}, _ad_string_word(v, up), bw))
-    _AD_WORD_CACHE[key] = res
-    return res
+        return {} if r is None else {(r[1],): r[0]}
+    u, v = freelie.std_factorize(word)
+    bw = freelie.bracket_words
+    return elt_add(elt_bracket(_ad_string_word(u, up), {v: 1}, bw),
+                   elt_bracket({u: 1}, _ad_string_word(v, up), bw))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +366,7 @@ def term_bracket(k1, k2) -> dict:
         if s2 == "fm":
             return {H1: 1, H2: -1}
         tag, word = k2
-        table = _ad_string_word(word, up=(tag == WPOS))
+        table = _ad_string_word(word, tag == WPOS)
         return {(tag, w): c for w, c in table.items()}
     if s1 == "fm":
         if s2 == "em":
@@ -387,7 +374,7 @@ def term_bracket(k1, k2) -> dict:
         if s2 == "fm":
             return {}
         tag, word = k2
-        table = _ad_string_word(word, up=(tag == WNEG))
+        table = _ad_string_word(word, tag == WNEG)
         return {(tag, w): c for w, c in table.items()}
     if s2 in ("em", "fm"):
         return elt_scale(term_bracket(k2, k1), -1)
@@ -404,46 +391,27 @@ def term_bracket(k1, k2) -> dict:
 # ---------------------------------------------------------------------------
 # mixed-sign sector
 
-_CROSS_CACHE: dict = {}
-
-# Every memo table of the algebra, here, in freelie below and in
-# modules above this one (completion adds its atom images, the interned
-# keys and its descent tables); clear_caches empties them all.
-CACHES: list = [_CROSS_CACHE, _AD_WORD_CACHE, _DEGREE_CACHE, freelie._PAIR_CACHE]
-
-
-def clear_caches() -> None:
-    for cache in CACHES:
-        cache.clear()
-
-
 def cross_bracket_words(wp, wn) -> dict:
     """[positive basis word, negative basis word] by Jacobi recursion,
     as a fresh dict: callers may mutate it without touching the cache."""
     return dict(_cross(wp, wn))
 
 
+@cache
 def _cross(wp, wn) -> dict:
-    key = (wp, wn)
-    hit = _CROSS_CACHE.get(key)
-    if hit is not None:
-        return hit
     if len(wp) == 1 and len(wn) == 1:
-        res = _cross_letters(wp[0], wn[0])
-    elif len(wp) > 1:
+        return _cross_letters(wp[0], wn[0])
+    if len(wp) > 1:
         u, v = freelie.std_factorize(wp)
         # [[b_u, b_v], Y] = [b_u, [b_v, Y]] - [b_v, [b_u, Y]]
         t1 = elt_bracket({(WPOS, u): 1}, _cross(v, wn), term_bracket)
         t2 = elt_bracket({(WPOS, v): 1}, _cross(u, wn), term_bracket)
-        res = elt_add(t1, elt_scale(t2, -1))
-    else:
-        u, v = freelie.std_factorize(wn)
-        # [X, [Fu, Fv]] = [[X, Fu], Fv] + [Fu, [X, Fv]]
-        t1 = elt_bracket(_cross(wp, u), {(WNEG, v): 1}, term_bracket)
-        t2 = elt_bracket({(WNEG, u): 1}, _cross(wp, v), term_bracket)
-        res = elt_add(t1, t2)
-    _CROSS_CACHE[key] = res
-    return res
+        return elt_add(t1, elt_scale(t2, -1))
+    u, v = freelie.std_factorize(wn)
+    # [X, [Fu, Fv]] = [[X, Fu], Fv] + [Fu, [X, Fv]]
+    t1 = elt_bracket(_cross(wp, u), {(WNEG, v): 1}, term_bracket)
+    t2 = elt_bracket({(WNEG, u): 1}, _cross(wp, v), term_bracket)
+    return elt_add(t1, t2)
 
 
 def _cross_letters(Lp: Letter, Ln: Letter) -> dict:
@@ -479,6 +447,19 @@ def _exact_quotient(terms: dict, n: int) -> dict:
                                   "integral; the divided-power basis makes this unreachable")
         out[k] = q
     return out
+
+
+# Every memo of the kernel is a functools.cache function, and this list
+# names them all: the three above, freelie's pair straightening, and the
+# atom slots, interned keys and descent tables that completion, which
+# imports this module, adds.  Cached results are shared, so no caller
+# mutates one; clear_caches drops every entry.
+CACHES: list = [key_degree, _ad_string_word, _cross, freelie._bracket_words]
+
+
+def clear_caches() -> None:
+    for memo in CACHES:
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------

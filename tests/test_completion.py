@@ -424,17 +424,17 @@ def test_memoized_atoms_match_whole_element():
                     assert memo.truncated_above(e) == direct.truncated_above(e)
                 warm = _one_atom_step(atom, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
-    assert completion._ATOM_CACHE
-    for by_bound in completion._ATOM_CACHE.values():
-        for images in by_bound.values():
-            assert all(type(img) is tuple for img in images.values())
+    slots = [completion._atom_slot(a) for a in atoms]
+    for slot in slots:
+        assert slot
+        for images in slot.values():
+            assert images and all(type(img) is tuple for img in images.values())
     completion._descent_pad(9, tuple(CFG3.base_levels()))
-    assert freelie._PAIR_CACHE and monster._DEGREE_CACHE
-    assert completion._PAD_CACHE and completion._FLOOR_CACHE
+    assert all(memo.cache_info().currsize for memo in monster.CACHES)
     monster.clear_caches()
-    assert not completion._ATOM_CACHE and not completion._INTERN
-    assert not freelie._PAIR_CACHE and not monster._DEGREE_CACHE
-    assert not completion._PAD_CACHE and not completion._FLOOR_CACHE
+    assert not any(memo.cache_info().currsize for memo in monster.CACHES)
+    # the slots the word holds keep their images; a new lookup starts afresh
+    assert all(slots) and completion._atom_slot(atoms[0]) == {}
 
 
 def _basis_keys(cfg, dmax):

@@ -72,3 +72,7 @@ def test_config_validation():
         SupportConfig(5, {0: 1})
     with pytest.raises(ValueError):
         SupportConfig(5, {1: -1})
+    # K_j <= c(j): c(1) = 196884
+    with pytest.raises(ValueError, match=r"cap 196885 at level 1 exceeds c\(1\) = 196884"):
+        SupportConfig(5, {1: 196885})
+    assert SupportConfig(5, {1: 196884}).cap(1) == 196884
