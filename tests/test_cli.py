@@ -352,8 +352,6 @@ def test_bad_config_value_exit_2(capsys, tmp_path):
     (("jcoef", "--nmax", "-2"), "--nmax must be >= -1"),
     (("dims", "--degree", "0"), "--degree must be >= 1"),
     (("bracket", "--cap", "1:2", "--expr", "e(-1)"), "bad --cap '1:2'"),
-    (("bracket", "--n", "3", "--cap", "1=196885", "--expr", "e(0,1,196885)"),
-     "cap 196885 at level 1 exceeds c(1) = 196884"),
     (("bracket", "--expr", "h1h2"), "trailing input"),
     (("bracket", "--expr", "e(3)"), "index must be -1 or l,j,k"),
     (("bracket", "--expr", "e(2,2,1)"), "need 0 <= l < j"),
@@ -362,6 +360,8 @@ def test_bad_config_value_exit_2(capsys, tmp_path):
     (("aut", "apply", "--word", "X(0,1,1;1))", "--elem", "e(-1)"), "trailing input"),
     (("aut", "level", "--word", "Y(-1;1)"), "not unipotent-type"),
     (("aut", "log", "--word", "Y(-1;1)"), "not unipotent-type"),
+    (("bracket", "--n", "3", "--cap", "1=196885", "--expr", "e(0,1,196885)"),
+     "cap 196885 at level 1 exceeds c(1) = 196884"),
 ])
 def test_bad_input_exit_2(capsys, monkeypatch, argv, what):
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
