@@ -19,13 +19,13 @@ it is built.  Images are stored as integer numerators over a common
 denominator, and a word carries y through its atoms in that integer
 form, the triple (den, {key: numerator}, exact_to), so Fractions are
 built only for the returned element.  One pass of a word carries a
-whole block of such triples: equal pushes the generator block through
-each side once and compares the images in that form
-(presentation.realize_word builds a word's atoms directly, so each
-realized word is keyed once).  Every application, index permutations
-included, goes through that block pass.  Composition is concatenation,
-inversion reverses the tuple and inverts each atom, so inverses stay
-cheap and exact.
+whole block of such triples, one kernel call per atom, and hands back
+each triple gcd-reduced: equal pushes the generator block through each
+side once and compares the images in that form (realize_word builds a
+word's atoms directly, so each realized word is keyed once).  Every
+application, index permutations included, goes through that block
+pass.  Composition is concatenation, inversion reverses the tuple and
+inverts each atom, so inverses stay cheap and exact.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -73,15 +73,15 @@ from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt,
                       _min_none, key_degree, key_root, key_sort)
 
 
-def generator_keys(cfg: SupportConfig) -> list:
-    """Basis keys of the algebra generators supported by cfg."""
-    gens = [H1, H2, EMINUS, FMINUS]
-    for j in cfg.base_levels():
-        for k in range(1, cfg.cap(j) + 1):
-            L = (j, k, 0)
-            gens.append((WPOS, (L,)))
-            gens.append((WNEG, (L,)))
-    return gens
+def generator_keys(cfg: SupportConfig) -> tuple:
+    """Basis keys of the algebra generators supported by cfg, as a cached tuple."""
+    return _generator_keys(tuple((j, cfg.cap(j)) for j in cfg.base_levels()))
+
+
+@cache
+def _generator_keys(level_caps: tuple) -> tuple:
+    return (H1, H2, EMINUS, FMINUS, *((tag, ((j, k, 0),)) for j, cap in level_caps
+                                      for k in range(1, cap + 1) for tag in (WPOS, WNEG)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +145,15 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # with the keys interned by _intern.  Exp images depend on the clamp
 # bound; torus and perm images do not and sit under the bound None.  A
 # word resolves each atom's slot once, when it is keyed (_keyed_word), so
-# applying an atom never hashes its key.  Word application carries an
-# element as (den, {key: numerator}, exact_to) through every atom and
-# builds Fractions only at the end.  _slot, _intern and the two descent
-# tables above are functools.cache functions listed in monster.CACHES, so
-# monster.clear_caches() drops them.  A slot a live word still holds
-# stays valid, since an image depends only on its atom key, clamp bound
-# and basis key; it is freed with the word.
+# applying an atom never hashes its key.  Word application carries a
+# block of elements as (den, {key: numerator}, exact_to) triples through
+# every atom, one _atom_block call per atom, which returns each triple
+# gcd-reduced, and builds Fractions only at the end.  _slot, _intern,
+# _generator_keys and the two descent tables above are functools.cache
+# functions listed in monster.CACHES, so monster.clear_caches() drops
+# them.  A slot a live word still holds stays valid, since an image
+# depends only on its atom key, clamp bound and basis key; it is freed
+# with the word.
 
 
 @cache
@@ -164,7 +166,7 @@ def _intern(key):
     return key
 
 
-monster.CACHES.extend((_slot, _intern, _descent_pad, _descent_floor))
+monster.CACHES.extend((_generator_keys, _slot, _intern, _descent_pad, _descent_floor))
 
 
 def _atom_slot(atom) -> dict:
@@ -330,66 +332,73 @@ def _perm_key(atom, images: dict, key) -> dict:
                                monster.term_bracket)
 
 
-def _atom_step(atom, slot: dict, den: int, nums: dict, lo, bound) -> tuple:
-    """atom applied to the element nums/den, exact through lo: returns
-    (den, nums, exact_to) of sum c * image(key) over its terms.
+def _atom_block(atom, slot: dict, block: list, bound) -> list:
+    """atom applied to each triple (den, nums, lo) of block, the element
+    nums/den exact through lo: the gcd-reduced triples of sum c *
+    image(key) over each one's terms, with the images at the clamp bound
+    and the lowering test resolved once per block.
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
     reduces the result.  A one-term input c * key skips the sum: it is c
-    times the image over den times the image's den, already reduced
-    when c and den are 1, since images are stored reduced.  exact_to is
-    the least of the images' bounds and the input's: lo itself, or for a
+    times the image over den times the image's den, already reduced when
+    c and den are 1, since images are stored reduced.  exact_to is the
+    least of the images' bounds and the input's: lo itself, or for a
     lowering exponential the descent floor below it (of the levels in
     its key), since content hidden above lo can slide down that far."""
-    if atom[0] == "exp":
-        if lo is not None and atom[2][3]:
-            lo = _descent_floor(lo, atom[2][2]) - 1
-    else:
+    levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
+    if atom[0] != "exp":
         bound = None
-    images = slot.get(bound)
-    if images is None:
-        images = slot[bound] = {}
-    if len(nums) == 1:
-        [(k, c)] = nums.items()
-        img = images.get(k) or _image(atom, images, k, bound)
-        e = img[0]
-        if e is not None and (lo is None or e < lo):
-            lo = e
-        pairs = iter(img)
-        next(pairs)
-        next(pairs)
-        if c == 1:
-            out = dict(zip(pairs, pairs))
-            if den == 1:
-                return img[1], out, lo
-        else:
-            out = {kk: c * v for kk, v in zip(pairs, pairs)}
-        return (*_reduced(den * img[1], out), lo)
-    hits = []
-    lcm = 1
-    for k, c in nums.items():
-        img = images.get(k) or _image(atom, images, k, bound)
-        e = img[0]
-        if e is not None and (lo is None or e < lo):
-            lo = e
-        d = img[1]
-        if lcm % d:
-            lcm = lcm // gcd(lcm, d) * d
-        hits.append((c, img))
-    out: dict = {}
-    for c, img in hits:
-        m = c * (lcm // img[1])
-        pairs = iter(img)
-        next(pairs)
-        next(pairs)
-        for kk, v in zip(pairs, pairs):
-            n = out.get(kk, 0) + m * v
-            if n:
-                out[kk] = n
+    images = slot.setdefault(bound, {})
+    get = images.get
+    out = []
+    append = out.append
+    for den, nums, lo in block:
+        if levels is not None and lo is not None:
+            lo = _descent_floor(lo, levels) - 1
+        if len(nums) == 1:
+            [(k, c)] = nums.items()
+            img = get(k) or _image(atom, images, k, bound)
+            e = img[0]
+            if e is not None and (lo is None or e < lo):
+                lo = e
+            pairs = iter(img)
+            next(pairs)
+            next(pairs)
+            if c == 1:
+                terms = dict(zip(pairs, pairs))
+                if den == 1:
+                    append((img[1], terms, lo))
+                    continue
             else:
-                del out[kk]
-    return (*_reduced(den * lcm, out), lo)
+                terms = {kk: c * v for kk, v in zip(pairs, pairs)}
+            append((*_reduced(den * img[1], terms), lo))
+            continue
+        hits = []
+        lcm = 1
+        for k, c in nums.items():
+            img = get(k) or _image(atom, images, k, bound)
+            e = img[0]
+            if e is not None and (lo is None or e < lo):
+                lo = e
+            d = img[1]
+            if lcm % d:
+                lcm = lcm // gcd(lcm, d) * d
+            hits.append((c, img))
+        terms: dict = {}
+        for c, img in hits:
+            m = c * (lcm // img[1])
+            pairs = iter(img)
+            next(pairs)
+            next(pairs)
+            for kk, v in zip(pairs, pairs):
+                n = terms.get(kk, 0) + m * v
+                if n:
+                    terms[kk] = n
+                else:
+                    del terms[kk]
+        append((*_reduced(den * lcm, terms), lo))
+    return out
 
 
 def _invert_atom(atom):
@@ -440,18 +449,15 @@ class TruncAut:
         return _to_elt(*self._apply_block([_to_vec(y)], need)[0])
 
     def _apply_block(self, ys: list, need: int) -> list:
-        """Images of the (den, nums, exact_to) triples ys: one pass of the
-        word carries the whole block, then each triple still short of
-        `need` retries alone with a widened bound."""
+        """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
+        empty word returns ys): one pass of the word carries the whole
+        block, then each triple still short of `need` retries alone with
+        a widened bound."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         R = need + 2 + _descent_pad(need, self._lowering)
-        steps = self._steps
-        block = ys
-        for atom, slot in steps:
-            block = [_atom_step(atom, slot, den, nums, lo, R) for den, nums, lo in block]
         out = []
-        for y, (den, nums, lo) in zip(ys, block):
+        for y, (den, nums, lo) in zip(ys, self._pass(ys, R)):
             r = R
             prev = None
             # stop once complete, or once a retry gains nothing: then the
@@ -459,11 +465,15 @@ class TruncAut:
             while not (lo is None or lo >= need or (prev is not None and lo <= prev)):
                 prev = lo
                 r += (need - lo) + 2
-                den, nums, lo = y
-                for atom, slot in steps:
-                    den, nums, lo = _atom_step(atom, slot, den, nums, lo, r)
+                [(den, nums, lo)] = self._pass([y], r)
             out.append((den, nums, lo))
         return out
+
+    def _pass(self, block: list, bound: int) -> list:
+        """block through every atom of the word at the clamp bound."""
+        for atom, slot in self._steps:
+            block = _atom_block(atom, slot, block, bound)
+        return block
 
     # comparison -----------------------------------------------------------
     def equal(self, other: "TruncAut") -> bool:
@@ -476,11 +486,13 @@ class TruncAut:
         """(den, {key: numerator}) of each generator's image truncated at
         N, in generator_keys order, reduced by the gcd so that equal
         images give equal pairs; the generator block goes through the
-        word in one pass.  equal, report_dict and filtration_level all
+        word in one pass, and only an image with a term above N is cut
+        and reduced again.  equal, report_dict and filtration_level all
         read the generator images from here."""
         N = self.N
         block = self._apply_block([(1, {g: 1}, None) for g in generator_keys(self.cfg)], N)
-        return [_reduced(den, {k: n for k, n in nums.items() if key_degree(k) <= N})
+        return [(den, nums) if max(map(key_degree, nums), default=N) <= N
+                else _reduced(den, {k: n for k, n in nums.items() if key_degree(k) <= N})
                 for den, nums, _ in block]
 
     def report_dict(self) -> dict:

@@ -451,9 +451,9 @@ def _exact_quotient(terms: dict, n: int) -> dict:
 
 # Every memo of the kernel is a functools.cache function, and this list
 # names them all: the three above, freelie's pair straightening, and the
-# atom slots, interned keys and descent tables that completion, which
-# imports this module, adds.  Cached results are shared, so no caller
-# mutates one; clear_caches drops every entry.
+# ones that completion and presentation, which import this module, add.
+# Cached results are shared, so no caller mutates one; clear_caches drops
+# every entry.
 CACHES: list = [key_degree, _ad_string_word, _cross, freelie._bracket_words]
 
 

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import monster
@@ -155,7 +156,10 @@ def format_word(w: GroupWord) -> str:
 
 
 def expand_weyl(w: GroupWord) -> GroupWord:
-    """Replace every Weyl abbreviation by its three-symbol definition."""
+    """Replace every Weyl abbreviation by its three-symbol definition; a
+    word without one is returned as it is."""
+    if all(s.kind != "W" for s, _ in w.factors):
+        return w
     out = []
     for s, e in w.factors:
         if s.kind != "W":
@@ -261,22 +265,8 @@ def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrix validation
-
-def _mat_mul(A, B):
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
-
-
-def _mat_inv(A):
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    return ((A[1][1] / det, -A[0][1] / det), (-A[1][0] / det, A[0][0] / det))
-
-
-_ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
+# 2x2 matrix validation, on integer forms (den, a, b, c, d) of the
+# matrices ((a, b), (c, d)) / den with den > 0 and gcd 1
 
 def _model_exponents(index):
     if index == -1:
@@ -285,40 +275,57 @@ def _model_exponents(index):
     return l + 1, j - l, c_const(l, j)
 
 
-def symbol_matrix(s: GenSymbol, index) -> tuple:
-    """2x2 model at a fixed string; `index` fixes the exponents for H kinds."""
+@cache
+def _symbol_matrix(s: GenSymbol, e: int, index) -> tuple:
+    """Integer form of s^e (e = +-1) in the 2x2 model at the string
+    index; index fixes the exponents for H kinds."""
     aa, bb, cc = _model_exponents(index)
-    z, o = Fraction(0), Fraction(1)
     if s.kind in ("X", "Y", "W") and s.index != index:
         raise ValueError("matrix model is single-string: cross-index symbol")
+    p, o, z = s.param, Fraction(1), Fraction(0)
     if s.kind == "X":
-        return ((o, s.param), (z, o))
-    if s.kind == "Y":
-        return ((o, z), (cc * s.param, o))
-    if s.kind == "H1":
-        return ((s.param ** aa, z), (z, o))
-    if s.kind == "H2":
-        return ((o, z), (z, s.param ** (-bb)))
-    if s.kind == "W":
-        return ((z, s.param), (-1 / s.param, z))
-    raise ValueError(f"unknown symbol kind {s.kind!r}")
+        m = (o, e * p, z, o)
+    elif s.kind == "Y":
+        m = (o, z, e * cc * p, o)
+    elif s.kind == "H1":
+        m = (p ** (e * aa), z, z, o)
+    elif s.kind == "H2":
+        m = (o, z, z, p ** (-e * bb))
+    elif s.kind == "W":
+        m = (z, e * p, -e / p, z)
+    else:
+        raise ValueError(f"unknown symbol kind {s.kind!r}")
+    den = lcm(*(x.denominator for x in m))
+    return (den, *(x.numerator * (den // x.denominator) for x in m))
+
+
+monster.CACHES.append(_symbol_matrix)
+
+
+def _word_matrix(w: GroupWord, index) -> tuple:
+    """Integer form of the 2x2 model of w at the string index, reduced
+    so that equal matrices give equal tuples."""
+    D, A, B, C, E = 1, 1, 0, 0, 1
+    for s, e in w.factors:
+        d, a, b, c, dd = _symbol_matrix(s, e, index)
+        D, A, B, C, E = D * d, A * a + B * c, A * b + B * dd, C * a + E * c, C * b + E * dd
+    g = gcd(D, A, B, C, E)
+    return D // g, A // g, B // g, C // g, E // g
 
 
 def eval_word_matrix(w: GroupWord, index) -> tuple:
-    M = _ID2
-    for s, e in w.factors:
-        A = symbol_matrix(s, index)
-        M = _mat_mul(M, _mat_inv(A) if e == -1 else A)
-    return M
+    """The 2x2 model of w at the string index, its integer form as Fractions."""
+    den, a, b, c, d = _word_matrix(w, index)
+    return ((Fraction(a, den), Fraction(b, den)), (Fraction(c, den), Fraction(d, den)))
 
 
 def validate_sl2(inst: RelationInstance) -> bool:
     """Whether both sides of an SL2 instance give equal 2x2 matrices in
-    the model at the instance's own string inst.index.  Raises ValueError
-    for any other class."""
+    the model at the instance's own string inst.index, compared as
+    reduced integer forms.  Raises ValueError for any other class."""
     if inst.klass != "SL2":
         raise ValueError(f"validate_sl2 needs an SL2 instance, got {inst.klass}")
-    return eval_word_matrix(inst.lhs, inst.index) == eval_word_matrix(inst.rhs, inst.index)
+    return _word_matrix(inst.lhs, inst.index) == _word_matrix(inst.rhs, inst.index)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +651,13 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
                 if inst.klass == "SL2":
                     ok = validate_sl2(inst)
                 else:
+                    lhs, rhs = expand_weyl(inst.lhs), expand_weyl(inst.rhs)
                     # injective: each symbol prints its kind, index and reduced parameter
-                    key = (format_word(expand_weyl(inst.lhs)) + "="
-                           + format_word(expand_weyl(inst.rhs)))
+                    key = format_word(lhs) + "=" + format_word(rhs)
                     ok = verdicts.get(key)
                     if ok is None:
-                        ok = verdicts[key] = validate_adjoint(inst, cfg)
+                        ok = verdicts[key] = validate_adjoint(
+                            inst._replace(lhs=lhs, rhs=rhs), cfg)
                 count += 1
                 if not ok:
                     failures.append({"index": index,

@@ -5,12 +5,13 @@ package code: associative-algebra expansion instead of Lyndon
 straightening, an explicit linear recurrence instead of the Jacobi
 recursion, the pentagonal-number series instead of the Euler product,
 the log-derivative recurrence for 1/Delta instead of q-series
-reciprocals, Moebius counting instead of the Witt solver's peeling, and
+reciprocals, Moebius counting instead of the Witt solver's peeling,
 the exp series on whole Fraction elements through monster.bracket
 instead of the integer series on basis keys, per-bound knapsacks over a
-window's base levels instead of one shared descent table, and the
+window's base levels instead of one shared descent table, the
 generator peel through the full log series instead of its first-order
-term.
+term, and the 2x2 matrix model as a product of Fraction matrices
+instead of one integer form over a common denominator.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from monsterlie import monster
 from monsterlie.completion import _emit_word, compose, filtration_level, invert, log_unipotent
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import EMINUS, WPOS, MonsterElt, _min_none, key_degree, key_sort
-from monsterlie.presentation import GroupWord, realize_word, sym
+from monsterlie.presentation import GroupWord, c_const, realize_word, sym
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,59 @@ def descent_floor(E: int, cfg: SupportConfig) -> int:
         if best[room] > 0:
             cands.append(-best[room])
     return min(cands) if cands else E + 1
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 matrix model in Fraction arithmetic
+
+def _mat_mul(A, B):
+    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
+
+
+def _mat_inv(A):
+    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return ((A[1][1] / det, -A[0][1] / det), (-A[1][0] / det, A[0][0] / det))
+
+
+def symbol_matrix(s, index) -> tuple:
+    """2x2 model of one symbol at a fixed string; `index` fixes the
+    exponents for H kinds."""
+    if index == -1:
+        aa, bb, cc = 1, -1, Fraction(1)
+    else:
+        l, j, _k = index
+        aa, bb, cc = l + 1, j - l, c_const(l, j)
+    z, o = Fraction(0), Fraction(1)
+    if s.kind in ("X", "Y", "W") and s.index != index:
+        raise ValueError("matrix model is single-string: cross-index symbol")
+    if s.kind == "X":
+        return ((o, s.param), (z, o))
+    if s.kind == "Y":
+        return ((o, z), (cc * s.param, o))
+    if s.kind == "H1":
+        return ((s.param ** aa, z), (z, o))
+    if s.kind == "H2":
+        return ((o, z), (z, s.param ** (-bb)))
+    if s.kind == "W":
+        return ((z, s.param), (-1 / s.param, z))
+    raise ValueError(f"unknown symbol kind {s.kind!r}")
+
+
+def eval_word_matrix(w: GroupWord, index) -> tuple:
+    """The 2x2 model of w as a product of Fraction matrices, an inverse
+    symbol by the adjugate over the determinant.
+
+    presentation.eval_word_matrix reads the same matrix off one integer
+    form over a common denominator, built from cached symbol matrices;
+    this is its reference."""
+    M = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for s, e in w.factors:
+        A = symbol_matrix(s, index)
+        M = _mat_mul(M, _mat_inv(A) if e == -1 else A)
+    return M
 
 
 # ---------------------------------------------------------------------------

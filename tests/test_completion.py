@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,8 @@ from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_b
                                    log_unipotent, torus)
 from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
-from monsterlie.presentation import GroupWord, format_word, realize_word, sym
+from monsterlie.presentation import (GroupWord, eval_word_matrix, format_word, realize_word,
+                                     sym)
 
 from oracles import approximate_by_log, descent_floor, descent_pad, exp_series
 from test_acceptance import _rand_unipotent
@@ -396,10 +398,11 @@ def _diff_inputs():
     return ins
 
 
-def _one_atom_step(atom, y, bound):
-    """atom applied to y: one _atom_step on y's integer form."""
-    return completion._to_elt(*completion._atom_step(
-        atom, completion._atom_slot(atom), *completion._to_vec(y), bound))
+def _one_atom_block(atom, y, bound):
+    """atom applied to y: one _atom_block on the block of y's integer form."""
+    [vec] = completion._atom_block(atom, completion._atom_slot(atom),
+                                   [completion._to_vec(y)], bound)
+    return completion._to_elt(*vec)
 
 
 def test_memoized_atoms_match_whole_element():
@@ -414,7 +417,7 @@ def test_memoized_atoms_match_whole_element():
     for atom in atoms:
         for bound in (9, 12):
             for y in inputs:
-                memo = _one_atom_step(atom, y, bound)
+                memo = _one_atom_block(atom, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert _at_most(e, direct.exact_to), (atom[0], y, bound)
@@ -422,7 +425,7 @@ def test_memoized_atoms_match_whole_element():
                     assert memo.terms == direct.terms
                 else:
                     assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = _one_atom_step(atom, y, bound)
+                warm = _one_atom_block(atom, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     slots = [completion._atom_slot(a) for a in atoms]
     for slot in slots:
@@ -430,6 +433,7 @@ def test_memoized_atoms_match_whole_element():
         for images in slot.values():
             assert images and all(type(img) is tuple for img in images.values())
     completion._descent_pad(9, tuple(CFG3.base_levels()))
+    eval_word_matrix(GroupWord.of(sym("X", -1, 1)), -1)  # the 2x2 model's symbol memo
     assert all(memo.cache_info().currsize for memo in monster.CACHES)
     monster.clear_caches()
     assert not any(memo.cache_info().currsize for memo in monster.CACHES)
@@ -439,7 +443,7 @@ def test_memoized_atoms_match_whole_element():
 
 def _basis_keys(cfg, dmax):
     """Generator keys and every basis key with |degree| <= dmax."""
-    keys = generator_keys(cfg)
+    keys = list(generator_keys(cfg))
     for d in range(1, dmax + 1):
         for w in freelie.lyndon_basis(cfg.letters(), letter_degree, d):
             for tag in (monster.WPOS, monster.WNEG):
@@ -583,26 +587,36 @@ def test_integer_equal_agrees_with_fraction_comparison():
         assert g.equal(h) is same and h.equal(g) is same
 
 
-def test_generator_block_matches_single_applies(monkeypatch):
-    # the generator block through one pass of each word, against one
-    # apply per generator; the first word sends some generators through
-    # a second, widened pass
-    cfg = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+BLOCK_CFG = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+
+
+def _block_words():
+    """A word that sends some generators through a second, widened pass,
+    a perm word and the identity word."""
     s = Fraction(-2, 3)
     weyl = [("exp", MonsterElt.e_minus(s)), ("exp", MonsterElt.f_minus(-1 / s)),
             ("exp", MonsterElt.e_minus(s))]
     swap = ("perm", 1, ((1, 2), (2, 1)))
-    words = [
+    return [
         [("exp", MonsterElt.f_minus(Fraction(1, 2))), ("exp", MonsterElt.e_letter(0, 1, 1, 2)),
          *weyl, ("torus", Fraction(3), Fraction(1)),
          ("exp", MonsterElt.e_letter(1, 2, 1, Fraction(-1, 2))), swap],
         [swap, ("torus", Fraction(1), Fraction(-1, 2)), ("exp", MonsterElt.e_letter(0, 3, 1))],
         [],
     ]
+
+
+def test_generator_block_matches_single_applies(monkeypatch):
+    # the generator block through one pass of each word, against one
+    # apply per generator; the first word sends some generators through
+    # a second, widened pass
+    cfg = BLOCK_CFG
+    words = _block_words()
+    # the clamp bound of every vector each atom steps
     steps = []
-    real_step = completion._atom_step
-    monkeypatch.setattr(completion, "_atom_step",
-                        lambda *a: steps.append(a[5]) or real_step(*a))
+    real_block = completion._atom_block
+    monkeypatch.setattr(completion, "_atom_block",
+                        lambda *a: steps.extend([a[3]] * len(a[2])) or real_block(*a))
     gens = generator_keys(cfg)
     for word in words:
         g = TruncAut(cfg, word)
@@ -616,6 +630,20 @@ def test_generator_block_matches_single_applies(monkeypatch):
             want.append(completion._reduced(
                 den, {kk: n for kk, n in nums.items() if monster.key_degree(kk) <= 9}))
         assert forms == want
+
+
+def test_block_pass_returns_reduced_triples():
+    # _generator_forms reduces only the images it cuts at N, so every
+    # triple _apply_block hands back must already be gcd-reduced
+    gens = generator_keys(BLOCK_CFG)
+    ys = [(1, {k: 1}, None) for k in gens]
+    for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
+        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e)) for k in gens for e in (None, 7)]
+    mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
+    ys.append(completion._to_vec(MonsterElt(mixed)))
+    for word in _block_words():
+        for den, nums, _ in TruncAut(BLOCK_CFG, word)._apply_block(ys, 9):
+            assert den >= 1 and gcd(den, *nums.values()) == 1, (word, den, nums)
 
 
 def test_descent_accounting_matches_reference():

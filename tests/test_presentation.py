@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from monsterlie import cli
@@ -252,6 +253,25 @@ def test_relcheck_words_are_unchanged():
         h.update((repr(row) + "\n").encode())
         n += 1
     assert (n, h.hexdigest()) == (2710, RELCHECK_WORDS_DIGEST)
+
+
+def test_integer_sl2_matrices_match_fraction_reference():
+    # every SL2 instance of the default sweep and of the seven-sample
+    # sweep, both sides, against the Fraction product of symbol matrices
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    seven = (1, -1, 2, -2, Fraction(1, 2), Fraction(1, 3), -3)
+    n = 0
+    for samples in (P.DEFAULT_SAMPLES, seven):
+        for inst in _sweep_instances(cfg, samples):
+            if inst.klass != "SL2":
+                continue
+            want = [oracles.eval_word_matrix(w, inst.index) for w in (inst.lhs, inst.rhs)]
+            got = [eval_word_matrix(w, inst.index) for w in (inst.lhs, inst.rhs)]
+            assert got == want, (inst.rid, inst.index, inst.params)
+            assert all(type(x) is Fraction for M in got for row in M for x in row)
+            assert validate_sl2(inst) is (want[0] == want[1])
+            n += 1
+    assert n == 495 + 819
 
 
 SWEEP_CFG = SupportConfig(6, {1: 2, 2: 1})
