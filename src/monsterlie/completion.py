@@ -5,27 +5,28 @@ restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
 exponential (stored as ("exp", x, cache key, integer form of x), both
-built once with the word), ("torus", s, t) for the semisimple scaling
-by s^a t^b on the root (a, b), or ("perm", j, moved) for an index
-permutation at level j.  Application walks the factors right to left, so
-it is a composition of linear maps on basis keys: each atom sends y to
-the sum of c * image(key) over the terms of y, and the image of each
-basis key is computed once per atom and clamp bound, then memoized (exp
-images by the exp series on that single key, run on integer numerators
-over one denominator: the basis brackets have integer structure
-constants, so each step's denominator is the last one times x's
-denominator and n).  The word resolves each atom's memo slot once, when
-it is built.  Images are stored as integer numerators over a common
+built once with the word), ("torus", s, t) for the semisimple scaling by
+s^a t^b on the root (a, b), or ("perm", sigma) for an index permutation
+sigma (a permaut.SparsePerm).  Application walks the factors right to
+left, so it is a composition of linear maps on basis keys: each atom
+sends y to the sum of c * image(key) over the terms of y, and the image
+of each basis key is computed once per atom and clamp bound, then
+memoized (exp images by the exp series on that single key, run on
+integer numerators over one denominator: the basis brackets have integer
+structure constants, so each step's denominator is the last one times
+x's denominator and n).  The word resolves each atom's memo slot once,
+when it is built.  Images are stored as integer numerators over a common
 denominator, and a word carries y through its atoms in that integer
 form, the triple (den, {key: numerator}, exact_to), so Fractions are
-built only for the returned element.  One pass of a word carries a
-whole block of such triples, one kernel call per atom, and hands back
-each triple gcd-reduced: equal pushes the generator block through each
-side once and compares the images in that form (realize_word builds a
-word's atoms directly, so each realized word is keyed once).  Every
-application, index permutations included, goes through that block
-pass.  Composition is concatenation, inversion reverses the tuple and
-inverts each atom, so inverses stay cheap and exact.
+built only for the returned element.  One pass of a word carries a whole
+block of such triples, one kernel call per atom, and hands back each
+triple gcd-reduced: equal pushes the generator block through each side
+once and compares the images in that form (realize_word builds a word's
+atoms directly, so each realized word is keyed once).  Every
+application, index permutations included, goes through that block pass.
+Composition is concatenation, inversion reverses the tuple and inverts
+each atom, so inverses stay cheap and exact.  TruncAut checks every atom
+and every element it is applied to against its window.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -177,19 +178,42 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     """(word, slots): word with each exp atom as ("exp", x, key, form),
     both built here once: the key (terms, exact_to, support levels,
     lowers), and the form (den, {key: numerator}, (min_degree, exact_to))
-    of x that _exp_image brackets with; slots holds each atom's
-    memo slot.  Letters are checked against the window before an
-    atom gets a key, so the cache only ever holds supported atoms.  Torus
-    and perm atoms are their own keys."""
+    of x that _exp_image brackets with; slots holds each atom's memo
+    slot.  Torus and perm atoms are their own keys.  Every atom is
+    checked against cfg before any slot is resolved: exp letters in the
+    window, and x (when keyed) of min degree >= 1 or a multiple of f(-1);
+    nonzero torus parameters; a permutation within its level's cap; no
+    other tag."""
     levels = tuple(cfg.base_levels())
     out = []
     for a in word:
-        if a[0] == "exp" and (len(a) == 2 or a[2][2] != levels):
+        tag = a[0]
+        if tag == "exp":
             x = a[1]
+            if len(a) == 2 or a[2][2] != levels:
+                m = x.min_degree()
+                if m is not None and m < 1 and x.terms.keys() != {FMINUS}:
+                    if x.terms.keys() <= {H1, H2}:
+                        raise ValueError(
+                            "Cartan element acts semisimply; use torus(), not exp_ad()")
+                    raise ValueError("exp_ad needs a positive-sector element or a multiple of "
+                                     "f(-1); negative imaginary content has no action on the "
+                                     "positive completion")
+                a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, (m or 0) < 0),
+                     (*_int_form(x.terms), (m, x.exact_to)))
             x.validate_support(cfg)
-            m = x.min_degree()
-            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, (m or 0) < 0),
-                 (*_int_form(x.terms), (m, x.exact_to)))
+        elif tag == "torus":
+            if not (a[1] and a[2]):
+                raise ValueError("torus parameters must be nonzero")
+        elif tag == "perm":
+            sigma = a[1]
+            cap = cfg.cap(sigma.level)
+            bad = [k for k in sigma.support if k > cap]
+            if bad:
+                raise ValueError(
+                    f"permutation support {bad} exceeds cap {cap} at level {sigma.level}")
+        else:
+            raise ValueError(f"unknown atomic factor {tag!r}")
         out.append(a)
     return tuple(out), tuple(_atom_slot(a) for a in out)
 
@@ -305,10 +329,8 @@ def _image(atom, images: dict, key, bound) -> tuple:
     elif tag == "torus":
         a, b = key_root(key)
         res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)
-    elif tag == "perm":
-        res = _flat_image(1, _perm_key(atom, images, key), None)
     else:
-        raise ValueError(f"unknown atomic factor {tag!r}")
+        res = _flat_image(1, _perm_key(atom, images, key), None)
     images[key] = res
     return res
 
@@ -322,8 +344,8 @@ def _perm_key(atom, images: dict, key) -> dict:
     tag, w = key
     if len(w) == 1:
         j, k, l = w[0]
-        if j == atom[1]:
-            k = dict(atom[2]).get(k, k)
+        if j == atom[1].level:
+            k = atom[1].apply(k)
         return {(tag, ((j, k, l),)): 1}
     u, v = freelie.std_factorize(w)
     iu = _image(atom, images, (tag, u), None)
@@ -407,10 +429,7 @@ def _invert_atom(atom):
         return ("exp", -atom[1])
     if tag == "torus":
         return ("torus", 1 / atom[1], 1 / atom[2])
-    if tag == "perm":
-        inv = tuple(sorted((v, k) for k, v in atom[2]))
-        return ("perm", atom[1], inv)
-    raise ValueError(f"unknown atomic factor {tag!r}")
+    return ("perm", atom[1].inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +465,7 @@ class TruncAut:
         need = self.N if need is None else need
         if need < 0:
             raise ValueError(f"need must be >= 0, got {need}")
+        y.validate_support(self.cfg)
         return _to_elt(*self._apply_block([_to_vec(y)], need)[0])
 
     def _apply_block(self, ys: list, need: int) -> list:
@@ -516,7 +536,7 @@ def _atom_str(atom) -> str:
         return f"exp({monster.format_elt(atom[1])})"
     if atom[0] == "torus":
         return f"torus({atom[1]},{atom[2]})"
-    return f"perm(level={atom[1]}, {dict(atom[2])})"
+    return f"perm(level={atom[1].level}, {dict(sorted(atom[1].moved.items()))})"
 
 
 def _check_match(g: TruncAut, h: TruncAut) -> None:
@@ -530,29 +550,17 @@ def _check_match(g: TruncAut, h: TruncAut) -> None:
 def exp_ad(x: MonsterElt, cfg: SupportConfig) -> TruncAut:
     """exp(ad x) as a truncated automorphism.
 
-    Accepts x in the positive nilpotent sector (any mix of e(-1) and
-    positive words: min degree >= 1, so the series is degree-finite) or
-    a pure multiple of f(-1) (locally nilpotent).  Cartan input is
-    semisimple, not unipotent: use torus().  Negative imaginary content
-    is rejected: its exponential does not act on the positive
-    completion.
+    x must lie in the positive nilpotent sector (any mix of e(-1) and
+    positive words) or be a pure multiple of f(-1); TruncAut's gate
+    (_keyed_word) rejects anything else.  Cartan input is semisimple,
+    not unipotent: use torus().  Negative imaginary content has no
+    exponential acting on the positive completion.
     """
-    keys = set(x.terms)
-    pos_ok = all(k == EMINUS or (isinstance(k, tuple) and k[0] == WPOS) for k in keys)
-    if pos_ok or keys <= {FMINUS}:
-        return TruncAut(cfg, word=(("exp", x),))
-    if keys <= {H1, H2}:
-        raise ValueError("Cartan element acts semisimply; use torus(), not exp_ad()")
-    raise ValueError("exp_ad needs a positive-sector element or a multiple of f(-1); "
-                     "negative imaginary content has no action on the positive completion")
+    return TruncAut(cfg, word=(("exp", x),))
 
 
 def torus(s, t, cfg: SupportConfig) -> TruncAut:
-    s = Fraction(s)
-    t = Fraction(t)
-    if s == 0 or t == 0:
-        raise ValueError("torus parameters must be nonzero")
-    return TruncAut(cfg, word=(("torus", s, t),))
+    return TruncAut(cfg, word=(("torus", Fraction(s), Fraction(t)),))
 
 
 def compose(*auts: TruncAut) -> TruncAut:
@@ -641,9 +649,8 @@ def _h1_log_coeff(key, c):
 
 def Ad(g: TruncAut, x: MonsterElt) -> MonsterElt:
     """Adjoint action on the positive sector: g applied to x."""
-    for k in x.terms:
-        if not (k == EMINUS or (isinstance(k, tuple) and k[0] == WPOS)):
-            raise ValueError("Ad is defined on the positive sector only")
+    if min(map(key_degree, x.terms), default=1) < 1:
+        raise ValueError("Ad is defined on the positive sector only")
     return g.apply(x, g.N + _gen_pad(g.cfg))
 
 
@@ -757,4 +764,4 @@ def equal_mod_level(g: TruncAut, h: TruncAut, i: int) -> bool:
     """True when g^-1 h lies in the i-th filtration subgroup as far as the
     window can certify."""
     lvl = filtration_level(compose(invert(g), h))
-    return lvl.level >= i or (lvl.window_limited and lvl.level >= min(i, g.N))
+    return lvl.level >= i or lvl.window_limited

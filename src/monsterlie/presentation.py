@@ -193,8 +193,6 @@ def _symbol_atom(s: GenSymbol) -> tuple:
             f"{format_symbol(s)} has no action on the positive completion")
     if s.kind in ("H1", "H2"):
         p, one = Fraction(s.param), Fraction(1)
-        if p == 0:
-            raise ValueError("torus parameters must be nonzero")
         return ("torus", p, one) if s.kind == "H1" else ("torus", one, p)
     raise ValueError(f"cannot realize symbol kind {s.kind!r} directly")
 

@@ -203,6 +203,18 @@ def test_relcheck_sl2_report_is_unchanged(capsys, monkeypatch):
         0, "8456a2e503f39f2978c042665c874f0f8f479d0280a9aae1bdd0dc5850f6c135")
 
 
+def test_aut_compose_prints_torus_and_inverted_atoms(capsys, monkeypatch):
+    # the torus branch of the word dump and inverted exp and torus atoms
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    code, out, _ = run(capsys, "aut", "compose", "--word", "H1(2)X(0,1,1;1)",
+                       "--word", "(H2(-1/3)Y(-1;2))^-1")
+    assert code == 0
+    assert json.loads(out)["composite"]["word"] == [
+        "torus(2,1)", "exp(1*e(0,1,1))", "exp(-2*f(-1))", "torus(1,-3)"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3719594636abf5bd99f4fd1a86648cf4c4b429014ce973e375be723e94285e5d")
+
+
 def test_unreadable_config_exit_2(capsys, tmp_path, monkeypatch):
     # a directory and a file that is not UTF-8, named by the flag and by
     # the environment variable: exit 2 with a message, no traceback

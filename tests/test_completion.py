@@ -13,6 +13,7 @@ from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_b
                                    log_unipotent, torus)
 from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
+from monsterlie.permaut import SparsePerm
 from monsterlie.presentation import (GroupWord, eval_word_matrix, format_word, realize_word,
                                      sym)
 
@@ -211,7 +212,7 @@ def test_aut_check_catches_corruption():
 
 
 def test_perm_atomic_roundtrip():
-    swap = (("perm", 1, ((1, 2), (2, 1))),)
+    swap = (("perm", SparsePerm(1, {1: 2, 2: 1})),)
     g = TruncAut(CFG, word=swap)
     x = MonsterElt.e_letter(0, 1, 1)
     assert g.apply(x) == MonsterElt.e_letter(0, 1, 2)
@@ -383,7 +384,7 @@ def _direct(atom, y, bound):
             a, b = monster.key_root(k)
             img = MonsterElt({k: atom[1] ** a * atom[2] ** b})
         else:
-            img = _relabeled(k, atom[1], dict(atom[2]))
+            img = _relabeled(k, atom[1].level, atom[1].moved)
         out = out + img.scaled(c)
     return MonsterElt(out.terms, exact_to=y.exact_to)
 
@@ -410,7 +411,7 @@ def test_memoized_atoms_match_whole_element():
            ("exp", MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(0, 2, 1, Fraction(1, 2))),
            ("exp", MonsterElt.f_minus(Fraction(-1, 2))),
            ("torus", Fraction(2), Fraction(3, 5)),
-           ("perm", 1, ((1, 2), (2, 1)))]
+           ("perm", SparsePerm(1, {1: 2, 2: 1}))]
     atoms = TruncAut(CFG3, word=raw).word
     assert [a[2][3] for a in atoms[:3]] == [False, False, True]
     inputs = _diff_inputs()
@@ -513,6 +514,47 @@ def test_exp_atom_rejects_unsupported_letter():
         realize_word(GroupWord.of(sym("X", (0, 1, 3), 1)), CFG)
 
 
+# Every word goes through TruncAut's gate, whatever built its atoms.
+GATE_CFG = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+
+
+def test_keyed_word_letters_rechecked_under_a_smaller_window():
+    # the same base levels, so the atom keeps its key; its letters are
+    # still checked against the new window
+    word = exp_ad(MonsterElt.e_letter(0, 1, 2), SupportConfig(9, {1: 2})).word
+    with pytest.raises(monster.SupportError, match=r"letter \(0,1,2\) outside support"):
+        TruncAut(SupportConfig(9, {1: 1}), word)
+
+
+def test_apply_checks_input_support():
+    g = exp_ad(MonsterElt.e_minus(-1), SupportConfig(9, {1: 1}))
+    with pytest.raises(monster.SupportError, match=r"letter \(0,1,2\) outside support"):
+        g.apply(MonsterElt.e_letter(0, 1, 2))
+
+
+def test_perm_atom_over_cap_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"permutation support \[5\] exceeds cap 2 at level 1"):
+        TruncAut(GATE_CFG, (("perm", SparsePerm(1, {1: 5, 5: 1})),))
+
+
+@pytest.mark.parametrize("atom, message", [
+    (("exp", MonsterElt.f_letter(0, 1, 1)), "negative imaginary content"),
+    (("torus", Fraction(0), Fraction(1)), "torus parameters must be nonzero"),
+    (("rot", Fraction(1)), "unknown atomic factor 'rot'"),
+], ids=["exp-f011", "zero-torus", "unknown-tag"])
+def test_raw_atom_rejected_at_construction(atom, message):
+    with pytest.raises(ValueError, match=message):
+        TruncAut(GATE_CFG, (atom,))
+
+
+def test_ad_rejects_cartan():
+    # degree 0 is outside the positive sector, like negative degrees
+    g = exp_ad(MonsterElt.e_minus(), CFG)
+    with pytest.raises(ValueError, match="positive sector only"):
+        Ad(g, MonsterElt.h1())
+    assert Ad(g, MonsterElt.zero()).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # integer word application and comparison against Fraction references
 
@@ -520,7 +562,7 @@ _FRACTIONAL_WORDS = [
     [("exp", MonsterElt.e_letter(0, 1, 1, Fraction(1, 2))),
      ("torus", Fraction(3, 5), Fraction(-7, 2)),
      ("exp", MonsterElt.e_minus(Fraction(-2, 3))),
-     ("perm", 1, ((1, 2), (2, 1))),
+     ("perm", SparsePerm(1, {1: 2, 2: 1})),
      ("exp", MonsterElt.e_letter(0, 2, 1, Fraction(-2, 3))
       + MonsterElt.e_letter(0, 1, 2, Fraction(1, 2)))],
     [("exp", MonsterElt.f_minus(Fraction(1, 2))),
@@ -596,7 +638,7 @@ def _block_words():
     s = Fraction(-2, 3)
     weyl = [("exp", MonsterElt.e_minus(s)), ("exp", MonsterElt.f_minus(-1 / s)),
             ("exp", MonsterElt.e_minus(s))]
-    swap = ("perm", 1, ((1, 2), (2, 1)))
+    swap = ("perm", SparsePerm(1, {1: 2, 2: 1}))
     return [
         [("exp", MonsterElt.f_minus(Fraction(1, 2))), ("exp", MonsterElt.e_letter(0, 1, 1, 2)),
          *weyl, ("torus", Fraction(3), Fraction(1)),

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from monsterlie import cli, monster
+from monsterlie import cli, monster, permaut
 from monsterlie.completion import TruncAut
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
@@ -100,6 +100,27 @@ def test_verify_preservation_passes():
     assert rep["pass"]
     assert rep["relations_pass"]
     assert rep["bracket_failures"] == []
+
+
+class _Corrupted:
+    """perm_aut's automorphism with h1 added to the image of e(-1): the
+    attributes verify_preservation reads, over an honest relabeling."""
+
+    def __init__(self, g):
+        self.cfg, self.word, self.N = g.cfg, g.word, g.N
+        self._g = g
+
+    def apply(self, y, need=None):
+        out = self._g.apply(y, need)
+        c = y.terms.get(monster.EMINUS)
+        return out + MonsterElt.h1().scaled(c) if c else out
+
+
+def test_verify_preservation_catches_a_non_automorphism(monkeypatch):
+    monkeypatch.setattr(permaut, "perm_aut", lambda sigma, cfg: _Corrupted(perm_aut(sigma, cfg)))
+    rep = verify_preservation(SparsePerm.from_cycles(1, "(1 2 3)"), CFG, pairs=40, seed=3)
+    assert rep["bracket_failures"]
+    assert rep["pass"] is False
 
 
 def test_commutation_report_passes():
