@@ -29,6 +29,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import inf
 
 from . import completion, freelie, monster, permaut, presentation
 from .indices import SupportConfig
@@ -404,7 +405,7 @@ def elem_json(x: MonsterElt) -> dict:
     return {"normal_form": monster.format_elt(x),
             "terms": [[monster.format_term(k), str(x.terms[k])]
                       for k in sorted(x.terms, key=monster.key_sort)],
-            "exact_to": x.exact_to}
+            "exact_to": x.exact_to if x.exact_to < inf else None}
 
 
 def emit(report: dict, output: str | None) -> None:
@@ -445,7 +446,11 @@ def cmd_dims(args, cfg: Config):
                     mult[(a, b)] = c
         mode = "symbolic"
     else:
-        mult = Counter((l + 1, j - l) for j, _k, l in SupportConfig(D, cfg.window.caps).letters())
+        try:  # a cap above the window is checked only where --degree reaches it
+            letters = SupportConfig(D, cfg.window.caps).letters()
+        except ValueError as e:
+            raise CliError(str(e))
+        mult = Counter((l + 1, j - l) for j, _k, l in letters)
         mode = "capped"
     dims = freelie.witt_root_dimensions(mult, D)
     rows = [[r[0], r[1], str(dims[r])]
@@ -471,9 +476,7 @@ def cmd_aut(args, cfg: Config):
         g = realize(args.word, sup)
         x = parse_elem(args.elem, sup)
         img = g.apply(x)
-        if img.exact_to is not None:
-            # terms above exact_to are not certified: drop them
-            img = img.truncated_above(img.exact_to)
+        img = img.truncated_above(img.exact_to)  # terms above exact_to are not certified
         return 0, {"word": args.word, "element": args.elem,
                    "image": elem_json(img)}
     if op == "compose":

@@ -70,8 +70,8 @@ from typing import NamedTuple
 
 from . import freelie, monster
 from .indices import SupportConfig
-from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt,
-                      _min_none, key_degree, key_root, key_sort)
+from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt, key_degree,
+                      key_root, key_sort)
 
 
 def generator_keys(cfg: SupportConfig) -> tuple:
@@ -143,7 +143,7 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # keys.  _slot maps an atom's cache key to its slot, {bound: {basis key:
 # image}}; an image is the flat tuple (exact_to, den, k1, n1, k2, n2,
 # ...): integer numerators n_i over one positive common denominator den,
-# with the keys interned by _intern.  Exp images depend on the clamp
+# with the keys interned by _intern, exact_to inf when exact.  Exp images depend on the clamp
 # bound; torus and perm images do not and sit under the bound None.  A
 # word resolves each atom's slot once, when it is keyed (_keyed_word), so
 # applying an atom never hashes its key.  Word application carries a
@@ -192,14 +192,14 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
             x = a[1]
             if len(a) == 2 or a[2][2] != levels:
                 m = x.min_degree()
-                if m is not None and m < 1 and x.terms.keys() != {FMINUS}:
+                if m < 1 and x.terms.keys() != {FMINUS}:
                     if x.terms.keys() <= {H1, H2}:
                         raise ValueError(
                             "Cartan element acts semisimply; use torus(), not exp_ad()")
                     raise ValueError("exp_ad needs a positive-sector element or a multiple of "
                                      "f(-1); negative imaginary content has no action on the "
                                      "positive completion")
-                a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, (m or 0) < 0),
+                a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
                      (*_int_form(x.terms), (m, x.exact_to)))
             x.validate_support(cfg)
         elif tag == "torus":
@@ -273,9 +273,9 @@ def _exp_image(atom, key, bound: int) -> tuple:
     xden, xnums, xside = atom[3]
     den = 1
     term: dict = {key: 1}
-    term_exact = None
+    term_exact = inf
     terms = [(den, term)]
-    exact_to = None
+    exact_to = inf
     clamped = False
     limit = 4 * (bound + 8) + 4 * abs(min(0, key_degree(key)))
     n = 0
@@ -285,24 +285,19 @@ def _exp_image(atom, key, bound: int) -> tuple:
             raise RuntimeError("exponential series did not terminate; "
                                "input violates the nilpotence/degree-growth precondition")
         raw = freelie.elt_bracket(xnums, term, monster.term_bracket)
-        rb = inf
-        if xside[1] is not None or term_exact is not None:
-            rb = monster._result_bound(
-                xside, (min(key_degree(k) for k in term), term_exact))
-        term_exact = None
-        if rb is not inf:
-            if rb < 0:  # a bound MonsterElt refuses, as bracket would
+        if xside[1] < inf or term_exact < inf:
+            term_exact = monster._result_bound(xside, (min(map(key_degree, term)), term_exact))
+            if term_exact < 0:  # a bound MonsterElt refuses, as bracket would
                 raise ValueError("exactness bound must be nonnegative")
-            raw = {k: m for k, m in raw.items() if key_degree(k) <= rb}
-            term_exact = rb
+            raw = {k: m for k, m in raw.items() if key_degree(k) <= term_exact}
         term = {k: m for k, m in raw.items() if key_degree(k) <= bound}
         if len(term) != len(raw):
             clamped = True
-            term_exact = _min_none(term_exact, bound)
-        exact_to = _min_none(exact_to, term_exact)
+            term_exact = min(term_exact, bound)
+        exact_to = min(exact_to, term_exact)
         den *= xden * n
         terms.append((den, term))
-    if clamped and (xside[0] or 0) < 0:
+    if clamped and xside[0] < 0:
         exact_to = _descent_floor(bound, atom[2][2]) - 1
     acc: dict = {}
     for d, t in terms:
@@ -328,9 +323,9 @@ def _image(atom, images: dict, key, bound) -> tuple:
         res = _exp_image(atom, key, bound)
     elif tag == "torus":
         a, b = key_root(key)
-        res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), None)
+        res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), inf)
     else:
-        res = _flat_image(1, _perm_key(atom, images, key), None)
+        res = _flat_image(1, _perm_key(atom, images, key), inf)
     images[key] = res
     return res
 
@@ -376,14 +371,13 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
     out = []
     append = out.append
     for den, nums, lo in block:
-        if levels is not None and lo is not None:
+        if levels is not None and lo < inf:
             lo = _descent_floor(lo, levels) - 1
         if len(nums) == 1:
             [(k, c)] = nums.items()
             img = get(k) or _image(atom, images, k, bound)
-            e = img[0]
-            if e is not None and (lo is None or e < lo):
-                lo = e
+            if img[0] < lo:
+                lo = img[0]
             pairs = iter(img)
             next(pairs)
             next(pairs)
@@ -400,9 +394,8 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
         lcm = 1
         for k, c in nums.items():
             img = get(k) or _image(atom, images, k, bound)
-            e = img[0]
-            if e is not None and (lo is None or e < lo):
-                lo = e
+            if img[0] < lo:
+                lo = img[0]
             d = img[1]
             if lcm % d:
                 lcm = lcm // gcd(lcm, d) * d
@@ -479,10 +472,10 @@ class TruncAut:
         out = []
         for y, (den, nums, lo) in zip(ys, self._pass(ys, R)):
             r = R
-            prev = None
+            prev = -inf
             # stop once complete, or once a retry gains nothing: then the
             # input's own exactness is the limit
-            while not (lo is None or lo >= need or (prev is not None and lo <= prev)):
+            while prev < lo < need:
                 prev = lo
                 r += (need - lo) + 2
                 [(den, nums, lo)] = self._pass([y], r)
@@ -510,7 +503,7 @@ class TruncAut:
         and reduced again.  equal, report_dict and filtration_level all
         read the generator images from here."""
         N = self.N
-        block = self._apply_block([(1, {g: 1}, None) for g in generator_keys(self.cfg)], N)
+        block = self._apply_block([(1, {g: 1}, inf) for g in generator_keys(self.cfg)], N)
         return [(den, nums) if max(map(key_degree, nums), default=N) <= N
                 else _reduced(den, {k: n for k, n in nums.items() if key_degree(k) <= N})
                 for den, nums, _ in block]
@@ -635,7 +628,7 @@ def log_unipotent(g: TruncAut) -> MonsterElt:
         term = (g.apply(term, B) - term).truncated_above(B)
         k += 1
     out = {key: _h1_log_coeff(key, c) for key, c in dh1.terms.items()}
-    return MonsterElt(out, exact_to=dh1.exact_to if dh1.exact_to is not None else B)
+    return MonsterElt(out, exact_to=min(dh1.exact_to, B))
 
 
 def _h1_log_coeff(key, c):
@@ -649,7 +642,7 @@ def _h1_log_coeff(key, c):
 
 def Ad(g: TruncAut, x: MonsterElt) -> MonsterElt:
     """Adjoint action on the positive sector: g applied to x."""
-    if min(map(key_degree, x.terms), default=1) < 1:
+    if x.min_degree() < 1:
         raise ValueError("Ad is defined on the positive sector only")
     return g.apply(x, g.N + _gen_pad(g.cfg))
 
@@ -664,10 +657,7 @@ def aut_check(g: TruncAut, pairs) -> dict:
         ga = g.apply(a)
         gb = g.apply(b)
         rhs = monster.bracket(ga, gb)
-        cut = g.N
-        for e in (lhs.exact_to, rhs.exact_to):
-            if e is not None:
-                cut = min(cut, e)
+        cut = min(g.N, lhs.exact_to, rhs.exact_to)
         if lhs.truncated_above(cut) != rhs.truncated_above(cut):
             failures.append({
                 "a": monster.format_elt(a),
@@ -709,7 +699,7 @@ def _first_order_log(g: TruncAut, d: int, need: int) -> MonsterElt:
     img = g.apply(MonsterElt({H1: 1}), need)
     if img.terms.get(H1) != 1:
         raise RuntimeError("residual does not fix h1 to first order")
-    if img.exact_to is not None and img.exact_to < d:
+    if img.exact_to < d:
         raise RuntimeError("image of h1 is not exact through the peeled degree")
     out = {}
     for key, c in img.terms.items():

@@ -49,7 +49,9 @@ class SupportConfig:
 
     caps maps level j to the number of k-indices kept there, K_j <= c(j)
     (qseries.j_coefficients; a larger cap raises ValueError); levels
-    absent from caps contribute no letters.
+    absent from caps contribute no letters.  Only a level with a letter
+    in the window (j + 2 <= degree_bound) is checked against c(j): a cap
+    above the window names no letter, so it is kept but never checked.
     """
 
     degree_bound: int
@@ -63,7 +65,7 @@ class SupportConfig:
                 raise ValueError(f"level {j} must be positive")
             if c < 0:
                 raise ValueError(f"cap at level {j} must be nonnegative")
-        kept = {j: c for j, c in self.caps.items() if c}
+        kept = {j: c for j, c in self.caps.items() if c and j + 2 <= self.degree_bound}
         if kept:
             coef = j_coefficients(max(kept))
             for j, c in kept.items():
@@ -81,10 +83,9 @@ class SupportConfig:
         """All supported letters in canonical (j, k, l) order."""
         out = []
         for j in sorted(self.caps):
-            for k in range(1, self.caps[j] + 1):
-                for l in range(0, j):
-                    if j + l + 2 <= self.degree_bound:
-                        out.append((j, k, l))
+            top = min(j, self.degree_bound - j - 1)  # l < j and j + l + 2 <= degree_bound
+            if top > 0:
+                out += [(j, k, l) for k in range(1, self.caps[j] + 1) for l in range(top)]
         return out
 
     def base_levels(self) -> list[int]:

@@ -38,12 +38,14 @@ strictly decreases the metric (letters on the positive side) + (letters
 on the negative side), with ties broken by total string level; a bug
 that breaks this metric recurses without end and raises RecursionError.
 
-Truncation model: an element is either exact (exact_to is None) or
-complete at all degrees <= exact_to, with unknown content possible only
-at higher positive degrees.  The negative-degree side is always stored
-completely.  Brackets propagate the bound soundly: content missing
-above B in one factor can pollute the product only at degrees above
-B + mindeg(other factor).
+Truncation model: an element is complete at all degrees <= exact_to,
+with unknown content possible only at higher positive degrees; it is
+exact when exact_to is math.inf, and a finite exact_to is an int.  The
+negative-degree side is always stored completely.  Degree bounds are
+plain numbers: the zero element has min_degree inf and max_degree -inf,
+so bounds combine with min, + and < alone.  Brackets propagate the bound
+soundly: content missing above B in one factor can pollute the product
+only at degrees above B + mindeg(other factor).
 """
 
 from __future__ import annotations
@@ -119,36 +121,28 @@ def _check_word(word) -> None:
 # ---------------------------------------------------------------------------
 # elements
 
-def _min_none(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class MonsterElt:
     """Element of the algebra (or of its completion, truncated)."""
 
     __slots__ = ("terms", "exact_to")
 
-    def __init__(self, terms=None, exact_to=None):
+    def __init__(self, terms=None, exact_to=inf):
         t = {}
         if terms:
             for k, c in terms.items():
                 f = c if isinstance(c, Fraction) else Fraction(c)
                 if f:
                     t[k] = f
-        if exact_to is not None and exact_to < 0:
+        if exact_to < 0:
             raise ValueError("exactness bound must be nonnegative")
         self.terms = t
         self.exact_to = exact_to
 
     @classmethod
-    def _of(cls, terms: dict, exact_to=None) -> "MonsterElt":
+    def _of(cls, terms: dict, exact_to=inf) -> "MonsterElt":
         """Trusted constructor: terms already maps keys to nonzero
         Fractions and becomes the element's own dict, unchecked."""
-        if exact_to is not None and exact_to < 0:
+        if exact_to < 0:
             raise ValueError("exactness bound must be nonnegative")
         x = object.__new__(cls)
         x.terms = terms
@@ -203,10 +197,12 @@ class MonsterElt:
         return not self.terms
 
     def min_degree(self):
-        return min((key_degree(k) for k in self.terms), default=None)
+        """Least degree of a term; inf for the zero element."""
+        return min(map(key_degree, self.terms), default=inf)
 
     def max_degree(self):
-        return max((key_degree(k) for k in self.terms), default=None)
+        """Greatest degree of a term; -inf for the zero element."""
+        return max(map(key_degree, self.terms), default=-inf)
 
     def component(self, d: int) -> "MonsterElt":
         """Homogeneous degree-d part; inherits the exactness bound."""
@@ -217,13 +213,13 @@ class MonsterElt:
         """Display restriction to |degree| <= bound (drops both tails)."""
         return MonsterElt._of(
             {k: c for k, c in self.terms.items() if abs(key_degree(k)) <= bound},
-            _min_none(self.exact_to, bound))
+            min(self.exact_to, bound))
 
     def truncated_above(self, bound: int) -> "MonsterElt":
         """Model-sound truncation: positive terms above bound dropped."""
         return MonsterElt._of(
             {k: c for k, c in self.terms.items() if key_degree(k) <= bound},
-            _min_none(self.exact_to, bound))
+            min(self.exact_to, bound))
 
     def validate_support(self, cfg: SupportConfig) -> None:
         for k in self.terms:
@@ -237,7 +233,7 @@ class MonsterElt:
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
         return MonsterElt._of(elt_add(self.terms, other.terms),
-                              _min_none(self.exact_to, other.exact_to))
+                              min(self.exact_to, other.exact_to))
 
     def __neg__(self):
         return MonsterElt._of({k: -c for k, c in self.terms.items()}, self.exact_to)
@@ -259,7 +255,7 @@ class MonsterElt:
     __hash__ = None
 
     def __repr__(self):
-        flag = "" if self.exact_to is None else f" (exact to {self.exact_to})"
+        flag = f" (exact to {self.exact_to})" if self.exact_to < inf else ""
         return f"<MonsterElt {format_elt(self)}{flag}>"
 
 
@@ -465,27 +461,13 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 # public bracket with truncation propagation
 
-def _effective_min_degree(m, exact_to):
-    if exact_to is not None:
-        m = exact_to + 1 if m is None else min(m, exact_to + 1)
-    return m  # None means certainly zero
-
-
 def _result_bound(a: tuple, b: tuple):
     """Exactness bound of a bracket whose factors are described by
     (min_degree, exact_to) pairs: content missing above one factor's
     bound reaches the product only above that bound plus the other
-    factor's effective minimum degree.  inf means exact."""
-    bound = inf
-    if a[1] is not None:
-        mb = _effective_min_degree(*b)
-        if mb is not None:
-            bound = min(bound, a[1] + mb)
-    if b[1] is not None:
-        ma = _effective_min_degree(*a)
-        if ma is not None:
-            bound = min(bound, b[1] + ma)
-    return bound
+    factor's effective minimum degree, the least of its min_degree and
+    its exact_to + 1.  inf means exact."""
+    return min(a[1] + min(b[0], b[1] + 1), b[1] + min(a[0], a[1] + 1))
 
 
 def bracket(a: MonsterElt, b: MonsterElt, cfg: SupportConfig | None = None) -> MonsterElt:
@@ -495,14 +477,13 @@ def bracket(a: MonsterElt, b: MonsterElt, cfg: SupportConfig | None = None) -> M
         b.validate_support(cfg)
     raw = elt_bracket(a.terms, b.terms, term_bracket)
     bound = inf
-    if a.exact_to is not None or b.exact_to is not None:
+    if a.exact_to < inf or b.exact_to < inf:
         bound = _result_bound((a.min_degree(), a.exact_to), (b.min_degree(), b.exact_to))
     if cfg is not None and any(key_degree(k) > cfg.degree_bound for k in raw):
         bound = min(bound, cfg.degree_bound)
-    if bound is not inf:
+    if bound < inf:
         raw = {k: c for k, c in raw.items() if key_degree(k) <= bound}
-        return MonsterElt._of(raw, int(bound))
-    return MonsterElt._of(raw)
+    return MonsterElt._of(raw, bound)
 
 
 def omega(a: MonsterElt) -> MonsterElt:
@@ -512,7 +493,7 @@ def omega(a: MonsterElt) -> MonsterElt:
     element would leave unknown content on the negative side, which the
     storage model keeps complete.
     """
-    if a.exact_to is not None:
+    if a.exact_to < inf:
         raise ValueError("omega requires an exact element")
     out: dict = {}
     for k, c in a.terms.items():

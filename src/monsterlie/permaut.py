@@ -173,7 +173,7 @@ def _basis_terms(cfg: SupportConfig) -> list:
         for b in letters:
             if a < b:
                 w = monster.bracket(MonsterElt.e_word((a,)), MonsterElt.e_word((b,)))
-                if not w.is_zero() and (w.max_degree() or 0) <= cfg.degree_bound:
+                if not w.is_zero() and w.max_degree() <= cfg.degree_bound:
                     out.append(w)
     return out
 

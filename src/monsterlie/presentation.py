@@ -81,12 +81,9 @@ class GenSymbol(NamedTuple):
 
 
 def sym(kind: str, index, param) -> GenSymbol:
-    p = Fraction(param)
-    if kind in ("H1", "H2", "W") and p == 0:
-        raise ValueError(f"{kind} parameter must be nonzero")
     if kind in ("H1", "H2"):
         index = None
-    return GenSymbol(kind, index, p)
+    return GenSymbol(kind, index, Fraction(param))
 
 
 def format_symbol(s: GenSymbol) -> str:
@@ -100,7 +97,9 @@ def format_symbol(s: GenSymbol) -> str:
 
 
 class GroupWord:
-    """Freely reduced word in the generator symbols."""
+    """Freely reduced word in the generator symbols.  Every symbol of a
+    word passes here, so this is where a zero H1, H2 or w parameter (a
+    symbol with no inverse) is refused."""
 
     __slots__ = ("factors",)
 
@@ -110,6 +109,8 @@ class GroupWord:
             s, e = f
             if e not in (1, -1):
                 raise ValueError("exponents are +-1")
+            if s.kind in ("H1", "H2", "W") and not s.param:
+                raise ValueError(f"{s.kind} parameter must be nonzero")
             if out and out[-1][0] == s and out[-1][1] == -e:
                 out.pop()
             else:

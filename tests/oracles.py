@@ -15,12 +15,12 @@ instead of one integer form over a common denominator.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from monsterlie import monster
 from monsterlie.completion import _emit_word, compose, filtration_level, invert, log_unipotent
 from monsterlie.indices import SupportConfig
-from monsterlie.monster import EMINUS, WPOS, MonsterElt, _min_none, key_degree, key_sort
+from monsterlie.monster import EMINUS, WPOS, MonsterElt, key_degree, key_sort
 from monsterlie.presentation import GroupWord, c_const, realize_word, sym
 
 
@@ -378,10 +378,10 @@ def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
         kept = {k: c for k, c in term.terms.items() if key_degree(k) <= bound}
         if len(kept) != len(term.terms):
             clamped = True
-            term = MonsterElt(kept, exact_to=_min_none(term.exact_to, bound))
+            term = MonsterElt(kept, exact_to=min(term.exact_to, bound))
         acc = acc + term
-    tail = _min_none(y.exact_to, bound if clamped else None)
-    if tail is not None and (x.min_degree() or 0) < 0:
+    tail = min(y.exact_to, bound if clamped else inf)
+    if tail < inf and (x.min_degree() or 0) < 0:
         acc = MonsterElt(acc.terms, exact_to=descent_floor(tail, cfg) - 1)
     return acc
 

@@ -112,7 +112,7 @@ def test_criterion_04_jacobi_identity_exact_sweep():
                + monster.bracket(y, monster.bracket(z, x))
                + monster.bracket(z, monster.bracket(x, y)))
         assert jac.is_zero()
-        assert jac.exact_to is None  # fully exact, no window involved
+        assert jac.exact_to == math.inf  # fully exact, no window involved
 
 
 def test_criterion_05_string_coefficients_match_linear_system():

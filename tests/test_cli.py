@@ -416,3 +416,41 @@ def test_aut_approx_error_paths_exit_2(capsys):
     code, out, err = run(capsys, "aut", "approx", "--word", "X(0,1,1;1)", "--depth", "10")
     assert code == 2 and out == ""
     assert err == "error: cannot certify beyond the truncation window\n"
+
+
+@pytest.mark.parametrize("argv, section, exact_to, digest", [
+    (("bracket", "--expr", "[e(1,3,1),e(0,3,1)]"), "result", 9,
+     "48b2f82a00ee849bff48e8c525b4c43e992ed7457b358f6276e30c6cf57c1b28"),
+    (("bracket", "--expr", "[e(0,1,1),e(0,2,1)]"), "result", None,
+     "723a67c42bad2d4fbbe9f3d211186b095b6a74ea39f89eef06bf2f93c8448f9b"),
+    (("aut", "apply", "--word", "Y(-1;1)X(0,2,1;1)", "--elem", "e(0,1,1)"), "image", 11,
+     "c3d455465ac6e3d0667757debe05ca11281194cbce2a5001babcd1a50b90d3eb"),
+    (("aut", "apply", "--word", "X(0,2,1;1)Y(-1;2)", "--elem", "[e(0,1,1),e(0,1,2)]"), "image", 14,
+     "fafc144eeae5b00ee0e6c5ec745c29f6cb7cf737f59986b569c87cc2657f0e4a"),
+    (("aut", "log", "--word", "X(0,1,1;1)X(0,2,1;-1)"), "log", 14,
+     "dd678614e676ce3cfd91ee9f20ebcccf0437827dde8dd2a9866d474cab57f4ff"),
+    (("aut", "apply", "--word", "H1(2)X(-1;1)", "--elem", "f(0,1,1)"), "image", None,
+     "607a1fa100b14f5b87c9dde32c1e67384d6b2540cfe00f85d4d6a2f9e9a81f2e"),
+], ids=["bracket-cut", "bracket-exact", "apply-lowering", "apply-bracket-word", "log",
+        "apply-exact"])
+def test_exact_to_prints_an_int_or_null(capsys, monkeypatch, argv, section, exact_to, digest):
+    # the library spells "exact" as math.inf; the JSON prints it as null
+    # and a finite bound as an integer
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    got = json.loads(out)[section]["exact_to"]
+    assert got == exact_to and type(got) is type(exact_to)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cap_above_the_window_is_not_checked(capsys, monkeypatch):
+    # a level with no letter in the window names no letter, however large
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    code, out, err = run(capsys, "bracket", "--expr", "h1", "--cap", "99999999999999999999=1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["normal_form"] == "1*h1"
+    # dims checks the caps that --degree reaches
+    code, out, err = run(capsys, "dims", "--degree", "12", "--cap", "8=401490886656001")
+    assert (code, out) == (2, "") and "cap 401490886656001 at level 8 exceeds c(8)" in err
+    assert "Traceback" not in err

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -300,7 +300,7 @@ def test_equal_mod_level():
 def test_apply_respects_requested_need():
     g = exp_ad(MonsterElt.e_minus(), CFG)
     img = g.apply(MonsterElt.f_letter(0, 1, 1), need=4)
-    assert img.exact_to is None or img.exact_to >= 4
+    assert img.exact_to >= 4
 
 
 def test_report_dict_deterministic():
@@ -312,7 +312,7 @@ def test_report_dict_deterministic():
 def test_apply_refuses_negative_need():
     # need >= 0 keeps every descent bound >= -2, where the floor is exact
     g = exp_ad(MonsterElt.f_minus(), CFG)
-    assert g.apply(MonsterElt.h1(), need=0).exact_to is None
+    assert g.apply(MonsterElt.h1(), need=0).exact_to == inf
     with pytest.raises(ValueError):
         g.apply(MonsterElt.h1(), need=-1)
 
@@ -353,11 +353,6 @@ def test_weyl_conjugation_reverses_long_string():
 # memoized atom maps against the whole-element computation
 
 CFG3 = SupportConfig(9, {1: 2, 2: 2, 3: 1})
-
-
-def _at_most(a, b):
-    """a <= b for exactness bounds, where None means exact."""
-    return b is None or (a is not None and a <= b)
 
 
 def _relabeled(key, level, moved):
@@ -421,11 +416,8 @@ def test_memoized_atoms_match_whole_element():
                 memo = _one_atom_block(atom, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
-                assert _at_most(e, direct.exact_to), (atom[0], y, bound)
-                if e is None:
-                    assert memo.terms == direct.terms
-                else:
-                    assert memo.truncated_above(e) == direct.truncated_above(e)
+                assert e <= direct.exact_to, (atom[0], y, bound)
+                assert memo.truncated_above(e) == direct.truncated_above(e)
                 warm = _one_atom_block(atom, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     slots = [completion._atom_slot(a) for a in atoms]
@@ -581,9 +573,9 @@ def test_integer_words_match_atomwise_fraction_reference():
             want = y
             for atom in reversed(raw):
                 want = _direct(atom, want, bound)
-            if y.exact_to is None:
-                assert got.exact_to is None or got.exact_to >= 9
-            cut = min(e for e in (got.exact_to, want.exact_to, 9) if e is not None)
+            if y.exact_to == inf:
+                assert got.exact_to >= 9
+            cut = min(got.exact_to, want.exact_to, 9)
             assert got.truncated_above(cut) == want.truncated_above(cut), (raw, y)
             assert all(type(c) is Fraction for c in got.terms.values())
 
@@ -668,7 +660,7 @@ def test_generator_block_matches_single_applies(monkeypatch):
             assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
         want = []
         for k in gens:
-            [(den, nums, _)] = g._apply_block([(1, {k: 1}, None)], 9)
+            [(den, nums, _)] = g._apply_block([(1, {k: 1}, inf)], 9)
             want.append(completion._reduced(
                 den, {kk: n for kk, n in nums.items() if monster.key_degree(kk) <= 9}))
         assert forms == want
@@ -678,9 +670,9 @@ def test_block_pass_returns_reduced_triples():
     # _generator_forms reduces only the images it cuts at N, so every
     # triple _apply_block hands back must already be gcd-reduced
     gens = generator_keys(BLOCK_CFG)
-    ys = [(1, {k: 1}, None) for k in gens]
+    ys = [(1, {k: 1}, inf) for k in gens]
     for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
-        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e)) for k in gens for e in (None, 7)]
+        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e)) for k in gens for e in (inf, 7)]
     mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
     ys.append(completion._to_vec(MonsterElt(mixed)))
     for word in _block_words():

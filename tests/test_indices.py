@@ -1,7 +1,9 @@
 import pytest
 
+from monsterlie import indices
 from monsterlie.indices import (SupportConfig, display, letter_degree, letter_root,
                                 make_letter)
+from monsterlie.qseries import j_coefficients
 
 
 def test_make_letter_validates():
@@ -76,3 +78,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"cap 196885 at level 1 exceeds c\(1\) = 196884"):
         SupportConfig(5, {1: 196885})
     assert SupportConfig(5, {1: 196884}).cap(1) == 196884
+
+
+def test_caps_above_the_window_are_neither_checked_nor_walked(monkeypatch):
+    # level 400 has no letter in a degree-9 window (its bottom letter has
+    # degree 402), so only level 1 is checked against c(j)
+    seen = []
+    monkeypatch.setattr(indices, "j_coefficients",
+                        lambda nmax: seen.append(nmax) or j_coefficients(nmax))
+    cfg = SupportConfig(9, {1: 2, 400: 1})
+    assert seen and max(seen) <= 7
+    assert cfg.letters() == SupportConfig(9, {1: 2}).letters()
+    assert SupportConfig(9, {10**20: 1}).letters() == []
+    # a level whose bottom letter just fits is still checked
+    with pytest.raises(ValueError, match=r"cap 196885 at level 1 exceeds"):
+        SupportConfig(3, {1: 196885})

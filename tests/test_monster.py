@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -196,7 +197,7 @@ def test_omega_is_a_homomorphism():
 
 def test_omega_rejects_truncated_input():
     x = MonsterElt.e_letter(0, 1, 1).truncated_above(3)
-    assert x.exact_to is not None
+    assert x.exact_to < inf
     with pytest.raises(ValueError):
         omega(x)
 
@@ -277,3 +278,13 @@ def test_exact_quotient_raises_on_remainder():
     assert monster._exact_quotient({k: -6, H1: 3}, 3) == {k: -2, H1: 1}
     with pytest.raises(ArithmeticError):
         monster._exact_quotient({k: 6, H1: 7}, 2)
+
+
+def test_truncated_zero_factors_bound_by_their_exactness():
+    # a factor known to vanish through E hides content from degree E + 1
+    # on, so unknowns of two such factors first meet at E1 + E2 + 2
+    a = MonsterElt({}, exact_to=3)
+    c = bracket(a, MonsterElt({}, exact_to=5))
+    assert c.is_zero() and c.exact_to == 9 and type(c.exact_to) is int
+    assert bracket(a, MonsterElt.e_minus()).exact_to == 4
+    assert (MonsterElt.zero().min_degree(), MonsterElt.zero().max_degree()) == (inf, -inf)

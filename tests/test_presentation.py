@@ -393,3 +393,18 @@ def test_realize_word_builds_parent_word():
                 assert a[2:] == b[2:]
             else:
                 assert a == b and all(type(p) is Fraction for p in a[1:])
+
+
+@pytest.mark.parametrize("kind, index, e", [("H1", None, -1), ("W", -1, 1), ("W", -1, -1)],
+                         ids=["H1-inverse", "W", "W-inverse"])
+def test_realize_word_refuses_hand_built_zero_parameter(kind, index, e):
+    # a GenSymbol built directly, not through sym, meets the word's check
+    s = P.GenSymbol(kind, index, Fraction(0))
+    with pytest.raises(ValueError, match=f"{kind} parameter must be nonzero"):
+        realize_word(GroupWord([(s, e)]), CFG)
+
+
+def test_validate_sl2_refuses_hand_built_zero_w():
+    s = P.GenSymbol("W", -1, Fraction(0))
+    with pytest.raises(ValueError, match="W parameter must be nonzero"):
+        validate_sl2(P.RelationInstance("R9", "SL2", GroupWord([(s, 1)]), GroupWord(), -1, {}))
