@@ -18,6 +18,8 @@ suite, output.  Example:
 
 Exit codes: 0 all checks passed, 1 a validation suite reported
 failures (witnesses are in the JSON), 2 usage or configuration error.
+A ValueError from the library is reported as "error: <message>" with exit 2;
+faults (RuntimeError, ArithmeticError, AssertionError, RecursionError) are not.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from math import inf
 
 from . import completion, freelie, monster, permaut, presentation
 from .indices import SupportConfig
-from .monster import MonsterElt, SupportError
-from .presentation import DEFAULT_SAMPLES, GroupWord, UnrealizableError, sym
+from .monster import MonsterElt
+from .presentation import DEFAULT_SAMPLES, GroupWord, sym
 from .qseries import j_coefficients
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage or configuration problem; maps to exit code 2."""
 
 
@@ -164,10 +166,7 @@ def resolve_config(args) -> Config:
         layers["suite"] = args.suite
     if getattr(args, "output", None):
         layers["output"] = args.output
-    try:
-        return Config(**layers)
-    except (TypeError, ValueError) as e:
-        raise CliError(str(e))
+    return Config(**layers)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +390,7 @@ def parse_word(text: str) -> GroupWord:
 
 
 def realize(text: str, cfg: SupportConfig):
-    word = parse_word(text)
-    try:
-        return presentation.realize_word(word, cfg)
-    except (UnrealizableError, SupportError) as e:
-        raise CliError(str(e))
+    return presentation.realize_word(parse_word(text), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +441,7 @@ def cmd_dims(args, cfg: Config):
                     mult[(a, b)] = c
         mode = "symbolic"
     else:
-        try:  # a cap above the window is checked only where --degree reaches it
-            letters = SupportConfig(D, cfg.window.caps).letters()
-        except ValueError as e:
-            raise CliError(str(e))
+        letters = SupportConfig(D, cfg.window.caps).letters()  # caps checked up to --degree
         mult = Counter((l + 1, j - l) for j, _k, l in letters)
         mode = "capped"
     dims = freelie.witt_root_dimensions(mult, D)
@@ -485,17 +477,11 @@ def cmd_aut(args, cfg: Config):
         return 0, {"words": list(args.word), "composite": g.report_dict()}
     if op == "log":
         g = realize(args.word, sup)
-        try:
-            x = completion.log_unipotent(g)
-        except ValueError as e:
-            raise CliError(str(e))
+        x = completion.log_unipotent(g)
         return 0, {"word": args.word, "log": elem_json(x)}
     if op == "level":
         g = realize(args.word, sup)
-        try:
-            lv = completion.filtration_level(g)
-        except ValueError as e:
-            raise CliError(str(e))
+        lv = completion.filtration_level(g)
         return 0, {"word": args.word, "level": lv.level,
                    "window_limited": lv.window_limited}
     # op == "approx": argparse admits no other operation
@@ -503,10 +489,7 @@ def cmd_aut(args, cfg: Config):
     if depth < 0:
         raise CliError("--depth must be >= 0")
     g = realize(args.word, sup)
-    try:
-        word = completion.approximate_by_generators(g, depth)
-    except ValueError as e:
-        raise CliError(str(e))
+    word = completion.approximate_by_generators(g, depth)
     h = presentation.realize_word(word, sup)
     ok = completion.equal_mod_level(g, h, depth)
     rep = {"word": args.word, "depth": depth,
@@ -521,11 +504,8 @@ def cmd_relcheck(args, cfg: Config):
 
 
 def cmd_permaut(args, cfg: Config):
-    try:
-        sigma = permaut.SparsePerm.from_cycles(args.level, args.cycles)
-        rep = permaut.perm_report(sigma, cfg.window, verify=args.verify)
-    except ValueError as e:
-        raise CliError(str(e))
+    sigma = permaut.SparsePerm.from_cycles(args.level, args.cycles)
+    rep = permaut.perm_report(sigma, cfg.window, verify=args.verify)
     return (0 if rep["pass"] else 1), rep
 
 
@@ -613,7 +593,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         code, report = args.fn(args, cfg)
         emit(report, cfg.output)
-    except (CliError, SupportError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

@@ -14,7 +14,9 @@ and the minimum letter degree is 3.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .qseries import j_coefficients
 
@@ -52,12 +54,15 @@ class SupportConfig:
     absent from caps contribute no letters.  Only a level with a letter
     in the window (j + 2 <= degree_bound) is checked against c(j): a cap
     above the window names no letter, so it is kept but never checked.
+    The window keeps a read-only copy of caps, so the caller's dict can
+    change afterwards without moving it past that check.
     """
 
     degree_bound: int
-    caps: dict[int, int] = field(default_factory=dict)
+    caps: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "caps", MappingProxyType(dict(self.caps)))
         if self.degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
         for j, c in self.caps.items():

@@ -228,7 +228,7 @@ class MonsterElt:
                     if not cfg.supports_letter(L):
                         raise SupportError(
                             f"letter {display(L)} outside support "
-                            f"(bound {cfg.degree_bound}, caps {cfg.caps})")
+                            f"(bound {cfg.degree_bound}, caps {dict(cfg.caps)})")
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):

@@ -454,3 +454,45 @@ def test_cap_above_the_window_is_not_checked(capsys, monkeypatch):
     code, out, err = run(capsys, "dims", "--degree", "12", "--cap", "8=401490886656001")
     assert (code, out) == (2, "") and "cap 401490886656001 at level 8 exceeds c(8)" in err
     assert "Traceback" not in err
+
+
+def _raise(exc):
+    def planted(*args, **kwargs):
+        raise exc
+    return planted
+
+
+# each subcommand with the library call behind it: main alone turns a
+# ValueError from any of them into exit 2
+BOUNDARY_CASES = {
+    "jcoef": (("jcoef", "--nmax", "3"), cli, "j_coefficients"),
+    "dims": (("dims", "--degree", "5"), cli.freelie, "witt_root_dimensions"),
+    "bracket": (("bracket", "--expr", "[h1,e(-1)]"), cli.monster, "bracket"),
+    "aut-apply": (("aut", "apply", "--word", "X(-1;1)", "--elem", "h1"),
+                  cli.completion.TruncAut, "apply"),
+    "aut-compose": (("aut", "compose", "--word", "X(-1;1)"), cli.completion, "compose"),
+    "aut-log": (("aut", "log", "--word", "X(-1;1)"), cli.completion, "log_unipotent"),
+    "aut-level": (("aut", "level", "--word", "X(-1;1)"), cli.completion, "filtration_level"),
+    "aut-approx": (("aut", "approx", "--word", "X(-1;1)"),
+                   cli.completion, "approximate_by_generators"),
+    "relcheck": (("relcheck", "--suite", "sl2"), cli.presentation, "validate_catalog"),
+    "permaut": (("permaut", "--level", "1"), cli.permaut, "perm_report"),
+    "numerology": (("numerology",), cli.permaut, "numerology_check"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_library_value_error_exits_2(capsys, monkeypatch, case):
+    argv, owner, name = BOUNDARY_CASES[case]
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setattr(owner, name, _raise(ValueError("planted")))
+    assert run(capsys, *argv) == (2, "", "error: planted\n")
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, ArithmeticError, AssertionError,
+                                   RecursionError])
+def test_library_fault_is_not_a_usage_error(capsys, monkeypatch, fault):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setattr(cli.presentation, "validate_catalog", _raise(fault("planted")))
+    with pytest.raises(fault, match="planted"):
+        main(["relcheck", "--suite", "sl2"])

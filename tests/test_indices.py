@@ -93,3 +93,16 @@ def test_caps_above_the_window_are_neither_checked_nor_walked(monkeypatch):
     # a level whose bottom letter just fits is still checked
     with pytest.raises(ValueError, match=r"cap 196885 at level 1 exceeds"):
         SupportConfig(3, {1: 196885})
+
+
+def test_caps_are_a_read_only_copy():
+    # the window checked K_j <= c(j) on the caps it was given; neither the
+    # caller's dict nor the window's own caps may move past that check later
+    caps = {1: 2}
+    cfg = SupportConfig(9, caps)
+    caps[1] = 196885
+    assert cfg.cap(1) == 2
+    assert len(cfg.letters()) == 2
+    with pytest.raises(TypeError):
+        cfg.caps[1] = 10**6
+    assert cfg.cap(1) == 2
