@@ -26,7 +26,9 @@ atoms directly, so each realized word is keyed once).  Every
 application, index permutations included, goes through that block pass.
 Composition is concatenation, inversion reverses the tuple and inverts
 each atom, so inverses stay cheap and exact.  TruncAut checks every atom
-and every element it is applied to against its window.
+and every element it is applied to against its window.  An exp series
+whose x is one exact u+ word skips the keys whose bracket with it the
+clamp would cut whole.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -269,8 +271,25 @@ def _exp_image(atom, key, bound: int) -> tuple:
     summed over the last denominator and reduced by one gcd.  When x
     lowers degrees, content hidden above a cut can slide back down; the
     image is then marked exact only below the descent floor of the
-    levels in the atom's key."""
+    levels in the atom's key.
+
+    When x is exact and a single u+ word L, a term key w with deg w >
+    max(bound - deg L, 1) is not bracketed: it is a u+ word (those have
+    degree >= 3, every other key <= 1), so [L, w] lies wholly above
+    bound and would be cut.  The step is still marked cut exactly when
+    such a w other than L has a nonzero coefficient: u+ is a free Lie
+    algebra, where the centralizer of L is its span, so the skipped part
+    brackets to zero only if it is a multiple of L; and no bracketed key
+    reaches those degrees (the rest land at <= bound or, outside u+, at
+    <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
+    thus returns itself, exact_to bound (inf when it is L), with no
+    bracket computed."""
     xden, xnums, xside = atom[3]
+    cut = inf
+    if xside[1] == inf and len(xnums) == 1:
+        [L] = xnums
+        if isinstance(L, tuple) and L[0] == WPOS:
+            cut = max(bound - key_degree(L), 1)
     den = 1
     term: dict = {key: 1}
     term_exact = inf
@@ -284,14 +303,23 @@ def _exp_image(atom, key, bound: int) -> tuple:
         if n > limit:
             raise RuntimeError("exponential series did not terminate; "
                                "input violates the nilpotence/degree-growth precondition")
-        raw = freelie.elt_bracket(xnums, term, monster.term_bracket)
+        low = term
+        skipped = False
+        if cut < inf:
+            low = {}
+            for k, m in term.items():
+                if key_degree(k) <= cut:
+                    low[k] = m
+                elif k != L:
+                    skipped = True
+        raw = freelie.elt_bracket(xnums, low, monster.term_bracket)
         if xside[1] < inf or term_exact < inf:
             term_exact = monster._result_bound(xside, (min(map(key_degree, term)), term_exact))
             if term_exact < 0:  # a bound MonsterElt refuses, as bracket would
                 raise ValueError("exactness bound must be nonnegative")
             raw = {k: m for k, m in raw.items() if key_degree(k) <= term_exact}
         term = {k: m for k, m in raw.items() if key_degree(k) <= bound}
-        if len(term) != len(raw):
+        if skipped or len(term) != len(raw):
             clamped = True
             term_exact = min(term_exact, bound)
         exact_to = min(exact_to, term_exact)
@@ -752,6 +780,11 @@ def approximate_by_generators(g: TruncAut, i: int):
 
 def equal_mod_level(g: TruncAut, h: TruncAut, i: int) -> bool:
     """True when g^-1 h lies in the i-th filtration subgroup as far as the
-    window can certify."""
-    lvl = filtration_level(compose(invert(g), h))
+    window can certify.
+
+    Measured on h^-1 g, its inverse: G_i is a subgroup, so the two lie in
+    it together.  When h is approximate_by_generators' word for g, the
+    atoms of h^-1 g are g's own and the inverted pieces that the peel's
+    residuals already imaged, so their memoized images are reused."""
+    lvl = filtration_level(compose(invert(h), g))
     return lvl.level >= i or lvl.window_limited

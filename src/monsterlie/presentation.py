@@ -181,7 +181,8 @@ def expand_weyl(w: GroupWord) -> GroupWord:
 
 def _symbol_atom(s: GenSymbol) -> tuple:
     """The word atom of one symbol: exp(ad x) for X(-1;u), X(l,j,k;u) and
-    Y(-1;u), the torus scaling for H1(s) and H2(s)."""
+    Y(-1;u), the torus scaling for H1(s) and H2(s).  Y(l,j,k;u) raises a
+    bare UnrealizableError; realize_word names the symbol."""
     if s.kind == "X":
         if s.index == -1:
             return ("exp", MonsterElt.e_minus(s.param))
@@ -190,8 +191,7 @@ def _symbol_atom(s: GenSymbol) -> tuple:
     if s.kind == "Y":
         if s.index == -1:
             return ("exp", MonsterElt.f_minus(s.param))
-        raise UnrealizableError(
-            f"{format_symbol(s)} has no action on the positive completion")
+        raise UnrealizableError
     if s.kind in ("H1", "H2"):
         p, one = Fraction(s.param), Fraction(1)
         return ("torus", p, one) if s.kind == "H1" else ("torus", one, p)
@@ -200,11 +200,18 @@ def _symbol_atom(s: GenSymbol) -> tuple:
 
 def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
-    an inverted atom per inverse symbol, keyed once."""
+    an inverted atom per inverse symbol, keyed once.  An unrealizable
+    word is reported by the first symbol of w itself that has no action,
+    so a Weyl symbol is named as written, not by its expansion's Y."""
     word = []
-    for s, e in expand_weyl(w).factors:
-        a = _symbol_atom(s)
-        word.append(_invert_atom(a) if e == -1 else a)
+    try:
+        for s, e in expand_weyl(w).factors:
+            a = _symbol_atom(s)
+            word.append(_invert_atom(a) if e == -1 else a)
+    except UnrealizableError:
+        s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
+        raise UnrealizableError(
+            f"{format_symbol(s)} has no action on the positive completion") from None
     return TruncAut(cfg, word=tuple(word))
 
 

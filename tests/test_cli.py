@@ -115,6 +115,27 @@ def test_unrealizable_word_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("aut", "log", "--word", "w(0,1,1;1)"), "w(0,1,1;1)"),
+    (("aut", "apply", "--word", "X(0,1,1;1)w(0,1,1;2)^-1", "--elem", "h1"), "w(0,1,1;2)"),
+    (("aut", "apply", "--word", "Y(0,1,1;1)", "--elem", "h1"), "Y(0,1,1;1)"),
+])
+def test_unrealizable_symbol_named_as_written(capsys, argv, named):
+    # a Weyl symbol is named as the user wrote it, not by the Y of its expansion
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} has no action on the positive completion\n"
+
+
+def test_weyl_words_realize_to_the_same_atoms(capsys):
+    # the expansion's Y(0,1,1;1) cancels against the written one, so the
+    # first word is realizable; both words keep their atoms
+    rep = run_json(capsys, "aut", "compose", "--word", "Y(0,1,1;1)^-1X(0,1,1;1)^-1w(0,1,1;1)",
+                   "--word", "w(-1;2)^-1H1(2)")
+    assert rep["composite"]["word"] == ["exp(1*e(0,1,1))", "exp(-2*e(-1))", "exp(1/2*f(-1))",
+                                        "exp(-2*e(-1))", "torus(2,1)"]
+
+
 def test_relcheck_failure_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli.presentation, "validate_catalog",
                         lambda *a, **k: {"all_pass": False, "results": []})

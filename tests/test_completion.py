@@ -297,6 +297,25 @@ def test_equal_mod_level():
     assert not equal_mod_level(g, TruncAut.identity(CFG), 5)
 
 
+def test_equal_mod_level_on_non_identity_pairs():
+    e011 = MonsterElt.e_letter(0, 1, 1)
+    e021 = MonsterElt.e_letter(0, 2, 1)
+    a, b = exp_ad(e011, CFG), exp_ad(e021, CFG)
+    # g^-1 h = exp(2/3 e(0,2,1)) at level 4; the group commutator of
+    # exp(e(0,1,1)) and exp(e(0,2,1)) at level 3 + 4 = 7
+    pairs = [(compose(a, exp_ad(e021.scaled(Fraction(-2, 3)), CFG)), a, 4),
+             (compose(a, b), compose(b, a), 7)]
+    for g, h, level in pairs:
+        lvl = filtration_level(compose(invert(g), h))
+        assert lvl == (level, False)
+        assert equal_mod_level(g, h, level) and equal_mod_level(h, g, level)
+        assert not equal_mod_level(g, h, level + 1)
+        assert not equal_mod_level(h, g, level + 1)
+        for i in range(N + 1):
+            assert equal_mod_level(g, h, i) == (lvl.level >= i or lvl.window_limited), i
+            assert equal_mod_level(h, g, i) == equal_mod_level(g, h, i), i
+
+
 def test_apply_respects_requested_need():
     g = exp_ad(MonsterElt.e_minus(), CFG)
     img = g.apply(MonsterElt.f_letter(0, 1, 1), need=4)
@@ -485,6 +504,27 @@ def test_integer_exp_images_match_fraction_series():
                 img = completion._exp_image(atom, key, bound)
                 got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
+
+
+def test_exp_images_of_single_u_plus_words_match_fraction_series():
+    # an exact x that is one u+ word L skips the keys whose bracket with L
+    # lies wholly above the bound; the image and its exact_to must not move
+    L = (monster.WPOS, ((1, 1, 0), (1, 2, 0)))
+    xs = [MonsterElt.e_letter(0, 1, 1, Fraction(3, 2)),
+          MonsterElt({L: Fraction(-2, 5)})]
+    keys = _basis_keys(CFG3, 9)
+    assert L in keys and 2 * monster.key_degree(L) > 9
+    for x in xs:
+        atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
+        for bound in (6, 9, 12, 21):
+            for key in keys:
+                want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
+                img = completion._exp_image(atom, key, bound)
+                got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
+                assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
+    # L itself above half the bound: [L, L] = 0, so nothing is cut
+    atom = TruncAut(CFG3, word=[("exp", xs[1])]).word[0]
+    assert completion._exp_image(atom, L, 9) == (inf, 1, L, 1)
 
 
 def test_atom_cache_key_built_with_word():
