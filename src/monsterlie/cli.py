@@ -160,7 +160,7 @@ def resolve_config(args) -> Config:
                 raise CliError(f"bad --cap {cap_item!r}; expected j=count")
             caps[int(m.group(1))] = int(m.group(2))
         layers["caps"] = caps
-    if getattr(args, "samples", None):
+    if getattr(args, "samples", None) is not None:
         layers["samples"] = _parse_samples(args.samples)
     if getattr(args, "suite", None):
         layers["suite"] = args.suite

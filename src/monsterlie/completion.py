@@ -7,28 +7,31 @@ a tuple of atomic factors, each ("exp", x) for a pro-summable
 exponential (stored as ("exp", x, cache key, integer form of x), both
 built once with the word), ("torus", s, t) for the semisimple scaling by
 s^a t^b on the root (a, b), or ("perm", sigma) for an index permutation
-sigma (a permaut.SparsePerm).  Application walks the factors right to
-left, so it is a composition of linear maps on basis keys: each atom
-sends y to the sum of c * image(key) over the terms of y, and the image
-of each basis key is computed once per atom and clamp bound, then
-memoized (exp images by the exp series on that single key, run on
-integer numerators over one denominator: the basis brackets have integer
-structure constants, so each step's denominator is the last one times
-x's denominator and n).  The word resolves each atom's memo slot once,
-when it is built.  Images are stored as integer numerators over a common
-denominator, and a word carries y through its atoms in that integer
-form, the triple (den, {key: numerator}, exact_to), so Fractions are
-built only for the returned element.  One pass of a word carries a whole
-block of such triples, one kernel call per atom, and hands back each
-triple gcd-reduced: equal pushes the generator block through each side
-once and compares the images in that form (realize_word builds a word's
-atoms directly, so each realized word is keyed once).  Every
-application, index permutations included, goes through that block pass.
-Composition is concatenation, inversion reverses the tuple and inverts
-each atom, so inverses stay cheap and exact.  TruncAut checks every atom
-and every element it is applied to against its window.  An exp series
-whose x is one exact u+ word skips the keys whose bracket with it the
-clamp would cut whole.
+sigma (a permaut.SparsePerm).  The kernel runs on small integer ids, not
+on basis keys: a word numbers each key it meets once, in first-seen
+order, and keeps that numbering for life.  Application walks the factors
+right to left, so it is a composition of linear maps on ids: each atom
+sends y to the sum of c * image(id) over the terms of y, and the image
+of each id is computed once per atom and clamp bound, then memoized (exp
+images by the exp series on that single key, run on integer numerators
+over one denominator: the basis brackets have integer structure
+constants, kept in one memoized table of id pairs, so each step's
+denominator is the last one times x's denominator and n).  The word
+resolves each atom's memo slot once, when it is built.  Images are
+stored as integer numerators over a common denominator, and a word
+carries y through its atoms in that integer form, the triple (den, {id:
+numerator}, exact_to), so Fractions and keys are built only for the
+returned element.  One pass of a word carries a whole block of such
+triples, one kernel call per atom, and hands back each triple
+gcd-reduced: equal pushes the generator block through each side once
+and compares the images in that form (realize_word builds a word's atoms
+directly, so each realized word is keyed once).  Every application,
+index permutations included, goes through that block pass.  Composition
+is concatenation, inversion reverses the tuple and inverts each atom, so
+inverses stay cheap and exact.  TruncAut checks every atom and every
+element it is applied to against its window.  An exp series whose x is
+one exact u+ word skips the keys whose bracket with it the clamp would
+cut whole.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -66,7 +69,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 from math import gcd, inf
 from typing import NamedTuple
 
@@ -139,60 +143,104 @@ def _descent_floor(E: int, levels: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# atoms as memoized linear maps on basis keys, in integer arithmetic
+# atoms as memoized linear maps on basis key ids, in integer arithmetic
 #
-# Every atom is linear, so it acts through the images of single basis
-# keys.  _slot maps an atom's cache key to its slot, {bound: {basis key:
-# image}}; an image is the flat tuple (exact_to, den, k1, n1, k2, n2,
+# The kernel never hashes a basis key in its inner loops: each key gets a
+# small integer id once, from a _KeyIds numbering that keeps the id ->
+# key and id -> degree lists beside its key -> id index, so a degree test
+# is a list lookup.  _ids() is the current numbering; a word takes it
+# when it is built and works in it for life.  Every atom is linear, so it
+# acts through the images of single ids.  _slot maps an atom's cache key
+# to its slot, {bound: {id: image}}, which carries the numbering it was
+# made in; an image is the flat tuple (exact_to, den, i1, n1, i2, n2,
 # ...): integer numerators n_i over one positive common denominator den,
-# with the keys interned by _intern, exact_to inf when exact.  Exp images depend on the clamp
-# bound; torus and perm images do not and sit under the bound None.  A
+# exact_to inf when exact.  Exp images depend on the clamp bound; torus
+# and perm images do not and sit under the bound None.  An exp series
+# brackets ids through _bracket_ids, the structure-constant table
+# (ids, i, j) -> {id: int}, which asks monster.term_bracket on a miss.  A
 # word resolves each atom's slot once, when it is keyed (_keyed_word), so
 # applying an atom never hashes its key.  Word application carries a
-# block of elements as (den, {key: numerator}, exact_to) triples through
+# block of elements as (den, {id: numerator}, exact_to) triples through
 # every atom, one _atom_block call per atom, which returns each triple
-# gcd-reduced, and builds Fractions only at the end.  _slot, _intern,
+# gcd-reduced; keys come back only for the returned element, the
+# reports and the filtration level.  _slot, _ids, _bracket_ids,
 # _generator_keys and the two descent tables above are functools.cache
 # functions listed in monster.CACHES, so monster.clear_caches() drops
-# them.  A slot a live word still holds stays valid, since an image
-# depends only on its atom key, clamp bound and basis key; it is freed
-# with the word.
+# them, and a word built after it starts a new numbering.  A word built
+# before it keeps its numbering and its slots, whose images stay valid,
+# since an image depends only on its atom key, clamp bound and id; they
+# are freed with the word.
+
+
+class _KeyIds:
+    """A numbering of basis keys by small integers, in first-seen order:
+    of(key) is key's id, key[i] and deg[i] the key and degree of id i."""
+
+    __slots__ = ("_index", "key", "deg")
+
+    def __init__(self):
+        self._index = {}
+        self.key = []
+        self.deg = []
+
+    def of(self, key) -> int:
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.key)
+            self.key.append(key)
+            self.deg.append(key_degree(key))
+        return i
+
+
+class _Slot(dict):
+    """An atom's memo, {bound: {id: image}}, in the numbering ids."""
+
+    __slots__ = ("ids",)
 
 
 @cache
-def _slot(key) -> dict:
-    return {}
+def _ids() -> _KeyIds:
+    return _KeyIds()
 
 
 @cache
-def _intern(key):
-    return key
+def _slot(key) -> _Slot:
+    slot = _Slot()
+    slot.ids = _ids()
+    return slot
 
 
-monster.CACHES.extend((_generator_keys, _slot, _intern, _descent_pad, _descent_floor))
+@cache
+def _bracket_ids(ids: _KeyIds, i: int, j: int) -> dict:
+    """[key i, key j] as {id: int} over ids; shared, so callers only read
+    it."""
+    return {ids.of(k): c for k, c in monster.term_bracket(ids.key[i], ids.key[j]).items()}
 
 
-def _atom_slot(atom) -> dict:
+monster.CACHES.extend((_generator_keys, _slot, _ids, _bracket_ids, _descent_pad, _descent_floor))
+
+
+def _atom_slot(atom) -> _Slot:
     return _slot(atom[2] if atom[0] == "exp" else atom)
 
 
-def _keyed_word(word, cfg: SupportConfig) -> tuple:
+def _keyed_word(word, cfg: SupportConfig, ids: _KeyIds) -> tuple:
     """(word, slots): word with each exp atom as ("exp", x, key, form),
     both built here once: the key (terms, exact_to, support levels,
-    lowers), and the form (den, {key: numerator}, (min_degree, exact_to))
-    of x that _exp_image brackets with; slots holds each atom's memo
-    slot.  Torus and perm atoms are their own keys.  Every atom is
-    checked against cfg before any slot is resolved: exp letters in the
-    window, and x (when keyed) of min degree >= 1 or a multiple of f(-1);
-    nonzero torus parameters; a permutation within its level's cap; no
-    other tag."""
+    lowers), and the form (den, {id: numerator}, (min_degree, exact_to),
+    ids) of x in the numbering ids, which _exp_image brackets with;
+    slots holds each atom's memo slot.  Torus and perm atoms are their
+    own keys.  Every atom is checked against cfg before any slot is
+    resolved: exp letters in the window, and x (when keyed) of min degree
+    >= 1 or a multiple of f(-1); nonzero torus parameters; a permutation
+    within its level's cap; no other tag."""
     levels = tuple(cfg.base_levels())
     out = []
     for a in word:
         tag = a[0]
         if tag == "exp":
             x = a[1]
-            if len(a) == 2 or a[2][2] != levels:
+            if len(a) == 2 or a[2][2] != levels or a[3][3] is not ids:
                 m = x.min_degree()
                 if m < 1 and x.terms.keys() != {FMINUS}:
                     if x.terms.keys() <= {H1, H2}:
@@ -202,7 +250,8 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
                                      "f(-1); negative imaginary content has no action on the "
                                      "positive completion")
                 a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
-                     (*_int_form(x.terms), (m, x.exact_to)))
+                     (*_int_form({ids.of(k): c for k, c in x.terms.items()}),
+                      (m, x.exact_to), ids))
             x.validate_support(cfg)
         elif tag == "torus":
             if not (a[1] and a[2]):
@@ -231,10 +280,12 @@ def _int_form(terms: dict) -> tuple:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _to_vec(y: MonsterElt) -> tuple:
-    """y as (den, {key: numerator}, exact_to): the coefficient of key k
-    is nums[k] / den, exact through exact_to."""
-    return (*_int_form(y.terms), y.exact_to)
+def _to_vec(y: MonsterElt, ids: _KeyIds | None = None) -> tuple:
+    """y as (den, {id: numerator}, exact_to) in the numbering ids (the
+    current one by default): the coefficient of id i is nums[i] / den,
+    exact through exact_to."""
+    ids = ids or _ids()
+    return (*_int_form({ids.of(k): c for k, c in y.terms.items()}), y.exact_to)
 
 
 def _reduced(den: int, nums: dict) -> tuple:
@@ -245,33 +296,32 @@ def _reduced(den: int, nums: dict) -> tuple:
     return den // g, {k: v // g for k, v in nums.items()}
 
 
-def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
-    return MonsterElt._of({k: Fraction(n, den) for k, n in nums.items()}, exact_to)
+def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds | None = None) -> MonsterElt:
+    """The element of a triple numbered by ids (the current one by default)."""
+    key = (ids or _ids()).key
+    return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
 def _flat_image(den: int, nums: dict, exact_to) -> tuple:
-    flat = [exact_to, den]
-    for k, n in nums.items():
-        flat.append(_intern(k))
-        flat.append(n)
-    return tuple(flat)
+    return (exact_to, den, *chain.from_iterable(nums.items()))
 
 
-def _exp_image(atom, key, bound: int) -> tuple:
-    """Flat image of one basis key under the exp atom ("exp", x, key,
-    form), terms above bound discarded (and recorded); form is x's
-    (den, {key: numerator}, (min_degree, exact_to)).
+def _exp_image(atom, i: int, bound: int) -> tuple:
+    """Flat image of the key with id i under the exp atom ("exp", x, key,
+    form), terms above bound discarded (and recorded); form is x's (den,
+    {id: numerator}, (min_degree, exact_to), ids), in the numbering ids
+    that i and the image use.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
-    each step brackets them with freelie.elt_bracket over
-    monster.term_bracket, whose structure constants are integers, and
-    multiplies the step's denominator by x's denominator and by n.  A
-    term takes bracket's exactness bound (monster._result_bound) and is
-    cut at bound, and a cut caps its exact_to at bound.  The terms are
-    summed over the last denominator and reduced by one gcd.  When x
-    lowers degrees, content hidden above a cut can slide back down; the
-    image is then marked exact only below the descent floor of the
-    levels in the atom's key.
+    each step brackets them with freelie.elt_bracket over the table
+    _bracket_ids, whose structure constants are integers, and multiplies
+    the step's denominator by x's denominator and by n.  A term takes
+    bracket's exactness bound (monster._result_bound) and is cut at
+    bound, and a cut caps its exact_to at bound.  The terms are summed
+    over the last denominator and reduced by one gcd.  When x lowers
+    degrees, content hidden above a cut can slide back down; the image is
+    then marked exact only below the descent floor of the levels in the
+    atom's key.
 
     When x is exact and a single u+ word L, a term key w with deg w >
     max(bound - deg L, 1) is not bracketed: it is a u+ word (those have
@@ -284,19 +334,21 @@ def _exp_image(atom, key, bound: int) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), with no
     bracket computed."""
-    xden, xnums, xside = atom[3]
+    xden, xnums, xside, ids = atom[3]
+    deg = ids.deg
     cut = inf
     if xside[1] == inf and len(xnums) == 1:
         [L] = xnums
-        if isinstance(L, tuple) and L[0] == WPOS:
-            cut = max(bound - key_degree(L), 1)
+        if isinstance(ids.key[L], tuple) and ids.key[L][0] == WPOS:
+            cut = max(bound - deg[L], 1)
+    br = partial(_bracket_ids, ids)
     den = 1
-    term: dict = {key: 1}
+    term: dict = {i: 1}
     term_exact = inf
     terms = [(den, term)]
     exact_to = inf
     clamped = False
-    limit = 4 * (bound + 8) + 4 * abs(min(0, key_degree(key)))
+    limit = 4 * (bound + 8) + 4 * abs(min(0, deg[i]))
     n = 0
     while term:
         n += 1
@@ -308,17 +360,18 @@ def _exp_image(atom, key, bound: int) -> tuple:
         if cut < inf:
             low = {}
             for k, m in term.items():
-                if key_degree(k) <= cut:
+                if deg[k] <= cut:
                     low[k] = m
                 elif k != L:
                     skipped = True
-        raw = freelie.elt_bracket(xnums, low, monster.term_bracket)
+        raw = freelie.elt_bracket(xnums, low, br)
         if xside[1] < inf or term_exact < inf:
-            term_exact = monster._result_bound(xside, (min(map(key_degree, term)), term_exact))
+            term_exact = monster._result_bound(xside, (min(map(deg.__getitem__, term)),
+                                                       term_exact))
             if term_exact < 0:  # a bound MonsterElt refuses, as bracket would
                 raise ValueError("exactness bound must be nonnegative")
-            raw = {k: m for k, m in raw.items() if key_degree(k) <= term_exact}
-        term = {k: m for k, m in raw.items() if key_degree(k) <= bound}
+            raw = {k: m for k, m in raw.items() if deg[k] <= term_exact}
+        term = {k: m for k, m in raw.items() if deg[k] <= bound}
         if skipped or len(term) != len(raw):
             clamped = True
             term_exact = min(term_exact, bound)
@@ -339,53 +392,54 @@ def _exp_image(atom, key, bound: int) -> tuple:
     return _flat_image(*_reduced(den, acc), exact_to)
 
 
-def _image(atom, images: dict, key, bound) -> tuple:
-    """Image of one basis key under atom, from (or into) images: exp
+def _image(atom, ids: _KeyIds, images: dict, i: int, bound) -> tuple:
+    """Image of id i (of ids) under atom, from (or into) images: exp
     atoms by the integer series _exp_image, torus atoms by s^a t^b,
     perm atoms by relabeling."""
-    hit = images.get(key)
+    hit = images.get(i)
     if hit is not None:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom, key, bound)
+        res = _exp_image(atom, i, bound)
     elif tag == "torus":
-        a, b = key_root(key)
-        res = _flat_image(*_int_form({key: atom[1] ** a * atom[2] ** b}), inf)
+        a, b = key_root(ids.key[i])
+        res = _flat_image(*_int_form({i: atom[1] ** a * atom[2] ** b}), inf)
     else:
-        res = _flat_image(1, _perm_key(atom, images, key), inf)
-    images[key] = res
+        res = _flat_image(1, _perm_key(atom, ids, images, i), inf)
+    images[i] = res
     return res
 
 
-def _perm_key(atom, images: dict, key) -> dict:
-    """Index relabeling of one basis key, as integer coefficients (its
+def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
+    """Index relabeling of the key with id i, as integer coefficients (its
     image sits over den 1): letters directly, longer words through the
     images of their standard factors."""
+    key = ids.key[i]
     if not isinstance(key, tuple):
-        return {key: 1}
+        return {i: 1}
     tag, w = key
     if len(w) == 1:
         j, k, l = w[0]
         if j == atom[1].level:
             k = atom[1].apply(k)
-        return {(tag, ((j, k, l),)): 1}
+        return {ids.of((tag, ((j, k, l),))): 1}
     u, v = freelie.std_factorize(w)
-    iu = _image(atom, images, (tag, u), None)
-    iv = _image(atom, images, (tag, v), None)
+    iu = _image(atom, ids, images, ids.of((tag, u)), None)
+    iv = _image(atom, ids, images, ids.of((tag, v)), None)
     return freelie.elt_bracket(dict(zip(iu[2::2], iu[3::2])), dict(zip(iv[2::2], iv[3::2])),
-                               monster.term_bracket)
+                               partial(_bracket_ids, ids))
 
 
-def _atom_block(atom, slot: dict, block: list, bound) -> list:
+def _atom_block(atom, slot: _Slot, block: list, bound) -> list:
     """atom applied to each triple (den, nums, lo) of block, the element
-    nums/den exact through lo: the gcd-reduced triples of sum c *
-    image(key) over each one's terms, with the images at the clamp bound
-    and the lowering test resolved once per block.
+    nums/den exact through lo and numbered like slot: the gcd-reduced
+    triples of sum c * image(id) over each one's terms, with the images
+    at the clamp bound and the lowering test resolved once per block.
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
-    reduces the result.  A one-term input c * key skips the sum: it is c
+    reduces the result.  A one-term input c * id skips the sum: it is c
     times the image over den times the image's den, already reduced when
     c and den are 1, since images are stored reduced.  exact_to is the
     least of the images' bounds and the input's: lo itself, or for a
@@ -394,6 +448,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
     levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
     if atom[0] != "exp":
         bound = None
+    ids = slot.ids
     images = slot.setdefault(bound, {})
     get = images.get
     out = []
@@ -403,7 +458,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
             lo = _descent_floor(lo, levels) - 1
         if len(nums) == 1:
             [(k, c)] = nums.items()
-            img = get(k) or _image(atom, images, k, bound)
+            img = get(k) or _image(atom, ids, images, k, bound)
             if img[0] < lo:
                 lo = img[0]
             pairs = iter(img)
@@ -421,7 +476,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
         hits = []
         lcm = 1
         for k, c in nums.items():
-            img = get(k) or _image(atom, images, k, bound)
+            img = get(k) or _image(atom, ids, images, k, bound)
             if img[0] < lo:
                 lo = img[0]
             d = img[1]
@@ -459,11 +514,13 @@ class TruncAut:
     """Automorphism of the completion, stored mod degree > N, where N is
     cfg.degree_bound."""
 
-    __slots__ = ("cfg", "word", "_steps", "_lowering")
+    __slots__ = ("cfg", "word", "_ids", "_steps", "_lowering")
 
     def __init__(self, cfg: SupportConfig, word):
         self.cfg = cfg
-        self.word, slots = _keyed_word(word, cfg)
+        # the key numbering this word works in, for life
+        self._ids = _ids()
+        self.word, slots = _keyed_word(word, cfg, self._ids)
         # (atom, slot) in application order: rightmost factor first
         self._steps = tuple(zip(reversed(self.word), reversed(slots)))
         # the levels lowering atoms descend through, () if none lowers
@@ -487,7 +544,7 @@ class TruncAut:
         if need < 0:
             raise ValueError(f"need must be >= 0, got {need}")
         y.validate_support(self.cfg)
-        return _to_elt(*self._apply_block([_to_vec(y)], need)[0])
+        return _to_elt(*self._apply_block([_to_vec(y, self._ids)], need)[0], self._ids)
 
     def _apply_block(self, ys: list, need: int) -> list:
         """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
@@ -521,27 +578,35 @@ class TruncAut:
         """Same image of every generator mod degree > N, compared as
         gcd-reduced integer forms."""
         _check_match(self, other)
-        return self._generator_forms() == other._generator_forms()
+        mine, theirs = self._generator_forms(), other._generator_forms()
+        if self._ids is not other._ids:
+            # numbered apart, across a monster.clear_caches(): compare by key
+            mine, theirs = _keyed_forms(self._ids, mine), _keyed_forms(other._ids, theirs)
+        return mine == theirs
 
     def _generator_forms(self) -> list:
-        """(den, {key: numerator}) of each generator's image truncated at
-        N, in generator_keys order, reduced by the gcd so that equal
-        images give equal pairs; the generator block goes through the
-        word in one pass, and only an image with a term above N is cut
-        and reduced again.  equal, report_dict and filtration_level all
-        read the generator images from here."""
+        """(den, {id: numerator}) of each generator's image truncated at
+        N, in generator_keys order and the word's numbering, reduced by
+        the gcd so that equal images give equal pairs; the generator
+        block goes through the word in one pass, and only an image with a
+        term above N is cut and reduced again.  equal, report_dict and
+        filtration_level all read the generator images from here."""
         N = self.N
-        block = self._apply_block([(1, {g: 1}, inf) for g in generator_keys(self.cfg)], N)
-        return [(den, nums) if max(map(key_degree, nums), default=N) <= N
-                else _reduced(den, {k: n for k, n in nums.items() if key_degree(k) <= N})
+        ids = self._ids
+        deg = ids.deg
+        block = self._apply_block([(1, {ids.of(g): 1}, inf) for g in generator_keys(self.cfg)],
+                                  N)
+        return [(den, nums) if max(map(deg.__getitem__, nums), default=N) <= N
+                else _reduced(den, {i: n for i, n in nums.items() if deg[i] <= N})
                 for den, nums, _ in block]
 
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""
+        key = self._ids.key
         gens = []
         for g, (den, nums) in zip(generator_keys(self.cfg), self._generator_forms()):
-            terms = [[monster.format_term(k), str(Fraction(nums[k], den))]
-                     for k in sorted(nums, key=key_sort)]
+            terms = [[monster.format_term(key[i]), str(Fraction(nums[i], den))]
+                     for i in sorted(nums, key=lambda i: key_sort(key[i]))]
             gens.append({"generator": monster.format_term(g), "image": terms})
         return {"truncation": self.N,
                 "caps": {str(j): self.cfg.cap(j) for j in sorted(self.cfg.caps)},
@@ -558,6 +623,11 @@ def _atom_str(atom) -> str:
     if atom[0] == "torus":
         return f"torus({atom[1]},{atom[2]})"
     return f"perm(level={atom[1].level}, {dict(sorted(atom[1].moved.items()))})"
+
+
+def _keyed_forms(ids: _KeyIds, forms: list) -> list:
+    key = ids.key
+    return [(den, {key[i]: n for i, n in nums.items()}) for den, nums in forms]
 
 
 def _check_match(g: TruncAut, h: TruncAut) -> None:
@@ -610,18 +680,21 @@ class FiltrationLevel(NamedTuple):
 def filtration_level(g: TruncAut) -> FiltrationLevel:
     """Largest i visible in the window with g(y) - y in degrees >= deg(y) + i
     for every generator y.  Requires g to fix the Cartan mod higher degree."""
+    ids = g._ids
+    deg = ids.deg
     cands = []
     for gen, (den, nums) in zip(generator_keys(g.cfg), g._generator_forms()):
         # g(y) - y over den, truncated at N like the image
+        i = ids.of(gen)
         diff = dict(nums)
-        n = diff.pop(gen, 0) - den
+        n = diff.pop(i, 0) - den
         if n:
-            diff[gen] = n
+            diff[i] = n
         if diff:
-            m = min(key_degree(k) for k in diff)
+            m = min(map(deg.__getitem__, diff))
             if gen in (H1, H2) and m <= 0:
                 raise ValueError("not unipotent-type: Cartan is not fixed mod higher degree")
-            cands.append(m - key_degree(gen))
+            cands.append(m - deg[i])
     m = min(cands, default=inf)
     if m > g.N:
         return FiltrationLevel(g.N, True)

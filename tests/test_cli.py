@@ -217,6 +217,13 @@ def test_all_zero_samples_exit_2(capsys, tmp_path):
     assert rep["samples"] == ["0", "1"] and rep["all_pass"]
 
 
+def test_empty_samples_flag_exit_2(capsys):
+    # an empty --samples is refused like an empty config line, not
+    # replaced by the default samples
+    code, out, err = run(capsys, "relcheck", "--samples", "")
+    assert (code, out) == (2, "") and err.startswith("error: empty sample list")
+
+
 def test_relcheck_sl2_report_is_unchanged(capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
     code, out, _ = run(capsys, "relcheck", "--suite", "sl2")

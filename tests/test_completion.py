@@ -479,6 +479,16 @@ def test_basis_brackets_are_integral():
     assert len(keys) == 276
 
 
+def test_bracket_table_matches_term_bracket():
+    # the id table, mapped back through id -> key, is term_bracket
+    ids = completion._ids()
+    keys = _basis_keys(CFG3, 9)
+    for k1 in keys:
+        for k2 in keys:
+            got = completion._bracket_ids(ids, ids.of(k1), ids.of(k2))
+            assert {ids.key[i]: c for i, c in got.items()} == monster.term_bracket(k1, k2)
+
+
 def test_integer_exp_images_match_fraction_series():
     xs = [MonsterElt.e_minus(),
           MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)) + MonsterElt.e_letter(1, 2, 2, Fraction(-2, 3)),
@@ -489,6 +499,7 @@ def test_integer_exp_images_match_fraction_series():
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
         atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
+        ids = atom[3][3]
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -499,10 +510,10 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(atom, key, bound)
+                        completion._exp_image(atom, ids.of(key), bound)
                     continue
-                img = completion._exp_image(atom, key, bound)
-                got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
+                img = completion._exp_image(atom, ids.of(key), bound)
+                got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
 
 
@@ -516,15 +527,17 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
     assert L in keys and 2 * monster.key_degree(L) > 9
     for x in xs:
         atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
+        ids = atom[3][3]
         for bound in (6, 9, 12, 21):
             for key in keys:
                 want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
-                img = completion._exp_image(atom, key, bound)
-                got = {k: Fraction(n, img[1]) for k, n in zip(img[2::2], img[3::2])}
+                img = completion._exp_image(atom, ids.of(key), bound)
+                got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
     # L itself above half the bound: [L, L] = 0, so nothing is cut
     atom = TruncAut(CFG3, word=[("exp", xs[1])]).word[0]
-    assert completion._exp_image(atom, L, 9) == (inf, 1, L, 1)
+    ids = atom[3][3]
+    assert completion._exp_image(atom, ids.of(L), 9) == (inf, 1, ids.of(L), 1)
 
 
 def test_atom_cache_key_built_with_word():
@@ -699,10 +712,11 @@ def test_generator_block_matches_single_applies(monkeypatch):
         if word is words[0]:
             assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
         want = []
+        ids = g._ids
         for k in gens:
-            [(den, nums, _)] = g._apply_block([(1, {k: 1}, inf)], 9)
+            [(den, nums, _)] = g._apply_block([(1, {ids.of(k): 1}, inf)], 9)
             want.append(completion._reduced(
-                den, {kk: n for kk, n in nums.items() if monster.key_degree(kk) <= 9}))
+                den, {i: n for i, n in nums.items() if monster.key_degree(ids.key[i]) <= 9}))
         assert forms == want
 
 
@@ -710,7 +724,9 @@ def test_block_pass_returns_reduced_triples():
     # _generator_forms reduces only the images it cuts at N, so every
     # triple _apply_block hands back must already be gcd-reduced
     gens = generator_keys(BLOCK_CFG)
-    ys = [(1, {k: 1}, inf) for k in gens]
+    # the numbering every word below is built in
+    ids = completion._ids()
+    ys = [(1, {ids.of(k): 1}, inf) for k in gens]
     for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
         ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e)) for k in gens for e in (inf, 7)]
     mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
@@ -718,6 +734,36 @@ def test_block_pass_returns_reduced_triples():
     for word in _block_words():
         for den, nums, _ in TruncAut(BLOCK_CFG, word)._apply_block(ys, 9):
             assert den >= 1 and gcd(den, *nums.values()) == 1, (word, den, nums)
+
+
+def test_word_keeps_its_numbering_across_clear_caches():
+    # a word numbers keys when it is built and keeps that numbering, and
+    # its slots, after monster.clear_caches(); a word built afterwards
+    # numbers keys afresh, in another first-seen order
+    def build():
+        w = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
+                         sym("X", (1, 2, 1), 3), sym("X", -1, -1))
+        return compose(realize_word(w, BLOCK_CFG),
+                       TruncAut(BLOCK_CFG, (("perm", SparsePerm(1, {1: 2, 2: 1})),)))
+
+    # fresh slots, so that g meets z below for the first time
+    monster.clear_caches()
+    g = build()
+    forms, report = g._generator_forms(), g.report_dict()
+    y = MonsterElt({(monster.WPOS, ((1, 2, 0),)): Fraction(2, 3), monster.H2: 5}, exact_to=8)
+    image = g.apply(y)
+    monster.clear_caches()
+    assert g._generator_forms() == forms and g.report_dict() == report
+    # an element g has not met yet builds new images in g's numbering
+    z = MonsterElt({(monster.WPOS, ((1, 1, 0), (2, 1, 0))): 1, monster.EMINUS: Fraction(1, 3)})
+    later = g.apply(z)
+    fresh = build()
+    assert fresh._ids is not g._ids
+    assert g.equal(fresh) and fresh.equal(g)
+    for h in (g, fresh):
+        assert (h.apply(y).terms, h.apply(y).exact_to) == (image.terms, image.exact_to)
+    assert (fresh.apply(z).terms, fresh.apply(z).exact_to) == (later.terms, later.exact_to)
+    assert fresh.report_dict() == report
 
 
 def test_descent_accounting_matches_reference():
