@@ -80,9 +80,13 @@ from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt, key_degree
                       key_root, key_sort)
 
 
+def _level_caps(cfg: SupportConfig) -> tuple:
+    return tuple((j, cfg.cap(j)) for j in cfg.base_levels())
+
+
 def generator_keys(cfg: SupportConfig) -> tuple:
     """Basis keys of the algebra generators supported by cfg, as a cached tuple."""
-    return _generator_keys(tuple((j, cfg.cap(j)) for j in cfg.base_levels()))
+    return _generator_keys(_level_caps(cfg))
 
 
 @cache
@@ -164,7 +168,8 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # every atom, one _atom_block call per atom, which returns each triple
 # gcd-reduced; keys come back only for the returned element, the
 # reports and the filtration level.  _slot, _ids, _bracket_ids,
-# _generator_keys and the two descent tables above are functools.cache
+# _generator_keys, _generator_ids (a window's generator keys as ids of
+# one numbering) and the two descent tables above are functools.cache
 # functions listed in monster.CACHES, so monster.clear_caches() drops
 # them, and a word built after it starts a new numbering.  A word built
 # before it keeps its numbering and its slots, whose images stay valid,
@@ -217,7 +222,14 @@ def _bracket_ids(ids: _KeyIds, i: int, j: int) -> dict:
     return {ids.of(k): c for k, c in monster.term_bracket(ids.key[i], ids.key[j]).items()}
 
 
-monster.CACHES.extend((_generator_keys, _slot, _ids, _bracket_ids, _descent_pad, _descent_floor))
+@cache
+def _generator_ids(ids: _KeyIds, level_caps: tuple) -> tuple:
+    """The ids in ids of _generator_keys(level_caps), in that order."""
+    return tuple(map(ids.of, _generator_keys(level_caps)))
+
+
+monster.CACHES.extend((_generator_keys, _slot, _ids, _bracket_ids, _generator_ids,
+                       _descent_pad, _descent_floor))
 
 
 def _atom_slot(atom) -> _Slot:
@@ -280,11 +292,9 @@ def _int_form(terms: dict) -> tuple:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _to_vec(y: MonsterElt, ids: _KeyIds | None = None) -> tuple:
-    """y as (den, {id: numerator}, exact_to) in the numbering ids (the
-    current one by default): the coefficient of id i is nums[i] / den,
-    exact through exact_to."""
-    ids = ids or _ids()
+def _to_vec(y: MonsterElt, ids: _KeyIds) -> tuple:
+    """y as (den, {id: numerator}, exact_to) in the numbering ids: the
+    coefficient of id i is nums[i] / den, exact through exact_to."""
     return (*_int_form({ids.of(k): c for k, c in y.terms.items()}), y.exact_to)
 
 
@@ -296,9 +306,9 @@ def _reduced(den: int, nums: dict) -> tuple:
     return den // g, {k: v // g for k, v in nums.items()}
 
 
-def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds | None = None) -> MonsterElt:
-    """The element of a triple numbered by ids (the current one by default)."""
-    key = (ids or _ids()).key
+def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds) -> MonsterElt:
+    """The element of a triple numbered by ids."""
+    key = ids.key
     return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
@@ -549,22 +559,23 @@ class TruncAut:
     def _apply_block(self, ys: list, need: int) -> list:
         """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
         empty word returns ys): one pass of the word carries the whole
-        block, then each triple still short of `need` retries alone with
-        a widened bound."""
+        block.  Only the triples that pass left short of `need` are
+        collected, after it and in index order, so ids are still handed
+        out in first-seen order; each retries alone with a widened
+        bound."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         R = need + 2 + _descent_pad(need, self._lowering)
-        out = []
-        for y, (den, nums, lo) in zip(ys, self._pass(ys, R)):
+        out = self._pass(ys, R)
+        for n in [n for n, t in enumerate(out) if t[2] < need]:
             r = R
             prev = -inf
             # stop once complete, or once a retry gains nothing: then the
             # input's own exactness is the limit
-            while prev < lo < need:
-                prev = lo
-                r += (need - lo) + 2
-                [(den, nums, lo)] = self._pass([y], r)
-            out.append((den, nums, lo))
+            while prev < out[n][2] < need:
+                prev = out[n][2]
+                r += (need - prev) + 2
+                [out[n]] = self._pass([ys[n]], r)
         return out
 
     def _pass(self, block: list, bound: int) -> list:
@@ -594,8 +605,8 @@ class TruncAut:
         N = self.N
         ids = self._ids
         deg = ids.deg
-        block = self._apply_block([(1, {ids.of(g): 1}, inf) for g in generator_keys(self.cfg)],
-                                  N)
+        block = self._apply_block(
+            [(1, {i: 1}, inf) for i in _generator_ids(ids, _level_caps(self.cfg))], N)
         return [(den, nums) if max(map(deg.__getitem__, nums), default=N) <= N
                 else _reduced(den, {i: n for i, n in nums.items() if deg[i] <= N})
                 for den, nums, _ in block]

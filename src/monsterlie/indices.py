@@ -55,7 +55,9 @@ class SupportConfig:
     in the window (j + 2 <= degree_bound) is checked against c(j): a cap
     above the window names no letter, so it is kept but never checked.
     The window keeps a read-only copy of caps, so the caller's dict can
-    change afterwards without moving it past that check.
+    change afterwards without moving it past that check.  Windows with
+    equal bounds and caps are equal and hash equal, whatever order the
+    caps were given in, so a window can key a cache.
     """
 
     degree_bound: int
@@ -76,6 +78,9 @@ class SupportConfig:
             for j, c in kept.items():
                 if c > coef[j]:
                     raise ValueError(f"cap {c} at level {j} exceeds c({j}) = {coef[j]}")
+
+    def __hash__(self):
+        return hash((self.degree_bound, tuple(sorted(self.caps.items()))))
 
     def cap(self, j: int) -> int:
         return self.caps.get(j, 0)

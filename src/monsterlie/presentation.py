@@ -83,7 +83,7 @@ class GenSymbol(NamedTuple):
 def sym(kind: str, index, param) -> GenSymbol:
     if kind in ("H1", "H2"):
         index = None
-    return GenSymbol(kind, index, Fraction(param))
+    return GenSymbol(kind, index, param if isinstance(param, Fraction) else Fraction(param))
 
 
 def format_symbol(s: GenSymbol) -> str:
@@ -262,12 +262,35 @@ def mirror_relation(inst: RelationInstance) -> RelationInstance:
                          rhs=mirror_word(inst.rhs))
 
 
+def _side_forms(w: GroupWord, cfg: SupportConfig) -> list:
+    """The generator forms of w realized on the window cfg
+    (TruncAut._generator_forms); a word of at most one symbol is realized
+    once per window, through _short_side_forms."""
+    if len(w) <= 1:
+        return _short_side_forms(w, cfg)
+    return realize_word(w, cfg)._generator_forms()
+
+
+@cache
+def _short_side_forms(w: GroupWord, cfg: SupportConfig) -> list:
+    """_side_forms of a word of at most one symbol, shared, so callers
+    only read it.  It sits in monster.CACHES beside the key numbering, so
+    a clear drops both and the forms are always in the current one."""
+    return realize_word(w, cfg)._generator_forms()
+
+
+monster.CACHES.append(_short_side_forms)
+
+
 def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> bool:
     """Whether both sides of an ADJOINT instance realize equal TruncAut on
-    the window cfg.  Raises ValueError for any other class."""
+    the window cfg: the same generator images, compared as TruncAut.equal
+    does.  A side of at most one symbol is realized once per window and
+    its images reused by every later call.  Raises ValueError for any
+    other class."""
     if inst.klass != "ADJOINT":
         raise ValueError(f"validate_adjoint needs an ADJOINT instance, got {inst.klass}")
-    return realize_word(inst.lhs, cfg).equal(realize_word(inst.rhs, cfg))
+    return _side_forms(inst.lhs, cfg) == _side_forms(inst.rhs, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +490,7 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
     i = -1 if index is None else index
-    p = {k: Fraction(v) for k, v in params.items()}
+    p = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in params.items()}
     W = GroupWord.of
     w_1 = sym("W", -1, 1)
 
@@ -633,10 +656,13 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
     "all" both.  Raises ValueError for any other suite name.
 
     Each distinct Weyl-expanded (lhs, rhs) pair of the ADJOINT instances
-    (MIRROR ones after mirror transport) is realized once per call; an
-    instance whose pair was already decided reuses that verdict.  Every
-    instance still counts in its row's "instances", and every failing one
-    lists its own index and params in "failures"."""
+    (MIRROR ones after mirror transport) is validated once per call; an
+    instance whose pair was already decided reuses that verdict.  The
+    sides that recur across pairs are words of at most one symbol (the
+    empty word and single symbols), and validate_adjoint realizes each of
+    those once per window.  Every instance still counts in its row's
+    "instances", and every failing one lists its own index and params in
+    "failures"."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     verdicts = {}

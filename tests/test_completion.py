@@ -5,7 +5,7 @@ from math import gcd, inf
 
 import pytest
 
-from monsterlie import completion, freelie, monster
+from monsterlie import completion, freelie, monster, presentation
 from monsterlie.cli import parse_word
 from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_by_generators,
                                    aut_check, compose, equal_mod_level, exp_ad,
@@ -413,11 +413,11 @@ def _diff_inputs():
     return ins
 
 
-def _one_atom_block(atom, y, bound):
-    """atom applied to y: one _atom_block on the block of y's integer form."""
-    [vec] = completion._atom_block(atom, completion._atom_slot(atom),
-                                   [completion._to_vec(y)], bound)
-    return completion._to_elt(*vec)
+def _one_atom_block(atom, slot, y, bound):
+    """atom applied to y: one _atom_block on the block of y's integer
+    form, in the numbering of the word's slot."""
+    [vec] = completion._atom_block(atom, slot, [completion._to_vec(y, slot.ids)], bound)
+    return completion._to_elt(*vec, slot.ids)
 
 
 def test_memoized_atoms_match_whole_element():
@@ -426,26 +426,30 @@ def test_memoized_atoms_match_whole_element():
            ("exp", MonsterElt.f_minus(Fraction(-1, 2))),
            ("torus", Fraction(2), Fraction(3, 5)),
            ("perm", SparsePerm(1, {1: 2, 2: 1}))]
-    atoms = TruncAut(CFG3, word=raw).word
+    g = TruncAut(CFG3, word=raw)
+    atoms = g.word
+    slots = [slot for _, slot in reversed(g._steps)]
     assert [a[2][3] for a in atoms[:3]] == [False, False, True]
+    assert all(slot.ids is g._ids for slot in slots)
     inputs = _diff_inputs()
-    for atom in atoms:
+    for atom, slot in zip(atoms, slots):
         for bound in (9, 12):
             for y in inputs:
-                memo = _one_atom_block(atom, y, bound)
+                memo = _one_atom_block(atom, slot, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert e <= direct.exact_to, (atom[0], y, bound)
                 assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = _one_atom_block(atom, y, bound)
+                warm = _one_atom_block(atom, slot, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
-    slots = [completion._atom_slot(a) for a in atoms]
     for slot in slots:
         assert slot
         for images in slot.values():
             assert images and all(type(img) is tuple for img in images.values())
     completion._descent_pad(9, tuple(CFG3.base_levels()))
     eval_word_matrix(GroupWord.of(sym("X", -1, 1)), -1)  # the 2x2 model's symbol memo
+    g._generator_forms()  # the window's generator ids
+    presentation._side_forms(GroupWord(), CFG3)  # the one-symbol side memo
     assert all(memo.cache_info().currsize for memo in monster.CACHES)
     monster.clear_caches()
     assert not any(memo.cache_info().currsize for memo in monster.CACHES)
@@ -728,9 +732,10 @@ def test_block_pass_returns_reduced_triples():
     ids = completion._ids()
     ys = [(1, {ids.of(k): 1}, inf) for k in gens]
     for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
-        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e)) for k in gens for e in (inf, 7)]
+        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e), ids)
+               for k in gens for e in (inf, 7)]
     mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
-    ys.append(completion._to_vec(MonsterElt(mixed)))
+    ys.append(completion._to_vec(MonsterElt(mixed), ids))
     for word in _block_words():
         for den, nums, _ in TruncAut(BLOCK_CFG, word)._apply_block(ys, 9):
             assert den >= 1 and gcd(den, *nums.values()) == 1, (word, den, nums)

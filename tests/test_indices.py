@@ -106,3 +106,13 @@ def test_caps_are_a_read_only_copy():
     with pytest.raises(TypeError):
         cfg.caps[1] = 10**6
     assert cfg.cap(1) == 2
+
+
+def test_windows_hash_on_bound_and_caps():
+    # a window keys caches: the caps' insertion order must not matter
+    a = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+    b = SupportConfig(9, {3: 1, 2: 2, 1: 2})
+    assert a == b and hash(a) == hash(b)
+    assert {a: "forms"}[b] == "forms"
+    c = SupportConfig(9, {1: 2, 2: 2, 3: 2})
+    assert a != c and hash(a) != hash(c)

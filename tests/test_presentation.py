@@ -4,7 +4,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from monsterlie import cli
+from monsterlie import cli, completion, monster
 from monsterlie import presentation as P
 from monsterlie.completion import TruncAut, compose, exp_ad, invert, torus
 from monsterlie.indices import SupportConfig
@@ -318,6 +318,58 @@ def test_validate_catalog_failure_fans_out_to_every_instance(monkeypatch):
         if row_before["id"] in ("R17", "R18"):
             row_before = {**row_before, "failures": [failed], "pass": False}
         assert row_after == row_before
+
+
+def test_one_symbol_sides_reuse_their_own_forms():
+    # every side of at most one symbol in the default sweep, the empty
+    # word and the lowering Y(-1;u) included: once all are cached, each
+    # reads back the forms of its own fresh realization
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    sides = list(dict.fromkeys(
+        w for inst in _sweep_instances(cfg, P.DEFAULT_SAMPLES) if inst.klass == "ADJOINT"
+        for w in _expanded_pair(inst) if len(w) <= 1))
+    assert GroupWord() in sides
+    assert GroupWord.of(sym("Y", -1, Fraction(1, 2))) in sides
+    cached = [P._side_forms(w, cfg) for w in sides]
+    for w, forms in zip(sides, cached):
+        assert P._side_forms(w, cfg) is forms
+        assert type(forms) is list
+        assert forms == realize_word(w, cfg)._generator_forms(), format_word(w)
+
+
+def test_one_symbol_side_forms_are_per_window():
+    # one word, two windows of the same degree bound: each gets its own
+    # window's forms, whichever window is asked first
+    default = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    wide = SupportConfig(cli.DEFAULT_N, {1: 3, 2: 3, 3: 2})
+    w = GroupWord.of(sym("X", (0, 1, 1), 2))
+    for order in ((default, wide), (wide, default)):
+        monster.clear_caches()
+        got = {cfg: P._side_forms(w, cfg) for cfg in order}
+        for cfg in order:
+            assert got[cfg] == realize_word(w, cfg)._generator_forms()
+    assert len(got[default]) == 14 and len(got[wide]) == 20
+
+
+def test_validate_adjoint_verdicts_survive_clear_caches(monkeypatch):
+    # a long side whose generators take a retry pass, against a cached
+    # one-symbol side: the same verdicts before and after a clear
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    letter = (0, 1, 2)
+    comm = commutator(GroupWord.of(sym("Y", -1, 1)), GroupWord.of(sym("X", letter, 1)))
+    pairs = [(comm, GroupWord()), (comm, GroupWord.of(sym("X", letter, 1)))]
+    insts = [P.RelationInstance("R20", "ADJOINT", lhs, rhs, letter, {}) for lhs, rhs in pairs]
+    passes = []
+    real_pass = completion.TruncAut._pass
+    monkeypatch.setattr(completion.TruncAut, "_pass",
+                        lambda g, block, bound: passes.append(len(g.word)) or
+                        real_pass(g, block, bound))
+    before = [validate_adjoint(inst, cfg) for inst in insts]
+    # comm is realized once per verdict: two shared passes, then retries
+    assert passes.count(len(comm)) > 2
+    monster.clear_caches()
+    after = [validate_adjoint(inst, cfg) for inst in insts]
+    assert before == after == [True, False]
 
 
 def test_validate_catalog_small_sweep():
