@@ -5,11 +5,12 @@ restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
 exponential (stored as ("exp", x, cache key, integer form of x), both
-built once with the word), ("torus", s, t) for the semisimple scaling by
-s^a t^b on the root (a, b), or ("perm", sigma) for an index permutation
-sigma (a permaut.SparsePerm).  The kernel runs on small integer ids, not
-on basis keys: a word numbers each key it meets once, in first-seen
-order, and keeps that numbering for life.  Application walks the factors
+built once, when the atom is keyed, and holding no key numbering),
+("torus", s, t) for the semisimple scaling by s^a t^b on the root (a,
+b), or ("perm", sigma) for an index permutation sigma (a
+permaut.SparsePerm).  The kernel runs on small integer ids, not on basis
+keys: a word numbers each key it meets once, in first-seen order, and
+keeps that numbering for life.  Application walks the factors
 right to left, so it is a composition of linear maps on ids: each atom
 sends y to the sum of c * image(id) over the terms of y, and the image
 of each id is computed once per atom and clamp bound, then memoized (exp
@@ -80,19 +81,11 @@ from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt, key_degree
                       key_root, key_sort)
 
 
-def _level_caps(cfg: SupportConfig) -> tuple:
-    return tuple((j, cfg.cap(j)) for j in cfg.base_levels())
-
-
+@cache
 def generator_keys(cfg: SupportConfig) -> tuple:
     """Basis keys of the algebra generators supported by cfg, as a cached tuple."""
-    return _generator_keys(_level_caps(cfg))
-
-
-@cache
-def _generator_keys(level_caps: tuple) -> tuple:
-    return (H1, H2, EMINUS, FMINUS, *((tag, ((j, k, 0),)) for j, cap in level_caps
-                                      for k in range(1, cap + 1) for tag in (WPOS, WNEG)))
+    return (H1, H2, EMINUS, FMINUS, *((tag, ((j, k, 0),)) for j in cfg.base_levels()
+                                      for k in range(1, cfg.cap(j) + 1) for tag in (WPOS, WNEG)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +146,32 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # small integer id once, from a _KeyIds numbering that keeps the id ->
 # key and id -> degree lists beside its key -> id index, so a degree test
 # is a list lookup.  _ids() is the current numbering; a word takes it
-# when it is built and works in it for life.  Every atom is linear, so it
-# acts through the images of single ids.  _slot maps an atom's cache key
-# to its slot, {bound: {id: image}}, which carries the numbering it was
-# made in; an image is the flat tuple (exact_to, den, i1, n1, i2, n2,
-# ...): integer numerators n_i over one positive common denominator den,
-# exact_to inf when exact.  Exp images depend on the clamp bound; torus
-# and perm images do not and sit under the bound None.  An exp series
-# brackets ids through _bracket_ids, the structure-constant table
-# (ids, i, j) -> {id: int}, which asks monster.term_bracket on a miss.  A
-# word resolves each atom's slot once, when it is keyed (_keyed_word), so
-# applying an atom never hashes its key.  Word application carries a
-# block of elements as (den, {id: numerator}, exact_to) triples through
-# every atom, one _atom_block call per atom, which returns each triple
-# gcd-reduced; keys come back only for the returned element, the
-# reports and the filtration level.  _slot, _ids, _bracket_ids,
-# _generator_keys, _generator_ids (a window's generator keys as ids of
-# one numbering) and the two descent tables above are functools.cache
-# functions listed in monster.CACHES, so monster.clear_caches() drops
-# them, and a word built after it starts a new numbering.  A word built
-# before it keeps its numbering and its slots, whose images stay valid,
-# since an image depends only on its atom key, clamp bound and id; they
-# are freed with the word.
+# when it is built, works in it for life, and is the one holder of it:
+# the kernel functions below take it as an argument.  Every atom is
+# linear, so it acts through the images of single ids.  _slot maps an
+# atom's cache key to its memo, {bound: {id: image}}; an image is the
+# flat tuple (exact_to, den, i1, n1, i2, n2, ...): integer numerators
+# n_i over one positive common denominator den, exact_to inf when exact.
+# Exp images depend on the clamp bound; torus and perm images do not and
+# sit under the bound None.  An exp series brackets ids through
+# _bracket_ids, the structure-constant table (ids, i, j) -> {id: int},
+# which asks monster.term_bracket on a miss.  A word resolves each atom's
+# slot once, when it is keyed (_keyed_word), so applying an atom never
+# hashes its key.  Word application carries a block of elements as (den,
+# {id: numerator}, exact_to) triples through every atom, one _atom_block
+# call per atom, which returns each triple gcd-reduced; keys come back
+# only for the returned element, the reports and the filtration level.
+# _slot, _ids, _bracket_ids, generator_keys, _generator_ids (a window's
+# generator keys as ids of one numbering) and the two descent tables
+# above are functools.cache functions listed in monster.CACHES, so
+# monster.clear_caches() drops them together: a slot's ids are those of
+# the numbering current when _slot made it, which every word that
+# resolved the slot works in.  A word built after a clear starts a new
+# numbering and resolves new slots; a word built before it keeps its
+# numbering and its slots, whose images stay valid, since an image
+# depends only on its atom key, clamp bound and id; they are freed with
+# the word.  A keyed atom holds no numbering, so words on either side of
+# a clear share their atoms.
 
 
 class _KeyIds:
@@ -197,22 +194,15 @@ class _KeyIds:
         return i
 
 
-class _Slot(dict):
-    """An atom's memo, {bound: {id: image}}, in the numbering ids."""
-
-    __slots__ = ("ids",)
-
-
 @cache
 def _ids() -> _KeyIds:
     return _KeyIds()
 
 
 @cache
-def _slot(key) -> _Slot:
-    slot = _Slot()
-    slot.ids = _ids()
-    return slot
+def _slot(key) -> dict:
+    """The memo {bound: {id: image}} of the atom with cache key key."""
+    return {}
 
 
 @cache
@@ -223,36 +213,34 @@ def _bracket_ids(ids: _KeyIds, i: int, j: int) -> dict:
 
 
 @cache
-def _generator_ids(ids: _KeyIds, level_caps: tuple) -> tuple:
-    """The ids in ids of _generator_keys(level_caps), in that order."""
-    return tuple(map(ids.of, _generator_keys(level_caps)))
+def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
+    """The ids in ids of generator_keys(cfg), in that order."""
+    return tuple(map(ids.of, generator_keys(cfg)))
 
 
-monster.CACHES.extend((_generator_keys, _slot, _ids, _bracket_ids, _generator_ids,
+monster.CACHES.extend((generator_keys, _slot, _ids, _bracket_ids, _generator_ids,
                        _descent_pad, _descent_floor))
 
 
-def _atom_slot(atom) -> _Slot:
-    return _slot(atom[2] if atom[0] == "exp" else atom)
-
-
-def _keyed_word(word, cfg: SupportConfig, ids: _KeyIds) -> tuple:
+def _keyed_word(word, cfg: SupportConfig) -> tuple:
     """(word, slots): word with each exp atom as ("exp", x, key, form),
-    both built here once: the key (terms, exact_to, support levels,
-    lowers), and the form (den, {id: numerator}, (min_degree, exact_to),
-    ids) of x in the numbering ids, which _exp_image brackets with;
-    slots holds each atom's memo slot.  Torus and perm atoms are their
-    own keys.  Every atom is checked against cfg before any slot is
-    resolved: exp letters in the window, and x (when keyed) of min degree
-    >= 1 or a multiple of f(-1); nonzero torus parameters; a permutation
-    within its level's cap; no other tag."""
+    both built once, when the atom is first keyed or meets a window of
+    other base levels: the key (terms, exact_to, support levels, lowers),
+    and the form (den, {key: numerator}, (min_degree, exact_to)) of x,
+    which _exp_image numbers when it runs; slots holds each atom's memo
+    slot, in the numbering current now.  Neither holds a numbering, so a
+    keyed atom stays valid in any word on a window of its levels.  Torus
+    and perm atoms are their own keys.  Every atom is checked against cfg
+    before any slot is resolved: exp letters in the window, and x (when
+    keyed) of min degree >= 1 or a multiple of f(-1); nonzero torus
+    parameters; a permutation within its level's cap; no other tag."""
     levels = tuple(cfg.base_levels())
     out = []
     for a in word:
         tag = a[0]
         if tag == "exp":
             x = a[1]
-            if len(a) == 2 or a[2][2] != levels or a[3][3] is not ids:
+            if len(a) == 2 or a[2][2] != levels:
                 m = x.min_degree()
                 if m < 1 and x.terms.keys() != {FMINUS}:
                     if x.terms.keys() <= {H1, H2}:
@@ -262,8 +250,7 @@ def _keyed_word(word, cfg: SupportConfig, ids: _KeyIds) -> tuple:
                                      "f(-1); negative imaginary content has no action on the "
                                      "positive completion")
                 a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
-                     (*_int_form({ids.of(k): c for k, c in x.terms.items()}),
-                      (m, x.exact_to), ids))
+                     (*_int_form(x.terms), (m, x.exact_to)))
             x.validate_support(cfg)
         elif tag == "torus":
             if not (a[1] and a[2]):
@@ -278,7 +265,7 @@ def _keyed_word(word, cfg: SupportConfig, ids: _KeyIds) -> tuple:
         else:
             raise ValueError(f"unknown atomic factor {tag!r}")
         out.append(a)
-    return tuple(out), tuple(_atom_slot(a) for a in out)
+    return tuple(out), tuple(_slot(a[2] if a[0] == "exp" else a) for a in out)
 
 
 def _int_form(terms: dict) -> tuple:
@@ -316,11 +303,11 @@ def _flat_image(den: int, nums: dict, exact_to) -> tuple:
     return (exact_to, den, *chain.from_iterable(nums.items()))
 
 
-def _exp_image(atom, i: int, bound: int) -> tuple:
-    """Flat image of the key with id i under the exp atom ("exp", x, key,
-    form), terms above bound discarded (and recorded); form is x's (den,
-    {id: numerator}, (min_degree, exact_to), ids), in the numbering ids
-    that i and the image use.
+def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
+    """Flat image of the key with id i of ids under the exp atom ("exp",
+    x, key, form), in the numbering ids, terms above bound discarded (and
+    recorded); form is x's (den, {key: numerator}, (min_degree,
+    exact_to)), and its one or few keys are numbered here.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
     each step brackets them with freelie.elt_bracket over the table
@@ -344,7 +331,8 @@ def _exp_image(atom, i: int, bound: int) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), with no
     bracket computed."""
-    xden, xnums, xside, ids = atom[3]
+    xden, xterms, xside = atom[3]
+    xnums = {ids.of(k): n for k, n in xterms.items()}
     deg = ids.deg
     cut = inf
     if xside[1] == inf and len(xnums) == 1:
@@ -411,7 +399,7 @@ def _image(atom, ids: _KeyIds, images: dict, i: int, bound) -> tuple:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom, i, bound)
+        res = _exp_image(atom, ids, i, bound)
     elif tag == "torus":
         a, b = key_root(ids.key[i])
         res = _flat_image(*_int_form({i: atom[1] ** a * atom[2] ** b}), inf)
@@ -441,11 +429,12 @@ def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
                                partial(_bracket_ids, ids))
 
 
-def _atom_block(atom, slot: _Slot, block: list, bound) -> list:
+def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
     """atom applied to each triple (den, nums, lo) of block, the element
-    nums/den exact through lo and numbered like slot: the gcd-reduced
-    triples of sum c * image(id) over each one's terms, with the images
-    at the clamp bound and the lowering test resolved once per block.
+    nums/den exact through lo in the numbering ids, which atom's memo
+    slot is in: the gcd-reduced triples of sum c * image(id) over each
+    one's terms, with the images at the clamp bound and the lowering test
+    resolved once per block.
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
@@ -458,7 +447,6 @@ def _atom_block(atom, slot: _Slot, block: list, bound) -> list:
     levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
     if atom[0] != "exp":
         bound = None
-    ids = slot.ids
     images = slot.setdefault(bound, {})
     get = images.get
     out = []
@@ -530,7 +518,7 @@ class TruncAut:
         self.cfg = cfg
         # the key numbering this word works in, for life
         self._ids = _ids()
-        self.word, slots = _keyed_word(word, cfg, self._ids)
+        self.word, slots = _keyed_word(word, cfg)
         # (atom, slot) in application order: rightmost factor first
         self._steps = tuple(zip(reversed(self.word), reversed(slots)))
         # the levels lowering atoms descend through, () if none lowers
@@ -580,8 +568,9 @@ class TruncAut:
 
     def _pass(self, block: list, bound: int) -> list:
         """block through every atom of the word at the clamp bound."""
+        ids = self._ids
         for atom, slot in self._steps:
-            block = _atom_block(atom, slot, block, bound)
+            block = _atom_block(atom, slot, ids, block, bound)
         return block
 
     # comparison -----------------------------------------------------------
@@ -606,7 +595,7 @@ class TruncAut:
         ids = self._ids
         deg = ids.deg
         block = self._apply_block(
-            [(1, {i: 1}, inf) for i in _generator_ids(ids, _level_caps(self.cfg))], N)
+            [(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)], N)
         return [(den, nums) if max(map(deg.__getitem__, nums), default=N) <= N
                 else _reduced(den, {i: n for i, n in nums.items() if deg[i] <= N})
                 for den, nums, _ in block]

@@ -133,10 +133,9 @@ HOMOMORPHISM_TRIALS, HOMOMORPHISM_SEED = 10, 11
 
 def perm_aut(sigma: SparsePerm, cfg: SupportConfig) -> TruncAut:
     """sigma as an automorphism: every basis word relabeled, the gl2 part
-    fixed.  The word's one atom ("perm", sigma) carries sigma itself;
-    TruncAut refuses a sigma that moves an index above its level's cap."""
-    if sigma.is_identity():
-        return TruncAut.identity(cfg)
+    fixed.  The word's one atom ("perm", sigma) carries sigma itself, the
+    identity included; TruncAut refuses a sigma that moves an index above
+    its level's cap."""
     return TruncAut(cfg, word=(("perm", sigma),))
 
 

@@ -274,8 +274,10 @@ def _side_forms(w: GroupWord, cfg: SupportConfig) -> list:
 @cache
 def _short_side_forms(w: GroupWord, cfg: SupportConfig) -> list:
     """_side_forms of a word of at most one symbol, shared, so callers
-    only read it.  It sits in monster.CACHES beside the key numbering, so
-    a clear drops both and the forms are always in the current one."""
+    only read it.  The forms are in the numbering of the word realized
+    here, the one current when it ran; this memo sits in monster.CACHES
+    beside completion._ids, so a clear drops both, and cached forms are
+    always in the numbering a side realized afresh works in."""
     return realize_word(w, cfg)._generator_forms()
 
 

@@ -413,11 +413,11 @@ def _diff_inputs():
     return ins
 
 
-def _one_atom_block(atom, slot, y, bound):
+def _one_atom_block(atom, slot, ids, y, bound):
     """atom applied to y: one _atom_block on the block of y's integer
-    form, in the numbering of the word's slot."""
-    [vec] = completion._atom_block(atom, slot, [completion._to_vec(y, slot.ids)], bound)
-    return completion._to_elt(*vec, slot.ids)
+    form, in the word's numbering ids."""
+    [vec] = completion._atom_block(atom, slot, ids, [completion._to_vec(y, ids)], bound)
+    return completion._to_elt(*vec, ids)
 
 
 def test_memoized_atoms_match_whole_element():
@@ -430,17 +430,17 @@ def test_memoized_atoms_match_whole_element():
     atoms = g.word
     slots = [slot for _, slot in reversed(g._steps)]
     assert [a[2][3] for a in atoms[:3]] == [False, False, True]
-    assert all(slot.ids is g._ids for slot in slots)
+    assert all(type(slot) is dict for slot in slots)
     inputs = _diff_inputs()
     for atom, slot in zip(atoms, slots):
         for bound in (9, 12):
             for y in inputs:
-                memo = _one_atom_block(atom, slot, y, bound)
+                memo = _one_atom_block(atom, slot, g._ids, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert e <= direct.exact_to, (atom[0], y, bound)
                 assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = _one_atom_block(atom, slot, y, bound)
+                warm = _one_atom_block(atom, slot, g._ids, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     for slot in slots:
         assert slot
@@ -454,7 +454,7 @@ def test_memoized_atoms_match_whole_element():
     monster.clear_caches()
     assert not any(memo.cache_info().currsize for memo in monster.CACHES)
     # the slots the word holds keep their images; a new lookup starts afresh
-    assert all(slots) and completion._atom_slot(atoms[0]) == {}
+    assert all(slots) and completion._slot(atoms[0][2]) == {}
 
 
 def _basis_keys(cfg, dmax):
@@ -502,8 +502,8 @@ def test_integer_exp_images_match_fraction_series():
     keys = _basis_keys(CFG3, 9)
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
-        atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
-        ids = atom[3][3]
+        g = TruncAut(CFG3, word=[("exp", x)])
+        atom, ids = g.word[0], g._ids
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -514,9 +514,9 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(atom, ids.of(key), bound)
+                        completion._exp_image(atom, ids, ids.of(key), bound)
                     continue
-                img = completion._exp_image(atom, ids.of(key), bound)
+                img = completion._exp_image(atom, ids, ids.of(key), bound)
                 got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
 
@@ -530,18 +530,18 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
     keys = _basis_keys(CFG3, 9)
     assert L in keys and 2 * monster.key_degree(L) > 9
     for x in xs:
-        atom = TruncAut(CFG3, word=[("exp", x)]).word[0]
-        ids = atom[3][3]
+        g = TruncAut(CFG3, word=[("exp", x)])
+        atom, ids = g.word[0], g._ids
         for bound in (6, 9, 12, 21):
             for key in keys:
                 want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
-                img = completion._exp_image(atom, ids.of(key), bound)
+                img = completion._exp_image(atom, ids, ids.of(key), bound)
                 got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
                 assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
     # L itself above half the bound: [L, L] = 0, so nothing is cut
-    atom = TruncAut(CFG3, word=[("exp", xs[1])]).word[0]
-    ids = atom[3][3]
-    assert completion._exp_image(atom, ids.of(L), 9) == (inf, 1, ids.of(L), 1)
+    g = TruncAut(CFG3, word=[("exp", xs[1])])
+    atom, ids = g.word[0], g._ids
+    assert completion._exp_image(atom, ids, ids.of(L), 9) == (inf, 1, ids.of(L), 1)
 
 
 def test_atom_cache_key_built_with_word():
@@ -707,7 +707,7 @@ def test_generator_block_matches_single_applies(monkeypatch):
     steps = []
     real_block = completion._atom_block
     monkeypatch.setattr(completion, "_atom_block",
-                        lambda *a: steps.extend([a[3]] * len(a[2])) or real_block(*a))
+                        lambda *a: steps.extend([a[4]] * len(a[3])) or real_block(*a))
     gens = generator_keys(cfg)
     for word in words:
         g = TruncAut(cfg, word)
@@ -769,6 +769,32 @@ def test_word_keeps_its_numbering_across_clear_caches():
         assert (h.apply(y).terms, h.apply(y).exact_to) == (image.terms, image.exact_to)
     assert (fresh.apply(z).terms, fresh.apply(z).exact_to) == (later.terms, later.exact_to)
     assert fresh.report_dict() == report
+
+
+def test_words_built_across_clear_caches_compose():
+    # a word built before monster.clear_caches() composes with one built
+    # after it, whose numbering met the keys in another first-seen order:
+    # the composite works in the new numbering with the old word's atoms
+    long = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
+                        sym("X", (1, 2, 1), 3), sym("X", -1, -1))
+    short = GroupWord.of(sym("X", (0, 2, 2), 1))
+    y = MonsterElt({(monster.WPOS, ((1, 2, 0),)): Fraction(2, 3), monster.H2: 5}, exact_to=8)
+    # a cold numbering, so that the old word's keys come first in it
+    monster.clear_caches()
+    old = realize_word(long, BLOCK_CFG)
+    old.apply(y)
+    monster.clear_caches()
+    new = realize_word(short, BLOCK_CFG)
+    new.apply(MonsterElt({(monster.WPOS, ((2, 2, 0),)): 1, monster.H1: 1}))
+    assert new._ids is not old._ids and new._ids.key[:2] != old._ids.key[:2]
+    for (g, h), product in (((old, new), long * short), ((new, old), short * long)):
+        composed = compose(g, h)
+        assert all(a is b for a, b in zip(composed.word, g.word + h.word))
+        fresh = realize_word(product, BLOCK_CFG)
+        assert composed.equal(fresh) and fresh.equal(composed)
+        assert composed.report_dict() == fresh.report_dict()
+        got, want = composed.apply(y), fresh.apply(y)
+        assert (got.terms, got.exact_to) == (want.terms, want.exact_to)
 
 
 def test_descent_accounting_matches_reference():
