@@ -5,12 +5,12 @@ restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
 exponential (stored as ("exp", x, cache key, integer form of x), both
-built once, when the atom is keyed, and holding no key numbering),
-("torus", s, t) for the semisimple scaling by s^a t^b on the root (a,
-b), or ("perm", sigma) for an index permutation sigma (a
-permaut.SparsePerm).  The kernel runs on small integer ids, not on basis
-keys: a word numbers each key it meets once, in first-seen order, and
-keeps that numbering for life.  Application walks the factors
+built once, when the atom is keyed, and holding no key numbering: the
+form is the triple below, by key), ("torus", s, t) for the semisimple
+scaling by s^a t^b on the root (a, b), or ("perm", sigma) for an index
+permutation sigma (a permaut.SparsePerm).  The kernel runs on small
+integer ids, not on basis keys: a word numbers each key it meets once,
+in first-seen order, and keeps that numbering for life.  Application walks the factors
 right to left, so it is a composition of linear maps on ids: each atom
 sends y to the sum of c * image(id) over the terms of y, and the image
 of each id is computed once per atom and clamp bound, then memoized (exp
@@ -18,15 +18,16 @@ images by the exp series on that single key, run on integer numerators
 over one denominator: the basis brackets have integer structure
 constants, kept in one memoized table of id pairs, so each step's
 denominator is the last one times x's denominator and n).  The word
-resolves each atom's memo slot once, when it is built.  Images are
-stored as integer numerators over a common denominator, and a word
-carries y through its atoms in that integer form, the triple (den, {id:
-numerator}, exact_to), so Fractions and keys are built only for the
-returned element.  One pass of a word carries a whole block of such
-triples, one kernel call per atom, and hands back each triple
-gcd-reduced: equal pushes the generator block through each side once
-and compares the images in that form (realize_word builds a word's atoms
-directly, so each realized word is keyed once).  Every application,
+resolves each atom's memo slot once, when it is built.  Every integer
+vector the kernel builds, memoizes or carries has one form, the
+gcd-reduced triple (den, {id: numerator}, exact_to): integer numerators
+over one positive common denominator.  Images are stored that way, and a
+word carries y through its atoms that way, so Fractions and keys are
+built only for the returned element.  One pass of a word carries a whole
+block of such triples, one kernel call per atom, and hands back each
+triple gcd-reduced: equal pushes the generator block through each side
+once and compares the images in that form (realize_word builds a word's
+atoms directly, so each realized word is keyed once).  Every application,
 index permutations included, goes through that block pass.  Composition
 is concatenation, inversion reverses the tuple and inverts each atom, so
 inverses stay cheap and exact.  TruncAut checks every atom and every
@@ -71,7 +72,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
 from math import gcd, inf
 from typing import NamedTuple
 
@@ -150,8 +150,8 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # the kernel functions below take it as an argument.  Every atom is
 # linear, so it acts through the images of single ids.  _slot maps an
 # atom's cache key to its memo, {bound: {id: image}}; an image is the
-# flat tuple (exact_to, den, i1, n1, i2, n2, ...): integer numerators
-# n_i over one positive common denominator den, exact_to inf when exact.
+# gcd-reduced triple (den, {id: numerator}, exact_to), exact_to inf when
+# exact, shared by every block that reads it, so nothing mutates it.
 # Exp images depend on the clamp bound; torus and perm images do not and
 # sit under the bound None.  An exp series brackets ids through
 # _bracket_ids, the structure-constant table (ids, i, j) -> {id: int},
@@ -226,8 +226,8 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     """(word, slots): word with each exp atom as ("exp", x, key, form),
     both built once, when the atom is first keyed or meets a window of
     other base levels: the key (terms, exact_to, support levels, lowers),
-    and the form (den, {key: numerator}, (min_degree, exact_to)) of x,
-    which _exp_image numbers when it runs; slots holds each atom's memo
+    and x's integer form _int_form(x.terms, x.exact_to), by key, which
+    _exp_image numbers when it runs; slots holds each atom's memo
     slot, in the numbering current now.  Neither holds a numbering, so a
     keyed atom stays valid in any word on a window of its levels.  Torus
     and perm atoms are their own keys.  Every atom is checked against cfg
@@ -250,7 +250,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
                                      "f(-1); negative imaginary content has no action on the "
                                      "positive completion")
                 a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
-                     (*_int_form(x.terms), (m, x.exact_to)))
+                     _int_form(x.terms, x.exact_to))
             x.validate_support(cfg)
         elif tag == "torus":
             if not (a[1] and a[2]):
@@ -268,21 +268,22 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     return tuple(out), tuple(_slot(a[2] if a[0] == "exp" else a) for a in out)
 
 
-def _int_form(terms: dict) -> tuple:
-    """(den, {key: numerator}) for a Fraction term dict: numerators over
-    the least common denominator, so gcd(den, *numerators) == 1."""
+def _int_form(terms: dict, exact_to) -> tuple:
+    """The triple (den, {k: numerator}, exact_to) of a Fraction term dict
+    {k: c}: numerators over the least common denominator, so gcd(den,
+    *numerators) == 1."""
     den = 1
     for c in terms.values():
         d = c.denominator
         if den % d:
             den = den // gcd(den, d) * d
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, exact_to
 
 
 def _to_vec(y: MonsterElt, ids: _KeyIds) -> tuple:
     """y as (den, {id: numerator}, exact_to) in the numbering ids: the
     coefficient of id i is nums[i] / den, exact through exact_to."""
-    return (*_int_form({ids.of(k): c for k, c in y.terms.items()}), y.exact_to)
+    return _int_form({ids.of(k): c for k, c in y.terms.items()}, y.exact_to)
 
 
 def _reduced(den: int, nums: dict) -> tuple:
@@ -299,15 +300,11 @@ def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds) -> MonsterElt:
     return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
-def _flat_image(den: int, nums: dict, exact_to) -> tuple:
-    return (exact_to, den, *chain.from_iterable(nums.items()))
-
-
 def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
-    """Flat image of the key with id i of ids under the exp atom ("exp",
+    """Image triple of the key with id i of ids under the exp atom ("exp",
     x, key, form), in the numbering ids, terms above bound discarded (and
-    recorded); form is x's (den, {key: numerator}, (min_degree,
-    exact_to)), and its one or few keys are numbered here.
+    recorded); form is x's triple (den, {key: numerator}, exact_to), and
+    its one or few keys are numbered here.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
     each step brackets them with freelie.elt_bracket over the table
@@ -331,11 +328,11 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), with no
     bracket computed."""
-    xden, xterms, xside = atom[3]
+    xden, xterms, xexact = atom[3]
     xnums = {ids.of(k): n for k, n in xterms.items()}
     deg = ids.deg
     cut = inf
-    if xside[1] == inf and len(xnums) == 1:
+    if xexact == inf and len(xnums) == 1:
         [L] = xnums
         if isinstance(ids.key[L], tuple) and ids.key[L][0] == WPOS:
             cut = max(bound - deg[L], 1)
@@ -363,9 +360,11 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
                 elif k != L:
                     skipped = True
         raw = freelie.elt_bracket(xnums, low, br)
-        if xside[1] < inf or term_exact < inf:
-            term_exact = monster._result_bound(xside, (min(map(deg.__getitem__, term)),
-                                                       term_exact))
+        if xexact < inf or term_exact < inf:
+            # x's min degree from its numbered keys; x can be 0
+            term_exact = monster._result_bound(
+                (min(map(deg.__getitem__, xnums), default=inf), xexact),
+                (min(map(deg.__getitem__, term)), term_exact))
             if term_exact < 0:  # a bound MonsterElt refuses, as bracket would
                 raise ValueError("exactness bound must be nonnegative")
             raw = {k: m for k, m in raw.items() if deg[k] <= term_exact}
@@ -376,7 +375,7 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
         exact_to = min(exact_to, term_exact)
         den *= xden * n
         terms.append((den, term))
-    if clamped and xside[0] < 0:
+    if clamped and atom[2][3]:
         exact_to = _descent_floor(bound, atom[2][2]) - 1
     acc: dict = {}
     for d, t in terms:
@@ -387,7 +386,7 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
                 acc[k] = m
             else:
                 acc.pop(k, None)
-    return _flat_image(*_reduced(den, acc), exact_to)
+    return (*_reduced(den, acc), exact_to)
 
 
 def _image(atom, ids: _KeyIds, images: dict, i: int, bound) -> tuple:
@@ -402,9 +401,9 @@ def _image(atom, ids: _KeyIds, images: dict, i: int, bound) -> tuple:
         res = _exp_image(atom, ids, i, bound)
     elif tag == "torus":
         a, b = key_root(ids.key[i])
-        res = _flat_image(*_int_form({i: atom[1] ** a * atom[2] ** b}), inf)
+        res = _int_form({i: atom[1] ** a * atom[2] ** b}, inf)
     else:
-        res = _flat_image(1, _perm_key(atom, ids, images, i), inf)
+        res = (1, _perm_key(atom, ids, images, i), inf)
     images[i] = res
     return res
 
@@ -425,8 +424,7 @@ def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
     u, v = freelie.std_factorize(w)
     iu = _image(atom, ids, images, ids.of((tag, u)), None)
     iv = _image(atom, ids, images, ids.of((tag, v)), None)
-    return freelie.elt_bracket(dict(zip(iu[2::2], iu[3::2])), dict(zip(iv[2::2], iv[3::2])),
-                               partial(_bracket_ids, ids))
+    return freelie.elt_bracket(iu[1], iv[1], partial(_bracket_ids, ids))
 
 
 def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
@@ -434,14 +432,15 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
     nums/den exact through lo in the numbering ids, which atom's memo
     slot is in: the gcd-reduced triples of sum c * image(id) over each
     one's terms, with the images at the clamp bound and the lowering test
-    resolved once per block.
+    resolved once per block.  Images are shared, read-only triples: a
+    result may hold an image's own dict, so no caller mutates one.
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
     reduces the result.  A one-term input c * id skips the sum: it is c
-    times the image over den times the image's den, already reduced when
-    c and den are 1, since images are stored reduced.  exact_to is the
-    least of the images' bounds and the input's: lo itself, or for a
+    times the image over den times the image's den, the image itself
+    when c and den are 1, since images are stored reduced.  exact_to is
+    the least of the images' bounds and the input's: lo itself, or for a
     lowering exponential the descent floor below it (of the levels in
     its key), since content hidden above lo can slide down that far."""
     levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
@@ -456,38 +455,29 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
             lo = _descent_floor(lo, levels) - 1
         if len(nums) == 1:
             [(k, c)] = nums.items()
-            img = get(k) or _image(atom, ids, images, k, bound)
-            if img[0] < lo:
-                lo = img[0]
-            pairs = iter(img)
-            next(pairs)
-            next(pairs)
-            if c == 1:
-                terms = dict(zip(pairs, pairs))
-                if den == 1:
-                    append((img[1], terms, lo))
-                    continue
-            else:
-                terms = {kk: c * v for kk, v in zip(pairs, pairs)}
-            append((*_reduced(den * img[1], terms), lo))
+            iden, inums, ilo = get(k) or _image(atom, ids, images, k, bound)
+            if ilo < lo:
+                lo = ilo
+            if c != 1:
+                inums = {kk: c * v for kk, v in inums.items()}
+            elif den == 1:
+                append((iden, inums, lo))
+                continue
+            append((*_reduced(den * iden, inums), lo))
             continue
         hits = []
         lcm = 1
         for k, c in nums.items():
-            img = get(k) or _image(atom, ids, images, k, bound)
-            if img[0] < lo:
-                lo = img[0]
-            d = img[1]
+            d, inums, ilo = get(k) or _image(atom, ids, images, k, bound)
+            if ilo < lo:
+                lo = ilo
             if lcm % d:
                 lcm = lcm // gcd(lcm, d) * d
-            hits.append((c, img))
+            hits.append((c, d, inums))
         terms: dict = {}
-        for c, img in hits:
-            m = c * (lcm // img[1])
-            pairs = iter(img)
-            next(pairs)
-            next(pairs)
-            for kk, v in zip(pairs, pairs):
+        for c, d, inums in hits:
+            m = c * (lcm // d)
+            for kk, v in inums.items():
                 n = terms.get(kk, 0) + m * v
                 if n:
                     terms[kk] = n

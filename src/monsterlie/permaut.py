@@ -77,9 +77,6 @@ class SparsePerm:
     def support(self) -> tuple:
         return tuple(sorted(self.moved))
 
-    def is_identity(self) -> bool:
-        return not self.moved
-
     def inverse(self) -> "SparsePerm":
         return SparsePerm(self.level, {v: k for k, v in self.moved.items()})
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -516,9 +517,9 @@ def test_integer_exp_images_match_fraction_series():
                     with pytest.raises(ValueError):
                         completion._exp_image(atom, ids, ids.of(key), bound)
                     continue
-                img = completion._exp_image(atom, ids, ids.of(key), bound)
-                got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
-                assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
+                den, nums, exact_to = completion._exp_image(atom, ids, ids.of(key), bound)
+                got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
+                assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
 
 
 def test_exp_images_of_single_u_plus_words_match_fraction_series():
@@ -535,13 +536,13 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
         for bound in (6, 9, 12, 21):
             for key in keys:
                 want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
-                img = completion._exp_image(atom, ids, ids.of(key), bound)
-                got = {ids.key[i]: Fraction(n, img[1]) for i, n in zip(img[2::2], img[3::2])}
-                assert (got, img[0]) == (want.terms, want.exact_to), (x, key, bound)
+                den, nums, exact_to = completion._exp_image(atom, ids, ids.of(key), bound)
+                got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
+                assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
     # L itself above half the bound: [L, L] = 0, so nothing is cut
     g = TruncAut(CFG3, word=[("exp", xs[1])])
     atom, ids = g.word[0], g._ids
-    assert completion._exp_image(atom, ids, ids.of(L), 9) == (inf, 1, ids.of(L), 1)
+    assert completion._exp_image(atom, ids, ids.of(L), 9) == (1, {ids.of(L): 1}, inf)
 
 
 def test_atom_cache_key_built_with_word():
@@ -737,8 +738,16 @@ def test_block_pass_returns_reduced_triples():
     mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
     ys.append(completion._to_vec(MonsterElt(mixed), ids))
     for word in _block_words():
-        for den, nums, _ in TruncAut(BLOCK_CFG, word)._apply_block(ys, 9):
+        g = TruncAut(BLOCK_CFG, word)
+        for den, nums, _ in g._apply_block(ys, 9):
             assert den >= 1 and gcd(den, *nums.values()) == 1, (word, den, nums)
+        g._generator_forms()
+        # results share the memoized images, so no pass may mutate one
+        slots = [slot for _, slot in g._steps]
+        before = copy.deepcopy(slots)
+        g._apply_block(ys, 9)
+        g._generator_forms()
+        assert slots == before, word
 
 
 def test_word_keeps_its_numbering_across_clear_caches():

@@ -29,7 +29,7 @@ def test_cycle_parse_and_print():
     assert s.apply(4) == 4
     assert s.cycles() == "(1 2 3)"
     assert SparsePerm.from_cycles(2, "(2 5)(1 3)").cycles() == "(1 3)(2 5)"
-    assert SparsePerm.from_cycles(1, "()").is_identity()
+    assert SparsePerm.from_cycles(1, "()") == SparsePerm(1)
     assert SparsePerm.from_cycles(1, "(1, 2)").cycles() == "(1 2)"
 
 
@@ -50,7 +50,7 @@ def test_cycle_parse_errors():
 
 def test_inverse_and_compose():
     s = SparsePerm.from_cycles(1, "(1 2 3)")
-    assert (s * s.inverse()).is_identity()
+    assert s * s.inverse() == SparsePerm(1)
     assert s * s == s.inverse()
     t = SparsePerm.from_cycles(1, "(1 2)")
     # t acts first in s * t
