@@ -44,7 +44,8 @@ above what the exp series gives on the whole element.  Application
 retries with a widened internal bound when lowering factors eat into
 the requested window, so a returned element is always complete through
 the requested degree unless the input itself was the limit; in a block,
-each vector still short after the shared pass retries alone.
+the vectors still short after the shared pass retry together, one pass
+per widened bound.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -73,6 +74,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, inf
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import freelie, monster
@@ -151,19 +153,21 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # linear, so it acts through the images of single ids.  _slot maps an
 # atom's cache key to its memo, {bound: {id: image}}; an image is the
 # gcd-reduced triple (den, {id: numerator}, exact_to), exact_to inf when
-# exact, shared by every block that reads it, so nothing mutates it.
-# Exp images depend on the clamp bound; torus and perm images do not and
-# sit under the bound None.  An exp series brackets ids through
-# _bracket_ids, the structure-constant table (ids, i, j) -> {id: int},
-# which asks monster.term_bracket on a miss.  A word resolves each atom's
-# slot once, when it is keyed (_keyed_word), so applying an atom never
-# hashes its key.  Word application carries a block of elements as (den,
-# {id: numerator}, exact_to) triples through every atom, one _atom_block
-# call per atom, which returns each triple gcd-reduced; keys come back
-# only for the returned element, the reports and the filtration level.
-# _slot, _ids, _bracket_ids, generator_keys, _generator_ids (a window's
-# generator keys as ids of one numbering) and the two descent tables
-# above are functools.cache functions listed in monster.CACHES, so
+# exact, shared by every block that reads it, so nothing mutates it.  An
+# image that fixes its key is _unit(ids, i, exact_to), one triple shared
+# by every slot.  Exp images depend on the clamp bound; torus and perm
+# images do not and sit under the bound None.  An exp series brackets ids
+# through _bracket_ids, the structure-constant table (ids, i, j) -> {id:
+# int}, which asks monster.term_bracket on a miss; every zero bracket is
+# the one read-only _ZERO.  A word resolves each atom's slot once, when
+# it is keyed (_keyed_word), so applying an atom never hashes its key.
+# Word application carries a block of elements as (den, {id: numerator},
+# exact_to) triples through every atom, one _atom_block call per atom,
+# which returns each triple gcd-reduced; keys come back only for the
+# returned element, the reports and the filtration level.
+# _slot, _ids, _bracket_ids, _unit, generator_keys, _generator_ids (a
+# window's generator keys as ids of one numbering) and the two descent
+# tables above are functools.cache functions listed in monster.CACHES, so
 # monster.clear_caches() drops them together: a slot's ids are those of
 # the numbering current when _slot made it, which every word that
 # resolved the slot works in.  A word built after a clear starts a new
@@ -205,11 +209,23 @@ def _slot(key) -> dict:
     return {}
 
 
+# the one zero bracket, shared by every pair of keys that commute
+_ZERO = MappingProxyType({})
+
+
 @cache
-def _bracket_ids(ids: _KeyIds, i: int, j: int) -> dict:
-    """[key i, key j] as {id: int} over ids; shared, so callers only read
-    it."""
-    return {ids.of(k): c for k, c in monster.term_bracket(ids.key[i], ids.key[j]).items()}
+def _bracket_ids(ids: _KeyIds, i: int, j: int):
+    """[key i, key j] as {id: int} over ids, or _ZERO when it vanishes;
+    shared, so callers only read it."""
+    return ({ids.of(k): c for k, c in monster.term_bracket(ids.key[i], ids.key[j]).items()}
+            or _ZERO)
+
+
+@cache
+def _unit(ids: _KeyIds, i: int, exact_to) -> tuple:
+    """The image (1, {i: 1}, exact_to) of an atom that fixes the key with
+    id i of ids, shared by every slot that stores it, so never mutated."""
+    return 1, {i: 1}, exact_to
 
 
 @cache
@@ -218,7 +234,7 @@ def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
     return tuple(map(ids.of, generator_keys(cfg)))
 
 
-monster.CACHES.extend((generator_keys, _slot, _ids, _bracket_ids, _generator_ids,
+monster.CACHES.extend((generator_keys, _slot, _ids, _bracket_ids, _unit, _generator_ids,
                        _descent_pad, _descent_floor))
 
 
@@ -300,11 +316,29 @@ def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds) -> MonsterElt:
     return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
-def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
+def _numbered_x(atom, ids: _KeyIds) -> tuple:
+    """x of the exp atom ("exp", x, key, form) numbered by ids, as (den,
+    {id: numerator}, exact_to, L) from x's triple form (den, {key:
+    numerator}, exact_to): L is the id of x's one key when x is exact and
+    a single u+ word, else None.  () for a torus or perm atom, which has
+    no x."""
+    if atom[0] != "exp":
+        return ()
+    xden, xterms, xexact = atom[3]
+    xnums = {ids.of(k): n for k, n in xterms.items()}
+    L = None
+    if xexact == inf and len(xterms) == 1:
+        [k] = xterms
+        if isinstance(k, tuple) and k[0] == WPOS:
+            L = ids.of(k)
+    return xden, xnums, xexact, L
+
+
+def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x=None) -> tuple:
     """Image triple of the key with id i of ids under the exp atom ("exp",
     x, key, form), in the numbering ids, terms above bound discarded (and
-    recorded); form is x's triple (den, {key: numerator}, exact_to), and
-    its one or few keys are numbered here.
+    recorded); x is _numbered_x(atom, ids), numbered here when not given.
+    An image that fixes its key is the shared _unit triple.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
     each step brackets them with freelie.elt_bracket over the table
@@ -326,16 +360,15 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
     brackets to zero only if it is a multiple of L; and no bracketed key
     reaches those degrees (the rest land at <= bound or, outside u+, at
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
-    thus returns itself, exact_to bound (inf when it is L), with no
-    bracket computed."""
-    xden, xterms, xexact = atom[3]
-    xnums = {ids.of(k): n for k, n in xterms.items()}
+    thus returns itself, exact_to bound (inf when it is L), before any
+    series is set up."""
+    if x is None:
+        x = _numbered_x(atom, ids)
+    xden, xnums, xexact, L = x
     deg = ids.deg
-    cut = inf
-    if xexact == inf and len(xnums) == 1:
-        [L] = xnums
-        if isinstance(ids.key[L], tuple) and ids.key[L][0] == WPOS:
-            cut = max(bound - deg[L], 1)
+    cut = inf if L is None else max(bound - deg[L], 1)
+    if deg[i] > cut:
+        return _unit(ids, i, inf if i == L else bound)
     br = partial(_bracket_ids, ids)
     den = 1
     term: dict = {i: 1}
@@ -386,24 +419,29 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int) -> tuple:
                 acc[k] = m
             else:
                 acc.pop(k, None)
+    if acc == {i: den}:
+        return _unit(ids, i, exact_to)
     return (*_reduced(den, acc), exact_to)
 
 
-def _image(atom, ids: _KeyIds, images: dict, i: int, bound) -> tuple:
+def _image(atom, ids: _KeyIds, images: dict, i: int, bound, x: tuple) -> tuple:
     """Image of id i (of ids) under atom, from (or into) images: exp
-    atoms by the integer series _exp_image, torus atoms by s^a t^b,
-    perm atoms by relabeling."""
+    atoms by the integer series _exp_image on x (_numbered_x(atom, ids)),
+    torus atoms by s^a t^b, perm atoms by relabeling.  An image that
+    fixes its key is the shared _unit triple."""
     hit = images.get(i)
     if hit is not None:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom, ids, i, bound)
+        res = _exp_image(atom, ids, i, bound, x)
     elif tag == "torus":
         a, b = key_root(ids.key[i])
-        res = _int_form({i: atom[1] ** a * atom[2] ** b}, inf)
+        c = atom[1] ** a * atom[2] ** b
+        res = _unit(ids, i, inf) if c == 1 else _int_form({i: c}, inf)
     else:
-        res = (1, _perm_key(atom, ids, images, i), inf)
+        nums = _perm_key(atom, ids, images, i)
+        res = _unit(ids, i, inf) if nums == {i: 1} else (1, nums, inf)
     images[i] = res
     return res
 
@@ -422,8 +460,8 @@ def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
             k = atom[1].apply(k)
         return {ids.of((tag, ((j, k, l),))): 1}
     u, v = freelie.std_factorize(w)
-    iu = _image(atom, ids, images, ids.of((tag, u)), None)
-    iv = _image(atom, ids, images, ids.of((tag, v)), None)
+    iu = _image(atom, ids, images, ids.of((tag, u)), None, ())
+    iv = _image(atom, ids, images, ids.of((tag, v)), None, ())
     return freelie.elt_bracket(iu[1], iv[1], partial(_bracket_ids, ids))
 
 
@@ -432,8 +470,10 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
     nums/den exact through lo in the numbering ids, which atom's memo
     slot is in: the gcd-reduced triples of sum c * image(id) over each
     one's terms, with the images at the clamp bound and the lowering test
-    resolved once per block.  Images are shared, read-only triples: a
-    result may hold an image's own dict, so no caller mutates one.
+    resolved once per block, and x numbered by ids at the first miss
+    (_numbered_x), at most once per block.  Images are shared, read-only
+    triples: a result may hold an image's own dict, so no caller mutates
+    one.
 
     The numerators are scaled by the lcm L of the touched images'
     denominators, so the sum runs on integers over den * L; one gcd
@@ -448,6 +488,7 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
         bound = None
     images = slot.setdefault(bound, {})
     get = images.get
+    x = None
     out = []
     append = out.append
     for den, nums, lo in block:
@@ -455,7 +496,12 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
             lo = _descent_floor(lo, levels) - 1
         if len(nums) == 1:
             [(k, c)] = nums.items()
-            iden, inums, ilo = get(k) or _image(atom, ids, images, k, bound)
+            img = get(k)
+            if img is None:
+                if x is None:
+                    x = _numbered_x(atom, ids)
+                img = _image(atom, ids, images, k, bound, x)
+            iden, inums, ilo = img
             if ilo < lo:
                 lo = ilo
             if c != 1:
@@ -468,7 +514,12 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
         hits = []
         lcm = 1
         for k, c in nums.items():
-            d, inums, ilo = get(k) or _image(atom, ids, images, k, bound)
+            img = get(k)
+            if img is None:
+                if x is None:
+                    x = _numbered_x(atom, ids)
+                img = _image(atom, ids, images, k, bound, x)
+            d, inums, ilo = img
             if ilo < lo:
                 lo = ilo
             if lcm % d:
@@ -537,23 +588,29 @@ class TruncAut:
     def _apply_block(self, ys: list, need: int) -> list:
         """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
         empty word returns ys): one pass of the word carries the whole
-        block.  Only the triples that pass left short of `need` are
-        collected, after it and in index order, so ids are still handed
-        out in first-seen order; each retries alone with a widened
-        bound."""
+        block.  A triple that pass leaves short of `need` retries with
+        its own widened bound, r + (need - exact_to) + 2 after a pass at
+        r, and the triples that retry at one bound share a pass, the
+        least bound first; since bounds only grow, every triple still
+        meets its own sequence of bounds."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         R = need + 2 + _descent_pad(need, self._lowering)
         out = self._pass(ys, R)
-        for n in [n for n, t in enumerate(out) if t[2] < need]:
-            r = R
-            prev = -inf
-            # stop once complete, or once a retry gains nothing: then the
-            # input's own exactness is the limit
-            while prev < out[n][2] < need:
+        retries: dict = {}    # bound -> indices of the triples retrying there
+        for n, t in enumerate(out):
+            if t[2] < need:
+                retries.setdefault(R + (need - t[2]) + 2, []).append(n)
+        while retries:
+            r = min(retries)
+            group = retries.pop(r)
+            for n, t in zip(group, self._pass([ys[n] for n in group], r)):
                 prev = out[n][2]
-                r += (need - prev) + 2
-                [out[n]] = self._pass([ys[n]], r)
+                out[n] = t
+                # stop once complete, or once a retry gains nothing: then
+                # the input's own exactness is the limit
+                if prev < t[2] < need:
+                    retries.setdefault(r + (need - t[2]) + 2, []).append(n)
         return out
 
     def _pass(self, block: list, bound: int) -> list:

@@ -15,7 +15,6 @@ and the minimum letter degree is 3.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .qseries import j_coefficients
@@ -45,7 +44,6 @@ def letter_degree(letter: Letter) -> int:
     return j + l + 2
 
 
-@dataclass(frozen=True)
 class SupportConfig:
     """Finite window: degree bound and per-level multiplicity caps.
 
@@ -55,32 +53,50 @@ class SupportConfig:
     in the window (j + 2 <= degree_bound) is checked against c(j): a cap
     above the window names no letter, so it is kept but never checked.
     The window keeps a read-only copy of caps, so the caller's dict can
-    change afterwards without moving it past that check.  Windows with
-    equal bounds and caps are equal and hash equal, whatever order the
-    caps were given in, so a window can key a cache.
+    change afterwards without moving it past that check.  A window is
+    immutable: assigning or deleting an attribute raises AttributeError.
+    Windows with equal bounds and caps are equal and hash equal, whatever
+    order the caps were given in, so a window can key a cache; the hash
+    is computed once, when the window is built.
     """
 
-    degree_bound: int
-    caps: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("degree_bound", "caps", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "caps", MappingProxyType(dict(self.caps)))
-        if self.degree_bound < 1:
+    def __init__(self, degree_bound: int, caps: Mapping[int, int] = MappingProxyType({})):
+        caps = MappingProxyType(dict(caps))
+        if degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
-        for j, c in self.caps.items():
+        for j, c in caps.items():
             if j < 1:
                 raise ValueError(f"level {j} must be positive")
             if c < 0:
                 raise ValueError(f"cap at level {j} must be nonnegative")
-        kept = {j: c for j, c in self.caps.items() if c and j + 2 <= self.degree_bound}
+        kept = {j: c for j, c in caps.items() if c and j + 2 <= degree_bound}
         if kept:
             coef = j_coefficients(max(kept))
             for j, c in kept.items():
                 if c > coef[j]:
                     raise ValueError(f"cap {c} at level {j} exceeds c({j}) = {coef[j]}")
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "_hash", hash((degree_bound, tuple(sorted(caps.items())))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree_bound, self.caps) == (other.degree_bound, other.caps)
 
     def __hash__(self):
-        return hash((self.degree_bound, tuple(sorted(self.caps.items()))))
+        return self._hash
+
+    def __repr__(self):
+        return f"SupportConfig(degree_bound={self.degree_bound!r}, caps={self.caps!r})"
 
     def cap(self, j: int) -> int:
         return self.caps.get(j, 0)

@@ -748,6 +748,49 @@ def test_block_pass_returns_reduced_triples():
         g._apply_block(ys, 9)
         g._generator_forms()
         assert slots == before, word
+        # an image that fixes its key is the one shared unit triple
+        for slot in slots:
+            for images in slot.values():
+                for i, img in images.items():
+                    if img[:2] == (1, {i: 1}):
+                        assert img is completion._unit(ids, i, img[2]), (word, i, img)
+
+
+def test_zero_brackets_share_one_read_only_mapping():
+    ids = completion._ids()
+    h1, e = ids.of(monster.H1), ids.of(monster.EMINUS)
+    zero = completion._bracket_ids(ids, h1, h1)
+    assert zero == {} and zero is completion._bracket_ids(ids, h1, ids.of(monster.H2))
+    with pytest.raises(TypeError):
+        zero[e] = 1
+    assert completion._bracket_ids(ids, h1, e) == {e: 1}
+
+
+def test_retries_at_one_bound_share_a_pass(monkeypatch):
+    # the first block word sends several generators through a widened
+    # pass: they share it, and no _apply_block call passes twice at a bound
+    passes = []
+    real_pass = TruncAut._pass
+    monkeypatch.setattr(TruncAut, "_pass", lambda g, block, bound:
+                        passes.append((len(block), bound)) or real_pass(g, block, bound))
+    g = TruncAut(BLOCK_CFG, _block_words()[0])
+    g._generator_forms()
+    bounds = [b for _, b in passes]
+    assert len(passes) > 1 and bounds == sorted(set(bounds))
+    assert max(n for n, _ in passes[1:]) > 1
+
+
+def test_exp_atom_numbers_x_once_per_block(monkeypatch):
+    # x is numbered at the first miss of each _atom_block call, not per image
+    calls = []
+    real = completion._numbered_x
+    monkeypatch.setattr(completion, "_numbered_x",
+                        lambda atom, ids: calls.append(atom[0]) or real(atom, ids))
+    g = exp_ad(MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)), SupportConfig(12, {1: 2, 2: 1}))
+    g._generator_forms()
+    assert calls == ["exp"]
+    g._generator_forms()
+    assert calls == ["exp"]
 
 
 def test_word_keeps_its_numbering_across_clear_caches():

@@ -116,3 +116,24 @@ def test_windows_hash_on_bound_and_caps():
     assert {a: "forms"}[b] == "forms"
     c = SupportConfig(9, {1: 2, 2: 2, 3: 2})
     assert a != c and hash(a) != hash(c)
+
+
+def test_window_is_immutable():
+    cfg = SupportConfig(9, {1: 2})
+    for name, value in (("degree_bound", 12), ("caps", {1: 3}), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, value)
+    with pytest.raises(AttributeError):
+        del cfg.caps
+    assert (cfg.degree_bound, dict(cfg.caps)) == (9, {1: 2})
+
+
+def test_window_signature_repr_and_equality():
+    cfg = SupportConfig(9, {1: 2})
+    assert SupportConfig(degree_bound=9, caps={1: 2}) == cfg
+    assert SupportConfig(9) == SupportConfig(9, {}) and dict(SupportConfig(9).caps) == {}
+    assert repr(cfg) == "SupportConfig(degree_bound=9, caps=mappingproxy({1: 2}))"
+    assert cfg.__eq__(5) is NotImplemented and cfg != 5
+    assert cfg != (9, {1: 2})
+    with pytest.raises(TypeError):
+        SupportConfig()
