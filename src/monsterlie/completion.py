@@ -334,10 +334,10 @@ def _numbered_x(atom, ids: _KeyIds) -> tuple:
     return xden, xnums, xexact, L
 
 
-def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x=None) -> tuple:
+def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x: tuple) -> tuple:
     """Image triple of the key with id i of ids under the exp atom ("exp",
     x, key, form), in the numbering ids, terms above bound discarded (and
-    recorded); x is _numbered_x(atom, ids), numbered here when not given.
+    recorded); x is _numbered_x(atom, ids).
     An image that fixes its key is the shared _unit triple.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
@@ -362,8 +362,6 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x=None) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), before any
     series is set up."""
-    if x is None:
-        x = _numbered_x(atom, ids)
     xden, xnums, xexact, L = x
     deg = ids.deg
     cut = inf if L is None else max(bound - deg[L], 1)

@@ -27,9 +27,9 @@ is straightened once, until monster.clear_caches().
 
 Graded dimensions come from one integer solver of the Witt formula
 prod_r (1 - x^r)^(-L_r) = 1/(1 - F) over a root-graded alphabet
-(witt_root_dimensions); dimensions by degree are the same solver on the
-one-dimensional grading d -> (0, d) (witt_dimensions).  An
-exact-division check at each root replaces rational arithmetic.
+(witt_root_dimensions); a grading by degree alone is the root grading
+d -> (0, d).  An exact-division check at each root replaces rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -61,46 +61,6 @@ def std_factorize(word: Word) -> tuple[Word, Word]:
     v = best
     u = word[: len(word) - len(v)]
     return u, v
-
-
-def lyndon_words_maxlen(alphabet: list, maxlen: int) -> list[Word]:
-    """All Lyndon words of length <= maxlen over the sorted alphabet, lex order (Duval)."""
-    letters = sorted(alphabet)
-    if not letters or maxlen < 1:
-        return []
-    k = len(letters)
-    out = []
-    w = [0]
-    while w:
-        out.append(tuple(letters[i] for i in w))
-        w = (w * (maxlen // len(w) + 1))[:maxlen]
-        while w and w[-1] == k - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-        else:
-            break
-    return out
-
-
-def lyndon_basis(alphabet: list, degree_of, degree: int) -> list[Word]:
-    """Lyndon words of exact total degree, lexicographically sorted.
-
-    degree_of maps a letter to its positive integer degree.
-    """
-    if degree < 1:
-        return []
-    mindeg = min((degree_of(a) for a in alphabet), default=None)
-    if mindeg is None:
-        return []
-    if mindeg < 1:
-        raise ValueError("letter degrees must be positive")
-    maxlen = degree // mindeg
-    words = []
-    for w in lyndon_words_maxlen(alphabet, maxlen):
-        if sum(degree_of(a) for a in w) == degree:
-            words.append(w)
-    return sorted(words)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +130,6 @@ def _bracket_words(u: Word, v: Word) -> dict:
 
 # ---------------------------------------------------------------------------
 # dimension solvers
-
-def witt_dimensions(gen_counts: dict[int, int], dmax: int) -> dict[int, int]:
-    """Graded dimensions L_d of the free Lie algebra with a_d generators in
-    degree d, for every d in 1..dmax (zeros included).
-
-    The root solver on the one-dimensional grading: degree d goes to the
-    root (0, d), whose degree 2*0 + d is d.
-    """
-    dims = witt_root_dimensions({(0, d): a for d, a in gen_counts.items()}, dmax)
-    return {d: dims.get((0, d), 0) for d in range(1, dmax + 1)}
-
 
 def witt_root_dimensions(mult: dict, degree_bound: int) -> dict:
     """Root-graded dimensions of the free Lie algebra on a root-graded alphabet.

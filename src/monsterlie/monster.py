@@ -204,17 +204,6 @@ class MonsterElt:
         """Greatest degree of a term; -inf for the zero element."""
         return max(map(key_degree, self.terms), default=-inf)
 
-    def component(self, d: int) -> "MonsterElt":
-        """Homogeneous degree-d part; inherits the exactness bound."""
-        return MonsterElt._of({k: c for k, c in self.terms.items() if key_degree(k) == d},
-                              self.exact_to)
-
-    def window(self, bound: int) -> "MonsterElt":
-        """Display restriction to |degree| <= bound (drops both tails)."""
-        return MonsterElt._of(
-            {k: c for k, c in self.terms.items() if abs(key_degree(k)) <= bound},
-            min(self.exact_to, bound))
-
     def truncated_above(self, bound: int) -> "MonsterElt":
         """Model-sound truncation: positive terms above bound dropped."""
         return MonsterElt._of(
@@ -528,7 +517,7 @@ def verify_defining_relations(cfg: SupportConfig, bracket_fn=None) -> dict:
     bracket_fn is injectable so a corrupted engine can serve as a
     negative control in tests; it defaults to the real bracket.
     """
-    br = bracket_fn if bracket_fn is not None else (lambda x, y: bracket(x, y))
+    br = bracket_fn if bracket_fn is not None else bracket
     base = [(j, k) for j in cfg.base_levels() for k in range(1, cfg.cap(j) + 1)]
     report: dict = {"config": {"degree_bound": cfg.degree_bound, "caps": dict(cfg.caps)},
                     "relations": []}

@@ -142,9 +142,20 @@ def verify_preservation(sigma: SparsePerm, cfg: SupportConfig) -> dict:
     Two independent checks: the full defining-relation catalog evaluated
     through the conjugated bracket sigma^-1([sigma(x), sigma(y)]), and a
     seeded sample of bracket-preservation identities on random supported
-    basis terms, checked by completion.aut_check.
+    basis terms, checked by completion.aut_check.  The catalog walks each
+    base string (ad e(-1))^l e(0,j,k) up to its top letter, of degree
+    2j + 1, and a sampled bracket can raise a letter too, past N where
+    the window cuts a string; so both checks run on the least window
+    that holds every base string whole, with the base levels' caps (a
+    window equal to cfg when cfg already holds every string).  A sigma
+    at a level above cfg's window moves no letter either check meets, so
+    it is checked as the identity there.
     """
-    g = perm_aut(sigma, cfg)
+    levels = cfg.base_levels()
+    if sigma.level not in levels:
+        sigma = SparsePerm(sigma.level)
+    g = perm_aut(sigma, SupportConfig(max(cfg.degree_bound, 2 * max(levels, default=0) + 1),
+                                      {j: cfg.cap(j) for j in levels}))
     inv = invert(g)
 
     def conj_bracket(x, y):

@@ -344,12 +344,6 @@ def _word_matrix(w: GroupWord, index) -> tuple:
     return D // g, A // g, B // g, C // g, E // g
 
 
-def eval_word_matrix(w: GroupWord, index) -> tuple:
-    """The 2x2 model of w at the string index, its integer form as Fractions."""
-    den, a, b, c, d = _word_matrix(w, index)
-    return ((Fraction(a, den), Fraction(b, den)), (Fraction(c, den), Fraction(d, den)))
-
-
 def validate_sl2(inst: RelationInstance) -> bool:
     """Whether both sides of an SL2 instance give equal 2x2 matrices in
     the model at the instance's own string inst.index, compared as
@@ -449,10 +443,6 @@ _CATALOG = [
                      ("sigma",), "letter",
                      "validated at s = -sigma^((l+1)(j-l))/c so both exponents are integral"),
 ]
-
-
-def relations_catalog() -> list:
-    return list(_CATALOG)
 
 
 # instance builders ---------------------------------------------------------

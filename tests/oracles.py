@@ -1,7 +1,8 @@
 """Independent reference computations used as test oracles.
 
-Everything here recomputes results by a different route than the
-package code: associative-algebra expansion instead of Lyndon
+Everything here except the Lyndon-word enumerator, which lists the
+bases the tests range over, recomputes results by a different route
+than the package code: associative-algebra expansion instead of Lyndon
 straightening, an explicit linear recurrence instead of the Jacobi
 recursion, the pentagonal-number series instead of the Euler product,
 the log-derivative recurrence for 1/Delta instead of q-series
@@ -100,6 +101,42 @@ def lie_to_lyndon(poly: dict) -> dict:
 def bracket_oracle(u, v) -> dict:
     """[b_u, b_v] in Lyndon coordinates, computed associatively."""
     return lie_to_lyndon(assoc_commutator(assoc_expansion(u), assoc_expansion(v)))
+
+
+# ---------------------------------------------------------------------------
+# Lyndon words by Duval's enumeration: the bases the tests range over
+# (windows of up to 13 letters, too many for a scan of all words)
+
+def lyndon_words_maxlen(alphabet: list, maxlen: int) -> list:
+    """All Lyndon words of length <= maxlen over the sorted alphabet, lex order (Duval)."""
+    letters = sorted(alphabet)
+    if not letters or maxlen < 1:
+        return []
+    k = len(letters)
+    out = []
+    w = [0]
+    while w:
+        out.append(tuple(letters[i] for i in w))
+        w = (w * (maxlen // len(w) + 1))[:maxlen]
+        while w and w[-1] == k - 1:
+            w.pop()
+        if w:
+            w[-1] += 1
+        else:
+            break
+    return out
+
+
+def lyndon_basis(alphabet: list, degree_of, degree: int) -> list:
+    """Lyndon words of exact total degree, lexicographically sorted;
+    degree_of maps a letter to its positive integer degree."""
+    if degree < 1 or not alphabet:
+        return []
+    mindeg = min(map(degree_of, alphabet))
+    if mindeg < 1:
+        raise ValueError("letter degrees must be positive")
+    return sorted(w for w in lyndon_words_maxlen(alphabet, degree // mindeg)
+                  if sum(map(degree_of, w)) == degree)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +381,9 @@ def eval_word_matrix(w: GroupWord, index) -> tuple:
     """The 2x2 model of w as a product of Fraction matrices, an inverse
     symbol by the adjugate over the determinant.
 
-    presentation.eval_word_matrix reads the same matrix off one integer
-    form over a common denominator, built from cached symbol matrices;
-    this is its reference."""
+    presentation._word_matrix reads the same matrix off one integer form
+    over a common denominator, built from cached symbol matrices; this
+    is its reference."""
     M = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     for s, e in w.factors:
         A = symbol_matrix(s, index)
@@ -403,12 +440,12 @@ def approximate_by_log(g, i: int) -> GroupWord:
     symbols: list = []
     residual = g
     for d in range(1, i + 1):
-        xd = log_unipotent(residual).component(d)
-        if xd.is_zero():
+        xd = {k: c for k, c in log_unipotent(residual).terms.items() if key_degree(k) == d}
+        if not xd:
             continue
         step: list = []
-        for key in sorted(xd.terms, key=key_sort):
-            c = xd.terms[key]
+        for key in sorted(xd, key=key_sort):
+            c = xd[key]
             if key == EMINUS:
                 step.append(sym("X", -1, c))
             elif isinstance(key, tuple) and key[0] == WPOS:

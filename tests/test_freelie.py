@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from monsterlie.freelie import (bracket_words, elt_bracket, is_lyndon, lyndon_basis,
-                                lyndon_words_maxlen, std_factorize, witt_dimensions,
+from monsterlie.freelie import (bracket_words, elt_bracket, is_lyndon, std_factorize,
                                 witt_root_dimensions)
 from monsterlie.indices import SupportConfig, letter_degree, letter_root
 from monsterlie.qseries import j_coefficients
 
-from oracles import (bracket_oracle, is_lyndon_naive, j_coefficients_recurrence, lyndon_count,
-                     std_split_naive)
+from oracles import (bracket_oracle, is_lyndon_naive, j_coefficients_recurrence, lyndon_basis,
+                     lyndon_count, lyndon_words_maxlen, std_split_naive)
 
 
 def test_is_lyndon_known_cases():
@@ -123,29 +122,30 @@ def test_lyndon_basis_by_degree():
     assert set(basis) == {("x", "y")}
 
 
+# a grading by degree alone is the root grading d -> (0, d)
+
 def test_witt_dimensions_rank2_and_rank3():
-    dims = witt_dimensions({1: 2}, 6)
-    assert dims == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
-    dims = witt_dimensions({1: 3}, 4)
-    assert dims == {1: 3, 2: 3, 3: 8, 4: 18}
+    dims = witt_root_dimensions({(0, 1): 2}, 6)
+    assert dims == {(0, 1): 2, (0, 2): 1, (0, 3): 2, (0, 4): 3, (0, 5): 6, (0, 6): 9}
+    dims = witt_root_dimensions({(0, 1): 3}, 4)
+    assert dims == {(0, 1): 3, (0, 2): 3, (0, 3): 8, (0, 4): 18}
 
 
 def test_witt_dimensions_match_necklace_oracle():
     for a in (2, 3, 4):
-        dims = witt_dimensions({1: a}, 6)
-        for n in range(1, 7):
-            assert dims[n] == lyndon_count(a, n)
+        dims = witt_root_dimensions({(0, 1): a}, 6)
+        assert dims == {(0, n): lyndon_count(a, n) for n in range(1, 7)}
 
 
 def test_witt_dimensions_weighted_alphabet():
     # one degree-1 letter and one degree-2 letter: dims of the free Lie
     # algebra on {x, y} graded by deg x = 1, deg y = 2
-    dims = witt_dimensions({1: 1, 2: 1}, 5)
-    assert dims[1] == 1
-    assert dims[2] == 1       # y
-    assert dims[3] == 1       # [x,y]
-    assert dims[4] == 1       # [x,[x,y]]
-    assert dims[5] == 2       # [x,[x,[x,y]]], [y,[x,y]]
+    dims = witt_root_dimensions({(0, 1): 1, (0, 2): 1}, 5)
+    assert dims[(0, 1)] == 1
+    assert dims[(0, 2)] == 1       # y
+    assert dims[(0, 3)] == 1       # [x,y]
+    assert dims[(0, 4)] == 1       # [x,[x,y]]
+    assert dims[(0, 5)] == 2       # [x,[x,[x,y]]], [y,[x,y]]
 
 
 def test_witt_root_dimensions_small_hand_check():
@@ -177,8 +177,6 @@ def test_witt_solvers_reject_bad_counts():
     for c in (-1, Fraction(3, 2), 2.7, float("nan")):
         with pytest.raises(ValueError):
             witt_root_dimensions({(1, 1): c}, 6)
-        with pytest.raises(ValueError):
-            witt_dimensions({1: c}, 6)
     # integral values of other types are counts
     assert witt_root_dimensions({(1, 1): Fraction(4, 2), (1, 2): 1.0}, 6) == \
         {(1, 1): 2, (1, 2): 1, (2, 2): 1}
@@ -205,7 +203,7 @@ def test_basis_count_equals_witt_prediction():
     alphabet = ("a", "b")
     for d in range(1, 6):
         basis = lyndon_basis(alphabet, lambda L: 1, d)
-        assert len(basis) == witt_dimensions({1: 2}, d)[d]
+        assert len(basis) == witt_root_dimensions({(0, 1): 2}, d)[(0, d)]
 
 
 def test_capped_witt_dimensions_match_lyndon_count():

@@ -20,6 +20,15 @@ VERIFY_DIGESTS = {
         "f8d4f854b3470714a84df0a4eaa3ad8563e10bbca087f84eab3f243512fee47e",
     ("--level", "2", "--cycles", "(1 2)", "--verify"):
         "c214452364257b09462f345a0d95be73b9ef8db181b1bd8bf6337965517979c5",
+    # windows that cut a base string short of its top letter: level 5's
+    # at N=9, level 3's at N=6, and at N=4 level 2's, under a sigma at
+    # level 3, above the window
+    ("--level", "1", "--cycles", "(1 2)", "--verify", "--cap", "5=1"):
+        "b51ae9abb007ee7f6b82bbc698adc915f2732c5294578eb0fb1a2aeba040efff",
+    ("--level", "1", "--cycles", "(1 2)", "--verify", "--n", "6"):
+        "b51ae9abb007ee7f6b82bbc698adc915f2732c5294578eb0fb1a2aeba040efff",
+    ("--level", "3", "--cycles", "(1 2)", "--verify", "--n", "4", "--cap", "3=2"):
+        "8b48fe528dd7857c6aaa2589217e87a793d5b22a04e6b195b78bdb5152bb1925",
 }
 
 
@@ -117,9 +126,11 @@ class _Corrupted:
 
 def test_verify_preservation_catches_a_non_automorphism(monkeypatch):
     monkeypatch.setattr(permaut, "perm_aut", lambda sigma, cfg: _Corrupted(perm_aut(sigma, cfg)))
-    rep = verify_preservation(SparsePerm.from_cycles(1, "(1 2 3)"), CFG)
-    assert rep["bracket_failures"]
-    assert rep["pass"] is False
+    # CFG holds every base string whole; N=4 cuts level 2's
+    for cfg in (CFG, SupportConfig(4, CFG.caps)):
+        rep = verify_preservation(SparsePerm.from_cycles(1, "(1 2 3)"), cfg)
+        assert rep["bracket_failures"]
+        assert rep["pass"] is False and rep["relations_pass"] is False
 
 
 def test_commutation_report_passes():

@@ -10,9 +10,8 @@ from monsterlie.completion import TruncAut, compose, exp_ad, invert, torus
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
 from monsterlie.presentation import (GroupWord, build_instance, c_const, commutator,
-                                     eval_word_matrix, expand_weyl, format_word,
-                                     free_separation_test, mirror_relation, mirror_word,
-                                     realize_word, relations_catalog, sym,
+                                     expand_weyl, format_word, free_separation_test,
+                                     mirror_relation, mirror_word, realize_word, sym,
                                      validate_adjoint, validate_catalog, validate_sl2)
 
 CFG = SupportConfig(8, {1: 2, 2: 1})
@@ -67,7 +66,7 @@ def test_expand_weyl():
 
 
 def test_catalog_structure():
-    cat = relations_catalog()
+    cat = P._CATALOG
     assert len(cat) == 35
     ids = [t.rid for t in cat]
     assert ids == [f"R{i}" for i in range(1, 36)]
@@ -113,18 +112,15 @@ def test_real_additivity_adjoint():
 def test_real_weyl_matrix_example():
     # the lower-triangular conjugation identity in the 2x2 model at t=s=1
     inst = build_instance("R8", {"s": 1, "t": 1})
-    L = eval_word_matrix(inst.lhs, -1)
-    R = eval_word_matrix(inst.rhs, -1)
-    two = ((Fraction(2), Fraction(1)), (Fraction(-1), Fraction(0)))
-    assert L == R == two
+    # integer forms (den, a, b, c, d) of the matrix ((a, b), (c, d)) / den
+    assert P._word_matrix(inst.lhs, -1) == P._word_matrix(inst.rhs, -1) == (1, 2, 1, -1, 0)
 
 
 def test_weyl_square_is_torus():
     # w(-1;s) w(-1;1) realizes H1(-s)H2(-1/s)
     inst = build_instance("R9", {"s": 3})
     assert validate_adjoint(inst, CFG)
-    M = eval_word_matrix(inst.lhs, -1)
-    assert M == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-1, 3)))
+    assert P._word_matrix(inst.lhs, -1) == (3, -9, 0, 0, -1)
 
 
 def test_imaginary_weyl_conjugation_corrected_sign():
@@ -174,7 +170,7 @@ def test_torus_conjugation_families():
 
 def test_single_string_matrix_families():
     for rid in ("R30", "R33", "R34"):
-        t = {x.rid: x for x in relations_catalog()}[rid]
+        t = P._TEMPLATES[rid]
         for idx in ((0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1)):
             for params in P._param_choices(t, (1, -1, 2)):
                 inst = build_instance(rid, params, idx)
@@ -183,7 +179,7 @@ def test_single_string_matrix_families():
 
 def test_fractional_power_families_integral_substitution():
     for rid in ("R29", "R31", "R32", "R35"):
-        t = {x.rid: x for x in relations_catalog()}[rid]
+        t = P._TEMPLATES[rid]
         for idx in ((0, 2, 1), (1, 3, 1), (2, 3, 1)):
             for params in P._param_choices(t, (1, -1, 2, Fraction(1, 2))):
                 inst = build_instance(rid, params, idx)
@@ -193,7 +189,7 @@ def test_fractional_power_families_integral_substitution():
 def test_sl2_matrix_model_rejects_cross_index():
     inst = build_instance("R30", {"s": 1, "t": 1}, (0, 1, 1))
     with pytest.raises(ValueError):
-        eval_word_matrix(inst.lhs, (0, 2, 1))
+        P._word_matrix(inst.lhs, (0, 2, 1))
 
 
 def test_validators_reject_other_classes():
@@ -266,9 +262,10 @@ def test_integer_sl2_matrices_match_fraction_reference():
             if inst.klass != "SL2":
                 continue
             want = [oracles.eval_word_matrix(w, inst.index) for w in (inst.lhs, inst.rhs)]
-            got = [eval_word_matrix(w, inst.index) for w in (inst.lhs, inst.rhs)]
-            assert got == want, (inst.rid, inst.index, inst.params)
-            assert all(type(x) is Fraction for M in got for row in M for x in row)
+            for w, M in zip((inst.lhs, inst.rhs), want):
+                den, *entries = P._word_matrix(w, inst.index)
+                assert [Fraction(x, den) for x in entries] == [*M[0], *M[1]], \
+                    (inst.rid, inst.index, inst.params)
             assert validate_sl2(inst) is (want[0] == want[1])
             n += 1
     assert n == 495 + 819
