@@ -53,6 +53,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import monster
@@ -87,7 +88,7 @@ def sym(kind: str, index, param) -> GenSymbol:
 
 
 def format_symbol(s: GenSymbol) -> str:
-    name = {"X": "X", "Y": "Y", "H1": "H1", "H2": "H2", "W": "w"}[s.kind]
+    name = "w" if s.kind == "W" else s.kind
     if s.kind in ("H1", "H2"):
         return f"{name}({s.param})"
     if s.index == -1:
@@ -99,19 +100,22 @@ def format_symbol(s: GenSymbol) -> str:
 class GroupWord:
     """Freely reduced word in the generator symbols.  Every symbol of a
     word passes here, so this is where a zero H1, H2 or w parameter (a
-    symbol with no inverse) is refused."""
+    symbol with no inverse) and a float parameter (inexact) are refused."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
         out = []
-        for f in factors:
-            s, e = f
+        for s, e in factors:
             if e not in (1, -1):
                 raise ValueError("exponents are +-1")
             if s.kind in ("H1", "H2", "W") and not s.param:
                 raise ValueError(f"{s.kind} parameter must be nonzero")
-            if out and out[-1][0] == s and out[-1][1] == -e:
+            if isinstance(s.param, float):
+                raise ValueError(f"{s.kind} parameter must be exact, got the float {s.param!r}")
+            # exponents first: a factor that cannot cancel never compares
+            # its parameter
+            if out and out[-1][1] == -e and out[-1][0] == s:
                 out.pop()
             else:
                 out.append((s, e))
@@ -125,7 +129,7 @@ class GroupWord:
         return GroupWord(self.factors + other.factors)
 
     def inverse(self):
-        return GroupWord([(s, -e) for s, e in reversed(self.factors)])
+        return GroupWord(_inverse_factors(self))
 
     def __eq__(self, other):
         return isinstance(other, GroupWord) and self.factors == other.factors
@@ -140,13 +144,13 @@ class GroupWord:
         return f"<GroupWord {format_word(self)}>"
 
 
+def _inverse_factors(w: GroupWord) -> tuple:
+    return tuple((s, -e) for s, e in reversed(w.factors))
+
+
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
-    return a * b * a.inverse() * b.inverse()
-
-
-def _conj(a: GenSymbol, x: GenSymbol) -> GroupWord:
-    """The conjugate a x a^-1 of one symbol by another."""
-    return GroupWord([(a, 1), (x, 1), (a, -1)])
+    """a b a^-1 b^-1, reduced once."""
+    return GroupWord(a.factors + b.factors + _inverse_factors(a) + _inverse_factors(b))
 
 
 def format_word(w: GroupWord) -> str:
@@ -159,7 +163,10 @@ def format_word(w: GroupWord) -> str:
 def expand_weyl(w: GroupWord) -> GroupWord:
     """Replace every Weyl abbreviation by its three-symbol definition; a
     word without one is returned as it is."""
-    if all(s.kind != "W" for s, _ in w.factors):
+    for s, _ in w.factors:
+        if s.kind == "W":
+            break
+    else:
         return w
     out = []
     for s, e in w.factors:
@@ -198,21 +205,34 @@ def _symbol_atom(s: GenSymbol) -> tuple:
     raise ValueError(f"cannot realize symbol kind {s.kind!r} directly")
 
 
+@cache
+def _keyed_symbol(s: GenSymbol, e: int, cfg: SupportConfig) -> tuple:
+    """The keyed atom of s^e (e = +-1) on the window cfg: its atom, or
+    the inverted atom when e is -1, keyed by a one-atom word.  Built once
+    per window, so a symbol that recurs across words is keyed once and
+    every word holds the same atom object.  A keyed atom holds no key
+    numbering, so this memo stays valid across monster.clear_caches();
+    it sits in monster.CACHES under the one cache policy."""
+    a = _symbol_atom(s)
+    return TruncAut(cfg, word=(_invert_atom(a) if e == -1 else a,)).word[0]
+
+
+monster.CACHES.append(_keyed_symbol)
+
+
 def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
-    an inverted atom per inverse symbol, keyed once.  An unrealizable
-    word is reported by the first symbol of w itself that has no action,
-    so a Weyl symbol is named as written, not by its expansion's Y."""
-    word = []
+    an inverted atom per inverse symbol, each keyed once per window
+    (_keyed_symbol).  An unrealizable word is reported by the first
+    symbol of w itself that has no action, so a Weyl symbol is named as
+    written, not by its expansion's Y."""
     try:
-        for s, e in expand_weyl(w).factors:
-            a = _symbol_atom(s)
-            word.append(_invert_atom(a) if e == -1 else a)
+        word = tuple(_keyed_symbol(s, e, cfg) for s, e in expand_weyl(w).factors)
     except UnrealizableError:
         s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
         raise UnrealizableError(
             f"{format_symbol(s)} has no action on the positive completion") from None
-    return TruncAut(cfg, word=tuple(word))
+    return TruncAut(cfg, word=word)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +258,8 @@ def mirror_symbol(s: GenSymbol) -> GenSymbol:
     if s.kind == "Y":
         return GenSymbol("X", s.index, s.param)
     if s.kind in ("H1", "H2"):
-        return GenSymbol(s.kind, None, 1 / s.param)
+        p = s.param if isinstance(s.param, Fraction) else Fraction(s.param)
+        return GenSymbol(s.kind, None, Fraction(p.denominator, p.numerator))
     raise ValueError("expand Weyl abbreviations before mirroring")
 
 
@@ -299,11 +320,18 @@ def validate_adjoint(inst: RelationInstance, cfg: SupportConfig) -> bool:
 # 2x2 matrix validation, on integer forms (den, a, b, c, d) of the
 # matrices ((a, b), (c, d)) / den with den > 0 and gcd 1
 
-def _model_exponents(index):
+@cache
+def _model_exponents(index) -> tuple:
+    """(a, b, c) of the string at index (-1 or a letter (l, j, k)): the
+    H1 and H2 exponents l + 1 and j - l and the structure constant
+    c_const(l, j); (1, -1, 1) for the real root."""
     if index == -1:
         return 1, -1, Fraction(1)
     l, j, _k = index
     return l + 1, j - l, c_const(l, j)
+
+
+monster.CACHES.append(_model_exponents)
 
 
 @cache
@@ -465,6 +493,121 @@ _INDEX_KINDS = {
 }
 
 
+# A family's shape at one index: its two words with the parameters left
+# open, each a tuple of factors (kind, index, e, f), f mapping the
+# parameter dict p to the symbol's parameter, and derive, which adds the
+# derived parameter s of a fractional-power family to p (None for the
+# others).  _shape builds it once per (family, index), so an instance only
+# evaluates its parameters and reduces its two words (_substitute).
+
+_ONE = Fraction(1)
+_u, _v, _s, _t = map(itemgetter, "uvst")
+
+
+def _one(p) -> Fraction:
+    return _ONE
+
+
+# the real Weyl factor w(-1;1) that R6, R7, R9-R11, R23 and R24 conjugate by
+_W1 = ("W", -1, 1, _one)
+
+
+def _conj_shape(a: tuple, x: tuple) -> tuple:
+    """The shape of a x a^-1, for factors a and x of exponent 1."""
+    return a, x, (*a[:2], -1, a[3])
+
+
+@cache
+def _shape(rid: str, index) -> tuple:
+    """(lhs, rhs, derive) of the family rid at index, a valid index of its
+    kind (None for the real-root families, built at index -1)."""
+    i = -1 if index is None else index
+    derive = None
+    if rid in ("R1", "R2", "R17", "R18"):
+        kind = "X" if rid in ("R1", "R17") else "Y"
+        pair = ((kind, i, 1, _u), (kind, i, 1, _v))
+        whole = ((kind, i, 1, lambda p: p["u"] + p["v"]),)
+        lhs, rhs = (pair, whole) if index is None else (whole, pair)
+    elif rid in ("R3", "R4"):
+        kind = "H1" if rid == "R3" else "H2"
+        lhs = ((kind, None, 1, _s), (kind, None, 1, _t))
+        rhs = ((kind, None, 1, lambda p: p["s"] * p["t"]),)
+    elif rid == "R5":
+        lhs = (("H1", None, 1, _s), ("H2", None, 1, _t))
+        rhs = lhs[::-1]
+    elif rid in ("R6", "R7", "R33", "R34"):
+        c = _model_exponents(i)[2]
+        w = ("W", i, 1, _one)
+        if rid in ("R6", "R33"):
+            lhs, rhs = _conj_shape(w, ("X", i, 1, _u)), (("Y", i, 1, lambda p: -p["u"] / c),)
+        else:
+            lhs, rhs = _conj_shape(w, ("Y", i, 1, _u)), (("X", i, 1, lambda p: -c * p["u"]),)
+    elif rid in ("R8", "R30"):
+        c = _model_exponents(i)[2]
+        lhs = (("Y", i, 1, lambda p: -p["t"]), ("X", i, 1, _s), ("Y", i, 1, _t))
+        rhs = (("X", i, 1, lambda p: -1 / (p["t"] * c)),
+               ("Y", i, 1, lambda p: -c * p["t"] * p["t"] * p["s"]),
+               ("X", i, 1, lambda p: 1 / (p["t"] * c)))
+    elif rid == "R9":
+        lhs = (("W", -1, 1, _s), _W1)
+        rhs = (("H1", None, 1, lambda p: -p["s"]), ("H2", None, 1, lambda p: -1 / p["s"]))
+    elif rid in ("R10", "R11"):
+        inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
+        lhs, rhs = _conj_shape(_W1, (inner, None, 1, _s)), ((outk, None, 1, _s),)
+    elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
+        a, b, _c = _model_exponents(i)
+        hk = "H1" if rid in ("R12", "R14", "R25", "R26") else "H2"
+        xk = "X" if rid in ("R12", "R13", "R25", "R27") else "Y"
+        expo = a if hk == "H1" else b
+        if xk == "Y":
+            expo = -expo
+        lhs = _conj_shape((hk, None, 1, _s), (xk, i, 1, _u))
+        rhs = ((xk, i, 1, lambda p: p["s"] ** expo * p["u"]),)
+    elif rid in ("R19", "R20", "R21", "R22"):
+        realk = "X" if rid in ("R19", "R21") else "Y"
+        imagk = "X" if rid in ("R19", "R20") else "Y"
+        # the commutator (a, x) = a x a^-1 x^-1
+        lhs = (*_conj_shape((realk, -1, 1, _s), (imagk, index, 1, _t)), (imagk, index, -1, _t))
+        rhs = ()
+    elif rid in ("R23", "R24"):
+        l, j, k = index
+        kind = "X" if rid == "R23" else "Y"
+        scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
+        lhs = _conj_shape(_W1, (kind, index, 1, _u))
+        rhs = ((kind, (j - 1 - l, j, k), 1, lambda p: scal * p["u"]),)
+    elif rid == "R29":
+        a, b, _c = _model_exponents(index)
+        derive = lambda p: {"sigma": p["sigma"], "s": -((-p["sigma"]) ** (a * b))}
+        lhs = (("W", index, 1, _s), ("W", index, 1, _one))
+        rhs = (("H1", None, 1, lambda p: (-p["sigma"]) ** b),
+               ("H2", None, 1, lambda p: (-p["sigma"]) ** a))
+    elif rid in ("R31", "R32"):
+        a, b, _c = _model_exponents(index)
+        if rid == "R31":
+            derive = lambda p: {"tau": p["tau"], "s": p["tau"] ** b}
+            mid, rhs = ("H1", None, 1, _s), (("H2", None, 1, lambda p: p["tau"] ** (-a)),)
+        else:
+            derive = lambda p: {"tau": p["tau"], "s": p["tau"] ** a}
+            mid, rhs = ("H2", None, 1, _s), (("H1", None, 1, lambda p: p["tau"] ** (-b)),)
+        lhs = _conj_shape(("W", index, 1, _one), mid)
+    else:  # R35
+        a, b, c = _model_exponents(index)
+        derive = lambda p: {"sigma": p["sigma"], "s": -(p["sigma"] ** (a * b)) / c}
+        x = ("X", index, 1, lambda p: 1 / (p["s"] * c))
+        lhs = (("Y", index, 1, _s),)
+        rhs = (x, ("H1", None, 1, lambda p: p["sigma"] ** (-b)),
+               ("H2", None, 1, lambda p: p["sigma"] ** (-a)), ("W", index, 1, _one), x)
+    return lhs, rhs, derive
+
+
+monster.CACHES.append(_shape)
+
+
+def _substitute(shape: tuple, p: dict) -> GroupWord:
+    """The word of one side of a shape at the parameters p."""
+    return GroupWord([(GenSymbol(kind, i, f(p)), e) for kind, i, e, f in shape])
+
+
 def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     """Concrete relation instance with all parameters substituted.
 
@@ -481,96 +624,11 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     if not _INDEX_KINDS[t.indexed](index):
         need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
-    i = -1 if index is None else index
     p = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in params.items()}
-    W = GroupWord.of
-    w_1 = sym("W", -1, 1)
-
-    if rid in ("R1", "R2", "R17", "R18"):
-        kind = "X" if rid in ("R1", "R17") else "Y"
-        u, v = p["u"], p["v"]
-        pair, whole = W(sym(kind, i, u), sym(kind, i, v)), W(sym(kind, i, u + v))
-        lhs, rhs = (pair, whole) if index is None else (whole, pair)
-    elif rid in ("R3", "R4"):
-        kind = "H1" if rid == "R3" else "H2"
-        s, tt = p["s"], p["t"]
-        lhs, rhs = W(sym(kind, None, s), sym(kind, None, tt)), W(sym(kind, None, s * tt))
-    elif rid == "R5":
-        s, tt = p["s"], p["t"]
-        lhs = W(sym("H1", None, s), sym("H2", None, tt))
-        rhs = W(sym("H2", None, tt), sym("H1", None, s))
-    elif rid in ("R6", "R7", "R33", "R34"):
-        u = p["u"]
-        c = _model_exponents(i)[2]
-        if rid in ("R6", "R33"):
-            lhs, rhs = _conj(sym("W", i, 1), sym("X", i, u)), W(sym("Y", i, -u / c))
-        else:
-            lhs, rhs = _conj(sym("W", i, 1), sym("Y", i, u)), W(sym("X", i, -c * u))
-    elif rid in ("R8", "R30"):
-        s, tt = p["s"], p["t"]
-        c = _model_exponents(i)[2]
-        lhs = W(sym("Y", i, -tt), sym("X", i, s), sym("Y", i, tt))
-        rhs = W(sym("X", i, -1 / (tt * c)), sym("Y", i, -c * tt * tt * s),
-                sym("X", i, 1 / (tt * c)))
-    elif rid == "R9":
-        s = p["s"]
-        lhs = W(sym("W", -1, s), w_1)
-        rhs = W(sym("H1", None, -s), sym("H2", None, -1 / s))
-    elif rid in ("R10", "R11"):
-        s = p["s"]
-        inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
-        lhs, rhs = _conj(w_1, sym(inner, None, s)), W(sym(outk, None, s))
-    elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
-        s, u = p["s"], p["u"]
-        a, b, _c = _model_exponents(i)
-        hk = "H1" if rid in ("R12", "R14", "R25", "R26") else "H2"
-        xk = "X" if rid in ("R12", "R13", "R25", "R27") else "Y"
-        expo = a if hk == "H1" else b
-        if xk == "Y":
-            expo = -expo
-        lhs, rhs = _conj(sym(hk, None, s), sym(xk, i, u)), W(sym(xk, i, s ** expo * u))
-    elif rid in ("R19", "R20", "R21", "R22"):
-        s, tt = p["s"], p["t"]
-        realk = "X" if rid in ("R19", "R21") else "Y"
-        imagk = "X" if rid in ("R19", "R20") else "Y"
-        lhs, rhs = commutator(W(sym(realk, -1, s)), W(sym(imagk, index, tt))), GroupWord()
-    elif rid in ("R23", "R24"):
-        u = p["u"]
-        l, j, k = index
-        kind = "X" if rid == "R23" else "Y"
-        scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
-        lhs = _conj(w_1, sym(kind, index, u))
-        rhs = W(sym(kind, (j - 1 - l, j, k), scal * u))
-    elif rid == "R29":
-        sigma = p["sigma"]
-        a, b, _c = _model_exponents(index)
-        s = -((-sigma) ** (a * b))
-        lhs = W(sym("W", index, s), sym("W", index, 1))
-        rhs = W(sym("H1", None, (-sigma) ** b), sym("H2", None, (-sigma) ** a))
-        p = {"sigma": sigma, "s": s}
-    elif rid in ("R31", "R32"):
-        tau = p["tau"]
-        a, b, _c = _model_exponents(index)
-        if rid == "R31":
-            s = tau ** b
-            lhs_mid, rhs = sym("H1", None, s), W(sym("H2", None, tau ** (-a)))
-        else:
-            s = tau ** a
-            lhs_mid, rhs = sym("H2", None, s), W(sym("H1", None, tau ** (-b)))
-        lhs = _conj(sym("W", index, 1), lhs_mid)
-        p = {"tau": tau, "s": s}
-    else:  # R35
-        sigma = p["sigma"]
-        a, b, c = _model_exponents(index)
-        s = -(sigma ** (a * b)) / c
-        lhs = W(sym("Y", index, s))
-        rhs = W(sym("X", index, 1 / (s * c)),
-                sym("H1", None, sigma ** (-b)),
-                sym("H2", None, sigma ** (-a)),
-                sym("W", index, 1),
-                sym("X", index, 1 / (s * c)))
-        p = {"sigma": sigma, "s": s}
-    return RelationInstance(rid, t.klass, lhs, rhs, index, p)
+    lhs, rhs, derive = _shape(rid, index)
+    if derive is not None:
+        p = derive(p)
+    return RelationInstance(rid, t.klass, _substitute(lhs, p), _substitute(rhs, p), index, p)
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +650,12 @@ def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
 
 def _param_choices(template: RelationTemplate, samples) -> list:
     mult_named = {"s", "t", "sigma", "tau"}
-    opts = []
-    for name in template.param_names:
-        vals = [Fraction(x) for x in samples]
-        if name in mult_named:
-            vals = [v for v in vals if v != 0]
-        opts.append((name, vals))
+    vals = [Fraction(x) for x in samples]
+    nonzero = [v for v in vals if v != 0]
     combos = [{}]
-    for name, vals in opts:
-        combos = [{**c, name: v} for c in combos for v in vals]
+    for name in template.param_names:
+        combos = [{**c, name: v} for c in combos
+                  for v in (nonzero if name in mult_named else vals)]
     return combos
 
 
@@ -667,8 +722,9 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
             continue
         failures = []
         count = 0
+        choices = _param_choices(template, samples)
         for index in _indices_for(template, cfg):
-            for params in _param_choices(template, samples):
+            for params in choices:
                 inst = build_instance(template.rid, params, index)
                 if inst.klass == "MIRROR":
                     inst = mirror_relation(inst)
