@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import monster
-from .completion import TruncAut, _invert_atom
+from .completion import TruncAut
 from .indices import SupportConfig
 from .monster import MonsterElt
 
@@ -85,6 +85,11 @@ def sym(kind: str, index, param) -> GenSymbol:
     if kind in ("H1", "H2"):
         index = None
     return GenSymbol(kind, index, param if isinstance(param, Fraction) else Fraction(param))
+
+
+def _reciprocal(x) -> Fraction:
+    """1/x exactly, for a nonzero int or Fraction x."""
+    return Fraction(x.denominator, x.numerator)
 
 
 def format_symbol(s: GenSymbol) -> str:
@@ -156,8 +161,8 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
 def format_word(w: GroupWord) -> str:
     if not w.factors:
         return "1"
-    return "".join(format_symbol(s) + ("^-1" if e == -1 else "")
-                   for s, e in w.factors)
+    return "".join([format_symbol(s) + "^-1" if e == -1 else format_symbol(s)
+                    for s, e in w.factors])
 
 
 def expand_weyl(w: GroupWord) -> GroupWord:
@@ -207,14 +212,17 @@ def _symbol_atom(s: GenSymbol) -> tuple:
 
 @cache
 def _keyed_symbol(s: GenSymbol, e: int, cfg: SupportConfig) -> tuple:
-    """The keyed atom of s^e (e = +-1) on the window cfg: its atom, or
-    the inverted atom when e is -1, keyed by a one-atom word.  Built once
+    """The keyed atom of s^e (e = +-1) on the window cfg, keyed by a
+    one-atom word.  s^-1 is keyed as the inverse symbol, X or Y at -u and
+    H1 or H2 at 1/s, so both spellings of one atom share it.  Built once
     per window, so a symbol that recurs across words is keyed once and
     every word holds the same atom object.  A keyed atom holds no key
     numbering, so this memo stays valid across monster.clear_caches();
     it sits in monster.CACHES under the one cache policy."""
-    a = _symbol_atom(s)
-    return TruncAut(cfg, word=(_invert_atom(a) if e == -1 else a,)).word[0]
+    if e == -1:
+        inverse = _reciprocal(s.param) if s.kind in ("H1", "H2") else -s.param
+        return _keyed_symbol(s._replace(param=inverse), 1, cfg)
+    return TruncAut(cfg, word=(_symbol_atom(s),)).word[0]
 
 
 monster.CACHES.append(_keyed_symbol)
@@ -258,8 +266,7 @@ def mirror_symbol(s: GenSymbol) -> GenSymbol:
     if s.kind == "Y":
         return GenSymbol("X", s.index, s.param)
     if s.kind in ("H1", "H2"):
-        p = s.param if isinstance(s.param, Fraction) else Fraction(s.param)
-        return GenSymbol(s.kind, None, Fraction(p.denominator, p.numerator))
+        return GenSymbol(s.kind, None, _reciprocal(s.param))
     raise ValueError("expand Weyl abbreviations before mirroring")
 
 
@@ -497,8 +504,11 @@ _INDEX_KINDS = {
 # open, each a tuple of factors (kind, index, e, f), f mapping the
 # parameter dict p to the symbol's parameter, and derive, which adds the
 # derived parameter s of a fractional-power family to p (None for the
-# others).  _shape builds it once per (family, index), so an instance only
-# evaluates its parameters and reduces its two words (_substitute).
+# others).  _shape keeps the one shape last asked for, and the sweep asks
+# for one (family, index) at a time, so each shape is built once per sweep
+# and an instance only evaluates its parameters and reduces its two words.
+# The shapes are not all kept: about 200 of them, closures included,
+# would hold more memory than they save time.
 
 _ONE = Fraction(1)
 _u, _v, _s, _t = map(itemgetter, "uvst")
@@ -517,7 +527,7 @@ def _conj_shape(a: tuple, x: tuple) -> tuple:
     return a, x, (*a[:2], -1, a[3])
 
 
-@cache
+@lru_cache(maxsize=1)
 def _shape(rid: str, index) -> tuple:
     """(lhs, rhs, derive) of the family rid at index, a valid index of its
     kind (None for the real-root families, built at index -1)."""

@@ -457,3 +457,79 @@ def test_validate_sl2_refuses_hand_built_zero_w():
     s = P.GenSymbol("W", -1, Fraction(0))
     with pytest.raises(ValueError, match="W parameter must be nonzero"):
         validate_sl2(P.RelationInstance("R9", "SL2", GroupWord([(s, 1)]), GroupWord(), -1, {}))
+
+
+def test_mirror_inverts_a_torus_parameter_exactly():
+    # a GenSymbol built directly with an int parameter mirrors to the
+    # exact reciprocal, and the realized torus atom carries it
+    s = P.GenSymbol("H1", None, 3)
+    m = P.mirror_symbol(s)
+    assert m == P.GenSymbol("H1", None, Fraction(1, 3)) and type(m.param) is Fraction
+    w = mirror_word(GroupWord.of(s))
+    assert realize_word(w, CFG).word == (("torus", Fraction(1, 3), Fraction(1)),)
+
+
+@pytest.mark.parametrize("kind, index", [("H1", None), ("X", -1), ("W", (0, 1, 1))])
+def test_group_word_refuses_a_float_parameter(kind, index):
+    with pytest.raises(ValueError, match=f"{kind} parameter must be exact"):
+        GroupWord.of(P.GenSymbol(kind, index, 1 / 3))
+
+
+def test_keyed_symbol_is_per_window():
+    # a symbol keyed on a wide window still meets the narrow window's
+    # support check, with the error a fresh realization raises
+    wide = SupportConfig(cli.DEFAULT_N, {1: 3, 2: 3, 3: 2})
+    w = GroupWord.of(sym("X", (0, 2, 3), 1))
+    assert len(realize_word(w, wide).word) == 1
+    with pytest.raises(monster.SupportError) as cached:
+        realize_word(w, CFG)
+    monster.clear_caches()
+    with pytest.raises(monster.SupportError) as fresh:
+        realize_word(w, CFG)
+    assert str(cached.value) == str(fresh.value)
+
+
+def test_keyed_symbols_survive_clear_caches():
+    # the same word realized on either side of a clear: equal generator
+    # forms, compared by key since the two words are numbered apart
+    letter = (0, 1, 2)
+    w = (GroupWord.of(sym("X", letter, 2), sym("H1", None, 3), sym("Y", -1, Fraction(1, 2)))
+         * GroupWord.of(sym("X", -1, 1), sym("H2", None, -2)).inverse())
+    before = realize_word(w, CFG)
+    monster.clear_caches()
+    after = realize_word(w, CFG)
+    assert before._ids is not after._ids
+    assert (completion._keyed_forms(before._ids, before._generator_forms())
+            == completion._keyed_forms(after._ids, after._generator_forms()))
+    assert before.equal(after) and after.equal(before)
+
+
+def test_repeated_symbol_shares_one_atom():
+    # a symbol and its inverse spelling (X(u)^-1 as X(-u), H1(s)^-1 as
+    # H1(1/s)) are one atom object, in one word and across words
+    x, h = sym("X", (0, 1, 1), Fraction(2, 3)), sym("H1", None, 2)
+    g = realize_word(GroupWord.of(x, h, x), CFG)
+    assert g.word[0] is g.word[2]
+    inv = realize_word(GroupWord([(x, -1), (h, -1)]), CFG)
+    same = realize_word(GroupWord.of(sym("X", (0, 1, 1), Fraction(-2, 3)),
+                                     sym("H1", None, Fraction(1, 2))), CFG)
+    assert all(a is b for a, b in zip(inv.word, same.word))
+    assert realize_word(GroupWord.of(x), CFG).word[0] is g.word[0]
+
+
+def test_relcheck_work_is_pinned(monkeypatch):
+    # the default relcheck realizes 1,661 words and decides 1,380
+    # distinct adjoint pairs; a change in this work shows here
+    calls = {"realize_word": 0, "validate_adjoint": 0}
+    for name in calls:
+        real = getattr(P, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(P, name, counting)
+    monster.clear_caches()
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    assert validate_catalog(cfg)["all_pass"]
+    assert calls == {"realize_word": 1661, "validate_adjoint": 1380}
