@@ -167,10 +167,10 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # returned element, the reports and the filtration level.
 # _slot, _ids, _bracket_ids, _unit, generator_keys, _generator_ids (a
 # window's generator keys as ids of one numbering), _base_levels and the
-# two descent tables above are functools.cache functions listed in monster.CACHES, so
-# monster.clear_caches() drops them together: a slot's ids are those of
-# the numbering current when _slot made it, which every word that
-# resolved the slot works in.  A word built after a clear starts a new
+# two descent tables above are functools.cache functions listed in
+# monster.CACHES, so monster.clear_caches() drops them together: a
+# slot's ids are those of the numbering current when _slot made it, which
+# every word that resolved the slot works in.  A word built after a clear starts a new
 # numbering and resolves new slots; a word built before it keeps its
 # numbering and its slots, whose images stay valid, since an image
 # depends only on its atom key, clamp bound and id; they are freed with
