@@ -166,11 +166,11 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # which returns each triple gcd-reduced; keys come back only for the
 # returned element, the reports and the filtration level.
 # _slot, _ids, _bracket_ids, _unit, generator_keys, _generator_ids (a
-# window's generator keys as ids of one numbering), _base_levels and the
-# two descent tables above are functools.cache functions listed in
-# monster.CACHES, so monster.clear_caches() drops them together: a
-# slot's ids are those of the numbering current when _slot made it, which
-# every word that resolved the slot works in.  A word built after a clear starts a new
+# window's generator keys as ids of one numbering) and the two descent
+# tables above are functools.cache functions listed in monster.CACHES, so
+# monster.clear_caches() drops them together: a slot's ids are those of
+# the numbering current when _slot made it, which every word that
+# resolved the slot works in.  A word built after a clear starts a new
 # numbering and resolves new slots; a word built before it keeps its
 # numbering and its slots, whose images stay valid, since an image
 # depends only on its atom key, clamp bound and id; they are freed with
@@ -234,14 +234,8 @@ def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
     return tuple(map(ids.of, generator_keys(cfg)))
 
 
-@cache
-def _base_levels(cfg: SupportConfig) -> tuple:
-    """cfg.base_levels() as the tuple a keyed atom records."""
-    return tuple(cfg.base_levels())
-
-
 monster.CACHES.extend((generator_keys, _slot, _ids, _bracket_ids, _unit, _generator_ids,
-                       _base_levels, _descent_pad, _descent_floor))
+                       _descent_pad, _descent_floor))
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
@@ -256,7 +250,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     before any slot is resolved: exp letters in the window, and x (when
     keyed) of min degree >= 1 or a multiple of f(-1); nonzero torus
     parameters; a permutation within its level's cap; no other tag."""
-    levels = _base_levels(cfg)
+    levels = tuple(cfg.base_levels())
     out = []
     for a in word:
         tag = a[0]

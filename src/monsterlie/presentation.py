@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, gcd, lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import monster
@@ -93,7 +92,7 @@ def _reciprocal(x) -> Fraction:
 
 
 def format_symbol(s: GenSymbol) -> str:
-    name = "w" if s.kind == "W" else s.kind
+    name = {"X": "X", "Y": "Y", "H1": "H1", "H2": "H2", "W": "w"}[s.kind]
     if s.kind in ("H1", "H2"):
         return f"{name}({s.param})"
     if s.index == -1:
@@ -153,20 +152,22 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     return a * b * a.inverse() * b.inverse()
 
 
+def _conj(a: GenSymbol, x: GenSymbol) -> GroupWord:
+    """The conjugate a x a^-1 of one symbol by another."""
+    return GroupWord([(a, 1), (x, 1), (a, -1)])
+
+
 def format_word(w: GroupWord) -> str:
     if not w.factors:
         return "1"
-    return "".join([format_symbol(s) + "^-1" if e == -1 else format_symbol(s)
-                    for s, e in w.factors])
+    return "".join(format_symbol(s) + ("^-1" if e == -1 else "")
+                   for s, e in w.factors)
 
 
 def expand_weyl(w: GroupWord) -> GroupWord:
     """Replace every Weyl abbreviation by its three-symbol definition; a
     word without one is returned as it is."""
-    for s, _ in w.factors:
-        if s.kind == "W":
-            break
-    else:
+    if all(s.kind != "W" for s, _ in w.factors):
         return w
     out = []
     for s, e in w.factors:
@@ -228,10 +229,14 @@ def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     an inverted atom per inverse symbol, each keyed once per window
     (_keyed_symbol).  An unrealizable word is reported by the first
     symbol of w itself that has no action, so a Weyl symbol is named as
-    written, not by its expansion's Y."""
+    written, not by its expansion's Y; that error comes before any window
+    error of another symbol, wherever in the word either one stands."""
+    factors = expand_weyl(w).factors
     try:
-        word = tuple(_keyed_symbol(s, e, cfg) for s, e in expand_weyl(w).factors)
-    except UnrealizableError:
+        word = tuple(_keyed_symbol(s, e, cfg) for s, e in factors)
+    except ValueError:
+        if all(s.kind != "Y" or s.index == -1 for s, _ in factors):
+            raise
         s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
         raise UnrealizableError(
             f"{format_symbol(s)} has no action on the positive completion") from None
@@ -495,122 +500,8 @@ _INDEX_KINDS = {
 }
 
 
-# A family's shape at one index: its two words with the parameters left
-# open, each a tuple of factors (kind, index, e, f), f mapping the
-# parameter dict p to the symbol's parameter, and derive, which adds the
-# derived parameter s of a fractional-power family to p (None for the
-# others).  _shape keeps the one shape last asked for, and the sweep asks
-# for one (family, index) at a time, so each shape is built once per sweep
-# and an instance only evaluates its parameters and reduces its two words.
-# Keeping every shape (170 on the default window) measured 0.14 MiB
-# more peak memory for no gain in time.
-
-_ONE = Fraction(1)
-_u, _v, _s, _t = map(itemgetter, "uvst")
-
-
-def _one(p) -> Fraction:
-    return _ONE
-
-
-# the real Weyl factor w(-1;1) of R9-R11, R23 and R24
-_W1 = ("W", -1, 1, _one)
-
-
-def _conj_shape(a: tuple, x: tuple) -> tuple:
-    """The shape of a x a^-1, for factors a and x of exponent 1."""
-    return a, x, (*a[:2], -1, a[3])
-
-
-@lru_cache(maxsize=1)
-def _shape(rid: str, index) -> tuple:
-    """(lhs, rhs, derive) of the family rid at index, a valid index of its
-    kind (None for the real-root families, built at index -1)."""
-    i = -1 if index is None else index
-    derive = None
-    if rid in ("R1", "R2", "R17", "R18"):
-        kind = "X" if rid in ("R1", "R17") else "Y"
-        pair = ((kind, i, 1, _u), (kind, i, 1, _v))
-        whole = ((kind, i, 1, lambda p: p["u"] + p["v"]),)
-        lhs, rhs = (pair, whole) if index is None else (whole, pair)
-    elif rid in ("R3", "R4"):
-        kind = "H1" if rid == "R3" else "H2"
-        lhs = ((kind, None, 1, _s), (kind, None, 1, _t))
-        rhs = ((kind, None, 1, lambda p: p["s"] * p["t"]),)
-    elif rid == "R5":
-        lhs = (("H1", None, 1, _s), ("H2", None, 1, _t))
-        rhs = lhs[::-1]
-    elif rid in ("R6", "R7", "R33", "R34"):
-        c = _model_exponents(i)[2]
-        w = ("W", i, 1, _one)
-        if rid in ("R6", "R33"):
-            lhs, rhs = _conj_shape(w, ("X", i, 1, _u)), (("Y", i, 1, lambda p: -p["u"] / c),)
-        else:
-            lhs, rhs = _conj_shape(w, ("Y", i, 1, _u)), (("X", i, 1, lambda p: -c * p["u"]),)
-    elif rid in ("R8", "R30"):
-        c = _model_exponents(i)[2]
-        lhs = (("Y", i, 1, lambda p: -p["t"]), ("X", i, 1, _s), ("Y", i, 1, _t))
-        rhs = (("X", i, 1, lambda p: -1 / (p["t"] * c)),
-               ("Y", i, 1, lambda p: -c * p["t"] * p["t"] * p["s"]),
-               ("X", i, 1, lambda p: 1 / (p["t"] * c)))
-    elif rid == "R9":
-        lhs = (("W", -1, 1, _s), _W1)
-        rhs = (("H1", None, 1, lambda p: -p["s"]), ("H2", None, 1, lambda p: -1 / p["s"]))
-    elif rid in ("R10", "R11"):
-        inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
-        lhs, rhs = _conj_shape(_W1, (inner, None, 1, _s)), ((outk, None, 1, _s),)
-    elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
-        a, b, _c = _model_exponents(i)
-        hk = "H1" if rid in ("R12", "R14", "R25", "R26") else "H2"
-        xk = "X" if rid in ("R12", "R13", "R25", "R27") else "Y"
-        expo = a if hk == "H1" else b
-        if xk == "Y":
-            expo = -expo
-        lhs = _conj_shape((hk, None, 1, _s), (xk, i, 1, _u))
-        rhs = ((xk, i, 1, lambda p: p["s"] ** expo * p["u"]),)
-    elif rid in ("R19", "R20", "R21", "R22"):
-        realk = "X" if rid in ("R19", "R21") else "Y"
-        imagk = "X" if rid in ("R19", "R20") else "Y"
-        # the commutator (a, x) = a x a^-1 x^-1
-        lhs = (*_conj_shape((realk, -1, 1, _s), (imagk, index, 1, _t)), (imagk, index, -1, _t))
-        rhs = ()
-    elif rid in ("R23", "R24"):
-        l, j, k = index
-        kind = "X" if rid == "R23" else "Y"
-        scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
-        lhs = _conj_shape(_W1, (kind, index, 1, _u))
-        rhs = ((kind, (j - 1 - l, j, k), 1, lambda p: scal * p["u"]),)
-    elif rid == "R29":
-        a, b, _c = _model_exponents(index)
-        derive = lambda p: {"sigma": p["sigma"], "s": -((-p["sigma"]) ** (a * b))}
-        lhs = (("W", index, 1, _s), ("W", index, 1, _one))
-        rhs = (("H1", None, 1, lambda p: (-p["sigma"]) ** b),
-               ("H2", None, 1, lambda p: (-p["sigma"]) ** a))
-    elif rid in ("R31", "R32"):
-        a, b, _c = _model_exponents(index)
-        if rid == "R31":
-            derive = lambda p: {"tau": p["tau"], "s": p["tau"] ** b}
-            mid, rhs = ("H1", None, 1, _s), (("H2", None, 1, lambda p: p["tau"] ** (-a)),)
-        else:
-            derive = lambda p: {"tau": p["tau"], "s": p["tau"] ** a}
-            mid, rhs = ("H2", None, 1, _s), (("H1", None, 1, lambda p: p["tau"] ** (-b)),)
-        lhs = _conj_shape(("W", index, 1, _one), mid)
-    else:  # R35
-        a, b, c = _model_exponents(index)
-        derive = lambda p: {"sigma": p["sigma"], "s": -(p["sigma"] ** (a * b)) / c}
-        x = ("X", index, 1, lambda p: 1 / (p["s"] * c))
-        lhs = (("Y", index, 1, _s),)
-        rhs = (x, ("H1", None, 1, lambda p: p["sigma"] ** (-b)),
-               ("H2", None, 1, lambda p: p["sigma"] ** (-a)), ("W", index, 1, _one), x)
-    return lhs, rhs, derive
-
-
-monster.CACHES.append(_shape)
-
-
-def _substitute(shape: tuple, p: dict) -> GroupWord:
-    """The word of one side of a shape at the parameters p."""
-    return GroupWord([(GenSymbol(kind, i, f(p)), e) for kind, i, e, f in shape])
+# the real Weyl symbol w(-1;1) of R9-R11, R23 and R24
+_W1 = sym("W", -1, 1)
 
 
 def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
@@ -629,11 +520,95 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     if not _INDEX_KINDS[t.indexed](index):
         need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
+    i = -1 if index is None else index
     p = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in params.items()}
-    lhs, rhs, derive = _shape(rid, index)
-    if derive is not None:
-        p = derive(p)
-    return RelationInstance(rid, t.klass, _substitute(lhs, p), _substitute(rhs, p), index, p)
+    W = GroupWord.of
+
+    if rid in ("R1", "R2", "R17", "R18"):
+        kind = "X" if rid in ("R1", "R17") else "Y"
+        u, v = p["u"], p["v"]
+        pair, whole = W(sym(kind, i, u), sym(kind, i, v)), W(sym(kind, i, u + v))
+        lhs, rhs = (pair, whole) if index is None else (whole, pair)
+    elif rid in ("R3", "R4"):
+        kind = "H1" if rid == "R3" else "H2"
+        s, tt = p["s"], p["t"]
+        lhs, rhs = W(sym(kind, None, s), sym(kind, None, tt)), W(sym(kind, None, s * tt))
+    elif rid == "R5":
+        s, tt = p["s"], p["t"]
+        lhs = W(sym("H1", None, s), sym("H2", None, tt))
+        rhs = W(sym("H2", None, tt), sym("H1", None, s))
+    elif rid in ("R6", "R7", "R33", "R34"):
+        u = p["u"]
+        c = _model_exponents(i)[2]
+        if rid in ("R6", "R33"):
+            lhs, rhs = _conj(sym("W", i, 1), sym("X", i, u)), W(sym("Y", i, -u / c))
+        else:
+            lhs, rhs = _conj(sym("W", i, 1), sym("Y", i, u)), W(sym("X", i, -c * u))
+    elif rid in ("R8", "R30"):
+        s, tt = p["s"], p["t"]
+        c = _model_exponents(i)[2]
+        lhs = W(sym("Y", i, -tt), sym("X", i, s), sym("Y", i, tt))
+        rhs = W(sym("X", i, -1 / (tt * c)), sym("Y", i, -c * tt * tt * s),
+                sym("X", i, 1 / (tt * c)))
+    elif rid == "R9":
+        s = p["s"]
+        lhs = W(sym("W", -1, s), _W1)
+        rhs = W(sym("H1", None, -s), sym("H2", None, -1 / s))
+    elif rid in ("R10", "R11"):
+        s = p["s"]
+        inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
+        lhs, rhs = _conj(_W1, sym(inner, None, s)), W(sym(outk, None, s))
+    elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
+        s, u = p["s"], p["u"]
+        a, b, _c = _model_exponents(i)
+        hk = "H1" if rid in ("R12", "R14", "R25", "R26") else "H2"
+        xk = "X" if rid in ("R12", "R13", "R25", "R27") else "Y"
+        expo = a if hk == "H1" else b
+        if xk == "Y":
+            expo = -expo
+        lhs, rhs = _conj(sym(hk, None, s), sym(xk, i, u)), W(sym(xk, i, s ** expo * u))
+    elif rid in ("R19", "R20", "R21", "R22"):
+        s, tt = p["s"], p["t"]
+        realk = "X" if rid in ("R19", "R21") else "Y"
+        imagk = "X" if rid in ("R19", "R20") else "Y"
+        lhs, rhs = commutator(W(sym(realk, -1, s)), W(sym(imagk, index, tt))), GroupWord()
+    elif rid in ("R23", "R24"):
+        u = p["u"]
+        l, j, k = index
+        kind = "X" if rid == "R23" else "Y"
+        scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
+        lhs = _conj(_W1, sym(kind, index, u))
+        rhs = W(sym(kind, (j - 1 - l, j, k), scal * u))
+    elif rid == "R29":
+        sigma = p["sigma"]
+        a, b, _c = _model_exponents(index)
+        s = -((-sigma) ** (a * b))
+        lhs = W(sym("W", index, s), sym("W", index, 1))
+        rhs = W(sym("H1", None, (-sigma) ** b), sym("H2", None, (-sigma) ** a))
+        p = {"sigma": sigma, "s": s}
+    elif rid in ("R31", "R32"):
+        tau = p["tau"]
+        a, b, _c = _model_exponents(index)
+        if rid == "R31":
+            s = tau ** b
+            lhs_mid, rhs = sym("H1", None, s), W(sym("H2", None, tau ** (-a)))
+        else:
+            s = tau ** a
+            lhs_mid, rhs = sym("H2", None, s), W(sym("H1", None, tau ** (-b)))
+        lhs = _conj(sym("W", index, 1), lhs_mid)
+        p = {"tau": tau, "s": s}
+    else:  # R35
+        sigma = p["sigma"]
+        a, b, c = _model_exponents(index)
+        s = -(sigma ** (a * b)) / c
+        lhs = W(sym("Y", index, s))
+        rhs = W(sym("X", index, 1 / (s * c)),
+                sym("H1", None, sigma ** (-b)),
+                sym("H2", None, sigma ** (-a)),
+                sym("W", index, 1),
+                sym("X", index, 1 / (s * c)))
+        p = {"sigma": sigma, "s": s}
+    return RelationInstance(rid, t.klass, lhs, rhs, index, p)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +630,15 @@ def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
 
 def _param_choices(template: RelationTemplate, samples) -> list:
     mult_named = {"s", "t", "sigma", "tau"}
-    vals = [Fraction(x) for x in samples]
-    nonzero = [v for v in vals if v != 0]
-    combos = [{}]
+    opts = []
     for name in template.param_names:
-        combos = [{**c, name: v} for c in combos
-                  for v in (nonzero if name in mult_named else vals)]
+        vals = [Fraction(x) for x in samples]
+        if name in mult_named:
+            vals = [v for v in vals if v != 0]
+        opts.append((name, vals))
+    combos = [{}]
+    for name, vals in opts:
+        combos = [{**c, name: v} for c in combos for v in vals]
     return combos
 
 

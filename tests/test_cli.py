@@ -119,9 +119,13 @@ def test_unrealizable_word_exit_2(capsys):
     (("aut", "log", "--word", "w(0,1,1;1)"), "w(0,1,1;1)"),
     (("aut", "apply", "--word", "X(0,1,1;1)w(0,1,1;2)^-1", "--elem", "h1"), "w(0,1,1;2)"),
     (("aut", "apply", "--word", "Y(0,1,1;1)", "--elem", "h1"), "Y(0,1,1;1)"),
+    # before the window error of a letter outside it, its own or another symbol's
+    (("aut", "apply", "--word", "w(0,9,1;1)", "--elem", "h1"), "w(0,9,1;1)"),
+    (("aut", "apply", "--word", "X(0,9,1;1)Y(0,1,1;1)", "--elem", "h1"), "Y(0,1,1;1)"),
 ])
 def test_unrealizable_symbol_named_as_written(capsys, argv, named):
-    # a Weyl symbol is named as the user wrote it, not by the Y of its expansion
+    # a Weyl symbol is named as the user wrote it, not by the Y of its
+    # expansion, and an unrealizable symbol is named before any window error
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {named} has no action on the positive completion\n"

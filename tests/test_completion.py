@@ -450,6 +450,7 @@ def test_memoized_atoms_match_whole_element():
     presentation._word_matrix(GroupWord.of(sym("X", -1, 1)), -1)  # the 2x2 model's symbol memo
     g._generator_forms()  # the window's generator ids
     presentation._side_forms(GroupWord(), CFG3)  # the one-symbol side memo
+    realize_word(GroupWord.of(sym("X", -1, 1)), CFG3)  # the per-window symbol memo
     assert all(memo.cache_info().currsize for memo in monster.CACHES)
     monster.clear_caches()
     assert not any(memo.cache_info().currsize for memo in monster.CACHES)
