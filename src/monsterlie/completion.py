@@ -83,9 +83,9 @@ from .monster import (EMINUS, FMINUS, H1, H2, WNEG, WPOS, MonsterElt, key_degree
                       key_root, key_sort)
 
 
-@cache
 def generator_keys(cfg: SupportConfig) -> tuple:
-    """Basis keys of the algebra generators supported by cfg, as a cached tuple."""
+    """Basis keys of the algebra generators supported by cfg, in the order
+    every generator block and report uses."""
     return (H1, H2, EMINUS, FMINUS, *((tag, ((j, k, 0),)) for j in cfg.base_levels()
                                       for k in range(1, cfg.cap(j) + 1) for tag in (WPOS, WNEG)))
 
@@ -165,9 +165,9 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # exact_to) triples through every atom, one _atom_block call per atom,
 # which returns each triple gcd-reduced; keys come back only for the
 # returned element, the reports and the filtration level.
-# _slot, _ids, _bracket_ids, _unit, generator_keys, _generator_ids (a
-# window's generator keys as ids of one numbering) and the two descent
-# tables above are functools.cache functions listed in monster.CACHES, so
+# _slot, _ids, _bracket_ids, _unit, _generator_ids (a window's
+# generator keys as ids of one numbering) and the two descent tables
+# above are functools.cache functions listed in monster.CACHES, so
 # monster.clear_caches() drops them together: a slot's ids are those of
 # the numbering current when _slot made it, which every word that
 # resolved the slot works in.  A word built after a clear starts a new
@@ -234,8 +234,8 @@ def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
     return tuple(map(ids.of, generator_keys(cfg)))
 
 
-monster.CACHES.extend((generator_keys, _slot, _ids, _bracket_ids, _unit, _generator_ids,
-                       _descent_pad, _descent_floor))
+monster.CACHES.extend((_slot, _ids, _bracket_ids, _unit, _generator_ids, _descent_pad,
+                       _descent_floor))
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
@@ -649,10 +649,11 @@ class TruncAut:
         """Deterministic JSON-ready dump of the generator images."""
         key = self._ids.key
         gens = []
-        for g, (den, nums) in zip(generator_keys(self.cfg), self._generator_forms()):
+        for gen, (den, nums) in zip(_generator_ids(self._ids, self.cfg),
+                                    self._generator_forms()):
             terms = [[monster.format_term(key[i]), str(Fraction(nums[i], den))]
                      for i in sorted(nums, key=lambda i: key_sort(key[i]))]
-            gens.append({"generator": monster.format_term(g), "image": terms})
+            gens.append({"generator": monster.format_term(key[gen]), "image": terms})
         return {"truncation": self.N,
                 "caps": {str(j): self.cfg.cap(j) for j in sorted(self.cfg.caps)},
                 "images": gens,
@@ -696,7 +697,7 @@ def exp_ad(x: MonsterElt, cfg: SupportConfig) -> TruncAut:
 
 
 def torus(s, t, cfg: SupportConfig) -> TruncAut:
-    return TruncAut(cfg, word=(("torus", Fraction(s), Fraction(t)),))
+    return TruncAut(cfg, word=(("torus", monster.as_fraction(s), monster.as_fraction(t)),))
 
 
 def compose(*auts: TruncAut) -> TruncAut:
@@ -728,16 +729,15 @@ def filtration_level(g: TruncAut) -> FiltrationLevel:
     ids = g._ids
     deg = ids.deg
     cands = []
-    for gen, (den, nums) in zip(generator_keys(g.cfg), g._generator_forms()):
+    for i, (den, nums) in zip(_generator_ids(ids, g.cfg), g._generator_forms()):
         # g(y) - y over den, truncated at N like the image
-        i = ids.of(gen)
         diff = dict(nums)
         n = diff.pop(i, 0) - den
         if n:
             diff[i] = n
         if diff:
             m = min(map(deg.__getitem__, diff))
-            if gen in (H1, H2) and m <= 0:
+            if ids.key[i] in (H1, H2) and m <= 0:
                 raise ValueError("not unipotent-type: Cartan is not fixed mod higher degree")
             cands.append(m - deg[i])
     m = min(cands, default=inf)

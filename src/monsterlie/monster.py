@@ -121,6 +121,13 @@ def _check_word(word) -> None:
 # ---------------------------------------------------------------------------
 # elements
 
+def as_fraction(c) -> Fraction:
+    """c as a Fraction; a float is refused, since it is not exact."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficient must be exact, got the float {c!r}")
+    return Fraction(c)
+
+
 class MonsterElt:
     """Element of the algebra (or of its completion, truncated)."""
 
@@ -130,7 +137,7 @@ class MonsterElt:
         t = {}
         if terms:
             for k, c in terms.items():
-                f = c if isinstance(c, Fraction) else Fraction(c)
+                f = c if isinstance(c, Fraction) else as_fraction(c)
                 if f:
                     t[k] = f
         if exact_to < 0:
@@ -231,7 +238,7 @@ class MonsterElt:
         return self + (-other)
 
     def scaled(self, c):
-        return MonsterElt._of(elt_scale(self.terms, Fraction(c)), self.exact_to)
+        return MonsterElt._of(elt_scale(self.terms, as_fraction(c)), self.exact_to)
 
     def __rmul__(self, c):
         return self.scaled(c)

@@ -52,13 +52,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import monster
 from .completion import TruncAut
 from .indices import SupportConfig
-from .monster import MonsterElt
+from .monster import MonsterElt, as_fraction
 
 
 class UnrealizableError(ValueError):
@@ -83,7 +84,7 @@ class GenSymbol(NamedTuple):
 def sym(kind: str, index, param) -> GenSymbol:
     if kind in ("H1", "H2"):
         index = None
-    return GenSymbol(kind, index, param if isinstance(param, Fraction) else Fraction(param))
+    return GenSymbol(kind, index, param if isinstance(param, Fraction) else as_fraction(param))
 
 
 def _reciprocal(x) -> Fraction:
@@ -189,17 +190,15 @@ def expand_weyl(w: GroupWord) -> GroupWord:
 
 def _symbol_atom(s: GenSymbol) -> tuple:
     """The word atom of one symbol: exp(ad x) for X(-1;u), X(l,j,k;u) and
-    Y(-1;u), the torus scaling for H1(s) and H2(s).  Y(l,j,k;u) raises a
-    bare UnrealizableError; realize_word names the symbol."""
+    Y(-1;u), the torus scaling for H1(s) and H2(s).  A Y symbol is taken
+    as Y(-1;u): realize_word refuses an imaginary Y before keying."""
     if s.kind == "X":
         if s.index == -1:
             return ("exp", MonsterElt.e_minus(s.param))
         l, j, k = s.index
         return ("exp", MonsterElt.e_letter(l, j, k, c=s.param))
     if s.kind == "Y":
-        if s.index == -1:
-            return ("exp", MonsterElt.f_minus(s.param))
-        raise UnrealizableError
+        return ("exp", MonsterElt.f_minus(s.param))
     if s.kind in ("H1", "H2"):
         p, one = Fraction(s.param), Fraction(1)
         return ("torus", p, one) if s.kind == "H1" else ("torus", one, p)
@@ -227,20 +226,15 @@ monster.CACHES.append(_keyed_symbol)
 def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
     an inverted atom per inverse symbol, each keyed once per window
-    (_keyed_symbol).  An unrealizable word is reported by the first
-    symbol of w itself that has no action, so a Weyl symbol is named as
-    written, not by its expansion's Y; that error comes before any window
-    error of another symbol, wherever in the word either one stands."""
+    (_keyed_symbol).  The expanded word is realizable unless an imaginary
+    Y survives in it (a Weyl symbol's Y may cancel against a neighbour);
+    then UnrealizableError names the first imaginary Y or w symbol of w
+    as written, before any symbol is keyed, so before any window error."""
     factors = expand_weyl(w).factors
-    try:
-        word = tuple(_keyed_symbol(s, e, cfg) for s, e in factors)
-    except ValueError:
-        if all(s.kind != "Y" or s.index == -1 for s, _ in factors):
-            raise
+    if any(s.kind == "Y" and s.index != -1 for s, _ in factors):
         s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
-        raise UnrealizableError(
-            f"{format_symbol(s)} has no action on the positive completion") from None
-    return TruncAut(cfg, word=word)
+        raise UnrealizableError(f"{format_symbol(s)} has no action on the positive completion")
+    return TruncAut(cfg, word=tuple(_keyed_symbol(s, e, cfg) for s, e in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +515,7 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
     i = -1 if index is None else index
-    p = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in params.items()}
+    p = {k: v if isinstance(v, Fraction) else as_fraction(v) for k, v in params.items()}
     W = GroupWord.of
 
     if rid in ("R1", "R2", "R17", "R18"):
@@ -629,17 +623,13 @@ def _indices_for(template: RelationTemplate, cfg: SupportConfig) -> list:
 
 
 def _param_choices(template: RelationTemplate, samples) -> list:
-    mult_named = {"s", "t", "sigma", "tau"}
-    opts = []
-    for name in template.param_names:
-        vals = [Fraction(x) for x in samples]
-        if name in mult_named:
-            vals = [v for v in vals if v != 0]
-        opts.append((name, vals))
-    combos = [{}]
-    for name, vals in opts:
-        combos = [{**c, name: v} for c in combos for v in vals]
-    return combos
+    # every assignment of the samples, the first parameter slowest; s, t,
+    # sigma and tau skip 0
+    vals = [as_fraction(x) for x in samples]
+    nonzero = [v for v in vals if v]
+    names = template.param_names
+    opts = [nonzero if name in ("s", "t", "sigma", "tau") else vals for name in names]
+    return [dict(zip(names, combo)) for combo in product(*opts)]
 
 
 def _shadow_check_r16(cfg: SupportConfig) -> dict:
@@ -654,21 +644,17 @@ def _shadow_check_r16(cfg: SupportConfig) -> dict:
             jp, kp, lp = Lp
             jn, kn, ln = Ln
             val = monster.bracket(MonsterElt.e_word((Lp,)), MonsterElt.f_word((Ln,)))
-            if (jp, kp) != (jn, kn):
+            distinct = (jp, kp) != (jn, kn)
+            if distinct or abs(lp - ln) > 1:
                 n += 1
                 if not val.is_zero():
                     failures.append(f"[e({lp},{jp},{kp}), f({ln},{jn},{kn})] = "
                                     f"{monster.format_elt(val)}")
-                if (jp == jn) != (kp == kn):
+                if distinct and (jp == jn) != (kp == kn):
                     reading_flags.append(
                         f"(l,j,k)=({lp},{jp},{kp}) vs (m,p,q)=({ln},{jn},{kn}): "
                         "strings share exactly one of j=p / k=q; commutation asserted "
                         "under the inclusive-or reading only")
-            elif abs(lp - ln) > 1:
-                n += 1
-                if not val.is_zero():
-                    failures.append(f"[e({lp},{jp},{kp}), f({ln},{jn},{kn})] = "
-                                    f"{monster.format_elt(val)}")
             elif lp != ln:
                 adjacent_info.append(
                     f"same string, |l-m|=1: [e({lp},{jp},{kp}), f({ln},{jn},{kn})] = "
@@ -685,14 +671,14 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
     indices: "sl2" holds the SL2 families, "adjoint" every other family,
     "all" both.  Raises ValueError for any other suite name.
 
-    Each distinct Weyl-expanded (lhs, rhs) pair of the ADJOINT instances
+    Each distinct (lhs, rhs) pair of the ADJOINT instances as built
     (MIRROR ones after mirror transport) is validated once per call; an
     instance whose pair was already decided reuses that verdict.  The
     sides that recur across pairs are words of at most one symbol (the
     empty word and single symbols), and validate_adjoint realizes each of
     those once per window.  Every instance still counts in its row's
     "instances", and every failing one lists its own index and params in
-    "failures"."""
+    "failures".  A float sample raises ValueError."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     verdicts = {}
@@ -714,13 +700,11 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
                 if inst.klass == "SL2":
                     ok = validate_sl2(inst)
                 else:
-                    lhs, rhs = expand_weyl(inst.lhs), expand_weyl(inst.rhs)
                     # injective: each symbol prints its kind, index and reduced parameter
-                    key = format_word(lhs) + "=" + format_word(rhs)
+                    key = format_word(inst.lhs) + "=" + format_word(inst.rhs)
                     ok = verdicts.get(key)
                     if ok is None:
-                        ok = verdicts[key] = validate_adjoint(
-                            inst._replace(lhs=lhs, rhs=rhs), cfg)
+                        ok = verdicts[key] = validate_adjoint(inst, cfg)
                 count += 1
                 if not ok:
                     failures.append({"index": index,
@@ -731,7 +715,7 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
                      "pass": not failures})
     return {"truncation": cfg.degree_bound,
             "caps": {str(j): cfg.cap(j) for j in sorted(cfg.caps)},
-            "samples": [str(Fraction(s)) for s in samples],
+            "samples": [str(as_fraction(s)) for s in samples],
             "results": rows,
             "all_pass": all(r["pass"] for r in rows)}
 

@@ -475,6 +475,20 @@ def test_group_word_refuses_a_float_parameter(kind, index):
         GroupWord.of(P.GenSymbol(kind, index, 1 / 3))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MonsterElt({"h1": 0.1}),
+    lambda: 0.5 * MonsterElt.h1(),
+    lambda: torus(0.1, 2, CFG),
+    lambda: sym("X", -1, 0.1),
+    lambda: build_instance("R1", {"u": 0.1, "v": 1}),
+    lambda: validate_catalog(CFG, samples=(0.1,)),
+], ids=["MonsterElt", "scaled", "torus", "sym", "build_instance", "validate_catalog"])
+def test_library_entry_points_refuse_a_float(make):
+    # a float is not exact: no entry point turns 0.1 into a binary fraction
+    with pytest.raises(ValueError, match="must be exact, got the float"):
+        make()
+
+
 def test_keyed_symbol_is_per_window():
     # a symbol keyed on a wide window still meets the narrow window's
     # support check, with the error a fresh realization raises
@@ -518,9 +532,10 @@ def test_repeated_symbol_shares_one_atom():
 
 
 def test_relcheck_work_is_pinned(monkeypatch):
-    # the default relcheck realizes 1,661 words and decides 1,380
-    # distinct adjoint pairs; a change in this work shows here
-    calls = {"realize_word": 0, "validate_adjoint": 0}
+    # the default relcheck realizes 1,661 words, decides 1,380 distinct
+    # adjoint pairs and expands 3,601 words (realized and mirrored ones);
+    # a change in this work shows here
+    calls = {"realize_word": 0, "validate_adjoint": 0, "expand_weyl": 0}
     for name in calls:
         real = getattr(P, name)
 
@@ -532,4 +547,4 @@ def test_relcheck_work_is_pinned(monkeypatch):
     monster.clear_caches()
     cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
     assert validate_catalog(cfg)["all_pass"]
-    assert calls == {"realize_word": 1661, "validate_adjoint": 1380}
+    assert calls == {"realize_word": 1661, "validate_adjoint": 1380, "expand_weyl": 3601}
