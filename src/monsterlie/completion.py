@@ -40,12 +40,18 @@ elements.  An atom's result is exact through the least of its images'
 bounds and a bound from the input: the input's own exact_to E, or
 descent_floor(E) - 1 for a lowering exponential (a multiple of f(-1)),
 since content hidden above E can slide down that far.  This is never
-above what the exp series gives on the whole element.  Application
-retries with a widened internal bound when lowering factors eat into
-the requested window, so a returned element is always complete through
-the requested degree unless the input itself was the limit; in a block,
-the vectors still short after the shared pass retry together, one pass
-per widened bound.
+above what the exp series gives on the whole element.  apply clamps
+every atom at one bound with headroom and retries with a widened bound
+when lowering factors eat into the requested window, so a returned
+element is always complete through the requested degree unless the
+input itself was the limit; in a block, the vectors still short after
+the shared pass retry together, one pass per widened bound.  The
+generator images need no headroom: the generators are exact, so the
+same accounting, run backwards from N, gives each atom the least clamp
+bound that leaves the result exact through N (N after the last
+lowering atom, raised at each lowering atom to the inverse of the
+descent floor), and one pass is exact through N unless an exp atom's
+own x is inexact; a word with such an atom takes apply's path.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -73,6 +79,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
+from itertools import repeat
 from math import gcd, inf
 from types import MappingProxyType
 from typing import NamedTuple
@@ -99,10 +106,11 @@ def generator_keys(cfg: SupportConfig) -> tuple:
 # multiset of base levels j at degree sum(j+2) whose fully raised top is
 # sum(2j+1).  One knapsack over the levels every exp atom's key carries
 # (atom[2][2]) gives both the headroom a window needs (value j-1) and the
-# exactness floor after a lowering exponential (value 2j+1).  Every bound
-# E that reaches them is >= -2 (TruncAut.apply refuses need < 0, and a
-# lowering step maps E >= -2 to floor(E) - 1 >= -2): no negative word
-# sits above such an E.
+# exactness floor after a lowering exponential (value 2j+1); the floor's
+# inverse gives the clamp bound a lowering step needs for a result exact
+# through E.  Every bound E that reaches them is >= -2 (TruncAut.apply
+# refuses need < 0, and a lowering step maps E >= -2 to floor(E) - 1 >=
+# -2): no negative word sits above such an E.
 
 
 def _knapsack(levels: tuple, value, cap: int) -> list:
@@ -141,6 +149,18 @@ def _descent_floor(E: int, levels: tuple) -> int:
     return min(cands, default=E + 1)
 
 
+@cache
+def _descent_lift(E: int, levels: tuple) -> int:
+    """Least clamp bound B >= -2 at which a lowering exponential still
+    leaves its result exact through E >= -2: the least B with
+    _descent_floor(B, levels) - 1 >= E, the inverse of the floor, which
+    never falls as B grows."""
+    B = -2
+    while _descent_floor(B, levels) - 1 < E:
+        B += 1
+    return B
+
+
 # ---------------------------------------------------------------------------
 # atoms as memoized linear maps on basis key ids, in integer arithmetic
 #
@@ -166,7 +186,7 @@ def _descent_floor(E: int, levels: tuple) -> int:
 # which returns each triple gcd-reduced; keys come back only for the
 # returned element, the reports and the filtration level.
 # _slot, _ids, _bracket_ids, _unit, _generator_ids (a window's
-# generator keys as ids of one numbering) and the two descent tables
+# generator keys as ids of one numbering) and the three descent tables
 # above are functools.cache functions listed in monster.CACHES, so
 # monster.clear_caches() drops them together: a slot's ids are those of
 # the numbering current when _slot made it, which every word that
@@ -235,7 +255,7 @@ def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
 
 
 monster.CACHES.extend((_slot, _ids, _bracket_ids, _unit, _generator_ids, _descent_pad,
-                       _descent_floor))
+                       _descent_floor, _descent_lift))
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
@@ -586,15 +606,17 @@ class TruncAut:
     def _apply_block(self, ys: list, need: int) -> list:
         """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
         empty word returns ys): one pass of the word carries the whole
-        block.  A triple that pass leaves short of `need` retries with
-        its own widened bound, r + (need - exact_to) + 2 after a pass at
-        r, and the triples that retry at one bound share a pass, the
-        least bound first; since bounds only grow, every triple still
-        meets its own sequence of bounds."""
+        block, every atom clamped at one bound R, need plus the headroom
+        of the descent pad; apply returns the terms and exact_to this
+        gives, beyond need as well.  A triple that pass leaves short of `need` retries with its own
+        widened bound, r + (need - exact_to) + 2 after a pass at r, and
+        the triples that retry at one bound share a pass, the least bound
+        first; since bounds only grow, every triple still meets its own
+        sequence of bounds."""
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         R = need + 2 + _descent_pad(need, self._lowering)
-        out = self._pass(ys, R)
+        out = self._pass(ys, repeat(R))
         retries: dict = {}    # bound -> indices of the triples retrying there
         for n, t in enumerate(out):
             if t[2] < need:
@@ -602,7 +624,7 @@ class TruncAut:
         while retries:
             r = min(retries)
             group = retries.pop(r)
-            for n, t in zip(group, self._pass([ys[n] for n in group], r)):
+            for n, t in zip(group, self._pass([ys[n] for n in group], repeat(r))):
                 prev = out[n][2]
                 out[n] = t
                 # stop once complete, or once a retry gains nothing: then
@@ -611,10 +633,11 @@ class TruncAut:
                     retries.setdefault(r + (need - t[2]) + 2, []).append(n)
         return out
 
-    def _pass(self, block: list, bound: int) -> list:
-        """block through every atom of the word at the clamp bound."""
+    def _pass(self, block: list, bounds) -> list:
+        """block through every atom of the word, each step clamped at its
+        own bound: bounds runs beside the steps, in application order."""
         ids = self._ids
-        for atom, slot in self._steps:
+        for (atom, slot), bound in zip(self._steps, bounds):
             block = _atom_block(atom, slot, ids, block, bound)
         return block
 
@@ -632,15 +655,37 @@ class TruncAut:
     def _generator_forms(self) -> list:
         """(den, {id: numerator}) of each generator's image truncated at
         N, in generator_keys order and the word's numbering, reduced by
-        the gcd so that equal images give equal pairs; the generator
-        block goes through the word in one pass, and only an image with a
-        term above N is cut and reduced again.  equal, report_dict and
-        filtration_level all read the generator images from here."""
+        the gcd so that equal images give equal pairs.  equal,
+        report_dict and filtration_level all read the generator images
+        from here.
+
+        The generators are exact, so when every exp atom's x is exact too,
+        each step is clamped at the least bound that keeps the result
+        exact through N, and one pass of the block suffices: N for every
+        atom applied after the last lowering one, and at each lowering
+        atom, walking back towards the first applied, the least bound
+        whose descent floor still covers the bound after it
+        (_descent_lift).  A word with an inexact x, whose images that
+        schedule would leave short, takes _apply_block, as apply would.
+        Only a word with a lowering atom, or that fallback, can leave a
+        term above N; such an image is cut and reduced again."""
         N = self.N
         ids = self._ids
         deg = ids.deg
-        block = self._apply_block(
-            [(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)], N)
+        block = [(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)]
+        if any(a[0] == "exp" and a[2][1] < inf for a in self.word):
+            block = self._apply_block(block, N)
+        else:
+            bounds = []
+            E = N
+            for atom, _ in reversed(self._steps):
+                if atom[0] == "exp" and atom[2][3]:
+                    E = _descent_lift(E, atom[2][2])
+                bounds.append(E)
+            block = self._pass(block, reversed(bounds))
+            if not self._lowering:
+                # every step was clamped at N, and no generator lies above N
+                return [(den, nums) for den, nums, _ in block]
         return [(den, nums) if max(map(deg.__getitem__, nums), default=N) <= N
                 else _reduced(den, {i: n for i, n in nums.items() if deg[i] <= N})
                 for den, nums, _ in block]

@@ -643,8 +643,10 @@ def _shadow_check_r16(cfg: SupportConfig) -> dict:
         for Ln in letters:
             jp, kp, lp = Lp
             jn, kn, ln = Ln
-            val = monster.bracket(MonsterElt.e_word((Lp,)), MonsterElt.f_word((Ln,)))
             distinct = (jp, kp) != (jn, kn)
+            if not distinct and lp == ln:
+                continue  # one letter: the catalog neither claims nor reports it
+            val = monster.bracket(MonsterElt.e_word((Lp,)), MonsterElt.f_word((Ln,)))
             if distinct or abs(lp - ln) > 1:
                 n += 1
                 if not val.is_zero():

@@ -1,7 +1,7 @@
 import copy
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from math import gcd, inf
 
 import pytest
@@ -701,31 +701,69 @@ def _block_words():
     ]
 
 
+def _single_apply_forms(g):
+    """Each generator's image by _apply_block alone, cut at N and reduced:
+    the forms g._generator_forms() must give."""
+    ids = g._ids
+    out = []
+    for i in completion._generator_ids(ids, g.cfg):
+        [(den, nums, _)] = g._apply_block([(1, {i: 1}, inf)], g.N)
+        out.append(completion._reduced(den, {k: n for k, n in nums.items() if ids.deg[k] <= g.N}))
+    return out
+
+
 def test_generator_block_matches_single_applies(monkeypatch):
-    # the generator block through one pass of each word, against one
-    # apply per generator; the first word sends some generators through
-    # a second, widened pass
+    # the generator block through one scheduled pass of each word, against
+    # one apply per generator; each step is clamped at its own bound
     cfg = BLOCK_CFG
     words = _block_words()
-    # the clamp bound of every vector each atom steps
+    # (vectors, clamp bound) of each atom step, in application order
     steps = []
     real_block = completion._atom_block
     monkeypatch.setattr(completion, "_atom_block",
-                        lambda *a: steps.extend([a[4]] * len(a[3])) or real_block(*a))
-    gens = generator_keys(cfg)
-    for word in words:
+                        lambda *a: steps.append((len(a[3]), a[4])) or real_block(*a))
+    n = len(generator_keys(cfg))
+    # the first word without its last-applied f(-1): the atoms applied
+    # after its one remaining lowering atom end at N
+    schedules = {0: [15] * 5 + [12] * 3, 1: [9] * 3, 2: [], 3: [12] * 5 + [9] * 2}
+    for w, word in enumerate(words + [words[0][1:]]):
         g = TruncAut(cfg, word)
         del steps[:]
         forms = g._generator_forms()
-        if word is words[0]:
-            assert len(steps) > len(gens) * len(word) and len(set(steps)) > 1
-        want = []
-        ids = g._ids
-        for k in gens:
-            [(den, nums, _)] = g._apply_block([(1, {ids.of(k): 1}, inf)], 9)
-            want.append(completion._reduced(
-                den, {i: n for i, n in nums.items() if monster.key_degree(ids.key[i]) <= 9}))
-        assert forms == want
+        # one pass: the whole block steps every atom once, at the schedule
+        # 9 -> 12 -> 15 raised at each lowering atom
+        assert steps == [(n, b) for b in schedules[w]], word
+        assert forms == _single_apply_forms(g)
+
+
+def test_inexact_exp_atom_falls_back_to_single_applies(monkeypatch):
+    # an exp atom whose x is exact only through 6 would leave generators
+    # short of N = 9 under the schedule, with or without a lowering atom:
+    # the block goes through _apply_block instead, whose images reach
+    # above N before the cut at N
+    x = (MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(1, 2, 1, Fraction(1, 2))).terms
+    inexact = ("exp", MonsterElt(x, exact_to=6))
+    words = [[inexact, ("exp", MonsterElt.e_letter(0, 3, 1))],
+             [("exp", MonsterElt.f_minus(Fraction(1, 2))), inexact,
+              ("exp", MonsterElt.e_minus(2))]]
+    fallbacks = []
+    real = TruncAut._apply_block
+
+    def recording(g, ys, need):
+        out = real(g, ys, need)
+        fallbacks.append((len(ys), min(t[2] for t in out),
+                          max(g._ids.deg[k] for _, nums, _ in out for k in nums)))
+        return out
+
+    for word in words:
+        g = TruncAut(BLOCK_CFG, word)
+        monkeypatch.setattr(TruncAut, "_apply_block", recording)
+        fallbacks.clear()
+        forms = g._generator_forms()
+        monkeypatch.undo()
+        [(n, lo, top)] = fallbacks
+        assert n == len(generator_keys(BLOCK_CFG)) and lo < N < top, word
+        assert forms == _single_apply_forms(g), word
 
 
 def test_block_pass_returns_reduced_triples():
@@ -770,14 +808,22 @@ def test_zero_brackets_share_one_read_only_mapping():
 
 
 def test_retries_at_one_bound_share_a_pass(monkeypatch):
-    # the first block word sends several generators through a widened
-    # pass: they share it, and no _apply_block call passes twice at a bound
+    # the first block word, applied to the generator block, sends several
+    # generators through a widened pass: they share it, and no
+    # _apply_block call passes twice at a bound
     passes = []
     real_pass = TruncAut._pass
-    monkeypatch.setattr(TruncAut, "_pass", lambda g, block, bound:
-                        passes.append((len(block), bound)) or real_pass(g, block, bound))
+
+    def recording(g, block, bounds):
+        # _apply_block clamps every step of a pass at one bound
+        [bound] = set(islice(bounds, len(g._steps)))
+        passes.append((len(block), bound))
+        return real_pass(g, block, repeat(bound))
+
+    monkeypatch.setattr(TruncAut, "_pass", recording)
     g = TruncAut(BLOCK_CFG, _block_words()[0])
-    g._generator_forms()
+    ids = g._ids
+    g._apply_block([(1, {i: 1}, inf) for i in completion._generator_ids(ids, BLOCK_CFG)], 9)
     bounds = [b for _, b in passes]
     assert len(passes) > 1 and bounds == sorted(set(bounds))
     assert max(n for n, _ in passes[1:]) > 1
@@ -788,7 +834,6 @@ def test_retries_at_one_bound_share_a_pass(monkeypatch):
     # and 7 leave the first pass exact to 3 and 4, so they retry at 22 and
     # 21, the least bound (the second triple's) first; neither gains, so
     # neither retries again
-    ids = g._ids
     passes.clear()
     out = g._apply_block([(1, {ids.of(monster.EMINUS): 1}, 5), (1, {ids.of(monster.H1): 1}, 7)], 9)
     assert passes == [(2, 14), (1, 21), (1, 22)]
@@ -862,6 +907,26 @@ def test_words_built_across_clear_caches_compose():
         assert composed.report_dict() == fresh.report_dict()
         got, want = composed.apply(y), fresh.apply(y)
         assert (got.terms, got.exact_to) == (want.terms, want.exact_to)
+
+
+def test_descent_lift_is_the_least_bound():
+    # the lift of E is the least clamp bound whose descent floor keeps a
+    # lowering step exact through E, for every level set of size <= 4
+    # from 1..7; the floor never falls as the bound grows
+    for size in range(5):
+        for levels in combinations(range(1, 8), size):
+            floor = [completion._descent_floor(B, levels) for B in range(-2, 60)]
+            assert floor == sorted(floor), levels
+            for E in range(-1, 41):
+                B = completion._descent_lift(E, levels)
+                assert (completion._descent_floor(B, levels) - 1 >= E
+                        > completion._descent_floor(B - 1, levels) - 1), (levels, E, B)
+    # the default window's schedule back from N = 9
+    levels = tuple(BLOCK_CFG.base_levels())
+    chain = [9]
+    for _ in range(3):
+        chain.append(completion._descent_lift(chain[-1], levels))
+    assert chain == [9, 12, 15, 21]
 
 
 def test_descent_accounting_matches_reference():

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import islice
 
 import oracles
 import pytest
@@ -349,8 +350,9 @@ def test_one_symbol_side_forms_are_per_window():
 
 
 def test_validate_adjoint_verdicts_survive_clear_caches(monkeypatch):
-    # a long side whose generators take a retry pass, against a cached
-    # one-symbol side: the same verdicts before and after a clear
+    # a long side whose lowering atoms clamp its first steps above N,
+    # against a cached one-symbol side: the same verdicts before and
+    # after a clear
     cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
     letter = (0, 1, 2)
     comm = commutator(GroupWord.of(sym("Y", -1, 1)), GroupWord.of(sym("X", letter, 1)))
@@ -358,15 +360,35 @@ def test_validate_adjoint_verdicts_survive_clear_caches(monkeypatch):
     insts = [P.RelationInstance("R20", "ADJOINT", lhs, rhs, letter, {}) for lhs, rhs in pairs]
     passes = []
     real_pass = completion.TruncAut._pass
-    monkeypatch.setattr(completion.TruncAut, "_pass",
-                        lambda g, block, bound: passes.append(len(g.word)) or
-                        real_pass(g, block, bound))
+
+    def recording(g, block, bounds):
+        bounds = list(islice(bounds, len(g._steps)))
+        if g.word:
+            passes.append((len(g.word), bounds[0], bounds[-1]))
+        return real_pass(g, block, bounds)
+
+    monkeypatch.setattr(completion.TruncAut, "_pass", recording)
     before = [validate_adjoint(inst, cfg) for inst in insts]
-    # comm is realized once per verdict: two shared passes, then retries
-    assert passes.count(len(comm)) > 2
+    # comm is realized once per verdict, and each time its generator
+    # block takes one pass: Y(-1;1), applied last, is clamped at 12 so as
+    # to stay exact through N = 9, and the steps up to Y(-1;-1) at 15
+    assert [p for p in passes if p[0] == len(comm)] == [(len(comm), 15, 12)] * 2
     monster.clear_caches()
     after = [validate_adjoint(inst, cfg) for inst in insts]
     assert before == after == [True, False]
+
+
+def test_r16_brackets_only_the_pairs_it_reads(monkeypatch):
+    # every ordered letter pair but a letter against itself is either
+    # checked or reported, so only those are bracketed
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    pairs = []
+    real = monster.bracket
+    monkeypatch.setattr(monster, "bracket", lambda a, b: pairs.append((a, b)) or real(a, b))
+    row = P._shadow_check_r16(cfg)
+    n = len(list(cfg.letters()))
+    assert len(pairs) == n * n - n == 72
+    assert row["instances"] + len(row["adjacent_unconstrained"]) == len(pairs)
 
 
 def test_validate_catalog_small_sweep():
