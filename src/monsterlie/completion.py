@@ -44,14 +44,13 @@ above what the exp series gives on the whole element.  apply clamps
 every atom at one bound with headroom and retries with a widened bound
 when lowering factors eat into the requested window, so a returned
 element is always complete through the requested degree unless the
-input itself was the limit; in a block, the vectors still short after
-the shared pass retry together, one pass per widened bound.  The
-generator images need no headroom: the generators are exact, so the
-same accounting, run backwards from N, gives each atom the least clamp
-bound that leaves the result exact through N (N after the last
-lowering atom, raised at each lowering atom to the inverse of the
-descent floor), and one pass is exact through N unless an exp atom's
-own x is inexact; a word with such an atom takes apply's path.
+input itself, or an exp atom's own x, was the limit.  The generator
+images need no headroom: the generators are exact, so the same
+accounting, run backwards from N, gives each atom the least clamp bound
+that leaves the result exact through N (N after the last lowering atom,
+raised at each lowering atom to the inverse of the descent floor), and
+every word's generator block takes one pass at those bounds, exact
+through N unless an exp atom's own x is inexact, which no bound repairs.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -596,42 +595,27 @@ class TruncAut:
     # application ----------------------------------------------------------
     def apply(self, y: MonsterElt, need: int | None = None) -> MonsterElt:
         """Image of y, complete at least through degree `need` >= 0 (default
-        N) unless y's own exactness bound makes that impossible."""
+        N) unless y's own exactness bound makes that impossible; returns
+        the terms and exact_to the last pass gives, beyond need as well.
+        Every atom is clamped at one bound r, need plus the headroom of
+        the descent pad; a short image retries at r + (need - exact_to) +
+        2, until it is complete or a retry gains nothing."""
         need = self.N if need is None else need
         if need < 0:
             raise ValueError(f"need must be >= 0, got {need}")
         y.validate_support(self.cfg)
-        return _to_elt(*self._apply_block([_to_vec(y, self._ids)], need)[0], self._ids)
-
-    def _apply_block(self, ys: list, need: int) -> list:
-        """Images of the (den, nums, exact_to) triples ys, gcd-reduced (the
-        empty word returns ys): one pass of the word carries the whole
-        block, every atom clamped at one bound R, need plus the headroom
-        of the descent pad; apply returns the terms and exact_to this
-        gives, beyond need as well.  A triple that pass leaves short of `need` retries with its own
-        widened bound, r + (need - exact_to) + 2 after a pass at r, and
-        the triples that retry at one bound share a pass, the least bound
-        first; since bounds only grow, every triple still meets its own
-        sequence of bounds."""
+        ys = [_to_vec(y, self._ids)]
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
-        R = need + 2 + _descent_pad(need, self._lowering)
-        out = self._pass(ys, repeat(R))
-        retries: dict = {}    # bound -> indices of the triples retrying there
-        for n, t in enumerate(out):
-            if t[2] < need:
-                retries.setdefault(R + (need - t[2]) + 2, []).append(n)
-        while retries:
-            r = min(retries)
-            group = retries.pop(r)
-            for n, t in zip(group, self._pass([ys[n] for n in group], repeat(r))):
-                prev = out[n][2]
-                out[n] = t
-                # stop once complete, or once a retry gains nothing: then
-                # the input's own exactness is the limit
-                if prev < t[2] < need:
-                    retries.setdefault(r + (need - t[2]) + 2, []).append(n)
-        return out
+        r = need + 2 + _descent_pad(need, self._lowering)
+        [t] = self._pass(ys, repeat(r))
+        prev = -inf
+        # once a retry gains nothing, the input's or an x's exactness is the limit
+        while prev < t[2] < need:
+            prev = t[2]
+            r += need - prev + 2
+            [t] = self._pass(ys, repeat(r))
+        return _to_elt(*t, self._ids)
 
     def _pass(self, block: list, bounds) -> list:
         """block through every atom of the word, each step clamped at its
@@ -659,33 +643,29 @@ class TruncAut:
         report_dict and filtration_level all read the generator images
         from here.
 
-        The generators are exact, so when every exp atom's x is exact too,
-        each step is clamped at the least bound that keeps the result
-        exact through N, and one pass of the block suffices: N for every
-        atom applied after the last lowering one, and at each lowering
-        atom, walking back towards the first applied, the least bound
-        whose descent floor still covers the bound after it
-        (_descent_lift).  A word with an inexact x, whose images that
-        schedule would leave short, takes _apply_block, as apply would.
-        Only a word with a lowering atom, or that fallback, can leave a
-        term above N; such an image is cut and reduced again."""
+        The generators are exact, so each step is clamped at the least
+        bound that keeps the result exact through N, and one pass of the
+        block suffices: N for every atom applied after the last lowering
+        one, and at each lowering atom, walking back towards the first
+        applied, the least bound whose descent floor still covers the
+        bound after it (_descent_lift).  A word with an exp atom whose x
+        is inexact takes the same pass, since no clamp bound restores the
+        exactness that x lacks.  Only a word with a lowering atom can
+        leave a term above N; such an image is cut and reduced again."""
         N = self.N
         ids = self._ids
         deg = ids.deg
-        block = [(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)]
-        if any(a[0] == "exp" and a[2][1] < inf for a in self.word):
-            block = self._apply_block(block, N)
-        else:
-            bounds = []
-            E = N
-            for atom, _ in reversed(self._steps):
-                if atom[0] == "exp" and atom[2][3]:
-                    E = _descent_lift(E, atom[2][2])
-                bounds.append(E)
-            block = self._pass(block, reversed(bounds))
-            if not self._lowering:
-                # every step was clamped at N, and no generator lies above N
-                return [(den, nums) for den, nums, _ in block]
+        bounds = []
+        E = N
+        for atom, _ in reversed(self._steps):
+            if atom[0] == "exp" and atom[2][3]:
+                E = _descent_lift(E, atom[2][2])
+            bounds.append(E)
+        block = self._pass([(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)],
+                           reversed(bounds))
+        if not self._lowering:
+            # every step was clamped at N, and no generator lies above N
+            return [(den, nums) for den, nums, _ in block]
         return [(den, nums) if max(map(deg.__getitem__, nums), default=N) <= N
                 else _reduced(den, {i: n for i, n in nums.items() if deg[i] <= N})
                 for den, nums, _ in block]

@@ -463,8 +463,12 @@ def test_aut_approx_error_paths_exit_2(capsys):
      "dd678614e676ce3cfd91ee9f20ebcccf0437827dde8dd2a9866d474cab57f4ff"),
     (("aut", "apply", "--word", "H1(2)X(-1;1)", "--elem", "f(0,1,1)"), "image", None,
      "607a1fa100b14f5b87c9dde32c1e67384d6b2540cfe00f85d4d6a2f9e9a81f2e"),
+    # passes at 14, exact to 8, then retries at 17, exact to 9
+    (("aut", "apply", "--word", "Y(-1;1)X(0,2,1;1)Y(-1;2)X(0,1,2;1)Y(-1;-1)",
+      "--elem", "[e(0,1,1),e(0,2,1)]"), "image", 9,
+     "838b2206c8ae12e4dc075430dc3068746b692680899e0c624e36d884be08dbaf"),
 ], ids=["bracket-cut", "bracket-exact", "apply-lowering", "apply-bracket-word", "log",
-        "apply-exact"])
+        "apply-exact", "apply-retry"])
 def test_exact_to_prints_an_int_or_null(capsys, monkeypatch, argv, section, exact_to, digest):
     # the library spells "exact" as math.inf; the JSON prints it as null
     # and a finite bound as an integer

@@ -1,8 +1,12 @@
 import copy
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, islice, repeat
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 
@@ -702,14 +706,10 @@ def _block_words():
 
 
 def _single_apply_forms(g):
-    """Each generator's image by _apply_block alone, cut at N and reduced:
-    the forms g._generator_forms() must give."""
-    ids = g._ids
-    out = []
-    for i in completion._generator_ids(ids, g.cfg):
-        [(den, nums, _)] = g._apply_block([(1, {i: 1}, inf)], g.N)
-        out.append(completion._reduced(den, {k: n for k, n in nums.items() if ids.deg[k] <= g.N}))
-    return out
+    """Each generator's image by apply alone, cut at N and reduced: the
+    forms g._generator_forms() must give."""
+    return [completion._to_vec(g.apply(MonsterElt({k: 1})).truncated_above(g.N), g._ids)[:2]
+            for k in generator_keys(g.cfg)]
 
 
 def test_generator_block_matches_single_applies(monkeypatch):
@@ -736,58 +736,109 @@ def test_generator_block_matches_single_applies(monkeypatch):
         assert forms == _single_apply_forms(g)
 
 
-def test_inexact_exp_atom_falls_back_to_single_applies(monkeypatch):
-    # an exp atom whose x is exact only through 6 would leave generators
-    # short of N = 9 under the schedule, with or without a lowering atom:
-    # the block goes through _apply_block instead, whose images reach
-    # above N before the cut at N
-    x = (MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(1, 2, 1, Fraction(1, 2))).terms
-    inexact = ("exp", MonsterElt(x, exact_to=6))
-    words = [[inexact, ("exp", MonsterElt.e_letter(0, 3, 1))],
-             [("exp", MonsterElt.f_minus(Fraction(1, 2))), inexact,
-              ("exp", MonsterElt.e_minus(2))]]
-    fallbacks = []
-    real = TruncAut._apply_block
+def _recording_passes(monkeypatch):
+    """(vectors, per-step bounds, least exact_to) of each TruncAut._pass."""
+    passes = []
+    real = TruncAut._pass
 
-    def recording(g, ys, need):
-        out = real(g, ys, need)
-        fallbacks.append((len(ys), min(t[2] for t in out),
-                          max(g._ids.deg[k] for _, nums, _ in out for k in nums)))
+    def recording(g, block, bounds):
+        bounds = list(islice(bounds, len(g._steps)))
+        out = real(g, block, bounds)
+        passes.append((len(block), bounds, min(t[2] for t in out)))
         return out
 
-    for word in words:
+    monkeypatch.setattr(TruncAut, "_pass", recording)
+    return passes
+
+
+def test_inexact_exp_atom_takes_one_scheduled_pass(monkeypatch):
+    # an exp atom whose x is exact only through 6 leaves generators short
+    # of N = 9, with or without a lowering atom; the block still takes
+    # one pass at the schedule, and its forms are apply's, cut at N
+    x = (MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(1, 2, 1, Fraction(1, 2))).terms
+    inexact = ("exp", MonsterElt(x, exact_to=6))
+    words = [([inexact, ("exp", MonsterElt.e_letter(0, 3, 1))], [9, 9]),
+             ([("exp", MonsterElt.f_minus(Fraction(1, 2))), inexact,
+               ("exp", MonsterElt.e_minus(2))], [12, 12, 12])]
+    for word, schedule in words:
         g = TruncAut(BLOCK_CFG, word)
-        monkeypatch.setattr(TruncAut, "_apply_block", recording)
-        fallbacks.clear()
+        passes = _recording_passes(monkeypatch)
         forms = g._generator_forms()
         monkeypatch.undo()
-        [(n, lo, top)] = fallbacks
-        assert n == len(generator_keys(BLOCK_CFG)) and lo < N < top, word
+        [(n, bounds, lo)] = passes
+        assert (n, bounds) == (len(generator_keys(BLOCK_CFG)), schedule) and lo < N, word
         assert forms == _single_apply_forms(g), word
+
+
+def _rand_inexact_word(rng, cfg):
+    """Two to four exp atoms of letters, e(-1) and f(-1), at least one of
+    them with an x exact only below N."""
+    letters = [MonsterElt.e_minus()] + [MonsterElt.e_letter(l, j, k)
+                                        for j, k, l in cfg.letters()]
+    word = []
+    for _ in range(rng.randint(2, 4)):
+        c = Fraction(rng.choice((1, -1, 2, -2, 3)), rng.choice((1, 2, 3)))
+        if rng.random() < 0.2:
+            word.append(("exp", MonsterElt.f_minus(c)))
+            continue
+        x = rng.choice(letters).scaled(c)
+        if rng.random() < 0.5:
+            x = x + rng.choice(letters)
+        if x.is_zero():
+            x = MonsterElt.e_minus()
+        word.append(("exp", x))
+    n = rng.choice([n for n, a in enumerate(word) if a[1].terms.keys() != {monster.FMINUS}]
+                   or [0])
+    word[n] = ("exp", MonsterElt(word[n][1].terms, exact_to=rng.randint(cfg.degree_bound - 6,
+                                                                       cfg.degree_bound - 1)))
+    return word
+
+
+def test_seeded_inexact_words_match_single_applies():
+    # the one scheduled pass against apply's widened retries, generator by
+    # generator, on seeded words with an inexact exp atom
+    rng = random.Random(36)
+    for n in range(24):
+        cfg = SupportConfig(9, {1: 2, 2: 1}) if n % 2 else SupportConfig(12, {1: 2, 2: 1, 3: 1})
+        g = TruncAut(cfg, _rand_inexact_word(rng, cfg))
+        try:
+            forms = g._generator_forms()
+        except ValueError as exc:
+            # a bound below 0 from the inexact x, on either path
+            with pytest.raises(ValueError) as info:
+                _single_apply_forms(g)
+            assert str(info.value) == str(exc)
+            continue
+        assert forms == _single_apply_forms(g), g.word
 
 
 def test_block_pass_returns_reduced_triples():
     # _generator_forms reduces only the images it cuts at N, so every
-    # triple _apply_block hands back must already be gcd-reduced
+    # triple a pass hands back must already be gcd-reduced
     gens = generator_keys(BLOCK_CFG)
     # the numbering every word below is built in
     ids = completion._ids()
-    ys = [(1, {ids.of(k): 1}, inf) for k in gens]
+    ys = [MonsterElt({k: 1}) for k in gens]
     for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
-        ys += [completion._to_vec(MonsterElt({k: c}, exact_to=e), ids)
-               for k in gens for e in (inf, 7)]
-    mixed = {k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}
-    ys.append(completion._to_vec(MonsterElt(mixed), ids))
+        ys += [MonsterElt({k: c}, exact_to=e) for k in gens for e in (inf, 7)]
+    ys.append(MonsterElt({k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}))
+    vecs = [completion._to_vec(y, ids) for y in ys]
     for word in _block_words():
         g = TruncAut(BLOCK_CFG, word)
-        for den, nums, _ in g._apply_block(ys, 9):
+        for den, nums, _ in g._pass(vecs, repeat(14)):
             assert den >= 1 and gcd(den, *nums.values()) == 1, (word, den, nums)
-        g._generator_forms()
-        # results share the memoized images, so no pass may mutate one
+
+        def run():
+            g._pass(vecs, repeat(14))
+            for y in ys:
+                g.apply(y)
+            g._generator_forms()
+
+        run()
+        # results share the memoized images, so no second run may mutate one
         slots = [slot for _, slot in g._steps]
         before = copy.deepcopy(slots)
-        g._apply_block(ys, 9)
-        g._generator_forms()
+        run()
         assert slots == before, word
         # an image that fixes its key is the one shared unit triple
         for slot in slots:
@@ -807,37 +858,73 @@ def test_zero_brackets_share_one_read_only_mapping():
     assert completion._bracket_ids(ids, h1, e) == {e: 1}
 
 
-def test_retries_at_one_bound_share_a_pass(monkeypatch):
-    # the first block word, applied to the generator block, sends several
-    # generators through a widened pass: they share it, and no
-    # _apply_block call passes twice at a bound
-    passes = []
-    real_pass = TruncAut._pass
-
-    def recording(g, block, bounds):
-        # _apply_block clamps every step of a pass at one bound
-        [bound] = set(islice(bounds, len(g._steps)))
-        passes.append((len(block), bound))
-        return real_pass(g, block, repeat(bound))
-
-    monkeypatch.setattr(TruncAut, "_pass", recording)
+def test_apply_widens_each_short_image(monkeypatch):
+    # apply clamps every atom at R = 9 + 2 + pad = 14, and an image left
+    # short of need = 9 retries at r + (9 - exact_to) + 2 until it is
+    # complete or a retry gains nothing
     g = TruncAut(BLOCK_CFG, _block_words()[0])
-    ids = g._ids
-    g._apply_block([(1, {i: 1}, inf) for i in completion._generator_ids(ids, BLOCK_CFG)], 9)
-    bounds = [b for _, b in passes]
-    assert len(passes) > 1 and bounds == sorted(set(bounds))
-    assert max(n for n, _ in passes[1:]) > 1
-    # the widening, pinned: six images end the pass at R = 14 exact to 8,
-    # one short of N = 9, and retry together at 14 + (9 - 8) + 2
-    assert passes == [(14, 14), (6, 17)]
-    # two retries pending at once, at different bounds: inputs exact to 5
-    # and 7 leave the first pass exact to 3 and 4, so they retry at 22 and
-    # 21, the least bound (the second triple's) first; neither gains, so
-    # neither retries again
-    passes.clear()
-    out = g._apply_block([(1, {ids.of(monster.EMINUS): 1}, 5), (1, {ids.of(monster.H1): 1}, 7)], 9)
-    assert passes == [(2, 14), (1, 21), (1, 22)]
-    assert [t[2] for t in out] == [3, 4]
+    passes = _recording_passes(monkeypatch)
+
+    def bounds(y, g=g, need=9):
+        passes.clear()
+        out = g.apply(y, need)
+        # apply clamps every step of a pass at one bound
+        assert all(len(set(b)) == 1 for _, b, _ in passes)
+        return [b[0] for _, b, _ in passes], out.exact_to
+
+    # six generators end the first pass exact to 8, one short, and retry
+    # at 14 + (9 - 8) + 2
+    runs = [bounds(MonsterElt({k: 1})) for k in generator_keys(BLOCK_CFG)]
+    assert sorted(b for b, _ in runs) == [[14]] * 8 + [[14, 17]] * 6
+    assert all(e >= 9 for _, e in runs)
+    # inputs exact to 5 and 7 leave the first pass exact to 3 and 4, so
+    # they retry at 22 and 21; neither gains, so neither retries again
+    assert bounds(MonsterElt({monster.EMINUS: 1}, exact_to=5)) == ([14, 22], 3)
+    assert bounds(MonsterElt({monster.H1: 1}, exact_to=7)) == ([14, 21], 4)
+    # an image that gains but stays short of 12 retries again: exact to
+    # 9 at 18, to 11 at 18 + 5 = 23, and to 11 again at 23 + 3, a stop
+    e = MonsterElt(MonsterElt.e_minus().terms, exact_to=10)
+    h = TruncAut(SupportConfig(12, {1: 2, 2: 1, 3: 1}),
+                 [("exp", MonsterElt.f_minus(-1)), ("exp", e), ("exp", MonsterElt.f_minus()),
+                  ("exp", MonsterElt.e_letter(0, 1, 1) + MonsterElt.e_letter(1, 2, 1))])
+    assert bounds(MonsterElt.e_letter(0, 2, 1), h, 12) == ([18, 23, 26], 11)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+WIDENING_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction as F
+from monsterlie.completion import TruncAut
+from monsterlie.indices import SupportConfig
+from monsterlie.monster import MonsterElt as M
+passes = []
+real = TruncAut._pass
+def recording(g, block, bounds):
+    bounds = list(bounds)
+    passes.append([len(block), bounds])
+    return real(g, block, bounds)
+TruncAut._pass = recording
+word = [M.f_minus(3), M.f_minus(-1), M.e_minus(F(1, 2)),
+        M.e_letter(0, 1, 2, 2) + M.e_letter(1, 2, 1, 2),
+        M(M.e_letter(2, 3, 1, -2).terms, exact_to=8),
+        M.e_letter(0, 1, 1, F(-2, 3)) + M.e_letter(2, 3, 1, F(-2, 3)), M.f_minus(F(1, 2))]
+TruncAut(SupportConfig(15, {1: 2, 2: 1, 3: 1}), [("exp", x) for x in word]).report_dict()
+print(json.dumps(passes))
+"""
+
+
+def test_inexact_word_forms_take_one_pass_under_an_address_space_cap():
+    # a 7-atom word with an inexact exp atom, whose forms at one uniform
+    # bound with widened retries pass at 23 -> 33 -> 36 -> 37 -> 38 and
+    # run out of memory: the schedule makes one pass, in a child capped
+    # at 512 MiB
+    proc = subprocess.run([sys.executable, "-c", WIDENING_CHILD, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [[12, [38, 28, 28, 28, 28, 28, 21]]]
 
 
 def test_exp_atom_numbers_x_once_per_block(monkeypatch):
