@@ -26,11 +26,15 @@ word carries y through its atoms that way, so Fractions and keys are
 built only for the returned element.  One pass of a word carries a whole
 block of such triples, one kernel call per atom, and hands back each
 triple gcd-reduced: equal pushes the generator block through each side
-once and compares the images in that form (realize_word builds a word's
-atoms directly, so each realized word is keyed once).  Every application,
-index permutations included, goes through that block pass.  Composition
-is concatenation, inversion reverses the tuple and inverts each atom, so
-inverses stay cheap and exact.  TruncAut checks every atom and every
+once and compares the images in that form.  Every application, index
+permutations included, goes through that block pass.  Composition is
+concatenation: factors that share one key numbering hand the composite
+their (atom, slot) steps as they are, so nothing is keyed again, and
+factors numbered apart are keyed again in the current numbering
+(realize_word builds a word as the product of one-symbol words, each
+keyed once per window, so a realized word keys no atom).  Inversion
+reverses the tuple and inverts each atom, so inverses stay cheap and
+exact.  TruncAut checks every atom and every
 element it is applied to against its window.  An exp series whose x is
 one exact u+ word skips the keys whose bracket with it the clamp would
 cut whole.
@@ -179,7 +183,8 @@ def _descent_lift(E: int, levels: tuple) -> int:
 # through _bracket_ids, the structure-constant table (ids, i, j) -> {id:
 # int}, which asks monster.term_bracket on a miss; every zero bracket is
 # the one read-only _ZERO.  A word resolves each atom's slot once, when
-# it is keyed (_keyed_word), so applying an atom never hashes its key.
+# it is keyed (_keyed_word), or takes it from factors of its numbering
+# (_product), so applying an atom never hashes its key.
 # Word application carries a block of elements as (den, {id: numerator},
 # exact_to) triples through every atom, one _atom_block call per atom,
 # which returns each triple gcd-reduced; keys come back only for the
@@ -492,14 +497,16 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
     triples: a result may hold an image's own dict, so no caller mutates
     one.
 
-    The numerators are scaled by the lcm L of the touched images'
-    denominators, so the sum runs on integers over den * L; one gcd
-    reduces the result.  A one-term input c * id skips the sum: it is c
-    times the image over den times the image's den, the image itself
-    when c and den are 1, since images are stored reduced.  exact_to is
-    the least of the images' bounds and the input's: lo itself, or for a
-    lowering exponential the descent floor below it (of the levels in
-    its key), since content hidden above lo can slide down that far."""
+    The sum runs on integers over den * L, L the lcm of the touched
+    images' denominators, in one loop over the terms: it starts at L = 1
+    and, when an image brings a new denominator, scales what it has
+    summed so far up to the new L; one gcd reduces the result.  A
+    one-term input c * id skips the sum: it is c times the image over den
+    times the image's den, the image itself when c and den are 1, since
+    images are stored reduced.  exact_to is the least of the images'
+    bounds and the input's: lo itself, or for a lowering exponential the
+    descent floor below it (of the levels in its key), since content
+    hidden above lo can slide down that far."""
     levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
     if atom[0] != "exp":
         bound = None
@@ -528,7 +535,7 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
                 continue
             append((*_reduced(den * iden, inums), lo))
             continue
-        hits = []
+        terms: dict = {}
         lcm = 1
         for k, c in nums.items():
             img = get(k)
@@ -540,13 +547,15 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
             if ilo < lo:
                 lo = ilo
             if lcm % d:
-                lcm = lcm // gcd(lcm, d) * d
-            hits.append((c, d, inums))
-        terms: dict = {}
-        for c, d, inums in hits:
-            m = c * (lcm // d)
+                # a new denominator: rescale what is summed so far
+                f = d // gcd(lcm, d)
+                lcm *= f
+                for kk in terms:
+                    terms[kk] *= f
+            if lcm != d:
+                c *= lcm // d
             for kk, v in inums.items():
-                n = terms.get(kk, 0) + m * v
+                n = terms.get(kk, 0) + c * v
                 if n:
                     terms[kk] = n
                 else:
@@ -726,13 +735,34 @@ def torus(s, t, cfg: SupportConfig) -> TruncAut:
 
 
 def compose(*auts: TruncAut) -> TruncAut:
-    """Product g1 g2 ... gk as operators: the rightmost factor acts first."""
+    """Product g1 g2 ... gk as operators: the rightmost factor acts first.
+    The factors' atoms are already checked against the one window they
+    share, so when they also share one key numbering the composite takes
+    their (atom, slot) steps as they are (_product)."""
     if not auts:
         raise ValueError("compose needs at least one factor")
     first = auts[0]
     for g in auts[1:]:
         _check_match(first, g)
-    return TruncAut(first.cfg, word=tuple(a for g in auts for a in g.word))
+    return _product(first.cfg, auts)
+
+
+def _product(cfg: SupportConfig, auts) -> TruncAut:
+    """g1 g2 ... gk for factors on the window cfg, at least one: the
+    concatenated word with the factors' own steps and slots when every
+    factor works in one numbering; factors numbered apart, across a
+    monster.clear_caches(), are keyed again in the current numbering."""
+    ids = auts[0]._ids
+    word = tuple(a for g in auts for a in g.word)
+    if any(g._ids is not ids for g in auts):
+        return TruncAut(cfg, word)
+    out = TruncAut.__new__(TruncAut)
+    out.cfg = cfg
+    out._ids = ids
+    out.word = word
+    out._steps = tuple(step for g in reversed(auts) for step in g._steps)
+    out._lowering = next((g._lowering for g in auts if g._lowering), ())
+    return out
 
 
 def invert(g: TruncAut) -> TruncAut:

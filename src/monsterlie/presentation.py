@@ -57,7 +57,7 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import monster
-from .completion import TruncAut
+from .completion import TruncAut, _product
 from .indices import SupportConfig
 from .monster import MonsterElt, as_fraction
 
@@ -92,8 +92,13 @@ def _reciprocal(x) -> Fraction:
     return Fraction(x.denominator, x.numerator)
 
 
+_ONE = Fraction(1)
+# each symbol kind as printed
+_NAMES = {"X": "X", "Y": "Y", "H1": "H1", "H2": "H2", "W": "w"}
+
+
 def format_symbol(s: GenSymbol) -> str:
-    name = {"X": "X", "Y": "Y", "H1": "H1", "H2": "H2", "W": "w"}[s.kind]
+    name = _NAMES[s.kind]
     if s.kind in ("H1", "H2"):
         return f"{name}({s.param})"
     if s.index == -1:
@@ -150,12 +155,19 @@ class GroupWord:
 
 
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
-    return a * b * a.inverse() * b.inverse()
+    """a b a^-1 b^-1, freely reduced in one pass."""
+    return GroupWord([*a.factors, *b.factors, *((s, -e) for s, e in reversed(a.factors)),
+                      *((s, -e) for s, e in reversed(b.factors))])
 
 
 def _conj(a: GenSymbol, x: GenSymbol) -> GroupWord:
     """The conjugate a x a^-1 of one symbol by another."""
     return GroupWord([(a, 1), (x, 1), (a, -1)])
+
+
+def _comm(a: GenSymbol, b: GenSymbol) -> GroupWord:
+    """The commutator a b a^-1 b^-1 of two distinct symbols."""
+    return GroupWord([(a, 1), (b, 1), (a, -1), (b, -1)])
 
 
 def format_word(w: GroupWord) -> str:
@@ -188,53 +200,65 @@ def expand_weyl(w: GroupWord) -> GroupWord:
 # ---------------------------------------------------------------------------
 # adjoint realization
 
-def _symbol_atom(s: GenSymbol) -> tuple:
-    """The word atom of one symbol: exp(ad x) for X(-1;u), X(l,j,k;u) and
-    Y(-1;u), the torus scaling for H1(s) and H2(s).  A Y symbol is taken
-    as Y(-1;u): realize_word refuses an imaginary Y before keying."""
-    if s.kind == "X":
-        if s.index == -1:
-            return ("exp", MonsterElt.e_minus(s.param))
-        l, j, k = s.index
-        return ("exp", MonsterElt.e_letter(l, j, k, c=s.param))
-    if s.kind == "Y":
-        return ("exp", MonsterElt.f_minus(s.param))
-    if s.kind in ("H1", "H2"):
-        p, one = Fraction(s.param), Fraction(1)
-        return ("torus", p, one) if s.kind == "H1" else ("torus", one, p)
-    raise ValueError(f"cannot realize symbol kind {s.kind!r} directly")
+def _symbol_atom(kind: str, index, p: Fraction) -> tuple:
+    """The word atom of the symbol kind(index; p): exp(ad x) for X(-1;u),
+    X(l,j,k;u) and Y(-1;u), the torus scaling for H1(s) and H2(s).  A Y
+    symbol is taken as Y(-1;u): realize_word refuses an imaginary Y before
+    keying."""
+    if kind == "X":
+        if index == -1:
+            return ("exp", MonsterElt.e_minus(p))
+        l, j, k = index
+        return ("exp", MonsterElt.e_letter(l, j, k, c=p))
+    if kind == "Y":
+        return ("exp", MonsterElt.f_minus(p))
+    if kind in ("H1", "H2"):
+        return ("torus", p, _ONE) if kind == "H1" else ("torus", _ONE, p)
+    raise ValueError(f"cannot realize symbol kind {kind!r} directly")
 
 
 @cache
-def _keyed_symbol(s: GenSymbol, e: int, cfg: SupportConfig) -> tuple:
-    """The keyed atom of s^e (e = +-1) on the window cfg, keyed by a
-    one-atom word.  s^-1 is keyed as the inverse symbol, X or Y at -u and
-    H1 or H2 at 1/s, so both spellings of one atom share it.  Built once
-    per window, so a symbol that recurs across words is keyed once and
-    every word holds the same atom object.  A keyed atom holds no key
-    numbering, so this memo stays valid across monster.clear_caches();
-    it sits in monster.CACHES under the one cache policy."""
+def _keyed_symbol(kind: str, index, num: int, den: int, e: int, cfg: SupportConfig) -> TruncAut:
+    """The one-symbol word kind(index; num/den)^e (e = +-1, num/den
+    reduced with den > 0) on the window cfg, keyed once: its atom checked
+    against cfg and its memo slot resolved in the numbering current now.
+    The key is plain ints and strings, so a lookup hashes no Fraction.
+    s^-1 is keyed as the inverse symbol, X or Y at -u and H1 or H2 at
+    1/s, so both spellings of one atom share one word.  A symbol that
+    recurs across words is keyed once per window, and every word built
+    from it holds the same atom object and slot.  The memo sits in
+    monster.CACHES beside completion._ids, so a clear drops both and its
+    words are always in the current numbering."""
     if e == -1:
-        inverse = _reciprocal(s.param) if s.kind in ("H1", "H2") else -s.param
-        return _keyed_symbol(s._replace(param=inverse), 1, cfg)
-    return TruncAut(cfg, word=(_symbol_atom(s),)).word[0]
+        if kind in ("H1", "H2"):
+            num, den = (den, num) if num > 0 else (-den, -num)
+        else:
+            num = -num
+        return _keyed_symbol(kind, index, num, den, 1, cfg)
+    return TruncAut(cfg, word=(_symbol_atom(kind, index, Fraction(num, den)),))
 
 
 monster.CACHES.append(_keyed_symbol)
 
 
 def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
-    """w as one TruncAut: the Weyl-expanded word, one atom per symbol and
-    an inverted atom per inverse symbol, each keyed once per window
-    (_keyed_symbol).  The expanded word is realizable unless an imaginary
-    Y survives in it (a Weyl symbol's Y may cancel against a neighbour);
+    """w as one TruncAut: the product of the Weyl-expanded word's
+    one-symbol words, each keyed once per window (_keyed_symbol), an
+    inverse symbol as its inverted atom, so the product takes their
+    (atom, slot) steps as they are (completion._product) and re-keys
+    nothing.  The expanded word is realizable unless an imaginary Y
+    survives in it (a Weyl symbol's Y may cancel against a neighbour);
     then UnrealizableError names the first imaginary Y or w symbol of w
-    as written, before any symbol is keyed, so before any window error."""
+    as written, before any symbol is keyed, so before any window
+    error."""
     factors = expand_weyl(w).factors
+    if not factors:
+        return TruncAut.identity(cfg)
     if any(s.kind == "Y" and s.index != -1 for s, _ in factors):
         s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
         raise UnrealizableError(f"{format_symbol(s)} has no action on the positive completion")
-    return TruncAut(cfg, word=tuple(_keyed_symbol(s, e, cfg) for s, e in factors))
+    return _product(cfg, [_keyed_symbol(s.kind, s.index, s.param.numerator,
+                                        s.param.denominator, e, cfg) for s, e in factors])
 
 
 # ---------------------------------------------------------------------------
@@ -252,36 +276,6 @@ class RelationInstance(NamedTuple):
     rhs: GroupWord
     index: object      # None, (l,j,k), or a pair of indices
     params: dict
-
-
-def mirror_symbol(s: GenSymbol) -> GenSymbol:
-    if s.kind == "X":
-        return GenSymbol("Y", s.index, s.param)
-    if s.kind == "Y":
-        return GenSymbol("X", s.index, s.param)
-    if s.kind in ("H1", "H2"):
-        return GenSymbol(s.kind, None, _reciprocal(s.param))
-    raise ValueError("expand Weyl abbreviations before mirroring")
-
-
-def mirror_word(w: GroupWord) -> GroupWord:
-    return GroupWord([(mirror_symbol(s), e) for s, e in expand_weyl(w).factors])
-
-
-def mirror_relation(inst: RelationInstance) -> RelationInstance:
-    """Transport a MIRROR-class instance to an equivalent ADJOINT one.
-
-    Conjugation by the e/f involution turns the action of each mirrored
-    symbol into the action of the original, so the mirrored relation
-    holds on the completion iff the original holds on the negative
-    completion, which is the content of the MIRROR classification.  The
-    result has klass "ADJOINT" and both sides mirrored; rid, index and
-    params are kept.
-    """
-    if inst.klass != "MIRROR":
-        raise ValueError(f"{inst.rid} is {inst.klass}, not MIRROR")
-    return inst._replace(klass="ADJOINT", lhs=mirror_word(inst.lhs),
-                         rhs=mirror_word(inst.rhs))
 
 
 def _side_forms(w: GroupWord, cfg: SupportConfig) -> list:
@@ -494,11 +488,16 @@ _INDEX_KINDS = {
 }
 
 
-# the real Weyl symbol w(-1;1) of R9-R11, R23 and R24
+# the real Weyl symbol w(-1;1) of R9-R11, R23 and R24, and the mirror of
+# its expansion X(-1;1) Y(-1;-1) X(-1;1), the conjugator of mirrored R24
 _W1 = sym("W", -1, 1)
+_W1_MIRRORED = (sym("Y", -1, 1), sym("X", -1, -1), sym("Y", -1, 1))
+# the e/f mirror of a symbol kind
+_MIRRORED = {"X": "Y", "Y": "X"}
 
 
-def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
+def build_instance(rid: str, params: dict, index=None, mirrored: bool = False
+                   ) -> RelationInstance:
     """Concrete relation instance with all parameters substituted.
 
     A real-root family (indexed "") takes no index and is built as the
@@ -507,51 +506,67 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
     (l, j, k) of its index kind.  A wrong index raises ValueError.  The
     fractional-power families R29, R31, R32 and R35 record the derived
     parameter s next to the sampled one.  The UNVALIDATED family R16 has
-    no group-level instance and raises ValueError."""
+    no group-level instance and raises ValueError.
+
+    mirrored builds a MIRROR family as its transport to an ADJOINT one,
+    both sides mirrored: X <-> Y at equal parameters, H_i(s) -> H_i(1/s),
+    and the Weyl symbol w(-1;1) expanded, then mirrored.  Conjugation by
+    the e/f involution turns the action of each mirrored symbol into the
+    action of the original, so the mirrored relation holds on the
+    completion iff the original holds on the negative completion, which
+    is the content of the MIRROR classification.  The instance has klass
+    "ADJOINT" and keeps rid, index and params; any other family raises
+    ValueError.  Parameters that are already Fractions are used as they
+    are, and every symbol is built directly as a GenSymbol."""
     t = _TEMPLATES[rid]
     if t.klass == "UNVALIDATED":
         raise ValueError(f"{rid} ({t.klass}) has no group-level instance")
     if not _INDEX_KINDS[t.indexed](index):
         need = "no index" if t.indexed == "" else f"a {t.indexed} index (l, j, k)"
         raise ValueError(f"{rid} takes {need}, got {index!r}")
+    if mirrored and t.klass != "MIRROR":
+        raise ValueError(f"{rid} is {t.klass}, not MIRROR")
     i = -1 if index is None else index
     p = {k: v if isinstance(v, Fraction) else as_fraction(v) for k, v in params.items()}
     W = GroupWord.of
+    G = GenSymbol
 
     if rid in ("R1", "R2", "R17", "R18"):
         kind = "X" if rid in ("R1", "R17") else "Y"
+        if mirrored:
+            kind = _MIRRORED[kind]
         u, v = p["u"], p["v"]
-        pair, whole = W(sym(kind, i, u), sym(kind, i, v)), W(sym(kind, i, u + v))
+        pair, whole = W(G(kind, i, u), G(kind, i, v)), W(G(kind, i, u + v))
         lhs, rhs = (pair, whole) if index is None else (whole, pair)
     elif rid in ("R3", "R4"):
         kind = "H1" if rid == "R3" else "H2"
         s, tt = p["s"], p["t"]
-        lhs, rhs = W(sym(kind, None, s), sym(kind, None, tt)), W(sym(kind, None, s * tt))
+        lhs, rhs = W(G(kind, None, s), G(kind, None, tt)), W(G(kind, None, s * tt))
     elif rid == "R5":
         s, tt = p["s"], p["t"]
-        lhs = W(sym("H1", None, s), sym("H2", None, tt))
-        rhs = W(sym("H2", None, tt), sym("H1", None, s))
+        lhs = W(G("H1", None, s), G("H2", None, tt))
+        rhs = W(G("H2", None, tt), G("H1", None, s))
     elif rid in ("R6", "R7", "R33", "R34"):
         u = p["u"]
         c = _model_exponents(i)[2]
         if rid in ("R6", "R33"):
-            lhs, rhs = _conj(sym("W", i, 1), sym("X", i, u)), W(sym("Y", i, -u / c))
+            lhs, rhs = _conj(G("W", i, _ONE), G("X", i, u)), W(G("Y", i, -u / c))
         else:
-            lhs, rhs = _conj(sym("W", i, 1), sym("Y", i, u)), W(sym("X", i, -c * u))
+            lhs, rhs = _conj(G("W", i, _ONE), G("Y", i, u)), W(G("X", i, -c * u))
     elif rid in ("R8", "R30"):
         s, tt = p["s"], p["t"]
         c = _model_exponents(i)[2]
-        lhs = W(sym("Y", i, -tt), sym("X", i, s), sym("Y", i, tt))
-        rhs = W(sym("X", i, -1 / (tt * c)), sym("Y", i, -c * tt * tt * s),
-                sym("X", i, 1 / (tt * c)))
+        lhs = W(G("Y", i, -tt), G("X", i, s), G("Y", i, tt))
+        rhs = W(G("X", i, -1 / (tt * c)), G("Y", i, -c * tt * tt * s),
+                G("X", i, 1 / (tt * c)))
     elif rid == "R9":
         s = p["s"]
-        lhs = W(sym("W", -1, s), _W1)
-        rhs = W(sym("H1", None, -s), sym("H2", None, -1 / s))
+        lhs = W(G("W", -1, s), _W1)
+        rhs = W(G("H1", None, -s), G("H2", None, -1 / s))
     elif rid in ("R10", "R11"):
         s = p["s"]
         inner, outk = ("H1", "H2") if rid == "R10" else ("H2", "H1")
-        lhs, rhs = _conj(_W1, sym(inner, None, s)), W(sym(outk, None, s))
+        lhs, rhs = _conj(_W1, G(inner, None, s)), W(G(outk, None, s))
     elif rid in ("R12", "R13", "R14", "R15", "R25", "R26", "R27", "R28"):
         s, u = p["s"], p["u"]
         a, b, _c = _model_exponents(i)
@@ -560,49 +575,59 @@ def build_instance(rid: str, params: dict, index=None) -> RelationInstance:
         expo = a if hk == "H1" else b
         if xk == "Y":
             expo = -expo
-        lhs, rhs = _conj(sym(hk, None, s), sym(xk, i, u)), W(sym(xk, i, s ** expo * u))
+        h = G(hk, None, s)
+        if mirrored:
+            xk, h = _MIRRORED[xk], G(hk, None, _reciprocal(s))
+        lhs, rhs = _conj(h, G(xk, i, u)), W(G(xk, i, s ** expo * u))
     elif rid in ("R19", "R20", "R21", "R22"):
         s, tt = p["s"], p["t"]
         realk = "X" if rid in ("R19", "R21") else "Y"
         imagk = "X" if rid in ("R19", "R20") else "Y"
-        lhs, rhs = commutator(W(sym(realk, -1, s)), W(sym(imagk, index, tt))), GroupWord()
+        if mirrored:
+            realk, imagk = _MIRRORED[realk], _MIRRORED[imagk]
+        lhs, rhs = _comm(G(realk, -1, s), G(imagk, index, tt)), GroupWord()
     elif rid in ("R23", "R24"):
         u = p["u"]
         l, j, k = index
         kind = "X" if rid == "R23" else "Y"
         scal = Fraction((-1) ** l) if rid == "R23" else Fraction((-1) ** (j - 1 - l))
-        lhs = _conj(_W1, sym(kind, index, u))
-        rhs = W(sym(kind, (j - 1 - l, j, k), scal * u))
+        if mirrored:
+            kind = _MIRRORED[kind]
+            lhs = GroupWord([*((m, 1) for m in _W1_MIRRORED), (G(kind, index, u), 1),
+                             *((m, -1) for m in reversed(_W1_MIRRORED))])
+        else:
+            lhs = _conj(_W1, G(kind, index, u))
+        rhs = W(G(kind, (j - 1 - l, j, k), scal * u))
     elif rid == "R29":
         sigma = p["sigma"]
         a, b, _c = _model_exponents(index)
         s = -((-sigma) ** (a * b))
-        lhs = W(sym("W", index, s), sym("W", index, 1))
-        rhs = W(sym("H1", None, (-sigma) ** b), sym("H2", None, (-sigma) ** a))
+        lhs = W(G("W", index, s), G("W", index, _ONE))
+        rhs = W(G("H1", None, (-sigma) ** b), G("H2", None, (-sigma) ** a))
         p = {"sigma": sigma, "s": s}
     elif rid in ("R31", "R32"):
         tau = p["tau"]
         a, b, _c = _model_exponents(index)
         if rid == "R31":
             s = tau ** b
-            lhs_mid, rhs = sym("H1", None, s), W(sym("H2", None, tau ** (-a)))
+            lhs_mid, rhs = G("H1", None, s), W(G("H2", None, tau ** (-a)))
         else:
             s = tau ** a
-            lhs_mid, rhs = sym("H2", None, s), W(sym("H1", None, tau ** (-b)))
-        lhs = _conj(sym("W", index, 1), lhs_mid)
+            lhs_mid, rhs = G("H2", None, s), W(G("H1", None, tau ** (-b)))
+        lhs = _conj(G("W", index, _ONE), lhs_mid)
         p = {"tau": tau, "s": s}
     else:  # R35
         sigma = p["sigma"]
         a, b, c = _model_exponents(index)
         s = -(sigma ** (a * b)) / c
-        lhs = W(sym("Y", index, s))
-        rhs = W(sym("X", index, 1 / (s * c)),
-                sym("H1", None, sigma ** (-b)),
-                sym("H2", None, sigma ** (-a)),
-                sym("W", index, 1),
-                sym("X", index, 1 / (s * c)))
+        lhs = W(G("Y", index, s))
+        rhs = W(G("X", index, 1 / (s * c)),
+                G("H1", None, sigma ** (-b)),
+                G("H2", None, sigma ** (-a)),
+                G("W", index, _ONE),
+                G("X", index, 1 / (s * c)))
         p = {"sigma": sigma, "s": s}
-    return RelationInstance(rid, t.klass, lhs, rhs, index, p)
+    return RelationInstance(rid, "ADJOINT" if mirrored else t.klass, lhs, rhs, index, p)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +699,8 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
     "all" both.  Raises ValueError for any other suite name.
 
     Each distinct (lhs, rhs) pair of the ADJOINT instances as built
-    (MIRROR ones after mirror transport) is validated once per call; an
+    (MIRROR ones built as their mirror transport, build_instance's
+    mirrored) is validated once per call; an
     instance whose pair was already decided reuses that verdict.  The
     sides that recur across pairs are words of at most one symbol (the
     empty word and single symbols), and validate_adjoint realizes each of
@@ -694,12 +720,12 @@ def validate_catalog(cfg: SupportConfig, samples=DEFAULT_SAMPLES, suite="all") -
         failures = []
         count = 0
         choices = _param_choices(template, samples)
+        mirrored = template.klass == "MIRROR"
+        sl2 = template.klass == "SL2"
         for index in _indices_for(template, cfg):
             for params in choices:
-                inst = build_instance(template.rid, params, index)
-                if inst.klass == "MIRROR":
-                    inst = mirror_relation(inst)
-                if inst.klass == "SL2":
+                inst = build_instance(template.rid, params, index, mirrored)
+                if sl2:
                     ok = validate_sl2(inst)
                 else:
                     # injective: each symbol prints its kind, index and reduced parameter

@@ -11,8 +11,10 @@ the exp series on whole Fraction elements through monster.bracket
 instead of the integer series on basis keys, per-bound knapsacks over a
 window's base levels instead of one shared descent table, the
 generator peel through the full log series instead of its first-order
-term, and the 2x2 matrix model as a product of Fraction matrices
-instead of one integer form over a common denominator.
+term, the 2x2 matrix model as a product of Fraction matrices
+instead of one integer form over a common denominator, and the mirror
+transport of a built MIRROR instance symbol by symbol instead of the
+mirrored words built directly.
 """
 
 from fractions import Fraction
@@ -22,7 +24,8 @@ from monsterlie import monster
 from monsterlie.completion import _emit_word, compose, filtration_level, invert, log_unipotent
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import EMINUS, WPOS, MonsterElt, key_degree, key_sort
-from monsterlie.presentation import GroupWord, c_const, realize_word, sym
+from monsterlie.presentation import (GenSymbol, GroupWord, RelationInstance, c_const,
+                                     expand_weyl, realize_word, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +458,33 @@ def approximate_by_log(g, i: int) -> GroupWord:
         symbols.extend(step)
         residual = compose(invert(realize_word(GroupWord.of(*step), g.cfg)), residual)
     return GroupWord.of(*symbols)
+
+
+# ---------------------------------------------------------------------------
+# the mirror transport, symbol by symbol
+
+def mirror_symbol(s: GenSymbol) -> GenSymbol:
+    if s.kind == "X":
+        return GenSymbol("Y", s.index, s.param)
+    if s.kind == "Y":
+        return GenSymbol("X", s.index, s.param)
+    if s.kind in ("H1", "H2"):
+        return GenSymbol(s.kind, None, Fraction(s.param.denominator, s.param.numerator))
+    raise ValueError("expand Weyl abbreviations before mirroring")
+
+
+def mirror_word(w: GroupWord) -> GroupWord:
+    return GroupWord([(mirror_symbol(s), e) for s, e in expand_weyl(w).factors])
+
+
+def mirror_relation(inst: RelationInstance) -> RelationInstance:
+    """Transport a MIRROR-class instance to an equivalent ADJOINT one.
+
+    Both sides are Weyl-expanded and mirrored symbol by symbol; the
+    result has klass "ADJOINT", and rid, index and params are kept.
+    presentation.build_instance(..., mirrored=True) builds the mirrored
+    words directly; this is its reference."""
+    if inst.klass != "MIRROR":
+        raise ValueError(f"{inst.rid} is {inst.klass}, not MIRROR")
+    return inst._replace(klass="ADJOINT", lhs=mirror_word(inst.lhs),
+                         rhs=mirror_word(inst.rhs))

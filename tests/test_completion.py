@@ -996,6 +996,42 @@ def test_words_built_across_clear_caches_compose():
         assert (got.terms, got.exact_to) == (want.terms, want.exact_to)
 
 
+def test_compose_takes_shared_steps_and_rekeys_across_numberings():
+    # factors of one numbering: the composite takes their (atom, slot)
+    # steps as they are, the same slot dicts; a factor numbered apart,
+    # across a clear, makes the composite key every atom again in the
+    # current numbering, equal to the product realized in one piece
+    u = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
+                     sym("H1", None, 3))
+    v = GroupWord.of(sym("X", (1, 2, 1), 3), sym("H2", None, Fraction(-1, 2)))
+    monster.clear_caches()
+    g, h = realize_word(u, BLOCK_CFG), realize_word(v, BLOCK_CFG)
+    assert g._ids is h._ids
+    composed = compose(g, h)
+    assert composed._ids is g._ids
+    assert composed.word == g.word + h.word
+    assert all(a is b and s is t for (a, s), (b, t)
+               in zip(composed._steps, h._steps + g._steps))
+    assert composed.equal(realize_word(u * v, BLOCK_CFG))
+
+    monster.clear_caches()
+    later = realize_word(v, BLOCK_CFG)
+    assert later._ids is not g._ids
+    for factors, whole in (((g, later), u * v), ((later, g), v * u)):
+        composed = compose(*factors)
+        assert composed._ids is completion._ids() is later._ids
+        assert all(a is b for a, b in zip(composed.word, factors[0].word + factors[1].word))
+        assert not any(s is t for (_, s) in composed._steps for (_, t) in g._steps)
+        fresh = realize_word(whole, BLOCK_CFG)
+        assert composed.equal(fresh) and fresh.equal(composed)
+        assert composed.report_dict() == fresh.report_dict()
+
+    other = SupportConfig(BLOCK_CFG.degree_bound, {1: 2, 2: 2})
+    for pair in ((g, realize_word(v, other)), (realize_word(v, other), later)):
+        with pytest.raises(ValueError, match="window mismatch"):
+            compose(*pair)
+
+
 def test_descent_lift_is_the_least_bound():
     # the lift of E is the least clamp bound whose descent floor keeps a
     # lowering step exact through E, for every level set of size <= 4

@@ -4,6 +4,7 @@ from itertools import islice
 
 import oracles
 import pytest
+from oracles import mirror_relation, mirror_word
 
 from monsterlie import cli, completion, monster
 from monsterlie import presentation as P
@@ -12,8 +13,8 @@ from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
 from monsterlie.presentation import (GroupWord, build_instance, c_const, commutator,
                                      expand_weyl, format_word, free_separation_test,
-                                     mirror_relation, mirror_word, realize_word, sym,
-                                     validate_adjoint, validate_catalog, validate_sl2)
+                                     realize_word, sym, validate_adjoint, validate_catalog,
+                                     validate_sl2)
 
 CFG = SupportConfig(8, {1: 2, 2: 1})
 
@@ -229,14 +230,13 @@ RELCHECK_WORDS_DIGEST = "c0de10832ba44bb4ecae99e5c769b8cc905c9ac4506c61f77009bed
 
 def _sweep_instances(cfg, samples):
     """Every instance validate_catalog builds, in sweep order, MIRROR ones
-    after mirror transport."""
+    built as their mirror transport."""
     for template in P._CATALOG:
         if template.klass == "UNVALIDATED":
             continue
         for index in P._indices_for(template, cfg):
             for params in P._param_choices(template, samples):
-                inst = build_instance(template.rid, params, index)
-                yield mirror_relation(inst) if inst.klass == "MIRROR" else inst
+                yield build_instance(template.rid, params, index, template.klass == "MIRROR")
 
 
 def test_relcheck_words_are_unchanged():
@@ -250,6 +250,29 @@ def test_relcheck_words_are_unchanged():
         h.update((repr(row) + "\n").encode())
         n += 1
     assert (n, h.hexdigest()) == (2710, RELCHECK_WORDS_DIGEST)
+
+
+def test_mirror_instances_match_the_transport_oracle():
+    # every MIRROR instance of the default sweep and of the seven-sample
+    # sweep: the mirrored words built directly are the symbol-by-symbol
+    # mirror transport of the instance as written, with Fraction parameters
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    seven = (1, -1, 2, -2, Fraction(1, 2), Fraction(1, 3), -3)
+    n = 0
+    for samples in (P.DEFAULT_SAMPLES, seven):
+        for template in P._CATALOG:
+            if template.klass != "MIRROR":
+                continue
+            for index in P._indices_for(template, cfg):
+                for params in P._param_choices(template, samples):
+                    got = build_instance(template.rid, params, index, mirrored=True)
+                    assert got == mirror_relation(build_instance(template.rid, params, index))
+                    assert all(type(s.param) is Fraction
+                               for w in (got.lhs, got.rhs) for s, _ in w.factors)
+                    n += 1
+    assert n == 970 + 1876
+    with pytest.raises(ValueError, match="R17 is ADJOINT, not MIRROR"):
+        build_instance("R17", {"u": 1, "v": 1}, (0, 1, 1), mirrored=True)
 
 
 def test_integer_sl2_matrices_match_fraction_reference():
@@ -401,6 +424,20 @@ def test_validate_catalog_small_sweep():
     assert r16["status"] == "supported, not validated"
 
 
+def test_validate_catalog_passes_at_generic_parameters():
+    # three samples of height about 10^9, one negative: the keyed symbols'
+    # (numerator, denominator) keys and their inverse spellings (X(u)^-1
+    # at -u, H1(s)^-1 at 1/s with the sign on the numerator) meet large
+    # and negative values, and every relation still holds
+    cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
+    samples = (Fraction(1234567891, 987654323), Fraction(-2718281829, 3141592653),
+               Fraction(1618033989, 1414213563))
+    monster.clear_caches()
+    rep = validate_catalog(cfg, samples)
+    assert rep["all_pass"]
+    assert sum(r["instances"] for r in rep["results"]) == 1132
+
+
 def test_validate_catalog_rejects_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'foo'"):
         validate_catalog(SupportConfig(4, {1: 1}), suite="foo")
@@ -485,7 +522,7 @@ def test_mirror_inverts_a_torus_parameter_exactly():
     # a GenSymbol built directly with an int parameter mirrors to the
     # exact reciprocal, and the realized torus atom carries it
     s = P.GenSymbol("H1", None, 3)
-    m = P.mirror_symbol(s)
+    m = oracles.mirror_symbol(s)
     assert m == P.GenSymbol("H1", None, Fraction(1, 3)) and type(m.param) is Fraction
     w = mirror_word(GroupWord.of(s))
     assert realize_word(w, CFG).word == (("torus", Fraction(1, 3), Fraction(1)),)
@@ -555,18 +592,22 @@ def test_repeated_symbol_shares_one_atom():
 
 def test_relcheck_work_is_pinned(monkeypatch):
     # the default relcheck realizes 1,661 words, decides 1,380 distinct
-    # adjoint pairs and expands 3,601 words (realized and mirrored ones);
-    # a change in this work shows here
-    calls = {"realize_word": 0, "validate_adjoint": 0, "expand_weyl": 0}
-    for name in calls:
-        real = getattr(P, name)
+    # adjoint pairs, expands only the 1,661 realized words (MIRROR ones
+    # are built mirrored) and keys 229 words, the empty word and each of
+    # 228 one-symbol words once per window, as every other realized word
+    # is their product; a change in this work shows here
+    calls = {"realize_word": 0, "validate_adjoint": 0, "expand_weyl": 0, "_keyed_word": 0}
+    for module, name in ((P, "realize_word"), (P, "validate_adjoint"), (P, "expand_weyl"),
+                         (completion, "_keyed_word")):
+        real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(P, name, counting)
+        monkeypatch.setattr(module, name, counting)
     monster.clear_caches()
     cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
     assert validate_catalog(cfg)["all_pass"]
-    assert calls == {"realize_word": 1661, "validate_adjoint": 1380, "expand_weyl": 3601}
+    assert calls == {"realize_word": 1661, "validate_adjoint": 1380, "expand_weyl": 1661,
+                     "_keyed_word": 229}
