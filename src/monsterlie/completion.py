@@ -5,39 +5,37 @@ restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
 exponential (stored as ("exp", x, cache key, integer form of x), both
-built once, when the atom is keyed, and holding no key numbering: the
-form is the triple below, by key), ("torus", s, t) for the semisimple
-scaling by s^a t^b on the root (a, b), or ("perm", sigma) for an index
-permutation sigma (a permaut.SparsePerm).  The kernel runs on small
-integer ids, not on basis keys: a word numbers each key it meets once,
-in first-seen order, and keeps that numbering for life.  Application walks the factors
-right to left, so it is a composition of linear maps on ids: each atom
-sends y to the sum of c * image(id) over the terms of y, and the image
-of each id is computed once per atom and clamp bound, then memoized (exp
-images by the exp series on that single key, run on integer numerators
-over one denominator: the basis brackets have integer structure
-constants, kept in one memoized table of id pairs, so each step's
-denominator is the last one times x's denominator and n).  The word
-resolves each atom's memo slot once, when it is built.  Every integer
-vector the kernel builds, memoizes or carries has one form, the
-gcd-reduced triple (den, {id: numerator}, exact_to): integer numerators
-over one positive common denominator.  Images are stored that way, and a
-word carries y through its atoms that way, so Fractions and keys are
-built only for the returned element.  One pass of a word carries a whole
-block of such triples, one kernel call per atom, and hands back each
-triple gcd-reduced: equal pushes the generator block through each side
-once and compares the images in that form.  Every application, index
-permutations included, goes through that block pass.  Composition is
-concatenation: factors that share one key numbering hand the composite
-their (atom, slot) steps as they are, so nothing is keyed again, and
-factors numbered apart are keyed again in the current numbering
-(realize_word builds a word as the product of one-symbol words, each
-keyed once per window, so a realized word keys no atom).  Inversion
+built once, when the atom is keyed, and holding no ids: the form is the
+triple below, by key), ("torus", s, t) for the semisimple scaling by s^a
+t^b on the root (a, b), or ("perm", sigma) for an index permutation
+sigma (a permaut.SparsePerm).  The kernel runs on small integer ids, not
+on basis keys: one numbering, made at import, gives each key an id once,
+in first-seen order, and the id keeps its meaning for the life of the
+process.  Application walks the factors right to left, so it is a
+composition of linear maps on ids: each atom sends y to the sum of c *
+image(id) over the terms of y, and the image of each id is computed once
+per atom and clamp bound, then memoized (exp images by the exp series on
+that single key, run on integer numerators over one denominator: the
+basis brackets have integer structure constants, kept in one memoized
+table of id pairs, so each step's denominator is the last one times x's
+denominator and n).  The word resolves each atom's memo slot once, when
+it is built.  Every integer vector the kernel builds, memoizes or
+carries has one form, the gcd-reduced triple (den, {id: numerator},
+exact_to): integer numerators over one positive common denominator.
+Images are stored that way, and a word carries y through its atoms that
+way, so Fractions and keys are built only for the returned element.  One
+pass of a word carries a whole block of such triples, one kernel call
+per atom, and hands back each triple gcd-reduced: equal pushes the
+generator block through each side once and compares the images in that
+form.  Every application, index permutations included, goes through that
+block pass.  Composition is concatenation: the factors hand the
+composite their (atom, slot) steps as they are, so nothing is keyed
+again (realize_word builds a word as the product of one-symbol words,
+each keyed once per window, so a realized word keys no atom).  Inversion
 reverses the tuple and inverts each atom, so inverses stay cheap and
-exact.  TruncAut checks every atom and every
-element it is applied to against its window.  An exp series whose x is
-one exact u+ word skips the keys whose bracket with it the clamp would
-cut whole.
+exact.  TruncAut checks every atom and every element it is applied to
+against its window.  An exp series whose x is one exact u+ word skips
+the keys whose bracket with it the clamp would cut whole.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -81,7 +79,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from math import gcd, inf
 from types import MappingProxyType
@@ -130,7 +128,6 @@ def _knapsack(levels: tuple, value, cap: int) -> list:
     return best
 
 
-@cache
 def _descent_pad(N: int, levels: tuple) -> int:
     """Max total string descent of any supported word whose all-bottom
     degree fits inside the window: max sum(j-1) with sum(j+2) <= N."""
@@ -168,38 +165,37 @@ def _descent_lift(E: int, levels: tuple) -> int:
 # atoms as memoized linear maps on basis key ids, in integer arithmetic
 #
 # The kernel never hashes a basis key in its inner loops: each key gets a
-# small integer id once, from a _KeyIds numbering that keeps the id ->
-# key and id -> degree lists beside its key -> id index, so a degree test
-# is a list lookup.  _ids() is the current numbering; a word takes it
-# when it is built, works in it for life, and is the one holder of it:
-# the kernel functions below take it as an argument.  Every atom is
-# linear, so it acts through the images of single ids.  _slot maps an
-# atom's cache key to its memo, {bound: {id: image}}; an image is the
-# gcd-reduced triple (den, {id: numerator}, exact_to), exact_to inf when
-# exact, shared by every block that reads it, so nothing mutates it.  An
-# image that fixes its key is _unit(ids, i, exact_to), one triple shared
-# by every slot.  Exp images depend on the clamp bound; torus and perm
-# images do not and sit under the bound None.  An exp series brackets ids
-# through _bracket_ids, the structure-constant table (ids, i, j) -> {id:
-# int}, which asks monster.term_bracket on a miss; every zero bracket is
-# the one read-only _ZERO.  A word resolves each atom's slot once, when
-# it is keyed (_keyed_word), or takes it from factors of its numbering
-# (_product), so applying an atom never hashes its key.
+# small integer id once, from _IDS, the one _KeyIds numbering, which
+# keeps the id -> key and id -> degree lists beside its key -> id index,
+# so a degree test is a list lookup.  _IDS is made at import and never
+# replaced: it interns keys, as a string table does, so it is not a memo
+# and monster.clear_caches() leaves it, and an id means one key for the
+# life of the process.  It only grows, bounded by the union of the
+# windows' bases, as key_degree's memo is.  Every atom is linear, so it
+# acts through the images of single ids.  _slot maps an atom's cache key
+# to its memo, {bound: {id: image}}; an image is the gcd-reduced triple
+# (den, {id: numerator}, exact_to), exact_to inf when exact, shared by
+# every block that reads it, so nothing mutates it.  An image that fixes
+# its key is _unit(i, exact_to), one triple shared by every slot.  Exp
+# images depend on the clamp bound; torus and perm images do not and sit
+# under the bound None.  An exp series brackets ids through _bracket_ids,
+# the structure-constant table (i, j) -> {id: int}, which asks
+# monster.term_bracket on a miss; every zero bracket is the one read-only
+# _ZERO.  A word resolves each atom's slot once, when it is keyed
+# (_keyed_word), or takes it from its factors (_product), so applying an
+# atom never hashes its key.
 # Word application carries a block of elements as (den, {id: numerator},
 # exact_to) triples through every atom, one _atom_block call per atom,
 # which returns each triple gcd-reduced; keys come back only for the
 # returned element, the reports and the filtration level.
-# _slot, _ids, _bracket_ids, _unit, _generator_ids (a window's
-# generator keys as ids of one numbering) and the three descent tables
-# above are functools.cache functions listed in monster.CACHES, so
-# monster.clear_caches() drops them together: a slot's ids are those of
-# the numbering current when _slot made it, which every word that
-# resolved the slot works in.  A word built after a clear starts a new
-# numbering and resolves new slots; a word built before it keeps its
-# numbering and its slots, whose images stay valid, since an image
-# depends only on its atom key, clamp bound and id; they are freed with
-# the word.  A keyed atom holds no numbering, so words on either side of
-# a clear share their atoms.
+# _slot, _bracket_ids, _unit, _generator_ids (a window's generator keys
+# as ids) and the two descent memos above are functools.cache functions
+# listed in monster.CACHES, so monster.clear_caches() drops them
+# together.  A word holds its slots: one built before a clear keeps them,
+# and their images stay valid, since an image depends only on its atom
+# key, clamp bound and id; they are freed with the word.  A word built
+# after the clear resolves new slots, and the two compare and compose as
+# any two words do.
 
 
 class _KeyIds:
@@ -222,9 +218,8 @@ class _KeyIds:
         return i
 
 
-@cache
-def _ids() -> _KeyIds:
-    return _KeyIds()
+# the one key numbering, for the life of the process
+_IDS = _KeyIds()
 
 
 @cache
@@ -238,28 +233,28 @@ _ZERO = MappingProxyType({})
 
 
 @cache
-def _bracket_ids(ids: _KeyIds, i: int, j: int):
-    """[key i, key j] as {id: int} over ids, or _ZERO when it vanishes;
-    shared, so callers only read it."""
-    return ({ids.of(k): c for k, c in monster.term_bracket(ids.key[i], ids.key[j]).items()}
-            or _ZERO)
+def _bracket_ids(i: int, j: int):
+    """[key i, key j] as {id: int}, or _ZERO when it vanishes; shared, so
+    callers only read it."""
+    key = _IDS.key
+    return {_IDS.of(k): c for k, c in monster.term_bracket(key[i], key[j]).items()} or _ZERO
 
 
 @cache
-def _unit(ids: _KeyIds, i: int, exact_to) -> tuple:
+def _unit(i: int, exact_to) -> tuple:
     """The image (1, {i: 1}, exact_to) of an atom that fixes the key with
-    id i of ids, shared by every slot that stores it, so never mutated."""
+    id i, shared by every slot that stores it, so never mutated."""
     return 1, {i: 1}, exact_to
 
 
 @cache
-def _generator_ids(ids: _KeyIds, cfg: SupportConfig) -> tuple:
-    """The ids in ids of generator_keys(cfg), in that order."""
-    return tuple(map(ids.of, generator_keys(cfg)))
+def _generator_ids(cfg: SupportConfig) -> tuple:
+    """The ids of generator_keys(cfg), in that order."""
+    return tuple(map(_IDS.of, generator_keys(cfg)))
 
 
-monster.CACHES.extend((_slot, _ids, _bracket_ids, _unit, _generator_ids, _descent_pad,
-                       _descent_floor, _descent_lift))
+monster.CACHES.extend((_slot, _bracket_ids, _unit, _generator_ids, _descent_floor,
+                       _descent_lift))
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
@@ -267,13 +262,13 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     both built once, when the atom is first keyed or meets a window of
     other base levels: the key (terms, exact_to, support levels, lowers),
     and x's integer form _int_form(x.terms, x.exact_to), by key, which
-    _exp_image numbers when it runs; slots holds each atom's memo
-    slot, in the numbering current now.  Neither holds a numbering, so a
-    keyed atom stays valid in any word on a window of its levels.  Torus
-    and perm atoms are their own keys.  Every atom is checked against cfg
-    before any slot is resolved: exp letters in the window, and x (when
-    keyed) of min degree >= 1 or a multiple of f(-1); nonzero torus
-    parameters; a permutation within its level's cap; no other tag."""
+    _numbered_x numbers when the atom first runs; slots holds each atom's
+    memo slot.  A keyed atom stays valid in any word on a window of its
+    levels.  Torus and perm atoms are their own keys.  Every atom is
+    checked against cfg before any slot is resolved: exp letters in the
+    window, and x (when keyed) of min degree >= 1 or a multiple of f(-1);
+    nonzero torus parameters; a permutation within its level's cap; no
+    other tag."""
     levels = tuple(cfg.base_levels())
     out = []
     for a in word:
@@ -320,10 +315,10 @@ def _int_form(terms: dict, exact_to) -> tuple:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, exact_to
 
 
-def _to_vec(y: MonsterElt, ids: _KeyIds) -> tuple:
-    """y as (den, {id: numerator}, exact_to) in the numbering ids: the
-    coefficient of id i is nums[i] / den, exact through exact_to."""
-    return _int_form({ids.of(k): c for k, c in y.terms.items()}, y.exact_to)
+def _to_vec(y: MonsterElt) -> tuple:
+    """y as (den, {id: numerator}, exact_to): the coefficient of id i is
+    nums[i] / den, exact through exact_to."""
+    return _int_form({_IDS.of(k): c for k, c in y.terms.items()}, y.exact_to)
 
 
 def _reduced(den: int, nums: dict) -> tuple:
@@ -334,34 +329,34 @@ def _reduced(den: int, nums: dict) -> tuple:
     return den // g, {k: v // g for k, v in nums.items()}
 
 
-def _to_elt(den: int, nums: dict, exact_to, ids: _KeyIds) -> MonsterElt:
-    """The element of a triple numbered by ids."""
-    key = ids.key
+def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
+    """The element of a triple."""
+    key = _IDS.key
     return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
-def _numbered_x(atom, ids: _KeyIds) -> tuple:
-    """x of the exp atom ("exp", x, key, form) numbered by ids, as (den,
-    {id: numerator}, exact_to, L) from x's triple form (den, {key:
+def _numbered_x(atom) -> tuple:
+    """x of the exp atom ("exp", x, key, form) as (den, {id:
+    numerator}, exact_to, L) from x's triple form (den, {key:
     numerator}, exact_to): L is the id of x's one key when x is exact and
     a single u+ word, else None.  () for a torus or perm atom, which has
     no x."""
     if atom[0] != "exp":
         return ()
     xden, xterms, xexact = atom[3]
-    xnums = {ids.of(k): n for k, n in xterms.items()}
+    xnums = {_IDS.of(k): n for k, n in xterms.items()}
     L = None
     if xexact == inf and len(xterms) == 1:
         [k] = xterms
         if isinstance(k, tuple) and k[0] == WPOS:
-            L = ids.of(k)
+            L = _IDS.of(k)
     return xden, xnums, xexact, L
 
 
-def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x: tuple) -> tuple:
-    """Image triple of the key with id i of ids under the exp atom ("exp",
-    x, key, form), in the numbering ids, terms above bound discarded (and
-    recorded); x is _numbered_x(atom, ids).
+def _exp_image(atom, i: int, bound: int, x: tuple) -> tuple:
+    """Image triple of the key with id i under the exp atom ("exp", x,
+    key, form), terms above bound discarded (and recorded); x is
+    _numbered_x(atom).
     An image that fixes its key is the shared _unit triple.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
@@ -387,11 +382,10 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x: tuple) -> tuple:
     thus returns itself, exact_to bound (inf when it is L), before any
     series is set up."""
     xden, xnums, xexact, L = x
-    deg = ids.deg
+    deg = _IDS.deg
     cut = inf if L is None else max(bound - deg[L], 1)
     if deg[i] > cut:
-        return _unit(ids, i, inf if i == L else bound)
-    br = partial(_bracket_ids, ids)
+        return _unit(i, inf if i == L else bound)
     den = 1
     term: dict = {i: 1}
     term_exact = inf
@@ -414,7 +408,7 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x: tuple) -> tuple:
                     low[k] = m
                 elif k != L:
                     skipped = True
-        raw = freelie.elt_bracket(xnums, low, br)
+        raw = freelie.elt_bracket(xnums, low, _bracket_ids)
         if xexact < inf or term_exact < inf:
             # x's min degree from its numbered keys; x can be 0
             term_exact = monster._result_bound(
@@ -442,13 +436,13 @@ def _exp_image(atom, ids: _KeyIds, i: int, bound: int, x: tuple) -> tuple:
             else:
                 acc.pop(k, None)
     if acc == {i: den}:
-        return _unit(ids, i, exact_to)
+        return _unit(i, exact_to)
     return (*_reduced(den, acc), exact_to)
 
 
-def _image(atom, ids: _KeyIds, images: dict, i: int, bound, x: tuple) -> tuple:
-    """Image of id i (of ids) under atom, from (or into) images: exp
-    atoms by the integer series _exp_image on x (_numbered_x(atom, ids)),
+def _image(atom, images: dict, i: int, bound, x: tuple) -> tuple:
+    """Image of id i under atom, from (or into) images: exp atoms by the
+    integer series _exp_image on x (_numbered_x(atom)),
     torus atoms by s^a t^b, perm atoms by relabeling.  An image that
     fixes its key is the shared _unit triple."""
     hit = images.get(i)
@@ -456,23 +450,23 @@ def _image(atom, ids: _KeyIds, images: dict, i: int, bound, x: tuple) -> tuple:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom, ids, i, bound, x)
+        res = _exp_image(atom, i, bound, x)
     elif tag == "torus":
-        a, b = key_root(ids.key[i])
+        a, b = key_root(_IDS.key[i])
         c = atom[1] ** a * atom[2] ** b
-        res = _unit(ids, i, inf) if c == 1 else _int_form({i: c}, inf)
+        res = _unit(i, inf) if c == 1 else _int_form({i: c}, inf)
     else:
-        nums = _perm_key(atom, ids, images, i)
-        res = _unit(ids, i, inf) if nums == {i: 1} else (1, nums, inf)
+        nums = _perm_key(atom, images, i)
+        res = _unit(i, inf) if nums == {i: 1} else (1, nums, inf)
     images[i] = res
     return res
 
 
-def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
+def _perm_key(atom, images: dict, i: int) -> dict:
     """Index relabeling of the key with id i, as integer coefficients (its
     image sits over den 1): letters directly, longer words through the
     images of their standard factors."""
-    key = ids.key[i]
+    key = _IDS.key[i]
     if not isinstance(key, tuple):
         return {i: 1}
     tag, w = key
@@ -480,22 +474,21 @@ def _perm_key(atom, ids: _KeyIds, images: dict, i: int) -> dict:
         j, k, l = w[0]
         if j == atom[1].level:
             k = atom[1].apply(k)
-        return {ids.of((tag, ((j, k, l),))): 1}
+        return {_IDS.of((tag, ((j, k, l),))): 1}
     u, v = freelie.std_factorize(w)
-    iu = _image(atom, ids, images, ids.of((tag, u)), None, ())
-    iv = _image(atom, ids, images, ids.of((tag, v)), None, ())
-    return freelie.elt_bracket(iu[1], iv[1], partial(_bracket_ids, ids))
+    iu = _image(atom, images, _IDS.of((tag, u)), None, ())
+    iv = _image(atom, images, _IDS.of((tag, v)), None, ())
+    return freelie.elt_bracket(iu[1], iv[1], _bracket_ids)
 
 
-def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
+def _atom_block(atom, slot: dict, block: list, bound) -> list:
     """atom applied to each triple (den, nums, lo) of block, the element
-    nums/den exact through lo in the numbering ids, which atom's memo
-    slot is in: the gcd-reduced triples of sum c * image(id) over each
-    one's terms, with the images at the clamp bound and the lowering test
-    resolved once per block, and x numbered by ids at the first miss
-    (_numbered_x), at most once per block.  Images are shared, read-only
-    triples: a result may hold an image's own dict, so no caller mutates
-    one.
+    nums/den exact through lo, with atom's memo slot: the gcd-reduced
+    triples of sum c * image(id) over each one's terms, with the images
+    at the clamp bound and the lowering test resolved once per block, and
+    x numbered at the first miss (_numbered_x), at most once per block.
+    Images are shared, read-only triples: a result may hold an image's
+    own dict, so no caller mutates one.
 
     The sum runs on integers over den * L, L the lcm of the touched
     images' denominators, in one loop over the terms: it starts at L = 1
@@ -523,8 +516,8 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
             img = get(k)
             if img is None:
                 if x is None:
-                    x = _numbered_x(atom, ids)
-                img = _image(atom, ids, images, k, bound, x)
+                    x = _numbered_x(atom)
+                img = _image(atom, images, k, bound, x)
             iden, inums, ilo = img
             if ilo < lo:
                 lo = ilo
@@ -541,8 +534,8 @@ def _atom_block(atom, slot: dict, ids: _KeyIds, block: list, bound) -> list:
             img = get(k)
             if img is None:
                 if x is None:
-                    x = _numbered_x(atom, ids)
-                img = _image(atom, ids, images, k, bound, x)
+                    x = _numbered_x(atom)
+                img = _image(atom, images, k, bound, x)
             d, inums, ilo = img
             if ilo < lo:
                 lo = ilo
@@ -579,12 +572,10 @@ class TruncAut:
     """Automorphism of the completion, stored mod degree > N, where N is
     cfg.degree_bound."""
 
-    __slots__ = ("cfg", "word", "_ids", "_steps", "_lowering")
+    __slots__ = ("cfg", "word", "_steps", "_lowering")
 
     def __init__(self, cfg: SupportConfig, word):
         self.cfg = cfg
-        # the key numbering this word works in, for life
-        self._ids = _ids()
         self.word, slots = _keyed_word(word, cfg)
         # (atom, slot) in application order: rightmost factor first
         self._steps = tuple(zip(reversed(self.word), reversed(slots)))
@@ -613,7 +604,7 @@ class TruncAut:
         if need < 0:
             raise ValueError(f"need must be >= 0, got {need}")
         y.validate_support(self.cfg)
-        ys = [_to_vec(y, self._ids)]
+        ys = [_to_vec(y)]
         # lowering factors can pull clamped content back into the window,
         # so start with enough headroom that nothing in reach is lost
         r = need + 2 + _descent_pad(need, self._lowering)
@@ -624,14 +615,13 @@ class TruncAut:
             prev = t[2]
             r += need - prev + 2
             [t] = self._pass(ys, repeat(r))
-        return _to_elt(*t, self._ids)
+        return _to_elt(*t)
 
     def _pass(self, block: list, bounds) -> list:
         """block through every atom of the word, each step clamped at its
         own bound: bounds runs beside the steps, in application order."""
-        ids = self._ids
         for (atom, slot), bound in zip(self._steps, bounds):
-            block = _atom_block(atom, slot, ids, block, bound)
+            block = _atom_block(atom, slot, block, bound)
         return block
 
     # comparison -----------------------------------------------------------
@@ -639,18 +629,13 @@ class TruncAut:
         """Same image of every generator mod degree > N, compared as
         gcd-reduced integer forms."""
         _check_match(self, other)
-        mine, theirs = self._generator_forms(), other._generator_forms()
-        if self._ids is not other._ids:
-            # numbered apart, across a monster.clear_caches(): compare by key
-            mine, theirs = _keyed_forms(self._ids, mine), _keyed_forms(other._ids, theirs)
-        return mine == theirs
+        return self._generator_forms() == other._generator_forms()
 
     def _generator_forms(self) -> list:
         """(den, {id: numerator}) of each generator's image truncated at
-        N, in generator_keys order and the word's numbering, reduced by
-        the gcd so that equal images give equal pairs.  equal,
-        report_dict and filtration_level all read the generator images
-        from here.
+        N, in generator_keys order, reduced by the gcd so that equal
+        images give equal pairs.  equal, report_dict and filtration_level
+        all read the generator images from here.
 
         The generators are exact, so each step is clamped at the least
         bound that keeps the result exact through N, and one pass of the
@@ -662,15 +647,14 @@ class TruncAut:
         exactness that x lacks.  Only a word with a lowering atom can
         leave a term above N; such an image is cut and reduced again."""
         N = self.N
-        ids = self._ids
-        deg = ids.deg
+        deg = _IDS.deg
         bounds = []
         E = N
         for atom, _ in reversed(self._steps):
             if atom[0] == "exp" and atom[2][3]:
                 E = _descent_lift(E, atom[2][2])
             bounds.append(E)
-        block = self._pass([(1, {i: 1}, inf) for i in _generator_ids(ids, self.cfg)],
+        block = self._pass([(1, {i: 1}, inf) for i in _generator_ids(self.cfg)],
                            reversed(bounds))
         if not self._lowering:
             # every step was clamped at N, and no generator lies above N
@@ -681,10 +665,9 @@ class TruncAut:
 
     def report_dict(self) -> dict:
         """Deterministic JSON-ready dump of the generator images."""
-        key = self._ids.key
+        key = _IDS.key
         gens = []
-        for gen, (den, nums) in zip(_generator_ids(self._ids, self.cfg),
-                                    self._generator_forms()):
+        for gen, (den, nums) in zip(_generator_ids(self.cfg), self._generator_forms()):
             terms = [[monster.format_term(key[i]), str(Fraction(nums[i], den))]
                      for i in sorted(nums, key=lambda i: key_sort(key[i]))]
             gens.append({"generator": monster.format_term(key[gen]), "image": terms})
@@ -703,11 +686,6 @@ def _atom_str(atom) -> str:
     if atom[0] == "torus":
         return f"torus({atom[1]},{atom[2]})"
     return f"perm(level={atom[1].level}, {dict(sorted(atom[1].moved.items()))})"
-
-
-def _keyed_forms(ids: _KeyIds, forms: list) -> list:
-    key = ids.key
-    return [(den, {key[i]: n for i, n in nums.items()}) for den, nums in forms]
 
 
 def _check_match(g: TruncAut, h: TruncAut) -> None:
@@ -737,8 +715,8 @@ def torus(s, t, cfg: SupportConfig) -> TruncAut:
 def compose(*auts: TruncAut) -> TruncAut:
     """Product g1 g2 ... gk as operators: the rightmost factor acts first.
     The factors' atoms are already checked against the one window they
-    share, so when they also share one key numbering the composite takes
-    their (atom, slot) steps as they are (_product)."""
+    share, so the composite takes their (atom, slot) steps as they are
+    (_product)."""
     if not auts:
         raise ValueError("compose needs at least one factor")
     first = auts[0]
@@ -749,17 +727,12 @@ def compose(*auts: TruncAut) -> TruncAut:
 
 def _product(cfg: SupportConfig, auts) -> TruncAut:
     """g1 g2 ... gk for factors on the window cfg, at least one: the
-    concatenated word with the factors' own steps and slots when every
-    factor works in one numbering; factors numbered apart, across a
-    monster.clear_caches(), are keyed again in the current numbering."""
-    ids = auts[0]._ids
-    word = tuple(a for g in auts for a in g.word)
-    if any(g._ids is not ids for g in auts):
-        return TruncAut(cfg, word)
+    concatenated word with the factors' own steps and slots, so nothing
+    is keyed again; a slot resolved before a monster.clear_caches() stays
+    valid after it, since every word works in the one numbering."""
     out = TruncAut.__new__(TruncAut)
     out.cfg = cfg
-    out._ids = ids
-    out.word = word
+    out.word = tuple(a for g in auts for a in g.word)
     out._steps = tuple(step for g in reversed(auts) for step in g._steps)
     out._lowering = next((g._lowering for g in auts if g._lowering), ())
     return out
@@ -781,10 +754,9 @@ class FiltrationLevel(NamedTuple):
 def filtration_level(g: TruncAut) -> FiltrationLevel:
     """Largest i visible in the window with g(y) - y in degrees >= deg(y) + i
     for every generator y.  Requires g to fix the Cartan mod higher degree."""
-    ids = g._ids
-    deg = ids.deg
+    deg = _IDS.deg
     cands = []
-    for i, (den, nums) in zip(_generator_ids(ids, g.cfg), g._generator_forms()):
+    for i, (den, nums) in zip(_generator_ids(g.cfg), g._generator_forms()):
         # g(y) - y over den, truncated at N like the image
         diff = dict(nums)
         n = diff.pop(i, 0) - den
@@ -792,7 +764,7 @@ def filtration_level(g: TruncAut) -> FiltrationLevel:
             diff[i] = n
         if diff:
             m = min(map(deg.__getitem__, diff))
-            if ids.key[i] in (H1, H2) and m <= 0:
+            if _IDS.key[i] in (H1, H2) and m <= 0:
                 raise ValueError("not unipotent-type: Cartan is not fixed mod higher degree")
             cands.append(m - deg[i])
     m = min(cands, default=inf)

@@ -221,14 +221,14 @@ def _symbol_atom(kind: str, index, p: Fraction) -> tuple:
 def _keyed_symbol(kind: str, index, num: int, den: int, e: int, cfg: SupportConfig) -> TruncAut:
     """The one-symbol word kind(index; num/den)^e (e = +-1, num/den
     reduced with den > 0) on the window cfg, keyed once: its atom checked
-    against cfg and its memo slot resolved in the numbering current now.
-    The key is plain ints and strings, so a lookup hashes no Fraction.
+    against cfg and its memo slot resolved.  The key is plain ints and
+    strings, so a lookup hashes no Fraction.
     s^-1 is keyed as the inverse symbol, X or Y at -u and H1 or H2 at
     1/s, so both spellings of one atom share one word.  A symbol that
     recurs across words is keyed once per window, and every word built
-    from it holds the same atom object and slot.  The memo sits in
-    monster.CACHES beside completion._ids, so a clear drops both and its
-    words are always in the current numbering."""
+    from it holds the same atom object and slot.  A clear drops the memo,
+    and a word keyed before it stays valid: every word works in the one
+    key numbering, completion._IDS, which a clear keeps."""
     if e == -1:
         if kind in ("H1", "H2"):
             num, den = (den, num) if num > 0 else (-den, -num)
@@ -282,18 +282,18 @@ def _side_forms(w: GroupWord, cfg: SupportConfig) -> list:
     """The generator forms of w realized on the window cfg
     (TruncAut._generator_forms); a word of at most one symbol is realized
     once per window, through _short_side_forms."""
-    if len(w) <= 1:
-        return _short_side_forms(w, cfg)
-    return realize_word(w, cfg)._generator_forms()
+    if len(w) > 1:
+        return realize_word(w, cfg)._generator_forms()
+    return _short_side_forms(tuple((k, i, p.numerator, p.denominator, e)
+                                   for (k, i, p), e in w.factors), cfg)
 
 
 @cache
-def _short_side_forms(w: GroupWord, cfg: SupportConfig) -> list:
-    """_side_forms of a word of at most one symbol, shared, so callers
-    only read it.  The forms are in the numbering of the word realized
-    here, the one current when it ran; this memo sits in monster.CACHES
-    beside completion._ids, so a clear drops both, and cached forms are
-    always in the numbering a side realized afresh works in."""
+def _short_side_forms(symbols: tuple, cfg: SupportConfig) -> list:
+    """_side_forms of the word of symbols, () or one (kind, index, num,
+    den, e) for kind(index; num/den)^e, shared, so callers only read it:
+    plain ints and strings, so a lookup hashes no Fraction or GroupWord."""
+    w = GroupWord([(GenSymbol(k, i, Fraction(n, d)), e) for k, i, n, d, e in symbols])
     return realize_word(w, cfg)._generator_forms()
 
 
@@ -330,27 +330,27 @@ monster.CACHES.append(_model_exponents)
 
 
 @cache
-def _symbol_matrix(s: GenSymbol, e: int, index) -> tuple:
-    """Integer form of s^e (e = +-1) in the 2x2 model at the string
-    index; index fixes the exponents for H kinds."""
+def _symbol_matrix(kind: str, at, num: int, den: int, e: int, index) -> tuple:
+    """Integer form of kind(at; num/den)^e (e = +-1) in the 2x2 model at
+    the string index (which fixes H kinds' exponents), by plain ints."""
     aa, bb, cc = _model_exponents(index)
-    if s.kind in ("X", "Y", "W") and s.index != index:
+    if kind in ("X", "Y", "W") and at != index:
         raise ValueError("matrix model is single-string: cross-index symbol")
-    p, o, z = s.param, Fraction(1), Fraction(0)
-    if s.kind == "X":
+    p, o, z = Fraction(num, den), Fraction(1), Fraction(0)
+    if kind == "X":
         m = (o, e * p, z, o)
-    elif s.kind == "Y":
+    elif kind == "Y":
         m = (o, z, e * cc * p, o)
-    elif s.kind == "H1":
+    elif kind == "H1":
         m = (p ** (e * aa), z, z, o)
-    elif s.kind == "H2":
+    elif kind == "H2":
         m = (o, z, z, p ** (-e * bb))
-    elif s.kind == "W":
+    elif kind == "W":
         m = (z, e * p, -e / p, z)
     else:
-        raise ValueError(f"unknown symbol kind {s.kind!r}")
-    den = lcm(*(x.denominator for x in m))
-    return (den, *(x.numerator * (den // x.denominator) for x in m))
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    d = lcm(*(x.denominator for x in m))
+    return (d, *(x.numerator * (d // x.denominator) for x in m))
 
 
 monster.CACHES.append(_symbol_matrix)
@@ -360,8 +360,8 @@ def _word_matrix(w: GroupWord, index) -> tuple:
     """Integer form of the 2x2 model of w at the string index, reduced
     so that equal matrices give equal tuples."""
     D, A, B, C, E = 1, 1, 0, 0, 1
-    for s, e in w.factors:
-        d, a, b, c, dd = _symbol_matrix(s, e, index)
+    for (kind, at, p), e in w.factors:
+        d, a, b, c, dd = _symbol_matrix(kind, at, p.numerator, p.denominator, e, index)
         D, A, B, C, E = D * d, A * a + B * c, A * b + B * dd, C * a + E * c, C * b + E * dd
     g = gcd(D, A, B, C, E)
     return D // g, A // g, B // g, C // g, E // g

@@ -1,12 +1,16 @@
 """One cache policy: every memo in the package is a functools.cache
 function listed in monster.CACHES, so monster.clear_caches() reaches it,
-and no module keeps a hand-written memo dict."""
+and no module keeps a hand-written memo dict.  completion._IDS, the one
+key numbering, is the one interning table: it is not a memo, so it is
+not listed, and a clear keeps it, so an id means one key for the life of
+the process."""
 
 import ast
 import importlib
 from pathlib import Path
 
-from monsterlie import monster
+from monsterlie import completion, monster
+from monsterlie.indices import SupportConfig
 
 PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "monsterlie").glob("*.py"))
 
@@ -37,3 +41,13 @@ def test_no_module_level_memo_dict():
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_dict(node.value):
                 bound.append(f"{path.name}:{node.lineno}")
     assert bound == []
+
+
+def test_key_numbering_is_not_a_memo_and_survives_a_clear():
+    ids = completion._IDS
+    assert all(memo is not ids for memo in monster.CACHES)
+    completion.TruncAut.identity(SupportConfig(9, {1: 2, 2: 1}))._generator_forms()
+    n = len(ids.key)
+    assert n
+    monster.clear_caches()
+    assert completion._IDS is ids and len(ids.key) == n

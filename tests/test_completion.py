@@ -417,11 +417,11 @@ def _diff_inputs():
     return ins
 
 
-def _one_atom_block(atom, slot, ids, y, bound):
+def _one_atom_block(atom, slot, y, bound):
     """atom applied to y: one _atom_block on the block of y's integer
-    form, in the word's numbering ids."""
-    [vec] = completion._atom_block(atom, slot, ids, [completion._to_vec(y, ids)], bound)
-    return completion._to_elt(*vec, ids)
+    form."""
+    [vec] = completion._atom_block(atom, slot, [completion._to_vec(y)], bound)
+    return completion._to_elt(*vec)
 
 
 def test_memoized_atoms_match_whole_element():
@@ -439,18 +439,17 @@ def test_memoized_atoms_match_whole_element():
     for atom, slot in zip(atoms, slots):
         for bound in (9, 12):
             for y in inputs:
-                memo = _one_atom_block(atom, slot, g._ids, y, bound)
+                memo = _one_atom_block(atom, slot, y, bound)
                 direct = _direct(atom, y, bound)
                 e = memo.exact_to
                 assert e <= direct.exact_to, (atom[0], y, bound)
                 assert memo.truncated_above(e) == direct.truncated_above(e)
-                warm = _one_atom_block(atom, slot, g._ids, y, bound)
+                warm = _one_atom_block(atom, slot, y, bound)
                 assert warm.terms == memo.terms and warm.exact_to == e
     for slot in slots:
         assert slot
         for images in slot.values():
             assert images and all(type(img) is tuple for img in images.values())
-    completion._descent_pad(9, tuple(CFG3.base_levels()))
     presentation._word_matrix(GroupWord.of(sym("X", -1, 1)), -1)  # the 2x2 model's symbol memo
     g._generator_forms()  # the window's generator ids
     presentation._side_forms(GroupWord(), CFG3)  # the one-symbol side memo
@@ -490,11 +489,11 @@ def test_basis_brackets_are_integral():
 
 def test_bracket_table_matches_term_bracket():
     # the id table, mapped back through id -> key, is term_bracket
-    ids = completion._ids()
+    ids = completion._IDS
     keys = _basis_keys(CFG3, 9)
     for k1 in keys:
         for k2 in keys:
-            got = completion._bracket_ids(ids, ids.of(k1), ids.of(k2))
+            got = completion._bracket_ids(ids.of(k1), ids.of(k2))
             assert {ids.key[i]: c for i, c in got.items()} == monster.term_bracket(k1, k2)
 
 
@@ -508,8 +507,8 @@ def test_integer_exp_images_match_fraction_series():
     assert {monster.key_degree(k) for k in keys} >= {-9, -8, 8, 9}
     for x in xs:
         g = TruncAut(CFG3, word=[("exp", x)])
-        atom, ids = g.word[0], g._ids
-        nx = completion._numbered_x(atom, ids)
+        atom, ids = g.word[0], completion._IDS
+        nx = completion._numbered_x(atom)
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -520,9 +519,9 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(atom, ids, ids.of(key), bound, nx)
+                        completion._exp_image(atom, ids.of(key), bound, nx)
                     continue
-                den, nums, exact_to = completion._exp_image(atom, ids, ids.of(key), bound, nx)
+                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound, nx)
                 got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
                 assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
 
@@ -537,19 +536,19 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
     assert L in keys and 2 * monster.key_degree(L) > 9
     for x in xs:
         g = TruncAut(CFG3, word=[("exp", x)])
-        atom, ids = g.word[0], g._ids
-        nx = completion._numbered_x(atom, ids)
+        atom, ids = g.word[0], completion._IDS
+        nx = completion._numbered_x(atom)
         for bound in (6, 9, 12, 21):
             for key in keys:
                 want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
-                den, nums, exact_to = completion._exp_image(atom, ids, ids.of(key), bound, nx)
+                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound, nx)
                 got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
                 assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
     # L itself above half the bound: [L, L] = 0, so nothing is cut
     g = TruncAut(CFG3, word=[("exp", xs[1])])
-    atom, ids = g.word[0], g._ids
-    nx = completion._numbered_x(atom, ids)
-    assert completion._exp_image(atom, ids, ids.of(L), 9, nx) == (1, {ids.of(L): 1}, inf)
+    atom, ids = g.word[0], completion._IDS
+    nx = completion._numbered_x(atom)
+    assert completion._exp_image(atom, ids.of(L), 9, nx) == (1, {ids.of(L): 1}, inf)
 
 
 def test_atom_cache_key_built_with_word():
@@ -708,7 +707,7 @@ def _block_words():
 def _single_apply_forms(g):
     """Each generator's image by apply alone, cut at N and reduced: the
     forms g._generator_forms() must give."""
-    return [completion._to_vec(g.apply(MonsterElt({k: 1})).truncated_above(g.N), g._ids)[:2]
+    return [completion._to_vec(g.apply(MonsterElt({k: 1})).truncated_above(g.N))[:2]
             for k in generator_keys(g.cfg)]
 
 
@@ -721,7 +720,7 @@ def test_generator_block_matches_single_applies(monkeypatch):
     steps = []
     real_block = completion._atom_block
     monkeypatch.setattr(completion, "_atom_block",
-                        lambda *a: steps.append((len(a[3]), a[4])) or real_block(*a))
+                        lambda *a: steps.append((len(a[2]), a[3])) or real_block(*a))
     n = len(generator_keys(cfg))
     # the first word without its last-applied f(-1): the atoms applied
     # after its one remaining lowering atom end at N
@@ -816,13 +815,11 @@ def test_block_pass_returns_reduced_triples():
     # _generator_forms reduces only the images it cuts at N, so every
     # triple a pass hands back must already be gcd-reduced
     gens = generator_keys(BLOCK_CFG)
-    # the numbering every word below is built in
-    ids = completion._ids()
     ys = [MonsterElt({k: 1}) for k in gens]
     for c in (Fraction(3, 2), Fraction(-2, 3), Fraction(6)):
         ys += [MonsterElt({k: c}, exact_to=e) for k in gens for e in (inf, 7)]
     ys.append(MonsterElt({k: Fraction(i + 1, 4) * (-1) ** i for i, k in enumerate(gens)}))
-    vecs = [completion._to_vec(y, ids) for y in ys]
+    vecs = [completion._to_vec(y) for y in ys]
     for word in _block_words():
         g = TruncAut(BLOCK_CFG, word)
         for den, nums, _ in g._pass(vecs, repeat(14)):
@@ -845,17 +842,17 @@ def test_block_pass_returns_reduced_triples():
             for images in slot.values():
                 for i, img in images.items():
                     if img[:2] == (1, {i: 1}):
-                        assert img is completion._unit(ids, i, img[2]), (word, i, img)
+                        assert img is completion._unit(i, img[2]), (word, i, img)
 
 
 def test_zero_brackets_share_one_read_only_mapping():
-    ids = completion._ids()
+    ids = completion._IDS
     h1, e = ids.of(monster.H1), ids.of(monster.EMINUS)
-    zero = completion._bracket_ids(ids, h1, h1)
-    assert zero == {} and zero is completion._bracket_ids(ids, h1, ids.of(monster.H2))
+    zero = completion._bracket_ids(h1, h1)
+    assert zero == {} and zero is completion._bracket_ids(h1, ids.of(monster.H2))
     with pytest.raises(TypeError):
         zero[e] = 1
-    assert completion._bracket_ids(ids, h1, e) == {e: 1}
+    assert completion._bracket_ids(h1, e) == {e: 1}
 
 
 def test_apply_widens_each_short_image(monkeypatch):
@@ -932,7 +929,7 @@ def test_exp_atom_numbers_x_once_per_block(monkeypatch):
     calls = []
     real = completion._numbered_x
     monkeypatch.setattr(completion, "_numbered_x",
-                        lambda atom, ids: calls.append(atom[0]) or real(atom, ids))
+                        lambda atom: calls.append(atom[0]) or real(atom))
     g = exp_ad(MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)), SupportConfig(12, {1: 2, 2: 1}))
     g._generator_forms()
     assert calls == ["exp"]
@@ -941,9 +938,9 @@ def test_exp_atom_numbers_x_once_per_block(monkeypatch):
 
 
 def test_word_keeps_its_numbering_across_clear_caches():
-    # a word numbers keys when it is built and keeps that numbering, and
-    # its slots, after monster.clear_caches(); a word built afterwards
-    # numbers keys afresh, in another first-seen order
+    # a word keeps its slots after monster.clear_caches(), and with them
+    # its forms, report and images; a word built afterwards resolves new
+    # slots and agrees with it
     def build():
         w = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
                          sym("X", (1, 2, 1), 3), sym("X", -1, -1))
@@ -958,11 +955,10 @@ def test_word_keeps_its_numbering_across_clear_caches():
     image = g.apply(y)
     monster.clear_caches()
     assert g._generator_forms() == forms and g.report_dict() == report
-    # an element g has not met yet builds new images in g's numbering
+    # an element g has not met yet builds new images in g's slots
     z = MonsterElt({(monster.WPOS, ((1, 1, 0), (2, 1, 0))): 1, monster.EMINUS: Fraction(1, 3)})
     later = g.apply(z)
     fresh = build()
-    assert fresh._ids is not g._ids
     assert g.equal(fresh) and fresh.equal(g)
     for h in (g, fresh):
         assert (h.apply(y).terms, h.apply(y).exact_to) == (image.terms, image.exact_to)
@@ -972,20 +968,19 @@ def test_word_keeps_its_numbering_across_clear_caches():
 
 def test_words_built_across_clear_caches_compose():
     # a word built before monster.clear_caches() composes with one built
-    # after it, whose numbering met the keys in another first-seen order:
-    # the composite works in the new numbering with the old word's atoms
+    # after it: the composite holds the old word's atoms beside the new
+    # one's and equals the product realized in one piece
     long = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
                         sym("X", (1, 2, 1), 3), sym("X", -1, -1))
     short = GroupWord.of(sym("X", (0, 2, 2), 1))
     y = MonsterElt({(monster.WPOS, ((1, 2, 0),)): Fraction(2, 3), monster.H2: 5}, exact_to=8)
-    # a cold numbering, so that the old word's keys come first in it
+    # fresh slots on either side of the clear
     monster.clear_caches()
     old = realize_word(long, BLOCK_CFG)
     old.apply(y)
     monster.clear_caches()
     new = realize_word(short, BLOCK_CFG)
     new.apply(MonsterElt({(monster.WPOS, ((2, 2, 0),)): 1, monster.H1: 1}))
-    assert new._ids is not old._ids and new._ids.key[:2] != old._ids.key[:2]
     for (g, h), product in (((old, new), long * short), ((new, old), short * long)):
         composed = compose(g, h)
         assert all(a is b for a, b in zip(composed.word, g.word + h.word))
@@ -996,19 +991,16 @@ def test_words_built_across_clear_caches_compose():
         assert (got.terms, got.exact_to) == (want.terms, want.exact_to)
 
 
-def test_compose_takes_shared_steps_and_rekeys_across_numberings():
-    # factors of one numbering: the composite takes their (atom, slot)
-    # steps as they are, the same slot dicts; a factor numbered apart,
-    # across a clear, makes the composite key every atom again in the
-    # current numbering, equal to the product realized in one piece
+def test_compose_takes_shared_steps_across_clear_caches():
+    # the composite takes its factors' (atom, slot) steps as they are, the
+    # same slot dicts, whether or not a clear lies between the factors,
+    # and equals the product realized in one piece
     u = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
                      sym("H1", None, 3))
     v = GroupWord.of(sym("X", (1, 2, 1), 3), sym("H2", None, Fraction(-1, 2)))
     monster.clear_caches()
     g, h = realize_word(u, BLOCK_CFG), realize_word(v, BLOCK_CFG)
-    assert g._ids is h._ids
     composed = compose(g, h)
-    assert composed._ids is g._ids
     assert composed.word == g.word + h.word
     assert all(a is b and s is t for (a, s), (b, t)
                in zip(composed._steps, h._steps + g._steps))
@@ -1016,12 +1008,11 @@ def test_compose_takes_shared_steps_and_rekeys_across_numberings():
 
     monster.clear_caches()
     later = realize_word(v, BLOCK_CFG)
-    assert later._ids is not g._ids
     for factors, whole in (((g, later), u * v), ((later, g), v * u)):
         composed = compose(*factors)
-        assert composed._ids is completion._ids() is later._ids
         assert all(a is b for a, b in zip(composed.word, factors[0].word + factors[1].word))
-        assert not any(s is t for (_, s) in composed._steps for (_, t) in g._steps)
+        assert all(a is b and s is t for (a, s), (b, t)
+                   in zip(composed._steps, factors[1]._steps + factors[0]._steps))
         fresh = realize_word(whole, BLOCK_CFG)
         assert composed.equal(fresh) and fresh.equal(composed)
         assert composed.report_dict() == fresh.report_dict()
@@ -1030,6 +1021,29 @@ def test_compose_takes_shared_steps_and_rekeys_across_numberings():
     for pair in ((g, realize_word(v, other)), (realize_word(v, other), later)):
         with pytest.raises(ValueError, match="window mismatch"):
             compose(*pair)
+
+
+def test_clear_caches_keeps_the_key_numbering():
+    # a clear keeps the one key numbering: the same word realized on
+    # either side of it has identical id forms, with no translation by
+    # key, even when keys the first word never met are numbered before
+    # the second is realized; a composite of the two takes both words'
+    # steps as they are
+    w = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)), sym("Y", -1, Fraction(-2, 3)),
+                     sym("H2", None, 3))
+    ids = completion._IDS
+    before = realize_word(w, BLOCK_CFG)
+    forms = before._generator_forms()
+    keys = list(ids.key)
+    monster.clear_caches()
+    assert completion._IDS is ids and ids.key == keys
+    realize_word(GroupWord.of(sym("X", (0, 2, 2), 1)), BLOCK_CFG).apply(
+        MonsterElt({(monster.WPOS, ((2, 2, 0),)): 1, monster.H1: 1}))
+    after = realize_word(w, BLOCK_CFG)
+    assert before._generator_forms() == after._generator_forms() == forms
+    steps = compose(before, after)._steps
+    assert len(steps) == len(after._steps + before._steps)
+    assert all(s is t for s, t in zip(steps, after._steps + before._steps))
 
 
 def test_descent_lift_is_the_least_bound():
