@@ -4,38 +4,39 @@ A TruncAut represents an automorphism of the positive formal completion
 restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
-exponential (stored as ("exp", x, cache key, integer form of x), both
-built once, when the atom is keyed, and holding no ids: the form is the
-triple below, by key), ("torus", s, t) for the semisimple scaling by s^a
-t^b on the root (a, b), or ("perm", sigma) for an index permutation
-sigma (a permaut.SparsePerm).  The kernel runs on small integer ids, not
-on basis keys: one numbering, made at import, gives each key an id once,
-in first-seen order, and the id keeps its meaning for the life of the
-process.  Application walks the factors right to left, so it is a
-composition of linear maps on ids: each atom sends y to the sum of c *
-image(id) over the terms of y, and the image of each id is computed once
-per atom and clamp bound, then memoized (exp images by the exp series on
-that single key, run on integer numerators over one denominator: the
-basis brackets have integer structure constants, kept in one memoized
-table of id pairs, so each step's denominator is the last one times x's
-denominator and n).  The word resolves each atom's memo slot once, when
-it is built.  Every integer vector the kernel builds, memoizes or
-carries has one form, the gcd-reduced triple (den, {id: numerator},
-exact_to): integer numerators over one positive common denominator.
-Images are stored that way, and a word carries y through its atoms that
-way, so Fractions and keys are built only for the returned element.  One
-pass of a word carries a whole block of such triples, one kernel call
-per atom, and hands back each triple gcd-reduced: equal pushes the
-generator block through each side once and compares the images in that
-form.  Every application, index permutations included, goes through that
-block pass.  Composition is concatenation: the factors hand the
-composite their (atom, slot) steps as they are, so nothing is keyed
-again (realize_word builds a word as the product of one-symbol words,
-each keyed once per window, so a realized word keys no atom).  Inversion
-reverses the tuple and inverts each atom, so inverses stay cheap and
-exact.  TruncAut checks every atom and every element it is applied to
-against its window.  An exp series whose x is one exact u+ word skips
-the keys whose bracket with it the clamp would cut whole.
+exponential (stored as ("exp", x, cache key, id form of x), both built
+once, when the atom is keyed: the form is the triple below, by id, and
+the id of x's one key when x is one exact u+ word), ("torus", s, t) for
+the semisimple scaling by s^a t^b on the root (a, b), or ("perm", sigma)
+for an index permutation sigma (a permaut.SparsePerm).  The kernel runs
+on small integer ids, not on basis keys: one numbering, made at import,
+gives each key an id once, in first-seen order, and the id keeps its
+meaning for the life of the process.  Application walks the factors
+right to left, so it is a composition of linear maps on ids: each atom
+sends y to the sum of c * image(id) over the terms of y, and the image
+of each id is computed once per atom and clamp bound, then memoized (exp
+images by the exp series on that single key, run on integer numerators
+over one denominator: the basis brackets have integer structure
+constants, kept in one memoized table of id pairs, so each step's
+denominator is the last one times x's denominator and n).  The word
+resolves each atom's memo slot once, when it is built.  Every integer
+vector the kernel builds, memoizes or carries has one form, the
+gcd-reduced triple (den, {id: numerator}, exact_to): integer numerators
+over one positive common denominator.  Images are stored that way, and a
+word carries y through its atoms that way, so Fractions and keys are
+built only for the returned element.  One pass of a word carries a whole
+block of such triples, one kernel call per atom, and hands back each
+triple gcd-reduced: equal pushes the generator block through each side
+once and compares the images in that form.  Every application, index
+permutations included, goes through that block pass.  Composition is
+concatenation: the factors hand the composite their (atom, slot) steps
+as they are, so nothing is keyed again (realize_word builds a word as
+the product of one-symbol words, each keyed once per window, so a
+realized word keys no atom).  Inversion reverses the tuple and inverts
+each atom, so inverses stay cheap and exact.  TruncAut checks every atom
+and every element it is applied to against its window.  An exp series
+whose x is one exact u+ word skips the keys whose bracket with it the
+clamp would cut whole.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
@@ -183,7 +184,10 @@ def _descent_lift(E: int, levels: tuple) -> int:
 # monster.term_bracket on a miss; every zero bracket is the one read-only
 # _ZERO.  A word resolves each atom's slot once, when it is keyed
 # (_keyed_word), or takes it from its factors (_product), so applying an
-# atom never hashes its key.
+# atom never hashes its key.  An exp atom's x is numbered there too, once,
+# into the form the exp series reads: (den, {id: numerator}, exact_to,
+# L), L the id of x's one key when x is exact and a single u+ word, else
+# None.
 # Word application carries a block of elements as (den, {id: numerator},
 # exact_to) triples through every atom, one _atom_block call per atom,
 # which returns each triple gcd-reduced; keys come back only for the
@@ -259,34 +263,36 @@ monster.CACHES.extend((_slot, _bracket_ids, _unit, _generator_ids, _descent_floo
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
     """(word, slots): word with each exp atom as ("exp", x, key, form),
-    both built once, when the atom is first keyed or meets a window of
-    other base levels: the key (terms, exact_to, support levels, lowers),
-    and x's integer form _int_form(x.terms, x.exact_to), by key, which
-    _numbered_x numbers when the atom first runs; slots holds each atom's
-    memo slot.  A keyed atom stays valid in any word on a window of its
-    levels.  Torus and perm atoms are their own keys.  Every atom is
-    checked against cfg before any slot is resolved: exp letters in the
-    window, and x (when keyed) of min degree >= 1 or a multiple of f(-1);
-    nonzero torus parameters; a permutation within its level's cap; no
-    other tag."""
+    both built from x, whatever atom the word held: the key (terms,
+    exact_to, support levels, lowers), and x's id form (*_to_vec(x), L),
+    L the id of x's one key when x is exact and a single u+ word, else
+    None; slots holds each atom's memo slot.  Torus and perm atoms are
+    their own keys.  Every atom is checked against cfg before any of x's
+    keys is numbered or any slot resolved: exp letters in the window, and
+    x of min degree >= 1 or a multiple of f(-1); nonzero torus
+    parameters; a permutation within its level's cap; no other tag."""
     levels = tuple(cfg.base_levels())
     out = []
     for a in word:
         tag = a[0]
         if tag == "exp":
             x = a[1]
-            if len(a) == 2 or a[2][2] != levels:
-                m = x.min_degree()
-                if m < 1 and x.terms.keys() != {FMINUS}:
-                    if x.terms.keys() <= {H1, H2}:
-                        raise ValueError(
-                            "Cartan element acts semisimply; use torus(), not exp_ad()")
-                    raise ValueError("exp_ad needs a positive-sector element or a multiple of "
-                                     "f(-1); negative imaginary content has no action on the "
-                                     "positive completion")
-                a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
-                     _int_form(x.terms, x.exact_to))
+            m = x.min_degree()
+            if m < 1 and x.terms.keys() != {FMINUS}:
+                if x.terms.keys() <= {H1, H2}:
+                    raise ValueError(
+                        "Cartan element acts semisimply; use torus(), not exp_ad()")
+                raise ValueError("exp_ad needs a positive-sector element or a multiple of "
+                                 "f(-1); negative imaginary content has no action on the "
+                                 "positive completion")
             x.validate_support(cfg)
+            L = None
+            if x.exact_to == inf and len(x.terms) == 1:
+                [k] = x.terms
+                if isinstance(k, tuple) and k[0] == WPOS:
+                    L = _IDS.of(k)
+            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
+                 (*_to_vec(x), L))
         elif tag == "torus":
             if not (a[1] and a[2]):
                 raise ValueError("torus parameters must be nonzero")
@@ -303,22 +309,17 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
     return tuple(out), tuple(_slot(a[2] if a[0] == "exp" else a) for a in out)
 
 
-def _int_form(terms: dict, exact_to) -> tuple:
-    """The triple (den, {k: numerator}, exact_to) of a Fraction term dict
-    {k: c}: numerators over the least common denominator, so gcd(den,
-    *numerators) == 1."""
+def _to_vec(y: MonsterElt) -> tuple:
+    """y as (den, {id: numerator}, exact_to): the coefficient of id i is
+    nums[i] / den, exact through exact_to, over the least common
+    denominator, so gcd(den, *nums) == 1."""
     den = 1
-    for c in terms.values():
+    for c in y.terms.values():
         d = c.denominator
         if den % d:
             den = den // gcd(den, d) * d
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, exact_to
-
-
-def _to_vec(y: MonsterElt) -> tuple:
-    """y as (den, {id: numerator}, exact_to): the coefficient of id i is
-    nums[i] / den, exact through exact_to."""
-    return _int_form({_IDS.of(k): c for k, c in y.terms.items()}, y.exact_to)
+    return (den, {_IDS.of(k): c.numerator * (den // c.denominator) for k, c in y.terms.items()},
+            y.exact_to)
 
 
 def _reduced(den: int, nums: dict) -> tuple:
@@ -335,29 +336,11 @@ def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
     return MonsterElt._of({key[i]: Fraction(n, den) for i, n in nums.items()}, exact_to)
 
 
-def _numbered_x(atom) -> tuple:
-    """x of the exp atom ("exp", x, key, form) as (den, {id:
-    numerator}, exact_to, L) from x's triple form (den, {key:
-    numerator}, exact_to): L is the id of x's one key when x is exact and
-    a single u+ word, else None.  () for a torus or perm atom, which has
-    no x."""
-    if atom[0] != "exp":
-        return ()
-    xden, xterms, xexact = atom[3]
-    xnums = {_IDS.of(k): n for k, n in xterms.items()}
-    L = None
-    if xexact == inf and len(xterms) == 1:
-        [k] = xterms
-        if isinstance(k, tuple) and k[0] == WPOS:
-            L = _IDS.of(k)
-    return xden, xnums, xexact, L
-
-
-def _exp_image(atom, i: int, bound: int, x: tuple) -> tuple:
+def _exp_image(atom, i: int, bound: int) -> tuple:
     """Image triple of the key with id i under the exp atom ("exp", x,
-    key, form), terms above bound discarded (and recorded); x is
-    _numbered_x(atom).
-    An image that fixes its key is the shared _unit triple.
+    key, form), terms above bound discarded (and recorded), from x's id
+    form (den, {id: numerator}, exact_to, L).  An image that fixes its
+    key is the shared _unit triple.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
     each step brackets them with freelie.elt_bracket over the table
@@ -381,7 +364,7 @@ def _exp_image(atom, i: int, bound: int, x: tuple) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), before any
     series is set up."""
-    xden, xnums, xexact, L = x
+    xden, xnums, xexact, L = atom[3]
     deg = _IDS.deg
     cut = inf if L is None else max(bound - deg[L], 1)
     if deg[i] > cut:
@@ -440,21 +423,21 @@ def _exp_image(atom, i: int, bound: int, x: tuple) -> tuple:
     return (*_reduced(den, acc), exact_to)
 
 
-def _image(atom, images: dict, i: int, bound, x: tuple) -> tuple:
+def _image(atom, images: dict, i: int, bound) -> tuple:
     """Image of id i under atom, from (or into) images: exp atoms by the
-    integer series _exp_image on x (_numbered_x(atom)),
-    torus atoms by s^a t^b, perm atoms by relabeling.  An image that
-    fixes its key is the shared _unit triple."""
+    integer series _exp_image on x's id form, torus atoms by s^a t^b,
+    perm atoms by relabeling.  An image that fixes its key is the shared
+    _unit triple."""
     hit = images.get(i)
     if hit is not None:
         return hit
     tag = atom[0]
     if tag == "exp":
-        res = _exp_image(atom, i, bound, x)
+        res = _exp_image(atom, i, bound)
     elif tag == "torus":
         a, b = key_root(_IDS.key[i])
         c = atom[1] ** a * atom[2] ** b
-        res = _unit(i, inf) if c == 1 else _int_form({i: c}, inf)
+        res = _unit(i, inf) if c == 1 else (c.denominator, {i: c.numerator}, inf)
     else:
         nums = _perm_key(atom, images, i)
         res = _unit(i, inf) if nums == {i: 1} else (1, nums, inf)
@@ -465,7 +448,8 @@ def _image(atom, images: dict, i: int, bound, x: tuple) -> tuple:
 def _perm_key(atom, images: dict, i: int) -> dict:
     """Index relabeling of the key with id i, as integer coefficients (its
     image sits over den 1): letters directly, longer words through the
-    images of their standard factors."""
+    images of their standard factors, which _image reads or stores
+    under the bound None, as every perm image is."""
     key = _IDS.key[i]
     if not isinstance(key, tuple):
         return {i: 1}
@@ -476,8 +460,8 @@ def _perm_key(atom, images: dict, i: int) -> dict:
             k = atom[1].apply(k)
         return {_IDS.of((tag, ((j, k, l),))): 1}
     u, v = freelie.std_factorize(w)
-    iu = _image(atom, images, _IDS.of((tag, u)), None, ())
-    iv = _image(atom, images, _IDS.of((tag, v)), None, ())
+    iu = _image(atom, images, _IDS.of((tag, u)), None)
+    iv = _image(atom, images, _IDS.of((tag, v)), None)
     return freelie.elt_bracket(iu[1], iv[1], _bracket_ids)
 
 
@@ -485,8 +469,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
     """atom applied to each triple (den, nums, lo) of block, the element
     nums/den exact through lo, with atom's memo slot: the gcd-reduced
     triples of sum c * image(id) over each one's terms, with the images
-    at the clamp bound and the lowering test resolved once per block, and
-    x numbered at the first miss (_numbered_x), at most once per block.
+    at the clamp bound and the lowering test resolved once per block.
     Images are shared, read-only triples: a result may hold an image's
     own dict, so no caller mutates one.
 
@@ -505,7 +488,6 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
         bound = None
     images = slot.setdefault(bound, {})
     get = images.get
-    x = None
     out = []
     append = out.append
     for den, nums, lo in block:
@@ -515,9 +497,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
             [(k, c)] = nums.items()
             img = get(k)
             if img is None:
-                if x is None:
-                    x = _numbered_x(atom)
-                img = _image(atom, images, k, bound, x)
+                img = _image(atom, images, k, bound)
             iden, inums, ilo = img
             if ilo < lo:
                 lo = ilo
@@ -533,9 +513,7 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
         for k, c in nums.items():
             img = get(k)
             if img is None:
-                if x is None:
-                    x = _numbered_x(atom)
-                img = _image(atom, images, k, bound, x)
+                img = _image(atom, images, k, bound)
             d, inums, ilo = img
             if ilo < lo:
                 lo = ilo

@@ -508,7 +508,6 @@ def test_integer_exp_images_match_fraction_series():
     for x in xs:
         g = TruncAut(CFG3, word=[("exp", x)])
         atom, ids = g.word[0], completion._IDS
-        nx = completion._numbered_x(atom)
         # at bound 6 the keys above it clamp, which reaches the descent
         # floor of the lowering f(-1) atom
         for bound in (6, 9, 12, 21):
@@ -519,9 +518,9 @@ def test_integer_exp_images_match_fraction_series():
                     # the exactness bound would fall below 0 (x cut at 7,
                     # key below -7): the integer series refuses it too
                     with pytest.raises(ValueError):
-                        completion._exp_image(atom, ids.of(key), bound, nx)
+                        completion._exp_image(atom, ids.of(key), bound)
                     continue
-                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound, nx)
+                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound)
                 got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
                 assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
 
@@ -537,18 +536,16 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
     for x in xs:
         g = TruncAut(CFG3, word=[("exp", x)])
         atom, ids = g.word[0], completion._IDS
-        nx = completion._numbered_x(atom)
         for bound in (6, 9, 12, 21):
             for key in keys:
                 want = exp_series(x, MonsterElt({key: 1}), bound, CFG3)
-                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound, nx)
+                den, nums, exact_to = completion._exp_image(atom, ids.of(key), bound)
                 got = {ids.key[i]: Fraction(n, den) for i, n in nums.items()}
                 assert (got, exact_to) == (want.terms, want.exact_to), (x, key, bound)
     # L itself above half the bound: [L, L] = 0, so nothing is cut
     g = TruncAut(CFG3, word=[("exp", xs[1])])
     atom, ids = g.word[0], completion._IDS
-    nx = completion._numbered_x(atom)
-    assert completion._exp_image(atom, ids.of(L), 9, nx) == (1, {ids.of(L): 1}, inf)
+    assert completion._exp_image(atom, ids.of(L), 9) == (1, {ids.of(L): 1}, inf)
 
 
 def test_atom_cache_key_built_with_word():
@@ -558,9 +555,17 @@ def test_atom_cache_key_built_with_word():
     assert atom[:2] == ("exp", x)
     # composing reuses the stored key object instead of rebuilding it
     assert compose(g, g).word[1][2] is atom[2]
-    # the same element under another support window gets its own key
+    # an already keyed word is keyed again from x, to an equal key, so
+    # the same slots and forms
+    again = TruncAut(CFG, word=g.word)
+    assert again.word == g.word
+    assert all(s is t for (_, s), (_, t) in zip(again._steps, g._steps))
+    assert again._generator_forms() == g._generator_forms()
+    # the same element under another support window gets its own key,
+    # which carries that window's base levels
     other = TruncAut(CFG3, word=g.word).word[0][2]
     assert other != atom[2] and other[0] == atom[2][0]
+    assert other[2] == tuple(CFG3.base_levels()) != atom[2][2]
 
 
 def test_exp_atom_rejects_unsupported_letter():
@@ -568,6 +573,22 @@ def test_exp_atom_rejects_unsupported_letter():
         exp_ad(MonsterElt.e_letter(0, 3, 1), CFG)
     with pytest.raises(monster.SupportError):
         realize_word(GroupWord.of(sym("X", (0, 1, 3), 1)), CFG)
+
+
+def test_rejected_exp_atoms_number_no_key():
+    # the gate checks x before keying it, so a rejected atom leaves no
+    # key in the one numbering, which stays bounded by the windows' bases
+    ids = completion._IDS
+    rejected = [(MonsterElt.e_letter(4, 7, 5), monster.SupportError, "outside support"),
+                (MonsterElt({monster.H1: 1, monster.H2: Fraction(-2, 3)}), ValueError,
+                 "Cartan element"),
+                (MonsterElt.f_letter(3, 6, 4) + MonsterElt.e_letter(5, 6, 4), ValueError,
+                 "negative imaginary")]
+    for x, error, message in rejected:
+        n = len(ids.key)
+        with pytest.raises(error, match=message):
+            exp_ad(x, CFG)
+        assert len(ids.key) == n, message
 
 
 # Every word goes through TruncAut's gate, whatever built its atoms.
@@ -924,17 +945,32 @@ def test_inexact_word_forms_take_one_pass_under_an_address_space_cap():
     assert json.loads(proc.stdout) == [[12, [38, 28, 28, 28, 28, 28, 21]]]
 
 
-def test_exp_atom_numbers_x_once_per_block(monkeypatch):
-    # x is numbered at the first miss of each _atom_block call, not per image
+def test_exp_atom_is_numbered_once_when_keyed(monkeypatch):
+    # keying an exp atom builds x's id form (den, {id: numerator},
+    # exact_to, L), L the id of x's one key when x is exact and a single
+    # u+ word; applying the word numbers nothing again
+    cfg = SupportConfig(12, {1: 2, 2: 1})
+    ids = completion._IDS
+    k1, k2 = (monster.WPOS, ((1, 1, 0),)), (monster.WPOS, ((1, 2, 0),))
+    letter = MonsterElt.e_letter(0, 1, 1, Fraction(1, 2))
+    cases = [(letter, lambda: (2, {ids.of(k1): 1}, inf, ids.of(k1))),
+             (letter + MonsterElt.e_letter(0, 1, 2),
+              lambda: (2, {ids.of(k1): 1, ids.of(k2): 2}, inf, None)),
+             (MonsterElt(letter.terms, exact_to=7), lambda: (2, {ids.of(k1): 1}, 7, None)),
+             (MonsterElt.f_minus(Fraction(-1, 2)),
+              lambda: (2, {ids.of(monster.FMINUS): -1}, inf, None))]
+    for x, want in cases:
+        atom = exp_ad(x, cfg).word[0]
+        n = len(ids.key)
+        assert atom[3] == want(), x
+        assert len(ids.key) == n  # keying numbered every key of x
+    g = exp_ad(letter, cfg)
     calls = []
-    real = completion._numbered_x
-    monkeypatch.setattr(completion, "_numbered_x",
-                        lambda atom: calls.append(atom[0]) or real(atom))
-    g = exp_ad(MonsterElt.e_letter(0, 1, 1, Fraction(1, 2)), SupportConfig(12, {1: 2, 2: 1}))
-    g._generator_forms()
-    assert calls == ["exp"]
-    g._generator_forms()
-    assert calls == ["exp"]
+    real = completion._to_vec
+    monkeypatch.setattr(completion, "_to_vec", lambda y: calls.append(y) or real(y))
+    forms = g._generator_forms()
+    assert g._generator_forms() == forms
+    assert calls == []
 
 
 def test_word_keeps_its_numbering_across_clear_caches():
