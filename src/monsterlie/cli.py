@@ -490,8 +490,7 @@ def cmd_aut(args, cfg: Config):
         raise CliError("--depth must be >= 0")
     g = realize(args.word, sup)
     word = completion.approximate_by_generators(g, depth)
-    h = presentation.realize_word(word, sup)
-    ok = completion.equal_mod_level(g, h, depth)
+    ok = completion.equal_mod_level(g, word, depth)
     rep = {"word": args.word, "depth": depth,
            "approximation": presentation.format_word(word),
            "verified": ok}

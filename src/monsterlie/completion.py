@@ -32,28 +32,28 @@ permutations included, goes through that block pass.  Composition is
 concatenation: the factors hand the composite their (atom, slot) steps
 as they are, so nothing is keyed again (realize_word builds a word as
 the product of one-symbol words, each keyed once per window, so a
-realized word keys no atom).  Inversion reverses the tuple and inverts
-each atom, so inverses stay cheap and exact.  TruncAut checks every atom
-and every element it is applied to against its window.  An exp series
-whose x is one exact u+ word skips the keys whose bracket with it the
-clamp would cut whole.
+realized word keys no atom).  Inverses are built at their source: each
+symbol of an inverse word is keyed as its inverse symbol (X(u)^-1 =
+X(-u), H1(s)^-1 = H1(1/s)), and a permutation's inverse from sigma^-1.
+TruncAut checks every atom and every element it is applied to against
+its window.  An exp series whose x is one exact u+ word skips the keys
+whose bracket with it the clamp would cut whole.
 
 Soundness: every application tracks the exact_to bound of monster
 elements.  An atom's result is exact through the least of its images'
 bounds and a bound from the input: the input's own exact_to E, or
 descent_floor(E) - 1 for a lowering exponential (a multiple of f(-1)),
 since content hidden above E can slide down that far.  This is never
-above what the exp series gives on the whole element.  apply clamps
-every atom at one bound with headroom and retries with a widened bound
-when lowering factors eat into the requested window, so a returned
-element is always complete through the requested degree unless the
-input itself, or an exp atom's own x, was the limit.  The generator
-images need no headroom: the generators are exact, so the same
-accounting, run backwards from N, gives each atom the least clamp bound
-that leaves the result exact through N (N after the last lowering atom,
-raised at each lowering atom to the inverse of the descent floor), and
-every word's generator block takes one pass at those bounds, exact
-through N unless an exp atom's own x is inexact, which no bound repairs.
+above what the exp series gives on the whole element.  An exact input
+needs no headroom: the same accounting, run backwards from a degree E,
+gives each atom the least clamp bound that leaves the result exact
+through E (E after the last lowering atom, raised at each lowering atom
+to the inverse of the descent floor), so one pass (_exact_pass) is
+exact through E unless an exp atom's own x is inexact, which no bound
+repairs; the generator forms run it through N, the peel through its
+depth.  apply, for images printed past any one degree, clamps every
+atom at one bound with headroom and retries with a widened bound while
+the image falls short of the requested degree and each retry gains.
 
 The filtration level of g is measured on generators: the largest i such
 that g(y) - y sits in degrees >= k + i for every generator y of degree
@@ -71,9 +71,9 @@ the log series reaches degree d).  It writes that component in Lyndon
 coordinates and emits one-parameter letter symbols for letters and
 group commutators for bracket words (the lowest term of the
 Baker-Campbell-Hausdorff log of a commutator word is the Lie bracket).
-It returns a presentation.GroupWord, realized by realize_word and
-printed by format_word like any other word; the emitted word agrees
-with g modulo the (i+1)-st filtration subgroup.
+It returns a presentation.GroupWord, printed by format_word like any
+other word, dividing each piece out as its inverse word; the emitted
+word agrees with g modulo the (i+1)-st filtration subgroup.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def generator_keys(cfg: SupportConfig) -> tuple:
 # (atom[2][2]) gives both the headroom a window needs (value j-1) and the
 # exactness floor after a lowering exponential (value 2j+1); the floor's
 # inverse gives the clamp bound a lowering step needs for a result exact
-# through E.  Every bound E that reaches them is >= -2 (TruncAut.apply
-# refuses need < 0, and a lowering step maps E >= -2 to floor(E) - 1 >=
-# -2): no negative word sits above such an E.
+# through E.  Every bound E that reaches them is >= -2 (apply refuses
+# need < 0, an exact pass runs through N or a depth >= 1, and a lowering
+# step maps E >= -2 to floor(E) - 1 >= -2): no negative word sits above
+# such an E.
 
 
 def _knapsack(levels: tuple, value, cap: int) -> list:
@@ -535,15 +536,6 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
     return out
 
 
-def _invert_atom(atom):
-    tag = atom[0]
-    if tag == "exp":
-        return ("exp", -atom[1])
-    if tag == "torus":
-        return ("torus", 1 / atom[1], 1 / atom[2])
-    return ("perm", atom[1].inverse())
-
-
 # ---------------------------------------------------------------------------
 
 class TruncAut:
@@ -609,31 +601,33 @@ class TruncAut:
         _check_match(self, other)
         return self._generator_forms() == other._generator_forms()
 
+    def _exact_pass(self, block: list, E: int) -> list:
+        """block, of exact triples, through every atom, each step clamped
+        at the least bound that keeps the result exact through E: E for
+        every atom applied after the last lowering one, and at each
+        lowering atom, walking back towards the first applied, the least
+        bound whose descent floor still covers the bound after it
+        (_descent_lift).  An exp atom whose x is inexact takes the same
+        bounds, since no clamp bound restores the exactness x lacks."""
+        bounds = []
+        for atom, _ in reversed(self._steps):
+            if atom[0] == "exp" and atom[2][3]:
+                E = _descent_lift(E, atom[2][2])
+            bounds.append(E)
+        return self._pass(block, reversed(bounds))
+
     def _generator_forms(self) -> list:
         """(den, {id: numerator}) of each generator's image truncated at
         N, in generator_keys order, reduced by the gcd so that equal
         images give equal pairs.  equal, report_dict and filtration_level
         all read the generator images from here.
 
-        The generators are exact, so each step is clamped at the least
-        bound that keeps the result exact through N, and one pass of the
-        block suffices: N for every atom applied after the last lowering
-        one, and at each lowering atom, walking back towards the first
-        applied, the least bound whose descent floor still covers the
-        bound after it (_descent_lift).  A word with an exp atom whose x
-        is inexact takes the same pass, since no clamp bound restores the
-        exactness that x lacks.  Only a word with a lowering atom can
-        leave a term above N; such an image is cut and reduced again."""
+        The generators are exact, so one _exact_pass through N suffices.
+        Only a word with a lowering atom can leave a term above N; such
+        an image is cut and reduced again."""
         N = self.N
         deg = _IDS.deg
-        bounds = []
-        E = N
-        for atom, _ in reversed(self._steps):
-            if atom[0] == "exp" and atom[2][3]:
-                E = _descent_lift(E, atom[2][2])
-            bounds.append(E)
-        block = self._pass([(1, {i: 1}, inf) for i in _generator_ids(self.cfg)],
-                           reversed(bounds))
+        block = self._exact_pass([(1, {i: 1}, inf) for i in _generator_ids(self.cfg)], N)
         if not self._lowering:
             # every step was clamped at N, and no generator lies above N
             return [(den, nums) for den, nums, _ in block]
@@ -704,21 +698,16 @@ def compose(*auts: TruncAut) -> TruncAut:
 
 
 def _product(cfg: SupportConfig, auts) -> TruncAut:
-    """g1 g2 ... gk for factors on the window cfg, at least one: the
-    concatenated word with the factors' own steps and slots, so nothing
-    is keyed again; a slot resolved before a monster.clear_caches() stays
-    valid after it, since every word works in the one numbering."""
+    """g1 g2 ... gk for factors on the window cfg, the identity for none:
+    the concatenated word with the factors' own steps and slots, so
+    nothing is keyed again; a slot resolved before a monster.clear_caches()
+    stays valid after it, since every word works in the one numbering."""
     out = TruncAut.__new__(TruncAut)
     out.cfg = cfg
     out.word = tuple(a for g in auts for a in g.word)
     out._steps = tuple(step for g in reversed(auts) for step in g._steps)
     out._lowering = next((g._lowering for g in auts if g._lowering), ())
     return out
-
-
-def invert(g: TruncAut) -> TruncAut:
-    """Inverse automorphism: the reversed word of inverted atoms."""
-    return TruncAut(g.cfg, word=tuple(_invert_atom(a) for a in reversed(g.word)))
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +830,14 @@ def _emit_word(word, coeff) -> list:
 
 def _first_order_log(g: TruncAut, d: int, need: int) -> MonsterElt:
     """Degree-d component x_d of log g, for g in the d-th filtration
-    subgroup G_d, from one application of g to h1 through degree need.
+    subgroup G_d, from g's image of h1 in one _exact_pass through need.
 
     In G_d the degree-d part of log(g)(h1) is that of g(h1) - h1, read
     out by _h1_log_coeff as in log_unipotent.  A g outside G_d, or an
     image not exact through d, is a fault of the caller and raises
     RuntimeError."""
-    img = g.apply(MonsterElt({H1: 1}), need)
+    [t] = g._exact_pass([(1, {_IDS.of(H1): 1}, inf)], need)
+    img = _to_elt(*t)
     if img.terms.get(H1) != 1:
         raise RuntimeError("residual does not fix h1 to first order")
     if img.exact_to < d:
@@ -869,9 +859,10 @@ def approximate_by_generators(g: TruncAut, i: int):
 
     Peels one degree at a time: the residual lies in G_d at degree d, so
     the degree-d component of its log is the first-order one
-    (_first_order_log, one application to h1); it is written in the
-    Lyndon basis, realized by letter exponentials and group commutators,
-    then divided out.
+    (_first_order_log); it is written in the Lyndon basis as letter
+    symbols and group commutators, then divided out as the piece's
+    inverse word, its symbols reversed at exponent -1, each keyed as its
+    inverse symbol, so the forward piece is never realized.
     """
     from . import presentation      # presentation imports this module
     if i > g.N:
@@ -896,18 +887,20 @@ def approximate_by_generators(g: TruncAut, i: int):
             else:
                 raise RuntimeError("log of a unipotent residual left the positive sector")
         symbols.extend(step)
-        piece = presentation.realize_word(presentation.GroupWord.of(*step), g.cfg)
-        residual = compose(invert(piece), residual)
+        inverse = presentation.GroupWord([(s, -1) for s in reversed(step)])
+        residual = _product(g.cfg, [presentation.realize_word(inverse, g.cfg), residual])
     return presentation.GroupWord.of(*symbols)
 
 
-def equal_mod_level(g: TruncAut, h: TruncAut, i: int) -> bool:
+def equal_mod_level(g: TruncAut, word, i: int) -> bool:
     """True when g^-1 h lies in the i-th filtration subgroup as far as the
-    window can certify.
+    window can certify, h the automorphism of the GroupWord word.
 
-    Measured on h^-1 g, its inverse: G_i is a subgroup, so the two lie in
-    it together.  When h is approximate_by_generators' word for g, the
-    atoms of h^-1 g are g's own and the inverted pieces that the peel's
-    residuals already imaged, so their memoized images are reused."""
-    lvl = filtration_level(compose(invert(h), g))
+    Measured on h^-1 g, h^-1 realized from word.inverse(): G_i is a
+    subgroup, so the two lie in it together.  approximate_by_generators'
+    word has exponents +1 only, so its inverse does not reduce, and h^-1
+    g holds g's atoms and the peel's inverse pieces, keyed and imaged."""
+    from . import presentation      # presentation imports this module
+    inverse = presentation.realize_word(word.inverse(), g.cfg)
+    lvl = filtration_level(_product(g.cfg, [inverse, g]))
     return lvl.level >= i or lvl.window_limited

@@ -27,7 +27,7 @@ import random
 import re
 
 from . import monster
-from .completion import TruncAut, aut_check, compose, invert, torus
+from .completion import TruncAut, aut_check, compose, torus
 from .indices import SupportConfig
 from .monster import MonsterElt
 from .qseries import j_coefficients
@@ -154,9 +154,10 @@ def verify_preservation(sigma: SparsePerm, cfg: SupportConfig) -> dict:
     levels = cfg.base_levels()
     if sigma.level not in levels:
         sigma = SparsePerm(sigma.level)
-    g = perm_aut(sigma, SupportConfig(max(cfg.degree_bound, 2 * max(levels, default=0) + 1),
-                                      {j: cfg.cap(j) for j in levels}))
-    inv = invert(g)
+    window = SupportConfig(max(cfg.degree_bound, 2 * max(levels, default=0) + 1),
+                           {j: cfg.cap(j) for j in levels})
+    g = perm_aut(sigma, window)
+    inv = perm_aut(sigma.inverse(), window)
 
     def conj_bracket(x, y):
         return inv.apply(monster.bracket(g.apply(x), g.apply(y)))

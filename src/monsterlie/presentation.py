@@ -243,17 +243,15 @@ monster.CACHES.append(_keyed_symbol)
 
 def realize_word(w: GroupWord, cfg: SupportConfig) -> TruncAut:
     """w as one TruncAut: the product of the Weyl-expanded word's
-    one-symbol words, each keyed once per window (_keyed_symbol), an
-    inverse symbol as its inverted atom, so the product takes their
-    (atom, slot) steps as they are (completion._product) and re-keys
-    nothing.  The expanded word is realizable unless an imaginary Y
-    survives in it (a Weyl symbol's Y may cancel against a neighbour);
-    then UnrealizableError names the first imaginary Y or w symbol of w
-    as written, before any symbol is keyed, so before any window
-    error."""
+    one-symbol words, each keyed once per window (_keyed_symbol), a
+    symbol at exponent -1 as its inverse symbol, so the product takes
+    their (atom, slot) steps as they are (completion._product) and
+    re-keys nothing; the empty word is the empty product.  The expanded
+    word is realizable unless an imaginary Y survives in it (a Weyl
+    symbol's Y may cancel against a neighbour); then UnrealizableError
+    names the first imaginary Y or w symbol of w as written, before any
+    symbol is keyed, so before any window error."""
     factors = expand_weyl(w).factors
-    if not factors:
-        return TruncAut.identity(cfg)
     if any(s.kind == "Y" and s.index != -1 for s, _ in factors):
         s = next(s for s, _ in w.factors if s.kind in ("Y", "W") and s.index != -1)
         raise UnrealizableError(f"{format_symbol(s)} has no action on the positive completion")

@@ -11,7 +11,8 @@ the exp series on whole Fraction elements through monster.bracket
 instead of the integer series on basis keys, per-bound knapsacks over a
 window's base levels instead of one shared descent table, the
 generator peel through the full log series instead of its first-order
-term, the 2x2 matrix model as a product of Fraction matrices
+term, a word's inverse atom by atom instead of each symbol keyed as its
+inverse symbol, the 2x2 matrix model as a product of Fraction matrices
 instead of one integer form over a common denominator, and the mirror
 transport of a built MIRROR instance symbol by symbol instead of the
 mirrored words built directly.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import comb, inf
 
 from monsterlie import monster
-from monsterlie.completion import _emit_word, compose, filtration_level, invert, log_unipotent
+from monsterlie.completion import TruncAut, _emit_word, compose, filtration_level, log_unipotent
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import EMINUS, WPOS, MonsterElt, key_degree, key_sort
 from monsterlie.presentation import (GenSymbol, GroupWord, RelationInstance, c_const,
@@ -424,6 +425,26 @@ def exp_series(x: MonsterElt, y: MonsterElt, bound: int, cfg: SupportConfig) -> 
     if tail < inf and (x.min_degree() or 0) < 0:
         acc = MonsterElt(acc.terms, exact_to=descent_floor(tail, cfg) - 1)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# inversion atom by atom
+
+def invert(g: TruncAut) -> TruncAut:
+    """g^-1 as the reversed word of inverted atoms, keyed afresh: exp(ad x)
+    by exp(ad -x), the torus scaling (s, t) by (1/s, 1/t), a permutation
+    by its inverse.  presentation.realize_word keys a symbol's inverse as
+    the inverse symbol instead; this is the reference for those, and the
+    inverse of any word, exp_ad atoms included."""
+    atoms = []
+    for a in reversed(g.word):
+        if a[0] == "exp":
+            atoms.append(("exp", -a[1]))
+        elif a[0] == "torus":
+            atoms.append(("torus", 1 / a[1], 1 / a[2]))
+        else:
+            atoms.append(("perm", a[1].inverse()))
+    return TruncAut(g.cfg, word=tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

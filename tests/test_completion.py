@@ -10,19 +10,21 @@ from pathlib import Path
 
 import pytest
 
-from monsterlie import completion, freelie, monster, presentation
+from monsterlie import cli, completion, freelie, monster, presentation
 from monsterlie.cli import parse_word
 from monsterlie.completion import (Ad, TruncAut, _first_order_log, approximate_by_generators,
                                    aut_check, compose, equal_mod_level, exp_ad,
-                                   filtration_level, generator_keys, invert,
-                                   log_unipotent, torus)
+                                   filtration_level, generator_keys, log_unipotent,
+                                   torus)
 from monsterlie.indices import SupportConfig, letter_degree
 from monsterlie.monster import MonsterElt, bracket
 from monsterlie.permaut import SparsePerm
 from monsterlie.presentation import GroupWord, format_word, realize_word, sym
 
-from oracles import approximate_by_log, descent_floor, descent_pad, exp_series, lyndon_basis
+from oracles import (approximate_by_log, descent_floor, descent_pad, exp_series, invert,
+                     lyndon_basis)
 from test_acceptance import _rand_unipotent
+from test_benchmark_reports import workloads
 
 CFG = SupportConfig(9, {1: 2, 2: 1})
 N = 9
@@ -229,8 +231,7 @@ def test_approximate_by_generators_roundtrip():
                 exp_ad(MonsterElt.e_minus(2), cfg),
                 exp_ad(MonsterElt.e_letter(0, 2, 1, Fraction(-1, 2)), cfg))
     word = approximate_by_generators(g, 9)
-    h = realize_word(word, cfg)
-    assert equal_mod_level(g, h, 9)
+    assert equal_mod_level(g, word, 9)
     text = format_word(word)
     assert text.startswith("X(")
 
@@ -259,6 +260,11 @@ APPROX_WORDS = ("X(0,1,1;1)X(0,2,1;-1/2)X(-1;2)X(0,3,1;1)",
 def test_first_order_peel_matches_log_series_peel():
     cases = [(realize_word(parse_word(w), APPROX_CFG), 15)
              for w in APPROX_WORDS]
+    # a unipotent word with several lowering atoms, at the CLI's default
+    # window: h1's image is exact through 9 in one pass of the clamp schedule
+    cfg9 = SupportConfig(9, {1: 2, 2: 2, 3: 1})
+    w = "w(-1;1)X(0,2,1;1/2)w(-1;1)^-1Y(-1;1)X(1,3,1;1)Y(-1;-1)"
+    cases.append((realize_word(parse_word(w), cfg9), 9))
     cfg = SupportConfig(10, {1: 2, 2: 1})
     rng = random.Random(99)
     t = torus(2, 1, cfg)
@@ -283,6 +289,33 @@ def test_printed_approximation_parses_back():
     assert len(words[0]) == 49
 
 
+def test_approx_keys_each_exp_atom_once(monkeypatch, capsys):
+    # the benchmark's seed-0 aut approx keys 20 exp atoms: its word's and
+    # the peel's inverse symbols', each once, when first met; the
+    # verifier's inverse word holds only symbols the peel keyed
+    keyed, verifying = [], []
+    real_keyed, real_equal = completion._keyed_word, completion.equal_mod_level
+
+    def keyed_word(word, cfg):
+        keyed.extend(bool(verifying) for a in word if a[0] == "exp")
+        return real_keyed(word, cfg)
+
+    def equal_mod_level(*args):
+        verifying.append(True)
+        try:
+            return real_equal(*args)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(completion, "_keyed_word", keyed_word)
+    monkeypatch.setattr(completion, "equal_mod_level", equal_mod_level)
+    monster.clear_caches()
+    assert cli.main(workloads.commands("approx", 0)[0]) == 0
+    assert '"verified": true' in capsys.readouterr().out
+    assert len(keyed) == 20
+    assert not any(keyed)
+
+
 def test_first_order_log_checks_the_peel_invariant():
     cfg = SupportConfig(10, {1: 2, 2: 1})
     e = exp_ad(MonsterElt.e_minus(1), cfg)             # level 1
@@ -297,27 +330,26 @@ def test_first_order_log_checks_the_peel_invariant():
 
 def test_equal_mod_level():
     g = exp_ad(MonsterElt.e_letter(0, 2, 1), CFG)   # level 4
-    assert equal_mod_level(g, TruncAut.identity(CFG), 4)
-    assert not equal_mod_level(g, TruncAut.identity(CFG), 5)
+    assert equal_mod_level(g, GroupWord(), 4)
+    assert not equal_mod_level(g, GroupWord(), 5)
 
 
 def test_equal_mod_level_on_non_identity_pairs():
-    e011 = MonsterElt.e_letter(0, 1, 1)
-    e021 = MonsterElt.e_letter(0, 2, 1)
-    a, b = exp_ad(e011, CFG), exp_ad(e021, CFG)
     # g^-1 h = exp(2/3 e(0,2,1)) at level 4; the group commutator of
     # exp(e(0,1,1)) and exp(e(0,2,1)) at level 3 + 4 = 7
-    pairs = [(compose(a, exp_ad(e021.scaled(Fraction(-2, 3)), CFG)), a, 4),
-             (compose(a, b), compose(b, a), 7)]
-    for g, h, level in pairs:
+    pairs = [("X(0,1,1;1)X(0,2,1;-2/3)", "X(0,1,1;1)", 4),
+             ("X(0,1,1;1)X(0,2,1;1)", "X(0,2,1;1)X(0,1,1;1)", 7)]
+    for gw, hw, level in pairs:
+        gw, hw = parse_word(gw), parse_word(hw)
+        g, h = realize_word(gw, CFG), realize_word(hw, CFG)
         lvl = filtration_level(compose(invert(g), h))
         assert lvl == (level, False)
-        assert equal_mod_level(g, h, level) and equal_mod_level(h, g, level)
-        assert not equal_mod_level(g, h, level + 1)
-        assert not equal_mod_level(h, g, level + 1)
+        assert equal_mod_level(g, hw, level) and equal_mod_level(h, gw, level)
+        assert not equal_mod_level(g, hw, level + 1)
+        assert not equal_mod_level(h, gw, level + 1)
         for i in range(N + 1):
-            assert equal_mod_level(g, h, i) == (lvl.level >= i or lvl.window_limited), i
-            assert equal_mod_level(h, g, i) == equal_mod_level(g, h, i), i
+            assert equal_mod_level(g, hw, i) == (lvl.level >= i or lvl.window_limited), i
+            assert equal_mod_level(h, gw, i) == equal_mod_level(g, hw, i), i
 
 
 def test_apply_respects_requested_need():

@@ -4,11 +4,11 @@ from itertools import islice
 
 import oracles
 import pytest
-from oracles import mirror_relation, mirror_word
+from oracles import invert, mirror_relation, mirror_word
 
 from monsterlie import cli, completion, monster
 from monsterlie import presentation as P
-from monsterlie.completion import TruncAut, compose, exp_ad, invert, torus
+from monsterlie.completion import TruncAut, compose, exp_ad, torus
 from monsterlie.indices import SupportConfig
 from monsterlie.monster import MonsterElt
 from monsterlie.presentation import (GroupWord, build_instance, c_const, commutator,
@@ -588,12 +588,32 @@ def test_repeated_symbol_shares_one_atom():
     assert realize_word(GroupWord.of(x), CFG).word[0] is g.word[0]
 
 
+def test_inverse_words_match_atom_inversion():
+    # w^-1 realized symbol by symbol, each keyed as its inverse symbol,
+    # has the atoms oracles.invert builds from w's realization atom by
+    # atom, and the same memo slots; w(l,j,k;s) alone leaves an imaginary
+    # Y, so it is taken with the neighbours that cancel that Y
+    q = Fraction(-2, 3)
+    v = Fraction(-1) / (q * c_const(0, 2))
+    W = GroupWord.of
+    words = [W(sym("X", -1, q)), W(sym("X", (1, 2, 1), q)), W(sym("Y", -1, Fraction(3, 2))),
+             W(sym("H1", None, -2)), W(sym("H1", None, q)), W(sym("H2", None, -3)),
+             W(sym("H2", None, Fraction(1, 5))), W(sym("W", -1, q)),
+             GroupWord([(sym("W", (0, 2, 1), q), 1), (sym("X", (0, 2, 1), q), -1),
+                        (sym("Y", (0, 2, 1), v), -1)]),
+             cli.parse_word("w(-1;1)X(0,2,1;1/2)w(-1;1)^-1Y(-1;1)X(1,2,1;1)Y(-1;-1)")]
+    for w in words:
+        got, want = realize_word(w.inverse(), CFG), invert(realize_word(w, CFG))
+        assert got.word == want.word, format_word(w)
+        assert all(a is b for (_, a), (_, b) in zip(got._steps, want._steps, strict=True))
+
+
 def test_relcheck_work_is_pinned(monkeypatch):
     # the default relcheck realizes 1,661 words, decides 1,380 distinct
     # adjoint pairs, expands only the 1,661 realized words (MIRROR ones
-    # are built mirrored) and keys 229 words, the empty word and each of
-    # 228 one-symbol words once per window, as every other realized word
-    # is their product; a change in this work shows here
+    # are built mirrored) and keys 228 words, each of 228 one-symbol words
+    # once per window, as every other realized word is their product (the
+    # empty word their empty product); a change in this work shows here
     calls = {"realize_word": 0, "validate_adjoint": 0, "expand_weyl": 0, "_keyed_word": 0}
     for module, name in ((P, "realize_word"), (P, "validate_adjoint"), (P, "expand_weyl"),
                          (completion, "_keyed_word")):
@@ -608,4 +628,4 @@ def test_relcheck_work_is_pinned(monkeypatch):
     cfg = SupportConfig(cli.DEFAULT_N, cli.DEFAULT_CAPS)
     assert validate_catalog(cfg)["all_pass"]
     assert calls == {"realize_word": 1661, "validate_adjoint": 1380, "expand_weyl": 1661,
-                     "_keyed_word": 229}
+                     "_keyed_word": 228}
