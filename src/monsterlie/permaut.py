@@ -23,6 +23,7 @@ window.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -263,13 +264,6 @@ C15_VALUE = 126142916465781843075
 C15_FACTORS = ((3, 6), (5, 2), (7, 1), (1483, 1), (666739430527, 1))
 
 
-def _product(factors) -> int:
-    n = 1
-    for p, e in factors:
-        n *= p ** e
-    return n
-
-
 def numerology_check() -> dict:
     """Exact big-integer checks on the two ambient degrees.
 
@@ -278,8 +272,8 @@ def numerology_check() -> dict:
     above, recomputed here from the q-series.  d <= c(15) is what makes
     an embedding into the index-permutation group possible at level 15.
     """
-    d_prod = _product(D_FACTORS)
-    c15_prod = _product(C15_FACTORS)
+    d_prod = math.prod(p ** e for p, e in D_FACTORS)
+    c15_prod = math.prod(p ** e for p, e in C15_FACTORS)
     c15_series = j_coefficients(15)[15]
     checks = [
         {"name": "d factorization",

@@ -87,11 +87,6 @@ def sym(kind: str, index, param) -> GenSymbol:
     return GenSymbol(kind, index, param if isinstance(param, Fraction) else as_fraction(param))
 
 
-def _reciprocal(x) -> Fraction:
-    """1/x exactly, for a nonzero int or Fraction x."""
-    return Fraction(x.denominator, x.numerator)
-
-
 _ONE = Fraction(1)
 # each symbol kind as printed
 _NAMES = {"X": "X", "Y": "Y", "H1": "H1", "H2": "H2", "W": "w"}
@@ -575,7 +570,7 @@ def build_instance(rid: str, params: dict, index=None, mirrored: bool = False
             expo = -expo
         h = G(hk, None, s)
         if mirrored:
-            xk, h = _MIRRORED[xk], G(hk, None, _reciprocal(s))
+            xk, h = _MIRRORED[xk], G(hk, None, _ONE / s)
         lhs, rhs = _conj(h, G(xk, i, u)), W(G(xk, i, s ** expo * u))
     elif rid in ("R19", "R20", "R21", "R22"):
         s, tt = p["s"], p["t"]

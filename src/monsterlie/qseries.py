@@ -16,6 +16,8 @@ c(n) denotes the coefficient of q^n in J, so c(-1) = 1 and c(0) = 0.
 
 from __future__ import annotations
 
+import sys
+
 
 def sigma3(n: int) -> int:
     """Sum of cubes of the positive divisors of n."""
@@ -67,6 +69,8 @@ def j_coefficients(nmax: int) -> dict[int, int]:
     # q J = E4^3 / prod (1-q^k)^24 - 744 q, needed below q^(nmax+2)
     # (and through q^1, where the 744 comes off)
     n = max(nmax + 2, 2)
+    if n > sys.maxsize:
+        raise ValueError(f"a q-series of {n} coefficients is too long for a list")
     delta = delta_product(n)
     # 1 / prod (1-q^k)^24 by back-substitution on its leading 1; the
     # product's q^i is Delta's q^(i+1)

@@ -24,7 +24,7 @@ from monsterlie.presentation import GroupWord, format_word, realize_word, sym
 from oracles import (approximate_by_log, descent_floor, descent_pad, exp_series, invert,
                      lyndon_basis)
 from test_acceptance import _rand_unipotent
-from test_benchmark_reports import workloads
+from test_contract import workloads
 
 CFG = SupportConfig(9, {1: 2, 2: 1})
 N = 9
