@@ -3,8 +3,9 @@ row's command must exit with its code and print the stdout SHA-256 (exit
 0 or 1, nothing on stderr) or the stderr prefix (exit 2, nothing on
 stdout), and no traceback.  Rows run in-process through cli.main with
 MONSTERLIE_CONFIG unset; a row that sets PYTHONHASHSEED or a recursion
-limit runs in a fresh interpreter.  The `readme-` rows are the README's
-examples; the benchmark's rows read their argv and seed-0 digests from
+limit runs in a fresh interpreter.  The README's examples and the
+benchmark's reports are run by the tests of their own modules; the
+benchmark's rows read their argv and seed-0 digests from
 perfbench/workloads.py.  A changed report needs its row re-recorded on
 purpose."""
 
@@ -25,7 +26,6 @@ import pytest
 from monsterlie import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-README = ROOT / "README.md"
 
 _spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
@@ -55,8 +55,8 @@ LEVEL4 = "--n 12 --cap 1=3 --cap 2=3 --cap 3=2 --cap 4=1"
 APPROX_WINDOW = ("--cap 1=2 --cap 2=2 --cap 3=1 --cap 4=1 "
                  "--word 'X(0,1,1;1)X(0,2,1;-1/2)X(-1;2)X(0,3,1;1)'")
 
-CONTRACT = [
-    # the README's examples
+# the README's examples, run by tests/test_readme_examples.py
+README_ROWS = [
     Row("readme-jcoef", "jcoef --nmax 3", 0,
         "57c5340d45d56b8eee30a00dfe1daada57944d0907a125e8d4b840287225d623"),
     Row("readme-bracket-gl2", "bracket --expr '[e(-1),f(-1)]'", 0,
@@ -76,10 +76,13 @@ CONTRACT = [
     Row("readme-relcheck", "relcheck --suite all", 0, RELCHECK),
     Row("readme-permaut", "permaut --level 1 --cycles '(1 2)' --verify", 0, PERMAUT_SWAP),
     Row("readme-numerology", "numerology", 0, NUMEROLOGY),
+]
 
-    # the benchmark's reports: `series`, the `approx` word at seed 0 and,
-    # relabeled and conjugated by a torus element, at seeds 3, 5 and 7, and
-    # `relcheck` with its samples reordered (one swapped) at seeds 3 and 5
+# the benchmark's reports, run by tests/test_benchmark_reports.py:
+# `series`, the `approx` word at seed 0 and, relabeled and conjugated by a
+# torus element, at seeds 3, 5 and 7, and `relcheck` with its samples
+# reordered (one swapped) at seeds 3 and 5
+BENCHMARK_ROWS = [
     Row("series-0", _bench("series"), 0, workloads.DIGESTS["series"][0]),
     Row("series-1", _bench("series", i=1), 0, workloads.DIGESTS["series"][1]),
     Row("approx-seed0", _bench("approx"), 0, APPROX),
@@ -93,6 +96,10 @@ CONTRACT = [
         "5b69560c43c8e82517cadb189c1d3a923d2840a6c9d6ce94b89bd588428c9aa5"),
     Row("relcheck-seed5", _bench("relcheck", 5), 0,
         "092a47b1cedf41d438462e8fa53e3df58a00bf41f4a47c85e7e7363276f255b7"),
+]
+
+# the rest, run by test_cli_contract below
+OTHER_ROWS = [
     # no report depends on the key numbering's first-seen order
     Row("relcheck-hashseed1", "relcheck --suite all", 0, RELCHECK, hashseed=1),
     Row("relcheck-hashseed2", "relcheck --suite all", 0, RELCHECK, hashseed=2),
@@ -242,13 +249,15 @@ CONTRACT = [
     Row("bad-permaut-above-cap", "permaut --level 2 --cycles '(1 5)'", 2,
         "error: permutation support [5] exceeds cap 2 at level 2"),
 ]
+CONTRACT = README_ROWS + BENCHMARK_ROWS + OTHER_ROWS
 
 def breaches(row: Row) -> list:
     """Run the row's command; list each way its result breaks the row."""
     argv = shlex.split(row.argv)
     if row.hashseed is None and row.recursionlimit is None:
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as env, redirect_stdout(out), redirect_stderr(err):
+            env.delenv(cli.ENV_CONFIG, raising=False)
             try:
                 code = cli.main(argv)
             except Exception:
@@ -284,21 +293,12 @@ def breaches(row: Row) -> list:
     return found
 
 
-@pytest.fixture(autouse=True)
-def _no_config_file(monkeypatch):
-    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-
-
-@pytest.mark.parametrize("row", CONTRACT, ids=[row.name for row in CONTRACT])
+@pytest.mark.parametrize("row", OTHER_ROWS, ids=[row.name for row in OTHER_ROWS])
 def test_cli_contract(row):
     assert breaches(row) == []
 
 
-def test_readme_examples_are_the_readme_rows():
-    examples = [shlex.split(line[2:], comments=True)[1:]
-                for line in README.read_text().splitlines() if line.startswith("$ monsterlie ")]
-    rows = [shlex.split(row.argv) for row in CONTRACT if row.name.startswith("readme-")]
-    assert sorted(examples) == sorted(rows)
+def test_row_names_are_unique():
     assert len({row.name for row in CONTRACT}) == len(CONTRACT)
 
 
