@@ -4,22 +4,24 @@ A TruncAut represents an automorphism of the positive formal completion
 restricted to degrees <= N, as a word; N is the degree bound of its
 support window (a SupportConfig), which nothing else sets.  The word is
 a tuple of atomic factors, each ("exp", x) for a pro-summable
-exponential (stored as ("exp", x, cache key, id form of x), both built
-once, when the atom is keyed: the form is the triple below, by id, and
-the id of x's one key when x is one exact u+ word), ("torus", s, t) for
-the semisimple scaling by s^a t^b on the root (a, b), or ("perm", sigma)
-for an index permutation sigma (a permaut.SparsePerm).  The kernel runs
-on small integer ids, not on basis keys: one numbering, made at import,
-gives each key an id once, in first-seen order, and the id keeps its
-meaning for the life of the process.  Application walks the factors
-right to left, so it is a composition of linear maps on ids: each atom
-sends y to the sum of c * image(id) over the terms of y, and the image
+exponential (stored as ("exp", x, form), the form built once, when the
+atom is keyed: x as the triple below, by id, the id of x's one key when
+x is one exact u+ word, and the window's base levels when x lowers),
+("torus", s, t) for the semisimple scaling by s^a t^b on the root
+(a, b), or ("perm", sigma) for an index permutation sigma (a
+permaut.SparsePerm).  The kernel runs on small integer ids, not on
+basis keys: one numbering, made at import, gives each key an id once,
+in first-seen order, and the id keeps its meaning for the life of the
+process.  Application walks the factors right to left, so it is a
+composition of linear maps on ids: each atom sends y to the sum of
+c * image(id) over the terms of y, and the image
 of each id is computed once per atom and clamp bound, then memoized (exp
 images by the exp series on that single key, run on integer numerators
 over one denominator: the basis brackets have integer structure
 constants, kept in one memoized table of id pairs, so each step's
-denominator is the last one times x's denominator and n).  The word
-resolves each atom's memo slot once, when it is built.  Every integer
+denominator is the last one times x's denominator and n).  An atom's
+images belong to the atom its word keys; words on a window share them
+through the symbol memo (presentation._keyed_symbol).  Every integer
 vector the kernel builds, memoizes or carries has one form, the
 gcd-reduced triple (den, {id: numerator}, exact_to): integer numerators
 over one positive common denominator.  Images are stored that way, and a
@@ -106,8 +108,8 @@ def generator_keys(cfg: SupportConfig) -> tuple:
 # application moves every term down by exactly one degree, and a basis
 # word descends at most to its all-bottom string configuration, a
 # multiset of base levels j at degree sum(j+2) whose fully raised top is
-# sum(2j+1).  One knapsack over the levels every exp atom's key carries
-# (atom[2][2]) gives both the headroom a window needs (value j-1) and the
+# sum(2j+1).  One knapsack over the levels a lowering atom's form carries
+# (atom[2][4]) gives both the headroom a window needs (value j-1) and the
 # exactness floor after a lowering exponential (value 2j+1); the floor's
 # inverse gives the clamp bound a lowering step needs for a result exact
 # through E.  Every bound E that reaches them is >= -2 (apply refuses
@@ -174,33 +176,28 @@ def _descent_lift(E: int, levels: tuple) -> int:
 # and monster.clear_caches() leaves it, and an id means one key for the
 # life of the process.  It only grows, bounded by the union of the
 # windows' bases, as key_degree's memo is.  Every atom is linear, so it
-# acts through the images of single ids.  _slot maps an atom's cache key
-# to its memo, {bound: {id: image}}; an image is the gcd-reduced triple
-# (den, {id: numerator}, exact_to), exact_to inf when exact, shared by
-# every block that reads it, so nothing mutates it.  An image that fixes
-# its key is _unit(i, exact_to), one triple shared by every slot.  Exp
-# images depend on the clamp bound; torus and perm images do not and sit
-# under the bound None.  An exp series brackets ids through _bracket_ids,
-# the structure-constant table (i, j) -> {id: int}, which asks
-# monster.term_bracket on a miss; every zero bracket is the one read-only
-# _ZERO.  A word resolves each atom's slot once, when it is keyed
-# (_keyed_word), or takes it from its factors (_product), so applying an
-# atom never hashes its key.  An exp atom's x is numbered there too, once,
-# into the form the exp series reads: (den, {id: numerator}, exact_to,
-# L), L the id of x's one key when x is exact and a single u+ word, else
-# None.
+# acts through the images of single ids, memoized in its slot, {bound:
+# {id: image}}; an image is the gcd-reduced triple (den, {id: numerator},
+# exact_to), exact_to inf when exact, shared by every block that reads
+# it, so nothing mutates it.  An image that fixes its key is _unit(i,
+# exact_to), one triple shared by every slot.  Exp images depend on the
+# clamp bound; torus and perm images do not and sit under the bound None.
+# An exp series brackets ids through _bracket_ids, the structure-constant
+# table (i, j) -> {id: int}, which asks monster.term_bracket on a miss;
+# every zero bracket is the one read-only _ZERO.  An atom's images belong
+# to the atom its word keys (_keyed_word); words on a window share them
+# through the symbol memo.  An exp atom's x is numbered once, when it is
+# keyed, into the form the exp series reads: (den, {id: numerator},
+# exact_to, L, levels), L the id of x's one key when x is exact and a
+# single u+ word, else None, levels the window's base levels when x
+# lowers, else None.
 # Word application carries a block of elements as (den, {id: numerator},
 # exact_to) triples through every atom, one _atom_block call per atom,
 # which returns each triple gcd-reduced; keys come back only for the
 # returned element, the reports and the filtration level.
-# _slot, _bracket_ids, _unit, _generator_ids (a window's generator keys
-# as ids) and the two descent memos above are functools.cache functions
-# listed in monster.CACHES, so monster.clear_caches() drops them
-# together.  A word holds its slots: one built before a clear keeps them,
-# and their images stay valid, since an image depends only on its atom
-# key, clamp bound and id; they are freed with the word.  A word built
-# after the clear resolves new slots, and the two compare and compose as
-# any two words do.
+# _bracket_ids, _unit, _generator_ids (a window's generator keys as ids)
+# and the two descent memos above are functools.cache functions listed
+# in monster.CACHES, so monster.clear_caches() drops them together.
 
 
 class _KeyIds:
@@ -225,12 +222,6 @@ class _KeyIds:
 
 # the one key numbering, for the life of the process
 _IDS = _KeyIds()
-
-
-@cache
-def _slot(key) -> dict:
-    """The memo {bound: {id: image}} of the atom with cache key key."""
-    return {}
 
 
 # the one zero bracket, shared by every pair of keys that commute
@@ -258,21 +249,19 @@ def _generator_ids(cfg: SupportConfig) -> tuple:
     return tuple(map(_IDS.of, generator_keys(cfg)))
 
 
-monster.CACHES.extend((_slot, _bracket_ids, _unit, _generator_ids, _descent_floor,
+monster.CACHES.extend((_bracket_ids, _unit, _generator_ids, _descent_floor,
                        _descent_lift))
 
 
 def _keyed_word(word, cfg: SupportConfig) -> tuple:
-    """(word, slots): word with each exp atom as ("exp", x, key, form),
-    both built from x, whatever atom the word held: the key (terms,
-    exact_to, support levels, lowers), and x's id form (*_to_vec(x), L),
-    L the id of x's one key when x is exact and a single u+ word, else
-    None; slots holds each atom's memo slot.  Torus and perm atoms are
-    their own keys.  Every atom is checked against cfg before any of x's
-    keys is numbered or any slot resolved: exp letters in the window, and
-    x of min degree >= 1 or a multiple of f(-1); nonzero torus
-    parameters; a permutation within its level's cap; no other tag."""
-    levels = tuple(cfg.base_levels())
+    """word with each exp atom as ("exp", x, form), form built from x
+    whatever atom the word held: x's id form (*_to_vec(x), L, levels), L
+    the id of x's one key when x is exact and a single u+ word, else None,
+    and levels the window's base levels when x lowers (a multiple of
+    f(-1)), else None.  Every atom is checked against cfg before any of
+    x's keys is numbered: exp letters in the window, and x of min degree
+    >= 1 or a multiple of f(-1); nonzero torus parameters; a permutation
+    within its level's cap; no other tag."""
     out = []
     for a in word:
         tag = a[0]
@@ -292,8 +281,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
                 [k] = x.terms
                 if isinstance(k, tuple) and k[0] == WPOS:
                     L = _IDS.of(k)
-            a = ("exp", x, (frozenset(x.terms.items()), x.exact_to, levels, m < 0),
-                 (*_to_vec(x), L))
+            a = ("exp", x, (*_to_vec(x), L, tuple(cfg.base_levels()) if m < 0 else None))
         elif tag == "torus":
             if not (a[1] and a[2]):
                 raise ValueError("torus parameters must be nonzero")
@@ -307,7 +295,7 @@ def _keyed_word(word, cfg: SupportConfig) -> tuple:
         else:
             raise ValueError(f"unknown atomic factor {tag!r}")
         out.append(a)
-    return tuple(out), tuple(_slot(a[2] if a[0] == "exp" else a) for a in out)
+    return tuple(out)
 
 
 def _to_vec(y: MonsterElt) -> tuple:
@@ -339,8 +327,8 @@ def _to_elt(den: int, nums: dict, exact_to) -> MonsterElt:
 
 def _exp_image(atom, i: int, bound: int) -> tuple:
     """Image triple of the key with id i under the exp atom ("exp", x,
-    key, form), terms above bound discarded (and recorded), from x's id
-    form (den, {id: numerator}, exact_to, L).  An image that fixes its
+    form), terms above bound discarded (and recorded), from x's id form
+    (den, {id: numerator}, exact_to, L, levels).  An image that fixes its
     key is the shared _unit triple.
 
     The series term_n = [x, term_{n-1}] / n runs on integer numerators:
@@ -351,8 +339,7 @@ def _exp_image(atom, i: int, bound: int) -> tuple:
     bound, and a cut caps its exact_to at bound.  The terms are summed
     over the last denominator and reduced by one gcd.  When x lowers
     degrees, content hidden above a cut can slide back down; the image is
-    then marked exact only below the descent floor of the levels in the
-    atom's key.
+    then marked exact only below the descent floor of the form's levels.
 
     When x is exact and a single u+ word L, a term key w with deg w >
     max(bound - deg L, 1) is not bracketed: it is a u+ word (those have
@@ -365,7 +352,7 @@ def _exp_image(atom, i: int, bound: int) -> tuple:
     <= deg L + 1 < deg L + deg w).  A seed key wholly above the bound
     thus returns itself, exact_to bound (inf when it is L), before any
     series is set up."""
-    xden, xnums, xexact, L = atom[3]
+    xden, xnums, xexact, L, levels = atom[2]
     deg = _IDS.deg
     cut = inf if L is None else max(bound - deg[L], 1)
     if deg[i] > cut:
@@ -408,8 +395,8 @@ def _exp_image(atom, i: int, bound: int) -> tuple:
         exact_to = min(exact_to, term_exact)
         den *= xden * n
         terms.append((den, term))
-    if clamped and atom[2][3]:
-        exact_to = _descent_floor(bound, atom[2][2]) - 1
+    if clamped and levels is not None:
+        exact_to = _descent_floor(bound, levels) - 1
     acc: dict = {}
     for d, t in terms:
         f = den // d
@@ -482,11 +469,12 @@ def _atom_block(atom, slot: dict, block: list, bound) -> list:
     times the image's den, the image itself when c and den are 1, since
     images are stored reduced.  exact_to is the least of the images'
     bounds and the input's: lo itself, or for a lowering exponential the
-    descent floor below it (of the levels in its key), since content
+    descent floor below it (of the levels in its form), since content
     hidden above lo can slide down that far."""
-    levels = atom[2][2] if atom[0] == "exp" and atom[2][3] else None
-    if atom[0] != "exp":
-        bound = None
+    if atom[0] == "exp":
+        levels = atom[2][4]
+    else:
+        levels = bound = None
     images = slot.setdefault(bound, {})
     get = images.get
     out = []
@@ -546,11 +534,12 @@ class TruncAut:
 
     def __init__(self, cfg: SupportConfig, word):
         self.cfg = cfg
-        self.word, slots = _keyed_word(word, cfg)
-        # (atom, slot) in application order: rightmost factor first
-        self._steps = tuple(zip(reversed(self.word), reversed(slots)))
+        self.word = _keyed_word(word, cfg)
+        # (atom, slot) in application order, rightmost factor first: each
+        # atom keyed here owns a fresh slot
+        self._steps = tuple((a, {}) for a in reversed(self.word))
         # the levels lowering atoms descend through, () if none lowers
-        self._lowering = next((a[2][2] for a in self.word if a[0] == "exp" and a[2][3]), ())
+        self._lowering = next((a[2][4] for a in self.word if a[0] == "exp" and a[2][4]), ())
 
     @property
     def N(self) -> int:
@@ -611,8 +600,8 @@ class TruncAut:
         bounds, since no clamp bound restores the exactness x lacks."""
         bounds = []
         for atom, _ in reversed(self._steps):
-            if atom[0] == "exp" and atom[2][3]:
-                E = _descent_lift(E, atom[2][2])
+            if atom[0] == "exp" and atom[2][4] is not None:
+                E = _descent_lift(E, atom[2][4])
             bounds.append(E)
         return self._pass(block, reversed(bounds))
 
@@ -700,8 +689,7 @@ def compose(*auts: TruncAut) -> TruncAut:
 def _product(cfg: SupportConfig, auts) -> TruncAut:
     """g1 g2 ... gk for factors on the window cfg, the identity for none:
     the concatenated word with the factors' own steps and slots, so
-    nothing is keyed again; a slot resolved before a monster.clear_caches()
-    stays valid after it, since every word works in the one numbering."""
+    nothing is keyed again."""
     out = TruncAut.__new__(TruncAut)
     out.cfg = cfg
     out.word = tuple(a for g in auts for a in g.word)

@@ -216,14 +216,15 @@ def _symbol_atom(kind: str, index, p: Fraction) -> tuple:
 def _keyed_symbol(kind: str, index, num: int, den: int, e: int, cfg: SupportConfig) -> TruncAut:
     """The one-symbol word kind(index; num/den)^e (e = +-1, num/den
     reduced with den > 0) on the window cfg, keyed once: its atom checked
-    against cfg and its memo slot resolved.  The key is plain ints and
-    strings, so a lookup hashes no Fraction.
+    against cfg and given its slot.  The key is plain ints and strings,
+    so a lookup hashes no Fraction.
     s^-1 is keyed as the inverse symbol, X or Y at -u and H1 or H2 at
-    1/s, so both spellings of one atom share one word.  A symbol that
-    recurs across words is keyed once per window, and every word built
-    from it holds the same atom object and slot.  A clear drops the memo,
-    and a word keyed before it stays valid: every word works in the one
-    key numbering, completion._IDS, which a clear keeps."""
+    1/s, so both spellings of one atom share one word.  This memo is
+    where words on a window share an atom's images: every word built
+    from the symbol holds the same atom object and slot.  A clear drops
+    the memo, and a word keyed before it keeps its slots and stays valid:
+    every word works in the one key numbering, completion._IDS, which a
+    clear keeps."""
     if e == -1:
         if kind in ("H1", "H2"):
             num, den = (den, num) if num > 0 else (-den, -num)

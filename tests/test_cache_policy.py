@@ -3,7 +3,8 @@ function listed in monster.CACHES, so monster.clear_caches() reaches it,
 and no module keeps a hand-written memo dict.  completion._IDS, the one
 key numbering, is the one interning table: it is not a memo, so it is
 not listed, and a clear keeps it, so an id means one key for the life of
-the process."""
+the process.  An atom's images belong to the atom its word keys; words
+on a window share them through the symbol memo."""
 
 import ast
 import importlib

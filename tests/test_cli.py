@@ -108,12 +108,6 @@ def test_unsupported_word_index_exit_2(capsys):
     assert code == 2 and "error:" in err and out == ""
 
 
-def test_unrealizable_word_exit_2(capsys):
-    code, out, err = run(capsys, "aut", "apply", "--word", "Y(0,1,1;1)",
-                         "--elem", "h1")
-    assert code == 2 and "error:" in err
-
-
 @pytest.mark.parametrize("argv, named", [
     (("aut", "log", "--word", "w(0,1,1;1)"), "w(0,1,1;1)"),
     (("aut", "apply", "--word", "X(0,1,1;1)w(0,1,1;2)^-1", "--elem", "h1"), "w(0,1,1;2)"),
@@ -218,13 +212,6 @@ def test_all_zero_samples_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "") and "nonzero" in err
     rep = run_json(capsys, "relcheck", "--suite", "sl2", "--n", "4", "--samples", "0,1")
     assert rep["samples"] == ["0", "1"] and rep["all_pass"]
-
-
-def test_empty_samples_flag_exit_2(capsys):
-    # an empty --samples is refused like an empty config line, not
-    # replaced by the default samples
-    code, out, err = run(capsys, "relcheck", "--samples", "")
-    assert (code, out) == (2, "") and err.startswith("error: empty sample list")
 
 
 def test_unreadable_config_exit_2(capsys, tmp_path, monkeypatch):

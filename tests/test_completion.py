@@ -465,7 +465,7 @@ def test_memoized_atoms_match_whole_element():
     g = TruncAut(CFG3, word=raw)
     atoms = g.word
     slots = [slot for _, slot in reversed(g._steps)]
-    assert [a[2][3] for a in atoms[:3]] == [False, False, True]
+    assert [a[2][4] for a in atoms[:3]] == [None, None, tuple(CFG3.base_levels())]
     assert all(type(slot) is dict for slot in slots)
     inputs = _diff_inputs()
     for atom, slot in zip(atoms, slots):
@@ -489,8 +489,9 @@ def test_memoized_atoms_match_whole_element():
     assert all(memo.cache_info().currsize for memo in monster.CACHES)
     monster.clear_caches()
     assert not any(memo.cache_info().currsize for memo in monster.CACHES)
-    # the slots the word holds keep their images; a new lookup starts afresh
-    assert all(slots) and completion._slot(atoms[0][2]) == {}
+    # the slots the word holds keep their images; a word keyed anew owns
+    # fresh slots
+    assert all(slots) and not any(slot for _, slot in TruncAut(CFG3, word=raw)._steps)
 
 
 def _basis_keys(cfg, dmax):
@@ -580,24 +581,26 @@ def test_exp_images_of_single_u_plus_words_match_fraction_series():
     assert completion._exp_image(atom, ids.of(L), 9) == (1, {ids.of(L): 1}, inf)
 
 
-def test_atom_cache_key_built_with_word():
+def test_atom_form_built_with_word():
     x = MonsterElt.e_letter(0, 1, 1, 2)
     g = exp_ad(x, CFG)
     atom = g.word[0]
     assert atom[:2] == ("exp", x)
-    # composing reuses the stored key object instead of rebuilding it
+    # composing reuses the stored form object instead of rebuilding it
     assert compose(g, g).word[1][2] is atom[2]
-    # an already keyed word is keyed again from x, to an equal key, so
-    # the same slots and forms
+    # an already keyed word is keyed again from x, to an equal form, with
+    # slots of its own and the same generator forms
     again = TruncAut(CFG, word=g.word)
     assert again.word == g.word
-    assert all(s is t for (_, s), (_, t) in zip(again._steps, g._steps))
+    assert all(s is not t for (_, s), (_, t) in zip(again._steps, g._steps))
     assert again._generator_forms() == g._generator_forms()
-    # the same element under another support window gets its own key,
-    # which carries that window's base levels
-    other = TruncAut(CFG3, word=g.word).word[0][2]
-    assert other != atom[2] and other[0] == atom[2][0]
-    assert other[2] == tuple(CFG3.base_levels()) != atom[2][2]
+    # a lowering element's form carries its window's base levels, so under
+    # another window it gets its own form; no other form carries levels
+    assert atom[2][4] is None and TruncAut(CFG3, word=g.word).word[0][2] == atom[2]
+    lowering = exp_ad(MonsterElt.f_minus(1), CFG).word
+    here, other = lowering[0][2], TruncAut(CFG3, word=lowering).word[0][2]
+    assert other[:4] == here[:4]
+    assert other[4] == tuple(CFG3.base_levels()) != here[4] == tuple(CFG.base_levels())
 
 
 def test_exp_atom_rejects_unsupported_letter():
@@ -628,7 +631,7 @@ GATE_CFG = SupportConfig(9, {1: 2, 2: 2, 3: 1})
 
 
 def test_keyed_word_letters_rechecked_under_a_smaller_window():
-    # the same base levels, so the atom keeps its key; its letters are
+    # the same base levels, so the atom keeps its form; its letters are
     # still checked against the new window
     word = exp_ad(MonsterElt.e_letter(0, 1, 2), SupportConfig(9, {1: 2})).word
     with pytest.raises(monster.SupportError, match=r"letter \(0,1,2\) outside support"):
@@ -979,22 +982,23 @@ def test_inexact_word_forms_take_one_pass_under_an_address_space_cap():
 
 def test_exp_atom_is_numbered_once_when_keyed(monkeypatch):
     # keying an exp atom builds x's id form (den, {id: numerator},
-    # exact_to, L), L the id of x's one key when x is exact and a single
-    # u+ word; applying the word numbers nothing again
+    # exact_to, L, levels), L the id of x's one key when x is exact and a
+    # single u+ word, levels the window's base levels when x lowers;
+    # applying the word numbers nothing again
     cfg = SupportConfig(12, {1: 2, 2: 1})
     ids = completion._IDS
     k1, k2 = (monster.WPOS, ((1, 1, 0),)), (monster.WPOS, ((1, 2, 0),))
     letter = MonsterElt.e_letter(0, 1, 1, Fraction(1, 2))
-    cases = [(letter, lambda: (2, {ids.of(k1): 1}, inf, ids.of(k1))),
+    cases = [(letter, lambda: (2, {ids.of(k1): 1}, inf, ids.of(k1), None)),
              (letter + MonsterElt.e_letter(0, 1, 2),
-              lambda: (2, {ids.of(k1): 1, ids.of(k2): 2}, inf, None)),
-             (MonsterElt(letter.terms, exact_to=7), lambda: (2, {ids.of(k1): 1}, 7, None)),
+              lambda: (2, {ids.of(k1): 1, ids.of(k2): 2}, inf, None, None)),
+             (MonsterElt(letter.terms, exact_to=7), lambda: (2, {ids.of(k1): 1}, 7, None, None)),
              (MonsterElt.f_minus(Fraction(-1, 2)),
-              lambda: (2, {ids.of(monster.FMINUS): -1}, inf, None))]
+              lambda: (2, {ids.of(monster.FMINUS): -1}, inf, None, (1, 2)))]
     for x, want in cases:
         atom = exp_ad(x, cfg).word[0]
         n = len(ids.key)
-        assert atom[3] == want(), x
+        assert atom[2] == want(), x
         assert len(ids.key) == n  # keying numbered every key of x
     g = exp_ad(letter, cfg)
     calls = []
@@ -1032,6 +1036,38 @@ def test_word_keeps_its_numbering_across_clear_caches():
         assert (h.apply(y).terms, h.apply(y).exact_to) == (image.terms, image.exact_to)
     assert (fresh.apply(z).terms, fresh.apply(z).exact_to) == (later.terms, later.exact_to)
     assert fresh.report_dict() == report
+
+
+def test_images_belong_to_the_atom_its_word_keys():
+    # an atom's images belong to the atom its word keys: each keyed atom
+    # owns its slot, a composite hands on its factors' slot objects, and
+    # words on one window share a symbol's slot only through the symbol
+    # memo; a live word keeps its images across a clear
+    monster.clear_caches()
+    x = MonsterElt.e_letter(0, 1, 1, Fraction(1, 2))
+    g, h = exp_ad(x, BLOCK_CFG), exp_ad(x, BLOCK_CFG)
+    (_, gs), (_, hs) = g._steps[0], h._steps[0]
+    assert gs is not hs
+    assert all(s is t for (_, s), t in zip(compose(g, h)._steps, (hs, gs), strict=True))
+
+    X = GroupWord.of(sym("X", (0, 1, 1), Fraction(1, 2)))
+    once, twice = realize_word(X, BLOCK_CFG), realize_word(X, BLOCK_CFG)
+    assert once._steps[0][0] is twice._steps[0][0] and once._steps[0][1] is twice._steps[0][1]
+    elsewhere = realize_word(X, SupportConfig(BLOCK_CFG.degree_bound, {1: 2, 2: 2}))
+    assert elsewhere._steps[0][0] is not once._steps[0][0]
+    assert elsewhere._steps[0][1] is not once._steps[0][1]
+
+    y = MonsterElt({(monster.WPOS, ((1, 2, 0),)): Fraction(2, 3), monster.H2: 5})
+    image = g.apply(y)
+    held = {bound: dict(images) for bound, images in gs.items()}
+    assert held
+    monster.clear_caches()
+    assert g._steps[0][1] is gs
+    assert all(gs[bound][i] is img for bound, images in held.items()
+               for i, img in images.items())
+    again = g.apply(y)
+    assert (again.terms, again.exact_to) == (image.terms, image.exact_to)
+    assert {bound: dict(images) for bound, images in gs.items()} == held
 
 
 def test_words_built_across_clear_caches_compose():

@@ -591,8 +591,8 @@ def test_repeated_symbol_shares_one_atom():
 def test_inverse_words_match_atom_inversion():
     # w^-1 realized symbol by symbol, each keyed as its inverse symbol,
     # has the atoms oracles.invert builds from w's realization atom by
-    # atom, and the same memo slots; w(l,j,k;s) alone leaves an imaginary
-    # Y, so it is taken with the neighbours that cancel that Y
+    # atom, and the symbol memo's slots; w(l,j,k;s) alone leaves an
+    # imaginary Y, so it is taken with the neighbours that cancel that Y
     q = Fraction(-2, 3)
     v = Fraction(-1) / (q * c_const(0, 2))
     W = GroupWord.of
@@ -605,7 +605,8 @@ def test_inverse_words_match_atom_inversion():
     for w in words:
         got, want = realize_word(w.inverse(), CFG), invert(realize_word(w, CFG))
         assert got.word == want.word, format_word(w)
-        assert all(a is b for (_, a), (_, b) in zip(got._steps, want._steps, strict=True))
+        again = realize_word(w.inverse(), CFG)
+        assert all(a is b for (_, a), (_, b) in zip(got._steps, again._steps, strict=True))
 
 
 def test_relcheck_work_is_pinned(monkeypatch):
